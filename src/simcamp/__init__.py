@@ -47,7 +47,7 @@ from .optimizer import (
     write_campaign_file,
 )
 from .pipeline import RunConfig, analyze_runs, run_pipeline
-from .slicing import SlicePlan, external_sort, order_slice, slice_ranges
+from .slicing import external_sort, order_slice, slice_ranges
 from .traces import (
     Alphabet,
     InputTrace,
@@ -78,7 +78,6 @@ __all__ = [
     "ReferenceModel",
     "RunConfig",
     "Simulator",
-    "SlicePlan",
     "SystemModel",
     "TraceCorpus",
     "TraceFormatError",

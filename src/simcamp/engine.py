@@ -4,8 +4,10 @@ A simulator holds a model state, the input history that produced it, and
 a bounded map of checkpointed (state, history) pairs keyed by node id.
 Executing a campaign folds its commands over that machine; Load of an
 absent id, Store of a present id, or Free of an absent id puts the
-machine into an absorbing error state.  Campaigns can run either against
-an in-process model or over a line protocol to an external driver.
+machine into an absorbing error state.  There is one fold, ``_fold``, for
+both backends: ``execute`` folds over a simulator wrapping an in-process
+model, and ``run_external`` folds over a shadow simulator that sends each
+command to an external driver and checks the reply against its own step.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import subprocess
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
-from .optimizer import Campaign, Command, campaign_lines
+from .optimizer import Campaign, Command, campaign_lines, format_command
 from .traces import Alphabet, TraceFormatError
 
 _MASK64 = (1 << 64) - 1
@@ -155,17 +157,12 @@ class ExecutionResult:
     command_counts: dict[str, int] = field(default_factory=dict)
 
 
-def execute(
+def _fold(
     campaign: Campaign,
-    model: SystemModel,
+    sim: Simulator,
     progress: Callable[[int], None] | None = None,
 ) -> ExecutionResult:
-    """Run a campaign against an in-process model.
-
-    Stops at the first erroring command; ``progress`` (if given) receives
-    the running count of completed Out commands.
-    """
-    sim = Simulator(model)
+    """Step ``sim`` over the campaign, stopping at the first erroring command."""
     failing_index: int | None = None
     counts: dict[str, int] = {}
     for i, cmd in enumerate(campaign.commands):
@@ -184,6 +181,19 @@ def execute(
         peak_memory=sim.peak_memory,
         command_counts=counts,
     )
+
+
+def execute(
+    campaign: Campaign,
+    model: SystemModel,
+    progress: Callable[[int], None] | None = None,
+) -> ExecutionResult:
+    """Run a campaign against an in-process model.
+
+    Stops at the first erroring command; ``progress`` (if given) receives
+    the running count of completed Out commands.
+    """
+    return _fold(campaign, Simulator(model), progress)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +293,61 @@ class DriverProtocolError(RuntimeError):
     """The external driver violated the line protocol."""
 
 
+class _DriverModel(SystemModel):
+    """A model with no state: an external driver owns the real one."""
+
+    initial_state = None
+
+    def transition(self, state: object, symbol: int, quanta: int) -> object:
+        return None
+
+    def observe(self, state: object) -> str:
+        return ""
+
+
+class _DriverShadow(Simulator):
+    """A simulator that steps an external driver in lock-step with itself.
+
+    Each command goes to the driver first.  ``ERR`` puts the shadow into
+    its error state with the driver's message.  Otherwise the reply must
+    have the shape the command calls for, and the shadow must accept the
+    command too; on Out, the driver's token replaces the shadow's.
+    """
+
+    def __init__(self, proc: subprocess.Popen, alphabet: Alphabet | None) -> None:
+        super().__init__(_DriverModel())
+        self._proc = proc
+        self._alphabet = alphabet
+
+    def send(self, line: str) -> None:
+        try:
+            self._proc.stdin.write(line + "\n")
+            self._proc.stdin.flush()
+        except BrokenPipeError:
+            raise DriverProtocolError("driver exited mid-campaign") from None
+
+    def step(self, cmd: Command) -> bool:
+        if self.error is not None:
+            return False
+        self.send(format_command(cmd, self._alphabet))
+        reply = self._proc.stdout.readline()
+        if not reply:
+            raise DriverProtocolError("driver closed its output mid-campaign")
+        reply = reply.rstrip("\n")
+        if reply.startswith("ERR"):
+            return self._fail(reply[3:].strip() or "driver error")
+        if cmd.op == "out":
+            if not reply.startswith("OUT "):
+                raise DriverProtocolError(f"expected OUT reply, got {reply!r}")
+        elif reply != "OK":
+            raise DriverProtocolError(f"expected OK reply, got {reply!r}")
+        if not super().step(cmd):
+            raise DriverProtocolError(f"driver accepted a {self.error}")
+        if cmd.op == "out":
+            self.observations[-1] = Observation(reply[4:], self.history)
+        return True
+
+
 def run_external(
     campaign: Campaign,
     argv: Sequence[str],
@@ -290,18 +355,13 @@ def run_external(
 ) -> ExecutionResult:
     """Execute a campaign through an external driver subprocess.
 
-    The engine keeps its own shadow of the input history and checkpoint
-    map, so observations carry the associated traces no matter what model
-    the driver wraps.
+    The same fold as ``execute`` runs over a shadow simulator whose model
+    holds no state.  The shadow keeps the input history and checkpoint
+    map, so observations carry their traces whatever model the driver
+    wraps, and it checks every reply: a driver that accepts a command the
+    shadow rejects, or that replies in the wrong shape, raises
+    ``DriverProtocolError``.
     """
-    observations: list[Observation] = []
-    history: tuple[int, ...] = ()
-    memory: dict[int, tuple[int, ...]] = {}
-    counts: dict[str, int] = {}
-    peak = length = 0
-    failing_index: int | None = None
-    error: str | None = None
-
     proc = subprocess.Popen(
         list(argv),
         stdin=subprocess.PIPE,
@@ -311,50 +371,9 @@ def run_external(
     )
     assert proc.stdin is not None and proc.stdout is not None
     try:
-        command_index = -1
-        for line in campaign_lines(campaign):
-            try:
-                proc.stdin.write(line + "\n")
-                proc.stdin.flush()
-            except BrokenPipeError:
-                raise DriverProtocolError("driver exited mid-campaign") from None
-            if line.startswith("#"):
-                continue
-            command_index += 1
-            reply = proc.stdout.readline()
-            if not reply:
-                raise DriverProtocolError("driver closed its output mid-campaign")
-            reply = reply.rstrip("\n")
-            cmd = campaign.commands[command_index]
-            if reply.startswith("ERR"):
-                failing_index = command_index
-                error = reply[3:].strip() or "driver error"
-                break
-            if cmd.op == "out":
-                if not reply.startswith("OUT "):
-                    raise DriverProtocolError(f"expected OUT reply, got {reply!r}")
-                observations.append(Observation(reply[4:], history))
-                if progress is not None:
-                    progress(len(observations))
-            elif reply != "OK":
-                raise DriverProtocolError(f"expected OK reply, got {reply!r}")
-            counts[cmd.op] = counts.get(cmd.op, 0) + 1
-            if cmd.op == "run":
-                history = history + (cmd.symbol,) * cmd.quanta
-                length += cmd.quanta
-            elif cmd.op == "store":
-                if cmd.node_id in memory:
-                    raise DriverProtocolError("driver accepted a store of a present id")
-                memory[cmd.node_id] = history
-                peak = max(peak, len(memory))
-            elif cmd.op == "load":
-                if cmd.node_id not in memory:
-                    raise DriverProtocolError("driver accepted a load of an absent id")
-                history = memory[cmd.node_id]
-            elif cmd.op == "free":
-                if cmd.node_id not in memory:
-                    raise DriverProtocolError("driver accepted a free of an absent id")
-                del memory[cmd.node_id]
+        shadow = _DriverShadow(proc, campaign.alphabet)
+        shadow.send(next(campaign_lines(campaign)))  # the header line
+        return _fold(campaign, shadow, progress)
     finally:
         try:
             proc.stdin.close()
@@ -366,12 +385,3 @@ def run_external(
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
-    return ExecutionResult(
-        observations=observations,
-        executable=failing_index is None,
-        failing_index=failing_index,
-        error=error,
-        length_quanta=length,
-        peak_memory=peak,
-        command_counts=counts,
-    )

@@ -7,7 +7,6 @@ feed exact Fractions through them; nothing here rounds or coerces.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .engine import CostModel, estimate_seconds
@@ -20,19 +19,6 @@ REPORT_COLUMNS = [
 ]
 
 PROGRESS_COLUMNS = ["slice", "j", "n", "op_bound"]
-
-
-@dataclass(frozen=True, slots=True)
-class CampaignMetrics:
-    """Measurements for one slice's campaign at one state budget."""
-
-    slice_id: int
-    traces: int
-    slices: int
-    capacity: int
-    length_quanta: int
-    peak_memory: int
-    est_seconds: float
 
 
 def completion_time(per_slice_seconds: Iterable[float]) -> float:

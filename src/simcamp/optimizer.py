@@ -132,9 +132,10 @@ def optimize_slice(
     """Emit the campaign replaying ``ordered`` under the given state budget.
 
     ``ordered`` may be any permutation of the trace set the tree was built
-    from; the tree's pending counts are consumed in place, so build a fresh
-    tree for each call.  ``capacity=None`` means unlimited storage (the
-    resulting peak is the least capacity that loses nothing).
+    from; the tree's pending counts are consumed in place, so pass a clone
+    (``tree.clone()``) to keep one built tree for several calls.
+    ``capacity=None`` means unlimited storage (the resulting peak is the
+    least capacity that loses nothing).
     """
     if not ordered:
         raise ValueError("cannot optimize an empty slice")

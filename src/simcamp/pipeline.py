@@ -178,21 +178,25 @@ def _campaign_summary(campaign) -> dict:
 def _run_slice_task(task: _SliceTask) -> dict:
     corpus = read_trace_file(task.slice_path)
     ordered = order_slice(corpus.traces, task.order_mode, task.order_seed)
-    by_symbols = sorted(corpus.traces, key=lambda t: t.symbols)
-
-    stats_tree = build_tree(by_symbols)
-    capacity = stats_tree.capacity
-    shared = stats_tree.shared_prefix_count
+    tree = build_tree(sorted(corpus.traces, key=lambda t: t.symbols))
+    capacity = tree.capacity
     resolved = capacity if task.sigma == "capacity" else parse_sigma(task.sigma)
 
+    # Optimizing at any budget of at least the unlimited peak never meets
+    # a full checkpoint index, so it reproduces the unlimited campaign.
+    unlimited = optimize_slice(
+        ordered, tree.clone(), None, corpus.quantum, task.slice_id
+    )
+
     def campaign_at(cap):
+        if cap is None or cap >= unlimited.peak_stored:
+            return unlimited
         return optimize_slice(
-            ordered, build_tree(by_symbols), cap, corpus.quantum, task.slice_id
+            ordered, tree.clone(), cap, corpus.quantum, task.slice_id
         )
 
-    requested = campaign_at(resolved)
     baseline = campaign_at(1)
-    unlimited = campaign_at(None)
+    requested = baseline if resolved == 1 else campaign_at(resolved)
     write_campaign_file(requested, task.campaign_path)
 
     n = len(ordered)
@@ -217,7 +221,7 @@ def _run_slice_task(task: _SliceTask) -> dict:
         "order": task.order_mode,
         "order_seed": task.order_seed,
         "capacity": capacity,
-        "shared_prefixes": shared,
+        "shared_prefixes": tree.shared_prefix_count,
         "sigma_requested": task.sigma,
         "sigma_resolved": resolved,
         "requested": _campaign_summary(requested),

@@ -13,7 +13,6 @@ import heapq
 import os
 import random
 import tempfile
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .traces import (
@@ -46,24 +45,6 @@ def slice_ranges(n: int, slices: int) -> list[tuple[int, int]]:
         ranges.append((start, start + size))
         start += size
     return ranges
-
-
-@dataclass(frozen=True, slots=True)
-class SlicePlan:
-    slice_count: int
-    ranges: tuple[tuple[int, int], ...]
-    order_mode: str = "lex"
-    seed: int = 0
-
-    @staticmethod
-    def even(n: int, slices: int, order_mode: str = "lex", seed: int = 0) -> "SlicePlan":
-        if order_mode not in ORDER_MODES:
-            raise ValueError(f"order mode must be one of {ORDER_MODES}")
-        return SlicePlan(slices, tuple(slice_ranges(n, slices)), order_mode, seed)
-
-    def size(self, index: int) -> int:
-        start, stop = self.ranges[index]
-        return stop - start
 
 
 def order_slice(

@@ -68,7 +68,6 @@ class BranchTree:
             ROOT_ID: BranchNode(ROOT_ID, None, (), 0)
         }
         self._next_id = 1
-        self._intern: dict[tuple[int, tuple[int, ...]], int] = {}
         self.trace_count = 0
         self.shared_prefix_count = 0
         self.capacity = 1
@@ -85,18 +84,15 @@ class BranchTree:
         self.nodes[node.node_id] = node
         parent.children.add(node.node_id)
         parent.child_by_symbol[seg[0]] = node.node_id
-        self._intern[(parent.node_id, seg)] = node.node_id
         return node
 
     def _reparent(self, child: BranchNode, new_parent: BranchNode) -> None:
         old_parent = self.nodes[child.parent_id]  # type: ignore[index]
         old_parent.children.discard(child.node_id)
-        del self._intern[(old_parent.node_id, child.seg)]
         child.parent_id = new_parent.node_id
         child.seg = child.seg[len(new_parent.seg):]
         new_parent.children.add(child.node_id)
         new_parent.child_by_symbol[child.seg[0]] = child.node_id
-        self._intern[(new_parent.node_id, child.seg)] = child.node_id
 
     # -- queries ----------------------------------------------------------
 
@@ -173,7 +169,6 @@ class BranchTree:
             for nid, n in self.nodes.items()
         }
         other._next_id = self._next_id
-        other._intern = dict(self._intern)
         other.trace_count = self.trace_count
         other.shared_prefix_count = self.shared_prefix_count
         other.capacity = self.capacity
@@ -202,15 +197,12 @@ class BranchTree:
         parent.children.discard(node_id)
         if parent.child_by_symbol.get(node.seg[0]) == node_id:
             del parent.child_by_symbol[node.seg[0]]
-        self._intern.pop((parent.node_id, node.seg), None)
         reindex: list[BranchNode] = []
         for child_id in node.children:
             child = self.nodes[child_id]
-            self._intern.pop((node_id, child.seg), None)
             child.parent_id = parent.node_id
             child.seg = node.seg + child.seg
             parent.children.add(child_id)
-            self._intern[(parent.node_id, child.seg)] = child_id
             if child.stored:
                 reindex.append(child)
         del self.nodes[node_id]

@@ -24,6 +24,18 @@ from util import AB, ABCD, ts
 ECHO_DRIVER = [sys.executable, "-m", "simcamp.echo_driver"]
 
 
+def lying_driver(replies):
+    """A driver that answers ``replies[<first word>]`` (default OK) to every line."""
+    script = (
+        "import sys\n"
+        f"replies = {replies!r}\n"
+        "for line in sys.stdin:\n"
+        "    if not line.startswith('#'):\n"
+        "        print(replies.get(line.split()[0], 'OK'), flush=True)\n"
+    )
+    return [sys.executable, "-c", script]
+
+
 def campaign_for(texts, sigma=None, quantum=1.0):
     traces = ts(*texts)
     tree = build_tree(sorted(traces, key=lambda x: x.symbols))
@@ -85,6 +97,9 @@ def test_errors_are_absorbing(commands, message):
     assert result.failing_index == len(commands) - 1
     assert result.error == message
     assert result.observations == []
+    # A driver that accepts the same command contradicts the engine's state.
+    with pytest.raises(DriverProtocolError, match=f"driver accepted a {message}"):
+        run_external(campaign, lying_driver({"OUT": "OUT x"}))
 
 
 def test_execute_counts_and_progress():
@@ -132,15 +147,27 @@ def test_inflation_scales_only_load_and_store():
 
 def test_external_driver_matches_in_process():
     campaign, _ = campaign_for(["aab", "aac", "ab", "b"], sigma=3, quantum=0.5)
-    local = execute(campaign, reference_model(ABCD, 11))
-    remote = run_external(
-        campaign, ECHO_DRIVER + ["--seed", "11", "--alphabet", "a,b,c,d"]
+    cut = len(campaign.commands) // 2
+    erroring = Campaign(
+        campaign.commands[:cut] + [Command("free", node_id=99)]
+        + campaign.commands[cut:],
+        0.5,
+        alphabet=ABCD,
     )
-    assert remote.executable
-    assert remote.observations == local.observations
-    assert remote.length_quanta == local.length_quanta
-    assert remote.peak_memory == local.peak_memory
-    assert remote.command_counts == local.command_counts
+    for case in (campaign, erroring):
+        local = execute(case, reference_model(ABCD, 11))
+        remote = run_external(
+            case, ECHO_DRIVER + ["--seed", "11", "--alphabet", "a,b,c,d"]
+        )
+        assert remote.executable == (case is campaign)
+        assert remote.failing_index == local.failing_index
+        assert remote.error == local.error
+        assert remote.observations == local.observations
+        assert remote.length_quanta == local.length_quanta
+        assert remote.peak_memory == local.peak_memory
+        assert remote.command_counts == local.command_counts
+    assert remote.failing_index == cut
+    assert remote.error == "free of absent id 99"
 
 
 def test_external_driver_reports_errors():
@@ -157,5 +184,12 @@ def test_external_driver_reports_errors():
 
 def test_protocol_violations_are_detected():
     campaign, _ = campaign_for(["ab"], sigma=1)
-    with pytest.raises(DriverProtocolError):
-        run_external(campaign, ["cat"])
+    for argv, message in (
+        (["cat"], "expected OK reply"),
+        (lying_driver({"OUT": "OK"}), "expected OUT reply, got 'OK'"),
+        (lying_driver({"OUT": "OUT x", "RUN": "OUT x"}),
+         "expected OK reply, got 'OUT x'"),
+    ):
+        with pytest.raises(DriverProtocolError, match=message):
+            run_external(campaign, argv)
+

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simcamp.engine import execute, reference_model
 from simcamp.oracles import edge_count, naive_campaign
@@ -19,7 +20,7 @@ from simcamp.optimizer import (
     write_campaign_file,
 )
 from simcamp.slicing import order_slice
-from simcamp.traces import TraceFormatError
+from simcamp.traces import Alphabet, InputTrace, TraceFormatError
 from simcamp.tree import build_tree
 from util import ABCD, random_traces, t, ts
 
@@ -210,6 +211,32 @@ def test_memory_bound_holds_under_pressure():
             assert campaign.length_quanta <= naive_len
             lengths[sigma] = campaign.length_quanta
         assert lengths[tree.capacity] <= lengths[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(0, 2), min_size=1, max_size=6),
+        min_size=1,
+        max_size=16,
+        unique_by=tuple,
+    ),
+    st.integers(0, 1 << 20),
+    st.integers(0, 2),
+)
+def test_budget_at_least_unlimited_peak_reproduces_unlimited(
+    symbol_lists, order_seed, extra
+):
+    # The pipeline reuses the unlimited campaign for any such budget.
+    alphabet = Alphabet.of("a", "b", "c")
+    traces = [InputTrace(alphabet, tuple(s)) for s in symbol_lists]
+    ordered = order_slice(traces, "random", seed=order_seed)
+    tree = tree_for(traces)
+    unlimited = optimize_slice(ordered, tree.clone(), None, 1.0)
+    sigma = unlimited.peak_stored + extra
+    bounded = optimize_slice(ordered, tree.clone(), sigma, 1.0)
+    assert bounded.commands == unlimited.commands
+    assert bounded.peak_stored == unlimited.peak_stored
 
 
 def test_campaign_file_round_trip(tmp_path):

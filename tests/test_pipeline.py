@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -22,6 +23,67 @@ from simcamp.pipeline import (
 )
 from simcamp.traces import TraceCorpus, write_trace_file
 from util import ABCD, ts
+
+# SHA-256 of every pipeline output on ``corpus_file`` with two slices and
+# seed 3.  A change meant to keep outputs must reproduce them byte for byte.
+GOLDEN_DIGESTS = {
+    "capacity": {
+        "campaigns/campaign_0.txt":
+            "d626b06cdeb4d2c52872c99b480a6b65d761a46e2e38ed5293683edff207bc8c",
+        "campaigns/campaign_1.txt":
+            "1622468d9ac28865c777cc39e6f6a22f0bccb4f27cdb4fd074622b7c31cbdc90",
+        "results/result_0.json":
+            "e284b8f0a23d4772c5bd9ff1164af45ae06b4134787fe3999fe66187b084eea5",
+        "results/result_1.json":
+            "6bb9b45d1956ae60f7b339f58681e3507cdc1b89bada977b7533e8536fb64d77",
+        "report.csv":
+            "a7b08684c2390520395e5a73e84b9c831af5856e1e1fc496ef4ca15aa0f0456e",
+        "progress.csv":
+            "473e41b53633cb51a88f08e2a70aab77f0cb8dddfc5f86ed653c9db683c16368",
+    },
+    "2": {
+        "campaigns/campaign_0.txt":
+            "519ed10f054ae5ff68a317053a34dc82cb4031b58795dde621a23b9816e895e1",
+        "campaigns/campaign_1.txt":
+            "0d278d215c175404b918ddfab8e4385849bd67f62323636c4b247ff32e868806",
+        "results/result_0.json":
+            "9c16b6e1140b0fff6185c25960c01578ae7d44ed25f982f5cb920f0146d6c144",
+        "results/result_1.json":
+            "b10ed70aa0cfb40d3729a8cebf060cfec2c6a7b7d68228b9460acb71a429f273",
+        "report.csv":
+            "6aba3f742cb4b5ea293e29177be7d2d103e460884b063d14b3df122fc3b55d81",
+        "progress.csv":
+            "473e41b53633cb51a88f08e2a70aab77f0cb8dddfc5f86ed653c9db683c16368",
+    },
+    "1": {
+        "campaigns/campaign_0.txt":
+            "1e7e028c0dca4022fe8c74784207d502db4044d18a5be85d82145bfec51da46e",
+        "campaigns/campaign_1.txt":
+            "f288a4eb701e5c83733bff93763a73c21f817eed145bf0e98bfd674191025fd3",
+        "results/result_0.json":
+            "94948666c23131849e9a7ae0fb68b5a4eefa5b0443cf8befede9b1a61cb5ea14",
+        "results/result_1.json":
+            "c617451e7fef722dc9fdd738e22f0a3f2e7db124f07ba03e67476dd7cb3c06c2",
+        "report.csv":
+            "0728e731baca98e3cc0b9e76e10100398ecd67e04b8a832da14b9d4c3b5b8b3d",
+        "progress.csv":
+            "473e41b53633cb51a88f08e2a70aab77f0cb8dddfc5f86ed653c9db683c16368",
+    },
+    "unlimited": {
+        "campaigns/campaign_0.txt":
+            "d626b06cdeb4d2c52872c99b480a6b65d761a46e2e38ed5293683edff207bc8c",
+        "campaigns/campaign_1.txt":
+            "1622468d9ac28865c777cc39e6f6a22f0bccb4f27cdb4fd074622b7c31cbdc90",
+        "results/result_0.json":
+            "0253cb8dad41790b2858675185e57d2a7af6090b90ae59d4df1a4ef7f22d02fc",
+        "results/result_1.json":
+            "9a3059f49c0c47dbc0a9155159541ced920c1e4eda03c0eacb2c802f5cfc186f",
+        "report.csv":
+            "edcbfc32cbbc706ba187b62676d56e163bac7e2e9ed3b6f0a76fb995b5f77254",
+        "progress.csv":
+            "473e41b53633cb51a88f08e2a70aab77f0cb8dddfc5f86ed653c9db683c16368",
+    },
+}
 
 
 def corpus_file(tmp_path, name="corpus.txt"):
@@ -190,3 +252,24 @@ def test_too_many_slices_is_a_stage_error(tmp_path):
     src = corpus_file(tmp_path)
     with pytest.raises(PipelineStageError):
         prepare_slices(RunConfig(source=src, out_dir=str(tmp_path / "x"), slices=40))
+
+
+def output_digests(run_dir):
+    names = sorted(
+        f"{sub}/{name}"
+        for sub in ("campaigns", "results")
+        for name in os.listdir(os.path.join(run_dir, sub))
+        if name.startswith(("campaign_", "result_"))
+    ) + ["report.csv", "progress.csv"]
+    return {
+        name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+        for name in names
+    }
+
+
+@pytest.mark.parametrize("sigma", sorted(GOLDEN_DIGESTS))
+def test_outputs_are_byte_identical_to_recorded_digests(tmp_path, sigma):
+    src = corpus_file(tmp_path)
+    out = tmp_path / "run"
+    run_pipeline(RunConfig(source=src, out_dir=str(out), slices=2, seed=3, sigma=sigma))
+    assert output_digests(out) == GOLDEN_DIGESTS[sigma]

@@ -4,7 +4,6 @@ import pytest
 
 from simcamp.slicing import (
     DuplicateTraceError,
-    SlicePlan,
     external_sort,
     order_slice,
     slice_ranges,
@@ -22,12 +21,6 @@ def test_slice_ranges():
         slice_ranges(2, 3)
     with pytest.raises(ValueError):
         slice_ranges(2, 0)
-
-
-def test_slice_plan():
-    plan = SlicePlan.even(10, 3, order_mode="lex")
-    assert plan.slice_count == 3
-    assert plan.size(0) == 4 and plan.size(2) == 3
 
 
 def test_order_slice_lex():
