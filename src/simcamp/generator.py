@@ -4,7 +4,8 @@ A constraint spec is a fixed horizon plus deterministic finite automata
 ("monitors") over the input alphabet; the scenario set is every length-h
 word accepted by all monitors.  A dynamic-programming table over the
 product automaton supports exact counting and direct extraction of the
-j-th word in lexicographic order, without enumerating the set.
+j-th word in lexicographic order, without enumerating the set; a batch of
+indices is extracted in one walk that shares the prefixes of neighbours.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .traces import Alphabet, InputTrace, TraceFormatError
 
@@ -71,82 +72,120 @@ def satisfies(spec: ConstraintSpec, trace: InputTrace) -> bool:
     return all(dfa.accepts(trace.symbols) for dfa in spec.monitors)
 
 
+State = tuple[int, ...]  # one state per monitor: a product-automaton state
+
+
 class GeneratorTable:
     """Suffix-count table over the product automaton.
 
-    ``_counts[r]`` maps each product state reachable at depth h-r to the
-    exact number of accepted suffixes of length r.  Counts are Python
+    ``_children[r]`` maps each product state reachable at depth h-r to
+    its ``(symbol, successor, count)`` triples, in symbol order, where
+    count is the exact number of accepted suffixes of length r-1 from the
+    successor; successors with none are left out.  Counts are Python
     integers, so they stay exact far beyond 64 bits.  Read-only once
     built; safe to share across threads.
     """
 
     def __init__(self, spec: ConstraintSpec) -> None:
         self.spec = spec
-        self._n_symbols = len(spec.alphabet)
+        n_symbols = len(spec.alphabet)
         start = tuple(dfa.start for dfa in spec.monitors)
-        levels: list[set[tuple[int, ...]]] = [{start}]
+        # Product states recur across depths, so each one's successors
+        # are computed once.
+        successors: dict[State, tuple[State, ...]] = {}
+        levels: list[set[State]] = [{start}]
         for _ in range(spec.horizon):
-            frontier = levels[-1]
-            nxt = {
-                self._step(state, u)
-                for state in frontier
-                for u in range(self._n_symbols)
-            }
+            nxt: set[State] = set()
+            for state in levels[-1]:
+                if state not in successors:
+                    successors[state] = tuple(
+                        self._step(state, u) for u in range(n_symbols)
+                    )
+                nxt.update(successors[state])
             levels.append(nxt)
-        counts: list[dict[tuple[int, ...], int]] = [
-            {
-                s: 1 if self._accepting(s) else 0
-                for s in levels[spec.horizon]
-            }
+        counts: list[dict[State, int]] = [
+            {s: 1 if self._accepting(s) else 0 for s in levels[spec.horizon]}
         ]
+        children: list[dict[State, tuple[tuple[int, State, int], ...]]] = [{}]
         for r in range(1, spec.horizon + 1):
             deeper = counts[r - 1]
+            level_children = {
+                s: tuple(
+                    (u, t, deeper[t])
+                    for u, t in enumerate(successors[s])
+                    if deeper[t]
+                )
+                for s in levels[spec.horizon - r]
+            }
+            children.append(level_children)
             counts.append(
                 {
-                    s: sum(
-                        deeper[self._step(s, u)] for u in range(self._n_symbols)
-                    )
-                    for s in levels[spec.horizon - r]
+                    s: sum(below for _u, _t, below in kids)
+                    for s, kids in level_children.items()
                 }
             )
-        self._counts = counts
+        self._children = children
         self._start = start
+        self._total = counts[spec.horizon][start]
 
-    def _step(self, state: tuple[int, ...], symbol: int) -> tuple[int, ...]:
+    def _step(self, state: State, symbol: int) -> State:
         return tuple(
             dfa.step[s][symbol] for dfa, s in zip(self.spec.monitors, state)
         )
 
-    def _accepting(self, state: tuple[int, ...]) -> bool:
+    def _accepting(self, state: State) -> bool:
         return all(
             s in dfa.accepting for dfa, s in zip(self.spec.monitors, state)
         )
 
     def count(self) -> int:
         """Number of length-h words accepted by all monitors."""
-        return self._counts[self.spec.horizon][self._start]
+        return self._total
 
     def get(self, index: int) -> InputTrace:
         """The index-th accepted word in lexicographic order."""
-        if not (0 <= index < self.count()):
-            raise IndexError(
-                f"scenario index {index} out of range [0, {self.count()})"
-            )
-        state = self._start
-        symbols: list[int] = []
-        remaining = index
-        for r in range(self.spec.horizon, 0, -1):
-            for u in range(self._n_symbols):
-                nxt = self._step(state, u)
-                below = self._counts[r - 1].get(nxt, 0)
-                if remaining < below:
-                    symbols.append(u)
-                    state = nxt
-                    break
-                remaining -= below
-            else:
-                raise AssertionError("count table inconsistent with extraction")
-        return InputTrace(self.spec.alphabet, tuple(symbols))
+        return next(self.extract((index,)))
+
+    def extract(self, indices: Iterable[int]) -> Iterator[InputTrace]:
+        """The accepted words at ``indices``, in the order given, from one walk.
+
+        The walk keeps the path to the last word it produced: per depth,
+        the product state and the ``[lo, hi)`` range of indices below
+        that node.  Each next index climbs only until the range holds it,
+        then descends from there, so a sorted batch visits each node of
+        the word trie about once.  Unsorted or repeated indices are still
+        answered correctly; they just climb further.
+        """
+        horizon = self.spec.horizon
+        alphabet = self.spec.alphabet
+        children = self._children
+        total = self.count()
+        states = [self._start] * (horizon + 1)
+        lo = [0] * (horizon + 1)
+        hi = [total] * (horizon + 1)
+        symbols = [0] * horizon
+        depth = 0
+        for index in indices:
+            if not (0 <= index < total):
+                raise IndexError(
+                    f"scenario index {index} out of range [0, {total})"
+                )
+            while not (lo[depth] <= index < hi[depth]):
+                depth -= 1
+            while depth < horizon:
+                first = lo[depth]
+                for u, state, below in children[horizon - depth][states[depth]]:
+                    if index < first + below:
+                        break
+                    first += below
+                else:
+                    raise AssertionError("count table inconsistent with extraction")
+                symbols[depth] = u
+                depth += 1
+                states[depth] = state
+                lo[depth] = first
+                hi[depth] = first + below
+            yield InputTrace(alphabet, tuple(symbols))
 
 
 def scenario_count(spec: ConstraintSpec) -> int:
@@ -167,6 +206,8 @@ def sample_indices(n: int, fraction: float, seed: int) -> list[int]:
     if not (0 < fraction <= 1):
         raise ValueError("fraction must lie in (0, 1]")
     size = math.floor(fraction * n + 0.5)
+    if size == n:
+        return list(range(n))
     return sorted(random.Random(seed).sample(range(n), size))
 
 

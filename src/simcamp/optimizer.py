@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .traces import Alphabet, InputTrace, TraceFormatError
+from .traces import Alphabet, InputTrace, TraceFormatError, atomic_text_file
 from .tree import ROOT_ID, BranchNode, BranchTree, TreeInvariantError
 
 
@@ -277,7 +277,7 @@ def parse_command(line: str, alphabet: Alphabet) -> Command:
 
 
 def write_campaign_file(campaign: Campaign, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text_file(path) as fh:
         for line in campaign_lines(campaign):
             fh.write(line + "\n")
 

@@ -12,10 +12,12 @@ Stages communicate only through files in the output directory:
     results/progress_<i>.json   (atomically replaced while executing)
     report.csv, progress.csv
 
-A master seed derives per-slice seeds by stable hashing, so changing the
-slice count never perturbs another slice's verification order.  Slice
-tasks that already have a result file are skipped, which makes reruns
-both resumable and byte-identical.
+Every file but the two CSV reports is written to a temporary name and
+moved into place, so none is ever seen partly written.  A master seed
+derives per-slice seeds by stable hashing, so changing the slice count
+never perturbs another slice's verification order.  Slice tasks whose
+result file already covers the slice's manifest size are skipped, which
+makes reruns both resumable and byte-identical.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -50,6 +51,7 @@ from .traces import (
     Alphabet,
     InputTrace,
     TraceCorpus,
+    atomic_text_file,
     read_trace_file,
     write_trace_file,
 )
@@ -107,17 +109,9 @@ def slice_seed(master: int, slice_id: int) -> int:
 
 
 def write_json_atomic(obj: object, path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_text_file(path) as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def _is_constraint_file(path: str) -> bool:
@@ -137,7 +131,7 @@ def _materialize_source(config: RunConfig) -> tuple[Alphabet, float, list[InputT
         indices = sample_indices(total, config.fraction, config.seed)
         if not indices:
             raise PipelineStageError("source stage: sampled zero traces")
-        return spec.alphabet, config.quantum, [table.get(j) for j in indices]
+        return spec.alphabet, config.quantum, list(table.extract(indices))
 
     sorted_path = os.path.join(config.out_dir, "sorted.txt")
     if not os.path.exists(sorted_path):
@@ -157,6 +151,7 @@ def _materialize_source(config: RunConfig) -> tuple[Alphabet, float, list[InputT
 @dataclass(slots=True)
 class _SliceTask:
     slice_id: int
+    size: int
     slice_path: str
     campaign_path: str
     result_path: str
@@ -264,7 +259,7 @@ def prepare_slices(config: RunConfig) -> list[_SliceTask]:
 
     manifest_path = os.path.join(out, "manifest.jsonl")
     tasks: list[_SliceTask] = []
-    with open(manifest_path, "w", encoding="utf-8") as manifest:
+    with atomic_text_file(manifest_path) as manifest:
         for i, (start, stop) in enumerate(ranges):
             slice_path = os.path.join(out, "slices", f"slice_{i}.txt")
             if not os.path.exists(slice_path):
@@ -287,6 +282,7 @@ def prepare_slices(config: RunConfig) -> list[_SliceTask]:
             tasks.append(
                 _SliceTask(
                     slice_id=i,
+                    size=stop - start,
                     slice_path=slice_path,
                     campaign_path=os.path.join(out, "campaigns", f"campaign_{i}.txt"),
                     result_path=os.path.join(out, "results", f"result_{i}.json"),
@@ -312,6 +308,15 @@ def prepare_slices(config: RunConfig) -> list[_SliceTask]:
     return tasks
 
 
+def _has_result(task: _SliceTask) -> bool:
+    """Whether the slice has a readable result covering its manifest size."""
+    try:
+        with open(task.result_path, "r", encoding="utf-8") as fh:
+            return json.load(fh).get("n") == task.size
+    except (OSError, ValueError):
+        return False
+
+
 def run_pipeline(
     config: RunConfig,
     cost: CostModel = DEFAULT_COSTS,
@@ -320,7 +325,7 @@ def run_pipeline(
     """Run every stage; returns a summary dict (also persisted on disk)."""
     out = config.out_dir
     tasks = prepare_slices(config)
-    todo = [t for t in tasks if not os.path.exists(t.result_path)]
+    todo = [t for t in tasks if not _has_result(t)]
     if todo:
         if config.workers > 1:
             with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -424,22 +429,29 @@ def _rows_for_run(
 
 
 def read_progress(run_dir: str) -> list[tuple[int, int, int]]:
-    """Per-slice (slice, verified, size) from the progress files."""
+    """Per-slice (slice, verified, size) for every slice in the manifest.
+
+    A slice without a progress file, or whose progress file counts a
+    different size, has verified nothing yet.
+    """
+    manifest_path = os.path.join(run_dir, "manifest.jsonl")
+    if not os.path.exists(manifest_path):
+        raise PipelineStageError(f"no manifest under {run_dir}")
+    with open(manifest_path, "r", encoding="utf-8") as fh:
+        sizes = {entry["slice"]: entry["size"] for entry in map(json.loads, fh)}
+    if not sizes:
+        raise PipelineStageError(f"empty manifest under {run_dir}")
     entries = []
-    results_dir = os.path.join(run_dir, "results")
-    if not os.path.isdir(results_dir):
-        raise PipelineStageError(f"no results directory under {run_dir}")
-    names = sorted(
-        n for n in os.listdir(results_dir)
-        if n.startswith("progress_") and n.endswith(".json")
-    )
-    if not names:
-        raise PipelineStageError(f"no progress files under {results_dir}")
-    for name in names:
-        with open(os.path.join(results_dir, name), "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        entries.append((data["slice"], data["j"], data["n"]))
-    return sorted(entries)
+    for slice_id, size in sorted(sizes.items()):
+        path = os.path.join(run_dir, "results", f"progress_{slice_id}.json")
+        done = 0
+        if os.path.exists(path):
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            if data["n"] == size:
+                done = data["j"]
+        entries.append((slice_id, done, size))
+    return entries
 
 
 def _progress_rows(run_dir: str) -> list[dict]:

@@ -19,6 +19,7 @@ from .traces import (
     Alphabet,
     InputTrace,
     TraceFormatError,
+    atomic_text_file,
     format_trace_header,
     parse_trace_header,
 )
@@ -141,29 +142,22 @@ def external_sort(
         merged = heapq.merge(
             *(_iter_run(path, i, alphabet) for i, path in enumerate(runs))
         )
-        fd, tmp_out = tempfile.mkstemp(dir=out_dir, suffix=".sorting")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(format_trace_header(alphabet, quantum) + "\n")
-                previous: tuple[int, ...] | None = None
-                for symbols, _run, _pos in merged:
-                    traces_in += 1
-                    if symbols == previous:
-                        if not dedupe:
-                            raise DuplicateTraceError(
-                                "duplicate trace "
-                                + ",".join(alphabet.tokens[s] for s in symbols)
-                            )
-                        duplicates += 1
-                        continue
-                    fh.write(",".join(alphabet.tokens[s] for s in symbols) + "\n")
-                    traces_out += 1
-                    previous = symbols
-            os.replace(tmp_out, out_path)
-        except BaseException:
-            if os.path.exists(tmp_out):
-                os.unlink(tmp_out)
-            raise
+        with atomic_text_file(out_path) as fh:
+            fh.write(format_trace_header(alphabet, quantum) + "\n")
+            previous: tuple[int, ...] | None = None
+            for symbols, _run, _pos in merged:
+                traces_in += 1
+                if symbols == previous:
+                    if not dedupe:
+                        raise DuplicateTraceError(
+                            "duplicate trace "
+                            + ",".join(alphabet.tokens[s] for s in symbols)
+                        )
+                    duplicates += 1
+                    continue
+                fh.write(",".join(alphabet.tokens[s] for s in symbols) + "\n")
+                traces_out += 1
+                previous = symbols
     return {
         "traces_in": traces_in,
         "traces_out": traces_out,

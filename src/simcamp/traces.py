@@ -10,6 +10,9 @@ only at I/O boundaries.
 from __future__ import annotations
 
 import enum
+import os
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -227,8 +230,28 @@ def read_trace_file(path: str) -> TraceCorpus:
     return TraceCorpus(alphabet, quantum, traces, provenance=f"file:{path}")
 
 
+@contextmanager
+def atomic_text_file(path: str) -> Iterator[TextIO]:
+    """A text stream that replaces ``path`` only once the block completes.
+
+    The text goes to a temporary file beside ``path``, which ``os.replace``
+    moves into place on success and which is removed on any failure, so
+    ``path`` never holds a partly written file.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_trace_file(corpus: TraceCorpus, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text_file(path) as fh:
         fh.write(format_trace_header(corpus.alphabet, corpus.quantum) + "\n")
         for t in corpus.traces:
             fh.write(",".join(t.tokens()) + "\n")

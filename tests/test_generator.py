@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simcamp.generator import (
     ConstraintSpec,
@@ -89,6 +90,44 @@ def test_random_specs_match_brute_force():
         assert [table.get(j).symbols for j in range(len(brute))] == brute
 
 
+@st.composite
+def small_specs(draw):
+    """A random spec of 1-2 monitors over 2-3 symbols, horizon 1-6."""
+    k = draw(st.integers(2, 3))
+    h = draw(st.integers(1, 6))
+    monitors = []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(1, 3))
+        step = tuple(
+            tuple(draw(st.integers(0, n - 1)) for _ in range(k)) for _ in range(n)
+        )
+        accepting = frozenset(draw(st.sets(st.integers(0, n - 1))))
+        monitors.append(Dfa(n, draw(st.integers(0, n - 1)), accepting, step))
+    return ConstraintSpec(Alphabet(tuple("abc"[:k])), h, tuple(monitors))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_specs(), st.data())
+def test_extract_matches_brute_force(spec, data):
+    k = len(spec.alphabet)
+    brute = [
+        w
+        for w in itertools.product(range(k), repeat=spec.horizon)
+        if all(m.accepts(w) for m in spec.monitors)
+    ]
+    table = GeneratorTable(spec)
+    assert table.count() == len(brute)
+    if brute:
+        everything = range(len(brute))
+        picked = data.draw(st.lists(st.integers(0, len(brute) - 1), max_size=30))
+        for indices in (everything, sorted(set(picked)), picked):
+            got = [t.symbols for t in table.extract(indices)]
+            assert got == [brute[j] for j in indices]
+    bad = data.draw(st.sampled_from([-1, len(brute), len(brute) + 5]))
+    with pytest.raises(IndexError, match=f"index {bad} out of range"):
+        list(table.extract([0] * bool(brute) + [bad]))
+
+
 def test_dfa_validation():
     with pytest.raises(ValueError):
         Dfa(2, 5, frozenset({0}), ((0, 0), (1, 1)))  # start out of range
@@ -118,6 +157,16 @@ def test_sample_indices():
         sample_indices(10, 0.0, seed=0)
     with pytest.raises(ValueError):
         sample_indices(10, 1.5, seed=0)
+
+
+def test_sample_indices_full_population_is_the_sorted_sample():
+    for n in (1, 2, 7, 100, 1001):
+        for seed in (0, 1, 42):
+            assert sample_indices(n, 1.0, seed) == sorted(
+                random.Random(seed).sample(range(n), n)
+            )
+    # a fraction that rounds up to the whole population
+    assert sample_indices(3, 0.9, seed=5) == [0, 1, 2]
 
 
 def test_constraint_file_round_trip(tmp_path):

@@ -8,10 +8,12 @@ import pytest
 
 from simcamp.engine import CostModel
 from simcamp.metrics import REPORT_COLUMNS
+import simcamp.optimizer as optimizer
 from simcamp.optimizer import read_campaign_file
 from simcamp.pipeline import (
     PipelineStageError,
     RunConfig,
+    _run_slice_task,
     analyze_runs,
     overall_omission_bound,
     parse_sigma,
@@ -21,7 +23,7 @@ from simcamp.pipeline import (
     slice_seed,
     write_json_atomic,
 )
-from simcamp.traces import TraceCorpus, write_trace_file
+from simcamp.traces import InputTrace, TraceCorpus, write_trace_file
 from util import ABCD, ts
 
 # SHA-256 of every pipeline output on ``corpus_file`` with two slices and
@@ -86,11 +88,68 @@ GOLDEN_DIGESTS = {
 }
 
 
+# SHA-256 of every pipeline output on ``spec_file`` (43 traces) with two
+# slices and seed 3, keyed by the sampled fraction.
+SPEC_DIGESTS = {
+    1.0: {
+        "campaigns/campaign_0.txt":
+            "c740c1dc360f1ba0306c7a95c91d47f953f0389cf75df281a4f420d1deadc168",
+        "campaigns/campaign_1.txt":
+            "4e7609bb645080c6a85cb3094a9df858d2da78c10f814c9875b90f09cc7bb9d1",
+        "results/result_0.json":
+            "41c90d207a797a753a0968f6b28a1e9dd1ed817b50a406b56dff2452c1e8ba3b",
+        "results/result_1.json":
+            "82369b32bc09fa5ec97eaadd4446759282bf59e5b8545a09729d059c1b16ca4d",
+        "slices/slice_0.txt":
+            "8ad1895c97107a8bb4ff49dcef150fb790bc7a8e03721e538e632a426721d34e",
+        "slices/slice_1.txt":
+            "87072a887cceefb62395d50ccff16b3ef7814485c3a7a010664c1c311fb9f7e1",
+        "report.csv":
+            "27a067c21ae4965eb64b9a9bf3d3153c5f15a4a6201a261fa025e00f6ea94000",
+        "progress.csv":
+            "320da10432e14133f43f67fc2d10e559ae3442624787def6d56c54d433dffe6f",
+    },
+    0.5: {
+        "campaigns/campaign_0.txt":
+            "9d475c3945108b4ec18bc064f8eafd66d87a8200d8907c8347786847af4c83be",
+        "campaigns/campaign_1.txt":
+            "d2b605c0e585a1c56ffd4275d5114cccb8ebdee2e104d5597bd9585bbf28e964",
+        "results/result_0.json":
+            "c2a51a8b2a14a2b9e1665271ad922c33be38b3aa9a984ae03138d2963b724a0c",
+        "results/result_1.json":
+            "0ebb9724169007e22478d4e099544eb23b7b46a3a70e316e2bd002af4d577b8b",
+        "slices/slice_0.txt":
+            "33be542b5e0019f830b5addfb11c4c8689dce4b733787d3985fda7da1f23540f",
+        "slices/slice_1.txt":
+            "0a54577905764f68f6516aa1fde54dea0940acb1e62a8e741da85a8787b79359",
+        "report.csv":
+            "f0dbfeeba2c81b40d838459bec2a1a86df89aa50dbffe6de30220938113fe07a",
+        "progress.csv":
+            "8a5bb7cdb6071a6d5696d937f0f0a92b05dcf297e7eb2cdf014ee480139b20f6",
+    },
+}
+
+
 def corpus_file(tmp_path, name="corpus.txt"):
     path = tmp_path / name
     texts = ["aab", "aac", "ab", "b", "ba", "bb", "aa", "c", "cd", "dd",
              "aabc", "abab"]
     write_trace_file(TraceCorpus(ABCD, 0.5, ts(*texts)), str(path))
+    return str(path)
+
+
+def spec_file(tmp_path):
+    """Words of length 6 over a,b,c with no two consecutive non-a symbols
+    and an even number of c: 43 traces."""
+    path = tmp_path / "spec.txt"
+    path.write_text(
+        "alphabet=a,b,c\nhorizon=6\n"
+        "states=3\nstart=0\naccept=0,1\n"
+        "0 a -> 0\n0 b -> 1\n0 c -> 1\n1 a -> 0\n1 b -> 2\n1 c -> 2\n"
+        "2 a -> 2\n2 b -> 2\n2 c -> 2\n"
+        "states=2\nstart=0\naccept=0\n"
+        "0 a -> 0\n0 b -> 0\n0 c -> 1\n1 a -> 1\n1 b -> 1\n1 c -> 0\n"
+    )
     return str(path)
 
 
@@ -254,12 +313,12 @@ def test_too_many_slices_is_a_stage_error(tmp_path):
         prepare_slices(RunConfig(source=src, out_dir=str(tmp_path / "x"), slices=40))
 
 
-def output_digests(run_dir):
+def output_digests(run_dir, subdirs=("campaigns", "results")):
     names = sorted(
         f"{sub}/{name}"
-        for sub in ("campaigns", "results")
+        for sub in subdirs
         for name in os.listdir(os.path.join(run_dir, sub))
-        if name.startswith(("campaign_", "result_"))
+        if name.startswith(("campaign_", "result_", "slice_"))
     ) + ["report.csv", "progress.csv"]
     return {
         name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
@@ -273,3 +332,94 @@ def test_outputs_are_byte_identical_to_recorded_digests(tmp_path, sigma):
     out = tmp_path / "run"
     run_pipeline(RunConfig(source=src, out_dir=str(out), slices=2, seed=3, sigma=sigma))
     assert output_digests(out) == GOLDEN_DIGESTS[sigma]
+
+
+@pytest.mark.parametrize("fraction", sorted(SPEC_DIGESTS))
+def test_spec_outputs_are_byte_identical_to_recorded_digests(tmp_path, fraction):
+    out = tmp_path / "run"
+    run_pipeline(
+        RunConfig(source=spec_file(tmp_path), out_dir=str(out), slices=2, seed=3,
+                  fraction=fraction)
+    )
+    assert output_digests(out, ("slices", "campaigns", "results")) == (
+        SPEC_DIGESTS[fraction]
+    )
+
+
+def test_progress_counts_slices_without_a_progress_file(tmp_path):
+    src = corpus_file(tmp_path)
+    out = tmp_path / "run"
+    tasks = prepare_slices(RunConfig(source=src, out_dir=str(out), slices=4))
+    _run_slice_task(tasks[0])
+    assert read_progress(str(out)) == [(0, 3, 3), (1, 0, 3), (2, 0, 3), (3, 0, 3)]
+    assert overall_omission_bound(str(out)) == 1.0
+
+
+def test_progress_of_another_size_counts_as_nothing_done(tmp_path):
+    src = corpus_file(tmp_path)
+    out = tmp_path / "run"
+    run_pipeline(RunConfig(source=src, out_dir=str(out), slices=2))
+    write_json_atomic(
+        {"slice": 1, "j": 99, "n": 99}, str(out / "results" / "progress_1.json")
+    )
+    assert read_progress(str(out)) == [(0, 6, 6), (1, 0, 6)]
+
+
+def test_a_crash_mid_slice_write_leaves_no_slice_file(tmp_path, monkeypatch):
+    src = corpus_file(tmp_path)
+    out = tmp_path / "run"
+    config = RunConfig(source=src, out_dir=str(out), slices=2, seed=3)
+    tokens = InputTrace.tokens
+    written = []
+
+    def crash_on_third_trace(trace):
+        written.append(trace)
+        if len(written) == 3:
+            raise OSError("disk full")
+        return tokens(trace)
+
+    monkeypatch.setattr(InputTrace, "tokens", crash_on_third_trace)
+    with pytest.raises(OSError, match="disk full"):
+        prepare_slices(config)
+    monkeypatch.undo()
+    assert os.listdir(out / "slices") == []
+
+    run_pipeline(config)
+    assert output_digests(out) == GOLDEN_DIGESTS["capacity"]
+
+
+def test_a_crash_mid_campaign_write_leaves_no_campaign_file(tmp_path, monkeypatch):
+    src = corpus_file(tmp_path)
+    out = tmp_path / "run"
+    config = RunConfig(source=src, out_dir=str(out), slices=2, seed=3)
+    format_command = optimizer.format_command
+    calls = []
+
+    def crash_on_fifth_command(cmd, alphabet):
+        calls.append(cmd)
+        if len(calls) == 5:
+            raise OSError("disk full")
+        return format_command(cmd, alphabet)
+
+    monkeypatch.setattr(optimizer, "format_command", crash_on_fifth_command)
+    with pytest.raises(PipelineStageError, match="slice 0: disk full"):
+        run_pipeline(config)
+    monkeypatch.undo()
+    assert os.listdir(out / "campaigns") == []
+
+    run_pipeline(config)
+    assert output_digests(out) == GOLDEN_DIGESTS["capacity"]
+
+
+def test_a_result_of_another_size_is_recomputed(tmp_path):
+    src = corpus_file(tmp_path)
+    out = tmp_path / "run"
+    config = RunConfig(source=src, out_dir=str(out), slices=2, seed=3)
+    run_pipeline(config)
+    path = out / "results" / "result_1.json"
+    with open(path) as fh:
+        result = json.load(fh)
+    write_json_atomic({**result, "n": 99}, str(path))
+
+    run_pipeline(config)
+    assert output_digests(out) == GOLDEN_DIGESTS["capacity"]
