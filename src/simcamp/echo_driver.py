@@ -7,18 +7,40 @@ end to end:
     python -m simcamp.echo_driver --seed 7 --alphabet a,b
 
 Header/comment lines receive no reply; every command line receives one of
-``OK``, ``OUT <token>``, or ``ERR <message>``.
+``OK``, ``OUT <token>``, or ``ERR <message>``.  Replies are buffered and
+flushed before each read of input that may block, so a client that
+streams commands gets its replies in batches, and a client that waits for
+each reply before sending the next command still gets it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import Sequence
+from typing import IO, Iterator, Sequence
 
 from .engine import Simulator, reference_model
 from .optimizer import parse_command
 from .traces import Alphabet, TraceFormatError
+
+
+_READ_SIZE = 1 << 16
+
+
+def _input_batches(stdin: IO[str]) -> Iterator[list[str]]:
+    """The lines of ``stdin`` in batches, as they arrive.
+
+    Each batch holds the lines completed by one read; a last line without
+    a newline comes as a batch of its own at the end of input.
+    """
+    fd = stdin.fileno()
+    pending = b""
+    while chunk := os.read(fd, _READ_SIZE):
+        *lines, pending = (pending + chunk).split(b"\n")
+        yield [line.decode(stdin.encoding, stdin.errors) for line in lines]
+    if pending:
+        yield [pending.decode(stdin.encoding, stdin.errors)]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -37,23 +59,29 @@ def main(argv: Sequence[str] | None = None) -> int:
     alphabet = Alphabet(tuple(args.alphabet.split(",")))
     sim = Simulator(reference_model(alphabet, args.seed))
 
-    for raw in sys.stdin:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            cmd = parse_command(line, alphabet)
-        except TraceFormatError as exc:
-            print(f"ERR {exc}", flush=True)
-            continue
-        before = len(sim.observations)
-        if sim.step(cmd):
-            if len(sim.observations) > before:
-                print(f"OUT {sim.observations[-1].token}", flush=True)
+    # Replies to a batch go out before the next read, which may block
+    # until the client has seen them.
+    for batch in _input_batches(sys.stdin):
+        replies = []
+        for raw in batch:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                cmd = parse_command(line, alphabet)
+            except TraceFormatError as exc:
+                replies.append(f"ERR {exc}\n")
+                continue
+            before = len(sim.observations)
+            if sim.step(cmd):
+                if len(sim.observations) > before:
+                    replies.append(f"OUT {sim.observations[-1].token}\n")
+                else:
+                    replies.append("OK\n")
             else:
-                print("OK", flush=True)
-        else:
-            print(f"ERR {sim.error}", flush=True)
+                replies.append(f"ERR {sim.error}\n")
+        sys.stdout.write("".join(replies))
+        sys.stdout.flush()
     return 0
 
 

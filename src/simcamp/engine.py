@@ -6,17 +6,19 @@ Executing a campaign folds its commands over that machine; Load of an
 absent id, Store of a present id, or Free of an absent id puts the
 machine into an absorbing error state.  There is one fold, ``_fold``, for
 both backends: ``execute`` folds over a simulator wrapping an in-process
-model, and ``run_external`` folds over a shadow simulator that sends each
-command to an external driver and checks the reply against its own step.
+model, and ``run_external`` folds over a shadow simulator that checks each
+reply of an external driver against its own step.
 """
 
 from __future__ import annotations
 
 import subprocess
+import threading
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from itertools import islice
+from typing import IO, Callable, NamedTuple, Sequence
 
-from .optimizer import Campaign, Command, campaign_lines, format_command
+from .optimizer import Campaign, Command, campaign_lines
 from .traces import Alphabet, TraceFormatError
 
 _MASK64 = (1 << 64) - 1
@@ -285,12 +287,22 @@ def estimate_seconds(campaign: Campaign, cost: CostModel) -> float:
 #
 # The engine writes every campaign file line (header included) to the
 # driver's stdin.  Header/comment lines get no reply.  Every other line
-# gets exactly one reply line:  OK | OUT <token> | ERR <message>
+# gets exactly one reply line, in order:  OK | OUT <token> | ERR <message>
+#
+# Because replies come in command order, the engine streams the whole
+# campaign from a writer thread while it reads replies, instead of
+# waiting for each reply before sending the next command.
 # ---------------------------------------------------------------------------
+
+_LINES_PER_WRITE = 4096
 
 
 class DriverProtocolError(RuntimeError):
     """The external driver violated the line protocol."""
+
+
+class _OutputClosed(Exception):
+    """The driver's output ended before every command had its reply."""
 
 
 class _DriverModel(SystemModel):
@@ -306,33 +318,24 @@ class _DriverModel(SystemModel):
 
 
 class _DriverShadow(Simulator):
-    """A simulator that steps an external driver in lock-step with itself.
+    """A simulator that checks each driver reply against its own step.
 
-    Each command goes to the driver first.  ``ERR`` puts the shadow into
-    its error state with the driver's message.  Otherwise the reply must
-    have the shape the command calls for, and the shadow must accept the
+    Each step reads the next reply.  ``ERR`` puts the shadow into its
+    error state with the driver's message.  Otherwise the reply must have
+    the shape the command calls for, and the shadow must accept the
     command too; on Out, the driver's token replaces the shadow's.
     """
 
-    def __init__(self, proc: subprocess.Popen, alphabet: Alphabet | None) -> None:
+    def __init__(self, replies: IO[str]) -> None:
         super().__init__(_DriverModel())
-        self._proc = proc
-        self._alphabet = alphabet
-
-    def send(self, line: str) -> None:
-        try:
-            self._proc.stdin.write(line + "\n")
-            self._proc.stdin.flush()
-        except BrokenPipeError:
-            raise DriverProtocolError("driver exited mid-campaign") from None
+        self._replies = replies
 
     def step(self, cmd: Command) -> bool:
         if self.error is not None:
             return False
-        self.send(format_command(cmd, self._alphabet))
-        reply = self._proc.stdout.readline()
+        reply = self._replies.readline()
         if not reply:
-            raise DriverProtocolError("driver closed its output mid-campaign")
+            raise _OutputClosed
         reply = reply.rstrip("\n")
         if reply.startswith("ERR"):
             return self._fail(reply[3:].strip() or "driver error")
@@ -348,6 +351,37 @@ class _DriverShadow(Simulator):
         return True
 
 
+def _write_campaign(
+    stdin: IO[str],
+    campaign: Campaign,
+    stop: threading.Event,
+    failure: list[Exception],
+) -> None:
+    """Writer thread: stream the campaign file lines into the driver.
+
+    Writes a few thousand lines at a time until the campaign ends or
+    ``stop`` is set, then closes ``stdin`` so the driver sees the end of
+    its input.  A driver that has closed its input ends the thread
+    quietly; any other failure goes into ``failure`` for the reader.
+    """
+    lines = campaign_lines(campaign)
+    try:
+        while not stop.is_set():
+            chunk = list(islice(lines, _LINES_PER_WRITE))
+            if not chunk:
+                break
+            stdin.write("\n".join(chunk) + "\n")
+    except BrokenPipeError:
+        pass
+    except Exception as exc:
+        failure.append(exc)
+    finally:
+        try:
+            stdin.close()
+        except BrokenPipeError:
+            pass
+
+
 def run_external(
     campaign: Campaign,
     argv: Sequence[str],
@@ -355,33 +389,46 @@ def run_external(
 ) -> ExecutionResult:
     """Execute a campaign through an external driver subprocess.
 
-    The same fold as ``execute`` runs over a shadow simulator whose model
-    holds no state.  The shadow keeps the input history and checkpoint
-    map, so observations carry their traces whatever model the driver
-    wraps, and it checks every reply: a driver that accepts a command the
-    shadow rejects, or that replies in the wrong shape, raises
-    ``DriverProtocolError``.
+    A writer thread streams the campaign to the driver while this thread
+    reads the replies.  The same fold as ``execute`` runs over a shadow
+    simulator whose model holds no state.  The shadow keeps the input
+    history and checkpoint map, so observations carry their traces
+    whatever model the driver wraps, and it checks every reply: a driver
+    that accepts a command the shadow rejects, replies in the wrong shape
+    or stops replying raises ``DriverProtocolError``.  ``progress`` counts
+    only Out replies that have arrived.
     """
     proc = subprocess.Popen(
-        list(argv),
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-        text=True,
-        bufsize=1,
+        list(argv), stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
     )
     assert proc.stdin is not None and proc.stdout is not None
+    stop = threading.Event()
+    failure: list[Exception] = []
+    writer = threading.Thread(
+        target=_write_campaign,
+        args=(proc.stdin, campaign, stop, failure),
+        name="simcamp-driver-writer",
+        daemon=True,
+    )
+    writer.start()
     try:
-        shadow = _DriverShadow(proc, campaign.alphabet)
-        shadow.send(next(campaign_lines(campaign)))  # the header line
-        return _fold(campaign, shadow, progress)
+        return _fold(campaign, _DriverShadow(proc.stdout), progress)
+    except _OutputClosed:
+        pass
     finally:
+        # Stop writing after the current chunk, and drain the driver's
+        # output so that neither the writer nor the driver stays blocked.
+        stop.set()
+        proc.stdout.read()
+        writer.join()
+        proc.stdout.close()
         try:
-            proc.stdin.close()
-        except BrokenPipeError:
-            pass
-        try:
-            proc.stdout.read()
             proc.wait(timeout=60)
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+    if failure:
+        raise failure[0]
+    raise DriverProtocolError(
+        f"driver closed its output mid-campaign (exit status {proc.returncode})"
+    )

@@ -15,7 +15,7 @@ from .optimizer import Campaign
 REPORT_COLUMNS = [
     "N", "D", "sigma", "seed", "f",
     "length_q", "peak_mem", "est_seconds",
-    "speedup", "par_eff", "mem_eff",
+    "speedup", "mem_eff",
 ]
 
 PROGRESS_COLUMNS = ["slice", "j", "n", "op_bound"]

@@ -13,7 +13,11 @@ Stages communicate only through files in the output directory:
     report.csv, progress.csv
 
 Every file but the two CSV reports is written to a temporary name and
-moved into place, so none is ever seen partly written.  A master seed
+moved into place, so none is ever seen partly written.  ``config.json``
+is written before anything else and holds the run's fingerprint: the
+configuration fields that shape the outputs and a hash of the source.
+A rerun into the same directory with another fingerprint is refused,
+because it would reuse files made under the old one.  A master seed
 derives per-slice seeds by stable hashing, so changing the slice count
 never perturbs another slice's verification order.  Slice tasks whose
 result file already covers the slice's manifest size are skipped, which
@@ -112,6 +116,47 @@ def write_json_atomic(obj: object, path: str) -> None:
     with atomic_text_file(path) as fh:
         json.dump(obj, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+# RunConfig fields that change no output: where the source and outputs
+# live (the source's content is hashed instead), the worker count, and the
+# external sort's memory budget.
+_UNFINGERPRINTED = ("source", "out_dir", "workers", "sort_budget")
+
+
+def _run_fingerprint(config: RunConfig) -> dict:
+    """The output-shaping config fields, plus the source's SHA-256."""
+    fingerprint = {
+        key: value
+        for key, value in asdict(config).items()
+        if key not in _UNFINGERPRINTED
+    }
+    digest = hashlib.sha256()
+    with open(config.source, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    fingerprint["source_sha256"] = digest.hexdigest()
+    return fingerprint
+
+
+def _claim_out_dir(config: RunConfig, fingerprint: dict) -> None:
+    """Refuse an output directory holding a run with another fingerprint.
+
+    A directory without ``config.json`` is claimed by writing one.
+    """
+    path = os.path.join(config.out_dir, "config.json")
+    if not os.path.exists(path):
+        write_json_atomic({"fingerprint": fingerprint, **asdict(config)}, path)
+        return
+    with open(path, "r", encoding="utf-8") as fh:
+        previous = json.load(fh).get("fingerprint", {})
+    for key, value in fingerprint.items():
+        if previous.get(key) != value:
+            raise PipelineStageError(
+                f"resume stage: {config.out_dir} holds a run with "
+                f"{key}={previous.get(key)!r}, not {value!r}; "
+                "use another output directory"
+            )
 
 
 def _is_constraint_file(path: str) -> bool:
@@ -245,6 +290,12 @@ def prepare_slices(config: RunConfig) -> list[_SliceTask]:
         os.makedirs(os.path.join(out, sub), exist_ok=True)
 
     try:
+        fingerprint = _run_fingerprint(config)
+    except OSError as exc:
+        raise PipelineStageError(f"source stage failed: {exc}") from exc
+    _claim_out_dir(config, fingerprint)
+
+    try:
         alphabet, quantum, traces = _materialize_source(config)
     except PipelineStageError:
         raise
@@ -301,6 +352,7 @@ def prepare_slices(config: RunConfig) -> list[_SliceTask]:
             "n_total": len(traces),
             "alphabet": list(alphabet.tokens),
             "quantum": quantum,
+            "fingerprint": fingerprint,
             **asdict(config),
         },
         os.path.join(out, "config.json"),
@@ -421,7 +473,6 @@ def _rows_for_run(
                     "peak_mem": peak_of[kind],
                     "est_seconds": t,
                     "speedup": speedup(base_time, t),
-                    "par_eff": 1.0,
                     "mem_eff": memory_efficiency(full_time, t),
                 }
             )
@@ -503,7 +554,6 @@ def analyze_runs(
                     "peak_mem": mean("peak_mem"),
                     "est_seconds": mean("est_seconds"),
                     "speedup": mean("speedup"),
-                    "par_eff": mean("par_eff"),
                     "mem_eff": mean("mem_eff"),
                 }
             )

@@ -7,7 +7,7 @@ import pytest
 
 from simcamp.cli import main
 from simcamp.traces import TraceCorpus, write_trace_file
-from util import ABCD, ts
+from util import ABCD, call_with_timeout, ts
 
 
 def corpus_file(tmp_path):
@@ -49,8 +49,8 @@ def test_execute_through_external_driver(tmp_path, capsys):
     campaign = str(tmp_path / "campaign.txt")
     run_cli(capsys, "optimize", "--slice", src, "--out", campaign)
     driver = f"{sys.executable} -m simcamp.echo_driver --seed 7 --alphabet a,b,c,d"
-    code, out = run_cli(
-        capsys, "execute", "--campaign", campaign, "--alphabet", "a,b,c,d",
+    code, out = call_with_timeout(
+        run_cli, capsys, "execute", "--campaign", campaign, "--alphabet", "a,b,c,d",
         "--driver", driver,
     )
     assert code == 0

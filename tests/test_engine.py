@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -17,11 +20,20 @@ from simcamp.engine import (
     run_external,
     write_cost_file,
 )
-from simcamp.optimizer import Campaign, Command, optimize_slice
+from simcamp.optimizer import Campaign, Command, campaign_lines, optimize_slice
 from simcamp.tree import build_tree
-from util import AB, ABCD, ts
+from util import AB, ABCD, call_with_timeout, ts
 
 ECHO_DRIVER = [sys.executable, "-m", "simcamp.echo_driver"]
+
+
+def external(campaign, argv):
+    """``run_external``, failing the test instead of hanging on a stuck driver."""
+    return call_with_timeout(run_external, campaign, argv)
+
+
+def script_driver(script):
+    return [sys.executable, "-c", script]
 
 
 def lying_driver(replies):
@@ -33,7 +45,7 @@ def lying_driver(replies):
         "    if not line.startswith('#'):\n"
         "        print(replies.get(line.split()[0], 'OK'), flush=True)\n"
     )
-    return [sys.executable, "-c", script]
+    return script_driver(script)
 
 
 def campaign_for(texts, sigma=None, quantum=1.0):
@@ -99,7 +111,7 @@ def test_errors_are_absorbing(commands, message):
     assert result.observations == []
     # A driver that accepts the same command contradicts the engine's state.
     with pytest.raises(DriverProtocolError, match=f"driver accepted a {message}"):
-        run_external(campaign, lying_driver({"OUT": "OUT x"}))
+        external(campaign, lying_driver({"OUT": "OUT x"}))
 
 
 def test_execute_counts_and_progress():
@@ -156,7 +168,7 @@ def test_external_driver_matches_in_process():
     )
     for case in (campaign, erroring):
         local = execute(case, reference_model(ABCD, 11))
-        remote = run_external(
+        remote = external(
             case, ECHO_DRIVER + ["--seed", "11", "--alphabet", "a,b,c,d"]
         )
         assert remote.executable == (case is campaign)
@@ -176,7 +188,7 @@ def test_external_driver_reports_errors():
         1.0,
         alphabet=AB,
     )
-    result = run_external(campaign, ECHO_DRIVER + ["--seed", "0", "--alphabet", "a,b"])
+    result = external(campaign, ECHO_DRIVER + ["--seed", "0", "--alphabet", "a,b"])
     assert not result.executable
     assert result.failing_index == 1
     assert "absent" in result.error
@@ -191,5 +203,102 @@ def test_protocol_violations_are_detected():
          "expected OK reply, got 'OUT x'"),
     ):
         with pytest.raises(DriverProtocolError, match=message):
-            run_external(campaign, argv)
+            external(campaign, argv)
 
+
+
+# A campaign far larger than a pipe buffer, so that a driver which stops
+# reading leaves the engine's writer with unwritten lines.
+LONG = Campaign([Command("run", symbol=0, quanta=1), Command("out")] * 20_000,
+                1.0, alphabet=AB)
+
+FIRST_COMMAND_THEN = (
+    "import sys\n"
+    "line = sys.stdin.readline()\n"
+    "while line.startswith('#'):\n"
+    "    line = sys.stdin.readline()\n"
+    "print({reply!r}, flush=True)\n"
+    "sys.exit({status})\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (script_driver(FIRST_COMMAND_THEN.format(reply="OK", status=3)),
+         r"closed its output mid-campaign \(exit status 3\)"),
+        (["true"], r"closed its output mid-campaign \(exit status 0\)"),
+    ],
+    ids=["exits-after-first-reply", "never-reads"],
+)
+def test_a_driver_that_stops_early_is_a_protocol_error(argv, message):
+    threads = threading.active_count()
+    with pytest.raises(DriverProtocolError, match=message):
+        external(LONG, argv)
+    assert threading.active_count() == threads
+
+
+def test_a_driver_that_errs_and_exits_gives_a_failed_result():
+    threads = threading.active_count()
+    result = external(
+        LONG, script_driver(FIRST_COMMAND_THEN.format(reply="ERR boom", status=0))
+    )
+    assert not result.executable
+    assert (result.failing_index, result.error) == (0, "boom")
+    assert result.observations == []
+    assert threading.active_count() == threads
+
+
+def test_echo_driver_answers_an_unterminated_last_line():
+    done = call_with_timeout(
+        subprocess.run,
+        ECHO_DRIVER + ["--alphabet", "a,b"],
+        input="#q=1;slice=0\nSTORE 0\nOUT",
+        capture_output=True,
+        text=True,
+    )
+    replies = done.stdout.splitlines()
+    assert replies[0] == "OK"
+    assert replies[1].startswith("OUT ") and len(replies) == 2
+
+
+def test_echo_driver_answers_a_lock_step_client():
+    campaign, _ = campaign_for(["aab", "aac", "ab", "b"], sigma=2)
+    expected = execute(campaign, reference_model(ABCD, 5))
+    header, *commands = campaign_lines(campaign)
+
+    # With PYTHONUNBUFFERED set, every write would reach the client at
+    # once and hide a driver that flushes only at the end of its input.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+    def lock_step():
+        proc = subprocess.Popen(
+            ECHO_DRIVER + ["--seed", "5", "--alphabet", "a,b,c,d"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
+        )
+        proc.stdin.write(header + "\n")
+        replies = []
+        for line in commands:
+            proc.stdin.write(line + "\n")
+            proc.stdin.flush()
+            replies.append(proc.stdout.readline().rstrip("\n"))
+        proc.stdin.close()
+        proc.stdout.close()
+        proc.wait()
+        return replies
+
+    replies = call_with_timeout(lock_step)
+    assert len(replies) == len(commands)
+    outs = [r[4:] for r in replies if r.startswith("OUT ")]
+    assert outs == [o.token for o in expected.observations]
+    assert all(r == "OK" for r in replies if not r.startswith("OUT "))
+
+
+def test_a_campaign_that_cannot_be_written_raises_the_writer_error():
+    campaign = Campaign(
+        [Command("store", node_id=0), Command("run", symbol=0, quanta=1)], 1.0
+    )
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="without an alphabet"):
+        external(campaign, ECHO_DRIVER + ["--alphabet", "a,b"])
+    assert threading.active_count() == threads

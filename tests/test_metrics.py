@@ -84,14 +84,14 @@ def test_inflation_table():
 def test_report_csv_columns(tmp_path):
     path = tmp_path / "report.csv"
     write_report_csv(
-        [dict(zip(REPORT_COLUMNS, [10, 2, "4", 0, 1.0, 30, 4, 30.0, 1.5, 1.0, 0.9]))],
+        [dict(zip(REPORT_COLUMNS, [10, 2, "4", 0, 1.0, 30, 4, 30.0, 1.5, 0.9]))],
         str(path),
     )
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == REPORT_COLUMNS
     assert rows[0] == ["N", "D", "sigma", "seed", "f", "length_q", "peak_mem",
-                       "est_seconds", "speedup", "par_eff", "mem_eff"]
+                       "est_seconds", "speedup", "mem_eff"]
     assert len(rows) == 2
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -28,6 +29,8 @@ from util import ABCD, ts
 
 # SHA-256 of every pipeline output on ``corpus_file`` with two slices and
 # seed 3.  A change meant to keep outputs must reproduce them byte for byte.
+# The report.csv digests were re-recorded when the constant par_eff column
+# was dropped; every other digest is unchanged since it was recorded.
 GOLDEN_DIGESTS = {
     "capacity": {
         "campaigns/campaign_0.txt":
@@ -39,7 +42,7 @@ GOLDEN_DIGESTS = {
         "results/result_1.json":
             "6bb9b45d1956ae60f7b339f58681e3507cdc1b89bada977b7533e8536fb64d77",
         "report.csv":
-            "a7b08684c2390520395e5a73e84b9c831af5856e1e1fc496ef4ca15aa0f0456e",
+            "047ea74d71f208700b9d075a6090224bf640af0fc2ca7443b33091f8da9b09ab",
         "progress.csv":
             "473e41b53633cb51a88f08e2a70aab77f0cb8dddfc5f86ed653c9db683c16368",
     },
@@ -53,7 +56,7 @@ GOLDEN_DIGESTS = {
         "results/result_1.json":
             "b10ed70aa0cfb40d3729a8cebf060cfec2c6a7b7d68228b9460acb71a429f273",
         "report.csv":
-            "6aba3f742cb4b5ea293e29177be7d2d103e460884b063d14b3df122fc3b55d81",
+            "5405ef13f2304237ff1a4923d814f65a9ad4f96b9dba0c42c3fd9b03dbb1a158",
         "progress.csv":
             "473e41b53633cb51a88f08e2a70aab77f0cb8dddfc5f86ed653c9db683c16368",
     },
@@ -67,7 +70,7 @@ GOLDEN_DIGESTS = {
         "results/result_1.json":
             "c617451e7fef722dc9fdd738e22f0a3f2e7db124f07ba03e67476dd7cb3c06c2",
         "report.csv":
-            "0728e731baca98e3cc0b9e76e10100398ecd67e04b8a832da14b9d4c3b5b8b3d",
+            "672d5b699355e457b67b20b62d3da14fe88ef5b9f433137321c39e39b56af163",
         "progress.csv":
             "473e41b53633cb51a88f08e2a70aab77f0cb8dddfc5f86ed653c9db683c16368",
     },
@@ -81,7 +84,7 @@ GOLDEN_DIGESTS = {
         "results/result_1.json":
             "9a3059f49c0c47dbc0a9155159541ced920c1e4eda03c0eacb2c802f5cfc186f",
         "report.csv":
-            "edcbfc32cbbc706ba187b62676d56e163bac7e2e9ed3b6f0a76fb995b5f77254",
+            "665b42a99529033c62aff85202667236513a25d83230c6afed602abae642b9db",
         "progress.csv":
             "473e41b53633cb51a88f08e2a70aab77f0cb8dddfc5f86ed653c9db683c16368",
     },
@@ -105,7 +108,7 @@ SPEC_DIGESTS = {
         "slices/slice_1.txt":
             "87072a887cceefb62395d50ccff16b3ef7814485c3a7a010664c1c311fb9f7e1",
         "report.csv":
-            "27a067c21ae4965eb64b9a9bf3d3153c5f15a4a6201a261fa025e00f6ea94000",
+            "cc6d323dd418548e3ce024d0c91f22684593717d268dbcd68bc268ac8885643f",
         "progress.csv":
             "320da10432e14133f43f67fc2d10e559ae3442624787def6d56c54d433dffe6f",
     },
@@ -123,7 +126,7 @@ SPEC_DIGESTS = {
         "slices/slice_1.txt":
             "0a54577905764f68f6516aa1fde54dea0940acb1e62a8e741da85a8787b79359",
         "report.csv":
-            "f0dbfeeba2c81b40d838459bec2a1a86df89aa50dbffe6de30220938113fe07a",
+            "8ca74f9a468cc6b18824e8a6dc443ac6bc081a75179a4f27444d2ec5c3b76bd7",
         "progress.csv":
             "8a5bb7cdb6071a6d5696d937f0f0a92b05dcf297e7eb2cdf014ee480139b20f6",
     },
@@ -423,3 +426,61 @@ def test_a_result_of_another_size_is_recomputed(tmp_path):
 
     run_pipeline(config)
     assert output_digests(out) == GOLDEN_DIGESTS["capacity"]
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"sigma": "3"}, "sigma='capacity', not '3'"),
+        ({"slices": 3}, "slices=2, not 3"),
+        ({"seed": 4}, "seed=3, not 4"),
+        ({"fraction": 0.5}, "fraction=1.0, not 0.5"),
+    ],
+    ids=["sigma", "slices", "seed", "fraction"],
+)
+def test_a_rerun_with_another_config_is_refused(tmp_path, change, message):
+    src = corpus_file(tmp_path)
+    out = tmp_path / "run"
+    config = dict(source=src, out_dir=str(out), slices=2, seed=3)
+    run_pipeline(RunConfig(**config))
+    with pytest.raises(PipelineStageError, match=re.escape(message)):
+        run_pipeline(RunConfig(**{**config, **change}))
+    assert output_digests(out) == GOLDEN_DIGESTS["capacity"]
+
+
+def test_a_rerun_on_another_source_is_refused(tmp_path):
+    src = corpus_file(tmp_path)
+    out = tmp_path / "run"
+    run_pipeline(RunConfig(source=src, out_dir=str(out), slices=2, seed=3))
+    with open(src, "a", encoding="utf-8") as fh:
+        fh.write("d,d,d\n")
+    with pytest.raises(PipelineStageError, match="source_sha256="):
+        run_pipeline(RunConfig(source=src, out_dir=str(out), slices=2, seed=3))
+
+
+def test_a_rerun_from_a_moved_source_with_more_workers_resumes(tmp_path):
+    out = tmp_path / "run"
+    run_pipeline(
+        RunConfig(source=corpus_file(tmp_path), out_dir=str(out), slices=2, seed=3)
+    )
+    os.unlink(out / "results" / "result_1.json")
+    moved = corpus_file(tmp_path, "moved.txt")
+    run_pipeline(RunConfig(source=moved, out_dir=str(out), slices=2, seed=3, workers=2))
+    assert output_digests(out) == GOLDEN_DIGESTS["capacity"]
+
+
+def test_a_crash_before_the_slices_are_written_still_claims_the_directory(
+    tmp_path, monkeypatch
+):
+    src = corpus_file(tmp_path)
+    out = tmp_path / "run"
+
+    def crash(trace):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(InputTrace, "tokens", crash)
+    with pytest.raises(OSError, match="disk full"):
+        prepare_slices(RunConfig(source=src, out_dir=str(out), slices=3, seed=3))
+    monkeypatch.undo()
+    with pytest.raises(PipelineStageError, match=re.escape("slices=3, not 2")):
+        run_pipeline(RunConfig(source=src, out_dir=str(out), slices=2, seed=3))

@@ -1,8 +1,11 @@
-"""Shared test helpers: compact trace literals and random corpora."""
+"""Shared test helpers: compact trace literals, random corpora, timeouts."""
 
 from __future__ import annotations
 
 import random
+import threading
+
+import pytest
 
 from simcamp.traces import Alphabet, InputTrace
 
@@ -38,3 +41,28 @@ def random_traces(
             if len(out) == target:
                 break
     return alphabet, out
+
+
+def call_with_timeout(fn, *args, seconds: float = 30.0, **kwargs):
+    """``fn(*args, **kwargs)``, failing the test if it runs past ``seconds``.
+
+    The call runs in a daemon thread, so a hung external driver fails the
+    test instead of hanging the whole run.  An exception from ``fn`` is
+    raised again here.
+    """
+    outcome: dict = {}
+
+    def call() -> None:
+        try:
+            outcome["value"] = fn(*args, **kwargs)
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    if thread.is_alive():
+        pytest.fail(f"{fn.__name__} did not return within {seconds:g} s")
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
