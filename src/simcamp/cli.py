@@ -146,7 +146,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     elif args.what == "shared":
         counts = shared_prefix_counts(corpus.traces)
         for prefix in sorted(counts):
-            tokens = ",".join(corpus.alphabet.tokens[s] for s in prefix)
+            tokens = corpus.alphabet.format_line(prefix)
             print(f"{tokens or '-'} {counts[prefix]}")
     else:
         for line in campaign_lines(naive_campaign(corpus.traces, corpus.quantum)):

@@ -271,6 +271,8 @@ def parse_command(line: str, alphabet: Alphabet) -> Command:
             if quanta < 1:
                 raise ValueError
             return Command("run", symbol=alphabet.index(parts[1]), quanta=quanta)
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"malformed campaign command: {line!r} ({exc})") from exc
     except (ValueError, IndexError) as exc:
         raise TraceFormatError(f"malformed campaign command: {line!r}") from exc
     raise TraceFormatError(f"malformed campaign command: {line!r}")

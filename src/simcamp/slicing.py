@@ -18,7 +18,6 @@ from typing import Iterator, Sequence
 from .traces import (
     Alphabet,
     InputTrace,
-    TraceFormatError,
     atomic_text_file,
     format_trace_header,
     parse_trace_header,
@@ -83,7 +82,7 @@ def _run_files(
         path = os.path.join(tmp_dir, f"run{len(paths)}.txt")
         with open(path, "w", encoding="utf-8") as fh:
             for symbols in run:
-                fh.write(",".join(alphabet.tokens[s] for s in symbols) + "\n")
+                fh.write(alphabet.format_line(symbols) + "\n")
         paths.append(path)
 
     run: list[tuple[int, ...]] = []
@@ -95,9 +94,7 @@ def _run_files(
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            symbols = tuple(alphabet.index(tok) for tok in line.split(","))
-            if not symbols:
-                raise TraceFormatError("empty trace line")
+            symbols = alphabet.parse_line(line)
             run.append(symbols)
             used += len(symbols)
             if used >= budget_symbols:
@@ -110,12 +107,12 @@ def _run_files(
 
 
 def _iter_run(path: str, run_index: int, alphabet: Alphabet) -> Iterator[
-    tuple[tuple[int, ...], int, int]
+    tuple[tuple[int, ...], int, int, str]
 ]:
+    """A run's traces in order, each with its line as ``flush`` wrote it."""
     with open(path, "r", encoding="utf-8") as fh:
         for pos, line in enumerate(fh):
-            symbols = tuple(alphabet.index(tok) for tok in line.strip().split(","))
-            yield (symbols, run_index, pos)
+            yield (alphabet.parse_line(line[:-1]), run_index, pos, line)
 
 
 def external_sort(
@@ -145,17 +142,16 @@ def external_sort(
         with atomic_text_file(out_path) as fh:
             fh.write(format_trace_header(alphabet, quantum) + "\n")
             previous: tuple[int, ...] | None = None
-            for symbols, _run, _pos in merged:
+            for symbols, _run, _pos, line in merged:
                 traces_in += 1
                 if symbols == previous:
                     if not dedupe:
                         raise DuplicateTraceError(
-                            "duplicate trace "
-                            + ",".join(alphabet.tokens[s] for s in symbols)
+                            "duplicate trace " + alphabet.format_line(symbols)
                         )
                     duplicates += 1
                     continue
-                fh.write(",".join(alphabet.tokens[s] for s in symbols) + "\n")
+                fh.write(line)
                 traces_out += 1
                 previous = symbols
     return {

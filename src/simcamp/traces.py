@@ -33,9 +33,14 @@ class AlphabetMismatchError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Alphabet:
-    """Finite ordered input domain: the order of ``tokens`` is the total order."""
+    """Finite ordered input domain: the order of ``tokens`` is the total order.
+
+    It is also the trace codec: every token/symbol conversion goes through
+    the token-to-index table built once here.
+    """
 
     tokens: tuple[str, ...]
+    _table: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.tokens:
@@ -45,6 +50,9 @@ class Alphabet:
         for tok in self.tokens:
             if not tok or any(c in _TOKEN_FORBIDDEN or c.isspace() for c in tok):
                 raise ValueError(f"bad alphabet token: {tok!r}")
+        object.__setattr__(
+            self, "_table", {tok: i for i, tok in enumerate(self.tokens)}
+        )
 
     @staticmethod
     def of(*tokens: str) -> "Alphabet":
@@ -55,9 +63,29 @@ class Alphabet:
 
     def index(self, token: str) -> int:
         try:
-            return self.tokens.index(token)
-        except ValueError:
+            return self._table[token]
+        except KeyError:
             raise TraceFormatError(f"unknown symbol token {token!r}") from None
+
+    def parse(self, tokens: Iterable[str]) -> tuple[int, ...]:
+        """The symbols of ``tokens``; an unknown token is a TraceFormatError."""
+        try:
+            return tuple(map(self._table.__getitem__, tokens))
+        except KeyError as exc:
+            raise TraceFormatError(f"unknown symbol token {exc.args[0]!r}") from None
+
+    def parse_line(self, line: str) -> tuple[int, ...]:
+        """The symbols of one stripped trace line."""
+        return self.parse(line.split(","))
+
+    def render(self, symbols: Iterable[int]) -> list[str]:
+        """The tokens of ``symbols``."""
+        toks = self.tokens
+        return [toks[s] for s in symbols]
+
+    def format_line(self, symbols: Iterable[int]) -> str:
+        """The trace line of ``symbols``: their tokens, comma-separated."""
+        return ",".join(self.render(symbols))
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,8 +98,7 @@ class InputTrace:
     def __post_init__(self) -> None:
         if not self.symbols:
             raise ValueError("trace horizon must be >= 1")
-        n = len(self.alphabet)
-        if any(not (0 <= s < n) for s in self.symbols):
+        if min(self.symbols) < 0 or max(self.symbols) >= len(self.alphabet):
             raise ValueError("trace symbol index out of alphabet range")
 
     @property
@@ -79,11 +106,11 @@ class InputTrace:
         return len(self.symbols)
 
     def tokens(self) -> tuple[str, ...]:
-        return tuple(self.alphabet.tokens[s] for s in self.symbols)
+        return tuple(self.alphabet.render(self.symbols))
 
     @staticmethod
     def from_tokens(alphabet: Alphabet, tokens: Iterable[str]) -> "InputTrace":
-        return InputTrace(alphabet, tuple(alphabet.index(t) for t in tokens))
+        return InputTrace(alphabet, alphabet.parse(tokens))
 
 
 def _symbols_of(t: "InputTrace | Sequence[int]") -> Sequence[int]:

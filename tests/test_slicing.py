@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
 from simcamp.slicing import (
@@ -95,3 +98,39 @@ def test_external_sort_dedupe_keeps_first(tmp_path):
     assert report["traces_out"] == 3
     back = read_trace_file(str(dst))
     assert [x.tokens() for x in back.traces] == [("a", "a"), ("b", "a"), ("c",)]
+
+
+# A corpus over multi-character tokens whose alphabet order differs from
+# string order, with a comment, blank lines and stray whitespace.  The
+# digest was recorded before the merge started writing run lines verbatim;
+# it pins that the sorted output keeps its bytes, with and without
+# duplicates to drop.
+MULTI_RUN_HEADER = "#alphabet=b,aa,a,ccc;q=0.5"
+MULTI_RUN_DIGEST = "27b5c7e806bcb634ef01b66e0972dcfaacd33968b228b0a8447686e72c8f266a"
+
+
+def multi_run_rows(dedupe):
+    rng = random.Random(11)
+    tokens = ("b", "aa", "a", "ccc")
+    seen, rows = set(), []
+    while len(rows) < 300:
+        row = ",".join(rng.choice(tokens) for _ in range(rng.randint(1, 6)))
+        if row not in seen:
+            seen.add(row)
+            rows.append(row)
+    if dedupe:
+        rows += rows[::3]
+        rng.shuffle(rows)
+    rows[7] = "  " + rows[7] + " \t"
+    return rows[:50] + ["", "# a comment"] + rows[50:]
+
+
+@pytest.mark.parametrize("dedupe", [False, True])
+def test_external_sort_over_many_runs_is_byte_identical(tmp_path, dedupe):
+    src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+    write_corpus(src, multi_run_rows(dedupe), header=MULTI_RUN_HEADER)
+    report = external_sort(str(src), str(dst), budget_symbols=64, dedupe=dedupe)
+    assert report["runs"] >= 5
+    assert report["traces_out"] == 300
+    assert report["duplicates"] == (100 if dedupe else 0)
+    assert hashlib.sha256(dst.read_bytes()).hexdigest() == MULTI_RUN_DIGEST

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import io
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
+from simcamp.optimizer import parse_command
+from simcamp.slicing import external_sort
 from simcamp.traces import (
     EQUAL,
     GREATER,
@@ -46,11 +49,25 @@ def test_alphabet_index():
         ABCD.index("z")
 
 
+def test_alphabet_with_its_table_keeps_value_semantics():
+    a, b = Alphabet.of("b", "aa", "a"), Alphabet(("b", "aa", "a"))
+    assert a == b and hash(a) == hash(b)
+    assert a != Alphabet.of("a", "aa", "b")
+    assert repr(a) == "Alphabet(tokens=('b', 'aa', 'a'))"
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and hash(back) == hash(a)
+    assert [back.index(tok) for tok in ("b", "aa", "a")] == [0, 1, 2]
+
+
 def test_trace_validation():
     with pytest.raises(ValueError):
         InputTrace(AB, ())
     with pytest.raises(ValueError):
         InputTrace(AB, (0, 2))
+    with pytest.raises(ValueError):
+        InputTrace(AB, (-1, 0))
+    with pytest.raises(ValueError):
+        InputTrace(AB, (1, 0, len(AB)))
     tr = t("aab")
     assert tr.horizon == 3
     assert tr.tokens() == ("a", "a", "b")
@@ -179,3 +196,65 @@ def test_lex_compare_matches_tuple_order(a, b):
     got = lex_compare(tuple(a), tuple(b))
     want = EQUAL if a == b else (LESS if tuple(a) < tuple(b) else GREATER)
     assert got == want
+
+
+# The per-token definitions the alphabet codec replaced, as its reference.
+def per_token_parse(alphabet, tokens):
+    return tuple(alphabet.tokens.index(tok) for tok in tokens)
+
+
+def per_token_format(alphabet, symbols):
+    return ",".join(alphabet.tokens[s] for s in symbols)
+
+
+@given(
+    st.lists(
+        st.text("abxy", min_size=1, max_size=3), min_size=1, max_size=6, unique=True
+    ),
+    st.data(),
+)
+def test_codec_matches_per_token_definitions(tokens, data):
+    alphabet = Alphabet(tuple(tokens))
+    symbols = tuple(
+        data.draw(st.lists(st.integers(0, len(tokens) - 1), min_size=1, max_size=12))
+    )
+    line = per_token_format(alphabet, symbols)
+    assert alphabet.format_line(symbols) == line
+    assert alphabet.parse_line(line) == per_token_parse(alphabet, line.split(","))
+    assert alphabet.parse_line(line) == symbols
+    trace = InputTrace.from_tokens(alphabet, line.split(","))
+    assert trace.symbols == symbols
+    assert trace.tokens() == tuple(line.split(","))
+    assert [alphabet.index(tok) for tok in tokens] == list(range(len(tokens)))
+
+    unknown = data.draw(
+        st.text("abxyz", min_size=1, max_size=4).filter(lambda tok: tok not in tokens)
+    )
+    with pytest.raises(ValueError):
+        per_token_parse(alphabet, [unknown])
+    with pytest.raises(TraceFormatError, match=f"unknown symbol token {unknown!r}"):
+        alphabet.parse_line(line + "," + unknown)
+
+
+def test_codec_follows_alphabet_order_not_string_order():
+    alphabet = Alphabet.of("b", "aa", "a")
+    assert alphabet.parse_line("a,aa,b") == (2, 1, 0)
+    assert alphabet.format_line((2, 1, 0)) == "a,aa,b"
+
+
+@pytest.mark.parametrize("row, token", [("a,zz", "zz"), ("a,,b", "")])
+def test_an_unknown_or_empty_token_is_named(tmp_path, row, token):
+    named = f"unknown symbol token {token!r}"
+    path = tmp_path / "bad.txt"
+    path.write_text(f"#alphabet=a,b;q=1\nb,a\n{row}\n")
+    with pytest.raises(TraceFormatError, match=named):
+        read_trace_file(str(path))
+    with pytest.raises(TraceFormatError, match=named):
+        external_sort(str(path), str(tmp_path / "out.txt"), budget_symbols=2)
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_a_campaign_command_with_an_unknown_token_names_it():
+    # Commands split on whitespace, so a RUN cannot carry an empty token.
+    with pytest.raises(TraceFormatError, match="unknown symbol token 'zz'"):
+        parse_command("RUN zz 3", AB)
