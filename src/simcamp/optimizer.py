@@ -6,6 +6,13 @@ trace while holding at most ``capacity`` simulator states at once.  Each
 trace resumes from its deepest stored prefix; runs break at prefixes worth
 checkpointing; checkpoints are freed as soon as no remaining trace can
 reuse them, or evicted by the depth-gap heuristic when memory is full.
+
+The work per trace is per checkpoint candidate and per run, not per
+symbol: storage is decided once for each tree node on the trace's chain
+below its load point, and the trace's constant runs (from
+``itertools.groupby``) are cut only where a node is stored.  When the
+index is full and holds no victim, nothing can be stored before the
+trace's Out, so its runs are emitted without consulting any node.
 """
 
 from __future__ import annotations
@@ -13,7 +20,8 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from itertools import groupby
+from typing import Iterator, NamedTuple, Sequence
 
 from .traces import Alphabet, InputTrace, TraceFormatError, atomic_text_file
 from .tree import ROOT_ID, BranchNode, BranchTree, TreeInvariantError
@@ -127,7 +135,6 @@ def optimize_slice(
     capacity: int | None,
     quantum: float,
     slice_id: int = 0,
-    progress: Callable[[int, int], None] | None = None,
 ) -> Campaign:
     """Emit the campaign replaying ``ordered`` under the given state budget.
 
@@ -152,22 +159,29 @@ def optimize_slice(
         index.note_free(node.node_id)
         commands.append(Command("free", node_id=node.node_id))
 
+    def emit_runs(symbols: tuple[int, ...]) -> None:
+        for symbol, group in groupby(symbols):
+            commands.append(Command("run", symbol=symbol, quanta=len(list(group))))
+
     # The campaign begins by checkpointing the initial state under id 0.
     do_store(tree.root)
 
-    total = len(ordered)
     for j, trace in enumerate(ordered):
         s = trace.symbols
         h = len(s)
         chain = tree.chain_for(s)
-        load_node = next(n for n in reversed(chain) if n.stored)
+        k = len(chain) - 1
+        while k >= 0 and not chain[k].stored:
+            k -= 1
+        if k < 0:
+            raise TreeInvariantError("no stored prefix to resume the trace from")
+        load_node = chain[k]
         if j > 0:
             commands.append(Command("load", node_id=load_node.node_id))
         start = load_node.depth
 
         # Availability sweep: every proper prefix of this trace has one
         # fewer pending use; prefixes reaching zero can never be reused.
-        by_depth = {n.depth: n for n in chain}
         for node in reversed(chain):
             if node.depth <= h - 1 and node.is_shared_prefix:
                 node.pending -= 1
@@ -181,29 +195,30 @@ def optimize_slice(
                     for child in tree.remove(node.node_id):
                         index.rekey(child.node_id, tree.depth_gap(child))
 
-        while start < h:
-            end = start
-            while end + 1 <= h - 1 and s[end + 1] == s[start]:
-                boundary = by_depth.get(end + 1)
-                if (
-                    boundary is not None
-                    and storage_decision(tree, index, boundary).action != "skip"
-                ):
-                    break
-                end += 1
-            commands.append(Command("run", symbol=s[start], quanta=end - start + 1))
-            start = end + 1
-            boundary = by_depth.get(start)
-            if boundary is not None:
-                decision = storage_decision(tree, index, boundary)
-                if decision.action == "store_evicting":
-                    do_free(tree.nodes[decision.victim])
-                    do_store(boundary)
-                elif decision.action == "store":
-                    do_store(boundary)
+        # Run scan: storage is decided once per chain node below the load
+        # node, and the trace's constant runs are cut where a node is
+        # stored.  A full index with no victim stays so until this trace's
+        # Out, since nothing is stored, so then no node is consulted.
+        if (
+            index.capacity is not None
+            and index.live >= index.capacity
+            and index.victim() is None
+        ):
+            candidates: Sequence[BranchNode] = ()
+        else:
+            candidates = chain[k + 1:]
+        pos = start
+        for node in candidates:
+            decision = storage_decision(tree, index, node)
+            if decision.action == "skip":
+                continue
+            emit_runs(s[pos:node.depth])
+            pos = node.depth
+            if decision.action == "store_evicting":
+                do_free(tree.nodes[decision.victim])
+            do_store(node)
+        emit_runs(s[pos:])
         commands.append(Command("out"))
-        if progress is not None:
-            progress(j + 1, total)
 
     return Campaign(
         commands=commands,

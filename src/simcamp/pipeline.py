@@ -53,11 +53,10 @@ from .optimizer import optimize_slice, write_campaign_file
 from .slicing import external_sort, order_slice, slice_ranges
 from .traces import (
     Alphabet,
-    InputTrace,
-    TraceCorpus,
     atomic_text_file,
     read_trace_file,
-    write_trace_file,
+    read_trace_lines,
+    write_trace_lines,
 )
 from .tree import build_tree
 
@@ -165,8 +164,8 @@ def _is_constraint_file(path: str) -> bool:
     return first.startswith("alphabet=")
 
 
-def _materialize_source(config: RunConfig) -> tuple[Alphabet, float, list[InputTrace]]:
-    """Produce the sorted, sampled corpus the slices are cut from."""
+def _materialize_source(config: RunConfig) -> tuple[Alphabet, float, list[str]]:
+    """The sorted, sampled corpus the slices are cut from, as trace lines."""
     if _is_constraint_file(config.source):
         spec = read_constraint_file(config.source)
         table = GeneratorTable(spec)
@@ -176,21 +175,23 @@ def _materialize_source(config: RunConfig) -> tuple[Alphabet, float, list[InputT
         indices = sample_indices(total, config.fraction, config.seed)
         if not indices:
             raise PipelineStageError("source stage: sampled zero traces")
-        return spec.alphabet, config.quantum, list(table.extract(indices))
+        alphabet = spec.alphabet
+        lines = [alphabet.format_line(t.symbols) for t in table.extract(indices)]
+        return alphabet, config.quantum, lines
 
     sorted_path = os.path.join(config.out_dir, "sorted.txt")
     if not os.path.exists(sorted_path):
         external_sort(
             config.source, sorted_path, config.sort_budget, dedupe=config.dedupe
         )
-    corpus = read_trace_file(sorted_path)
-    if not corpus.traces:
+    # external_sort has checked every line, so the slices copy them as they are.
+    alphabet, quantum, lines = read_trace_lines(sorted_path)
+    if not lines:
         raise PipelineStageError("source stage: empty corpus")
-    traces = corpus.traces
     if config.fraction < 1.0:
-        keep = sample_indices(len(traces), config.fraction, config.seed)
-        traces = [traces[j] for j in keep]
-    return corpus.alphabet, corpus.quantum, traces
+        keep = sample_indices(len(lines), config.fraction, config.seed)
+        lines = [lines[j] for j in keep]
+    return alphabet, quantum, lines
 
 
 @dataclass(slots=True)
@@ -296,17 +297,17 @@ def prepare_slices(config: RunConfig) -> list[_SliceTask]:
     _claim_out_dir(config, fingerprint)
 
     try:
-        alphabet, quantum, traces = _materialize_source(config)
+        alphabet, quantum, lines = _materialize_source(config)
     except PipelineStageError:
         raise
     except Exception as exc:
         raise PipelineStageError(f"source stage failed: {exc}") from exc
 
-    if config.slices > len(traces):
+    if config.slices > len(lines):
         raise PipelineStageError(
-            f"slice stage: {config.slices} slices for {len(traces)} traces"
+            f"slice stage: {config.slices} slices for {len(lines)} traces"
         )
-    ranges = slice_ranges(len(traces), config.slices)
+    ranges = slice_ranges(len(lines), config.slices)
 
     manifest_path = os.path.join(out, "manifest.jsonl")
     tasks: list[_SliceTask] = []
@@ -314,9 +315,7 @@ def prepare_slices(config: RunConfig) -> list[_SliceTask]:
         for i, (start, stop) in enumerate(ranges):
             slice_path = os.path.join(out, "slices", f"slice_{i}.txt")
             if not os.path.exists(slice_path):
-                write_trace_file(
-                    TraceCorpus(alphabet, quantum, traces[start:stop]), slice_path
-                )
+                write_trace_lines(slice_path, alphabet, quantum, lines[start:stop])
             seed_i = slice_seed(config.seed, i)
             manifest.write(
                 json.dumps(
@@ -349,7 +348,7 @@ def prepare_slices(config: RunConfig) -> list[_SliceTask]:
 
     write_json_atomic(
         {
-            "n_total": len(traces),
+            "n_total": len(lines),
             "alphabet": list(alphabet.tokens),
             "quantum": quantum,
             "fingerprint": fingerprint,

@@ -236,17 +236,37 @@ def format_trace_header(alphabet: Alphabet, quantum: float) -> str:
     return f"#alphabet={','.join(alphabet.tokens)};q={quantum:g}"
 
 
-def iter_trace_lines(stream: TextIO) -> Iterator[tuple[Alphabet, float] | list[str]]:
-    """Streaming reader: yields (alphabet, quantum) once, then token lists."""
+def _read_header(stream: TextIO) -> tuple[Alphabet, float]:
     header = stream.readline()
     if not header:
         raise TraceFormatError("empty trace file")
-    yield parse_trace_header(header)
+    return parse_trace_header(header)
+
+
+def _body_lines(stream: TextIO) -> Iterator[str]:
+    """The stripped trace lines after the header, without blanks or comments."""
     for raw in stream:
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+        if line and not line.startswith("#"):
+            yield line
+
+
+def iter_trace_lines(stream: TextIO) -> Iterator[tuple[Alphabet, float] | list[str]]:
+    """Streaming reader: yields (alphabet, quantum) once, then token lists."""
+    yield _read_header(stream)
+    for line in _body_lines(stream):
         yield line.split(",")
+
+
+def read_trace_lines(path: str) -> tuple[Alphabet, float, list[str]]:
+    """A trace file's header fields and its trace lines, left unparsed.
+
+    For files this program wrote, such as a sorted corpus, whose lines
+    need no check before they are copied into other trace files.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        alphabet, quantum = _read_header(fh)
+        return alphabet, quantum, list(_body_lines(fh))
 
 
 def read_trace_file(path: str) -> TraceCorpus:
@@ -277,8 +297,21 @@ def atomic_text_file(path: str) -> Iterator[TextIO]:
         raise
 
 
-def write_trace_file(corpus: TraceCorpus, path: str) -> None:
+def write_trace_lines(
+    path: str, alphabet: Alphabet, quantum: float, lines: Iterable[str]
+) -> None:
+    """Write a trace file from its header fields and its trace lines."""
     with atomic_text_file(path) as fh:
-        fh.write(format_trace_header(corpus.alphabet, corpus.quantum) + "\n")
-        for t in corpus.traces:
-            fh.write(",".join(t.tokens()) + "\n")
+        fh.write(format_trace_header(alphabet, quantum) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def write_trace_file(corpus: TraceCorpus, path: str) -> None:
+    alphabet = corpus.alphabet
+    write_trace_lines(
+        path,
+        alphabet,
+        corpus.quantum,
+        (alphabet.format_line(t.symbols) for t in corpus.traces),
+    )

@@ -21,12 +21,76 @@ from simcamp.optimizer import (
 )
 from simcamp.slicing import order_slice
 from simcamp.traces import Alphabet, InputTrace, TraceFormatError
-from simcamp.tree import build_tree
+from simcamp.tree import TreeInvariantError, build_tree
 from util import ABCD, random_traces, t, ts
 
 
 def tree_for(traces):
     return build_tree(sorted(traces, key=lambda x: x.symbols))
+
+
+def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
+    """``optimize_slice`` with its earlier run scan, one step per symbol:
+    the reference whose campaigns the run-by-run scan must reproduce."""
+    if not ordered:
+        raise ValueError("cannot optimize an empty slice")
+    index = CheckpointIndex(capacity)
+    commands = []
+
+    def do_store(node):
+        node.stored = True
+        index.note_store(node.node_id, tree.depth_gap(node))
+        commands.append(Command("store", node_id=node.node_id))
+
+    def do_free(node):
+        node.stored = False
+        index.note_free(node.node_id)
+        commands.append(Command("free", node_id=node.node_id))
+
+    do_store(tree.root)
+    for j, trace in enumerate(ordered):
+        s = trace.symbols
+        h = len(s)
+        chain = tree.chain_for(s)
+        load_node = next(n for n in reversed(chain) if n.stored)
+        if j > 0:
+            commands.append(Command("load", node_id=load_node.node_id))
+        start = load_node.depth
+        by_depth = {n.depth: n for n in chain}
+        for node in reversed(chain):
+            if node.depth <= h - 1 and node.is_shared_prefix:
+                node.pending -= 1
+                if node.pending < 0:
+                    raise TreeInvariantError(
+                        "slice does not match the tree it was built from"
+                    )
+                if node.pending == 0:
+                    if node.stored:
+                        do_free(node)
+                    for child in tree.remove(node.node_id):
+                        index.rekey(child.node_id, tree.depth_gap(child))
+        while start < h:
+            end = start
+            while end + 1 <= h - 1 and s[end + 1] == s[start]:
+                boundary = by_depth.get(end + 1)
+                if (
+                    boundary is not None
+                    and storage_decision(tree, index, boundary).action != "skip"
+                ):
+                    break
+                end += 1
+            commands.append(Command("run", symbol=s[start], quanta=end - start + 1))
+            start = end + 1
+            boundary = by_depth.get(start)
+            if boundary is not None:
+                decision = storage_decision(tree, index, boundary)
+                if decision.action == "store_evicting":
+                    do_free(tree.nodes[decision.victim])
+                    do_store(boundary)
+                elif decision.action == "store":
+                    do_store(boundary)
+        commands.append(Command("out"))
+    return Campaign(commands, quantum, slice_id, index.peak, ordered[0].alphabet)
 
 
 def test_two_trace_campaign_with_reuse():
@@ -237,6 +301,49 @@ def test_budget_at_least_unlimited_peak_reproduces_unlimited(
     bounded = optimize_slice(ordered, tree.clone(), sigma, 1.0)
     assert bounded.commands == unlimited.commands
     assert bounded.peak_stored == unlimited.peak_stored
+
+
+@st.composite
+def run_slices(draw):
+    """Distinct traces made of constant runs (up to 12 long) over a,b,c,
+    with some proper prefixes of them added."""
+    runs = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 12)), min_size=1,
+                    max_size=5)
+    bodies = draw(st.lists(runs, min_size=1, max_size=12))
+    symbols = {tuple(sym for sym, n in body for _ in range(n)) for body in bodies}
+    for trace in sorted(symbols):
+        if len(trace) > 1 and draw(st.booleans()):
+            symbols.add(trace[:draw(st.integers(1, len(trace) - 1))])
+    alphabet = Alphabet.of("a", "b", "c")
+    return [InputTrace(alphabet, s) for s in sorted(symbols)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    run_slices(),
+    st.sampled_from([None, 1, 2, 3, 5]),
+    st.integers(0, 1 << 20),
+    st.one_of(st.none(), st.lists(st.booleans(), min_size=1)),
+)
+def test_run_scan_matches_the_per_symbol_scan(traces, capacity, order_seed, subset):
+    # ``subset`` builds the tree from part of the slice, as a foreign tree.
+    ordered = order_slice(traces, "random", seed=order_seed)
+    members = traces
+    if subset is not None:
+        members = [x for x, keep in zip(traces, subset + [False] * len(traces)) if keep]
+    tree = build_tree(members)
+
+    def outcome(optimize):
+        try:
+            campaign = optimize(ordered, tree.clone(), capacity, 1.0)
+        except TreeInvariantError as exc:
+            return str(exc)
+        except StopIteration:
+            # The reference's load search, when no prefix is stored at all.
+            return "no stored prefix to resume the trace from"
+        return campaign.commands, campaign.peak_stored
+
+    assert outcome(optimize_slice) == outcome(reference_optimize_slice)
 
 
 def test_campaign_file_round_trip(tmp_path):

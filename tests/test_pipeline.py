@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import re
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from simcamp.engine import CostModel
 from simcamp.metrics import REPORT_COLUMNS
 import simcamp.optimizer as optimizer
+import simcamp.pipeline as pipeline
 from simcamp.optimizer import read_campaign_file
 from simcamp.pipeline import (
     PipelineStageError,
@@ -24,7 +26,7 @@ from simcamp.pipeline import (
     slice_seed,
     write_json_atomic,
 )
-from simcamp.traces import InputTrace, TraceCorpus, write_trace_file
+from simcamp.traces import TraceCorpus, write_trace_file
 from util import ABCD, ts
 
 # SHA-256 of every pipeline output on ``corpus_file`` with two slices and
@@ -129,6 +131,84 @@ SPEC_DIGESTS = {
             "8ca74f9a468cc6b18824e8a6dc443ac6bc081a75179a4f27444d2ec5c3b76bd7",
         "progress.csv":
             "8a5bb7cdb6071a6d5696d937f0f0a92b05dcf297e7eb2cdf014ee480139b20f6",
+    },
+}
+
+
+# SHA-256 of the slice files of the ``corpus_file`` run above (any sigma).
+SLICE_DIGESTS = {
+    "slices/slice_0.txt":
+        "f6a16c8a2a50cde702197600fe6c51d7504f5c64dcca580a835d081a792fee72",
+    "slices/slice_1.txt":
+        "4cd98d8afdbb67176bd540a81c1356832af31566105c59ac40983177b1659b48",
+    "report.csv":
+        "047ea74d71f208700b9d075a6090224bf640af0fc2ca7443b33091f8da9b09ab",
+    "progress.csv":
+        "473e41b53633cb51a88f08e2a70aab77f0cb8dddfc5f86ed653c9db683c16368",
+}
+
+
+# SHA-256 of every output of ``corpus_file`` sampled at fraction 0.5, with
+# two slices and seed 3.
+SAMPLED_FILE_DIGESTS = {
+    "campaigns/campaign_0.txt":
+        "f2793b5723e7be319400a75d14ce84ed6ac3340167f41b47bec9639f2804547c",
+    "campaigns/campaign_1.txt":
+        "d69b0920cf9142aa9213e7f9445dcaa2da7c6af9519d16dfc02c571c32fb590a",
+    "results/result_0.json":
+        "6d5f8face1ef40a3ae177347aef722089fff45ce0a1a5663acde04ebf5f34b47",
+    "results/result_1.json":
+        "a538cae2e7bce068fa79f53a0995c116d43dd6928427ea7c2e8e206af7c7bf7d",
+    "slices/slice_0.txt":
+        "be4c1cf329489472564d1c0f240b688c37de3000a20ebdbed98ad0109b8d338b",
+    "slices/slice_1.txt":
+        "aa960ea281c84e35cfa4d7923c91c42d2788b5d13141b25f0646d1f10349c68f",
+    "report.csv":
+        "0c61ed156f924081f7f442d9360f3a78044b84fa7923910e05b437246b2ed57a",
+    "progress.csv":
+        "9275973dc1ca20811374c5913e7eacab80b58a0ff42187754bdbf3f41ab68354",
+}
+
+
+# SHA-256 of every output of ``tight_file`` (40 traces, horizon 60) with two
+# slices and seed 5.  Capacity is 14 per slice; at sigma 4 the campaigns
+# evict and split runs at checkpoints, and sigma 1 stores nothing.
+TIGHT_DIGESTS = {
+    "1": {
+        "campaigns/campaign_0.txt":
+            "d2ca947e75d6744fb7cacaa124528ea81558b209d1e0ea7ea84b631de7bd4ad9",
+        "campaigns/campaign_1.txt":
+            "68bfec8e69687fe51814099e0b112e734033dca5771b4bcb51571a3410abfbab",
+        "results/result_0.json":
+            "00141d6942e7618abbe13d9672e7d4ab94b6086e0f9c747f5dc330894dc6a2f2",
+        "results/result_1.json":
+            "07ebed498145dfe2c635873d5a3b979c3c1573106aca559d3f2826b90f7634b4",
+        "slices/slice_0.txt":
+            "992e9062053b0347edaae1390b8672e8806b3123b5a84af94386d44366a0fda1",
+        "slices/slice_1.txt":
+            "c2a579be346549a6cec539d7e00abd7643f8c272895c43be8abc115fa5cb2744",
+        "report.csv":
+            "fd36a230445909f62c9daea75415993785dd17b9f0a69de5c49a06d46bed14f0",
+        "progress.csv":
+            "808db6f896a864ba4b0d12d54fa284c87f1da9c3213c65e00a16ef7294ace5f5",
+    },
+    "4": {
+        "campaigns/campaign_0.txt":
+            "6628fcc7b245994460bfbc00b0e2e9194bf69bbc659d8f77921494b283d189c6",
+        "campaigns/campaign_1.txt":
+            "f67f2813ab6beb05d5f6126082b1ab9c7216f6bd37f0d1ac9451a9a186da2ae9",
+        "results/result_0.json":
+            "7d356fffdba2df5ad8c7176bb86ab43e7eb513959def10de576c9e046d064ef5",
+        "results/result_1.json":
+            "bdc9693c1f3fa9b4511e4212992ee8cb961d5e7bf6f12337447ad517c72deab1",
+        "slices/slice_0.txt":
+            "992e9062053b0347edaae1390b8672e8806b3123b5a84af94386d44366a0fda1",
+        "slices/slice_1.txt":
+            "c2a579be346549a6cec539d7e00abd7643f8c272895c43be8abc115fa5cb2744",
+        "report.csv":
+            "3aaa112d7c5a36b69e6885e7a0c8208754763c0aa4311998ff6ada48de85272b",
+        "progress.csv":
+            "808db6f896a864ba4b0d12d54fa284c87f1da9c3213c65e00a16ef7294ace5f5",
     },
 }
 
@@ -349,6 +429,58 @@ def test_spec_outputs_are_byte_identical_to_recorded_digests(tmp_path, fraction)
     )
 
 
+def tight_file(tmp_path, count=40, horizon=60, grid=12):
+    """Distinct piecewise-constant traces over a,b,c,d with 1-4 switches on
+    a 12-point time grid, written unsorted: a small ``sorted_tight``."""
+    rng = random.Random(11)
+    step = horizon // grid
+    seen = set()
+    texts = []
+    while len(texts) < count:
+        cuts = sorted(rng.sample(range(1, grid), rng.randint(1, 4))) + [grid]
+        text, at, sym = "", 0, rng.randrange(4)
+        for cut in cuts:
+            text += "abcd"[sym] * ((cut - at) * step)
+            at, sym = cut, (sym + rng.randrange(1, 4)) % 4
+        if text not in seen:
+            seen.add(text)
+            texts.append(text)
+    path = tmp_path / "tight.txt"
+    write_trace_file(TraceCorpus(ABCD, 1.0, ts(*texts)), str(path))
+    return str(path)
+
+
+def test_slices_are_byte_identical_to_recorded_digests(tmp_path):
+    out = tmp_path / "run"
+    run_pipeline(
+        RunConfig(source=corpus_file(tmp_path), out_dir=str(out), slices=2, seed=3)
+    )
+    assert output_digests(out, ("slices",)) == SLICE_DIGESTS
+
+
+def test_sampled_file_outputs_are_byte_identical_to_recorded_digests(tmp_path):
+    out = tmp_path / "run"
+    run_pipeline(
+        RunConfig(source=corpus_file(tmp_path), out_dir=str(out), slices=2, seed=3,
+                  fraction=0.5)
+    )
+    assert output_digests(out, ("slices", "campaigns", "results")) == (
+        SAMPLED_FILE_DIGESTS
+    )
+
+
+@pytest.mark.parametrize("sigma", sorted(TIGHT_DIGESTS))
+def test_tight_outputs_are_byte_identical_to_recorded_digests(tmp_path, sigma):
+    out = tmp_path / "run"
+    run_pipeline(
+        RunConfig(source=tight_file(tmp_path), out_dir=str(out), slices=2, seed=5,
+                  sigma=sigma)
+    )
+    assert output_digests(out, ("slices", "campaigns", "results")) == (
+        TIGHT_DIGESTS[sigma]
+    )
+
+
 def test_progress_counts_slices_without_a_progress_file(tmp_path):
     src = corpus_file(tmp_path)
     out = tmp_path / "run"
@@ -368,20 +500,30 @@ def test_progress_of_another_size_counts_as_nothing_done(tmp_path):
     assert read_progress(str(out)) == [(0, 6, 6), (1, 0, 6)]
 
 
+def crash_slice_writes_at_line(monkeypatch, nth):
+    """Make the slice writer fail with ``disk full`` as it reaches the
+    ``nth`` trace line it writes, after the lines before it are written."""
+    write_trace_lines = pipeline.write_trace_lines
+    written = []
+
+    def crashing(path, alphabet, quantum, lines):
+        def until_crash():
+            for line in lines:
+                written.append(line)
+                if len(written) == nth:
+                    raise OSError("disk full")
+                yield line
+
+        write_trace_lines(path, alphabet, quantum, until_crash())
+
+    monkeypatch.setattr(pipeline, "write_trace_lines", crashing)
+
+
 def test_a_crash_mid_slice_write_leaves_no_slice_file(tmp_path, monkeypatch):
     src = corpus_file(tmp_path)
     out = tmp_path / "run"
     config = RunConfig(source=src, out_dir=str(out), slices=2, seed=3)
-    tokens = InputTrace.tokens
-    written = []
-
-    def crash_on_third_trace(trace):
-        written.append(trace)
-        if len(written) == 3:
-            raise OSError("disk full")
-        return tokens(trace)
-
-    monkeypatch.setattr(InputTrace, "tokens", crash_on_third_trace)
+    crash_slice_writes_at_line(monkeypatch, 3)
     with pytest.raises(OSError, match="disk full"):
         prepare_slices(config)
     monkeypatch.undo()
@@ -474,11 +616,7 @@ def test_a_crash_before_the_slices_are_written_still_claims_the_directory(
 ):
     src = corpus_file(tmp_path)
     out = tmp_path / "run"
-
-    def crash(trace):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(InputTrace, "tokens", crash)
+    crash_slice_writes_at_line(monkeypatch, 1)
     with pytest.raises(OSError, match="disk full"):
         prepare_slices(RunConfig(source=src, out_dir=str(out), slices=3, seed=3))
     monkeypatch.undo()
