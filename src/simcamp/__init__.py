@@ -27,8 +27,6 @@ from .generator import (
     read_constraint_file,
     sample_indices,
     satisfies,
-    scenario_at,
-    scenario_count,
     write_constraint_file,
 )
 from .metrics import (
@@ -36,7 +34,6 @@ from .metrics import (
     inflation_table,
     memory_efficiency,
     omission_probability,
-    parallel_efficiency,
     speedup,
 )
 from .optimizer import (
@@ -53,10 +50,7 @@ from .traces import (
     InputTrace,
     TraceCorpus,
     TraceFormatError,
-    lex_compare,
-    prefix_relation,
     read_trace_file,
-    sample_time_function,
     write_trace_file,
 )
 from .tree import BranchNode, BranchTree, TreeInvariantError, build_tree
@@ -89,13 +83,10 @@ __all__ = [
     "execute",
     "external_sort",
     "inflation_table",
-    "lex_compare",
     "memory_efficiency",
     "omission_probability",
     "optimize_slice",
     "order_slice",
-    "parallel_efficiency",
-    "prefix_relation",
     "read_campaign_file",
     "read_constraint_file",
     "read_cost_file",
@@ -104,10 +95,7 @@ __all__ = [
     "run_external",
     "run_pipeline",
     "sample_indices",
-    "sample_time_function",
     "satisfies",
-    "scenario_at",
-    "scenario_count",
     "slice_ranges",
     "speedup",
     "write_campaign_file",

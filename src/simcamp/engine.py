@@ -66,7 +66,6 @@ class ReferenceModel(SystemModel):
         fail_when: Callable[[str], bool] | None = None,
     ) -> None:
         self.alphabet = alphabet
-        self.seed = seed
         self.fail_when = fail_when
         self.initial_state = _mix64(seed & _MASK64)
         self._symbol_keys = [

@@ -188,14 +188,6 @@ class GeneratorTable:
             yield InputTrace(alphabet, tuple(symbols))
 
 
-def scenario_count(spec: ConstraintSpec) -> int:
-    return GeneratorTable(spec).count()
-
-
-def scenario_at(spec: ConstraintSpec, index: int) -> InputTrace:
-    return GeneratorTable(spec).get(index)
-
-
 def sample_indices(n: int, fraction: float, seed: int) -> list[int]:
     """A sorted, duplicate-free sample of round(fraction*n) indices in [0, n).
 

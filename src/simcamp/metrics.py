@@ -34,13 +34,6 @@ def speedup(baseline_seconds: float, optimized_seconds: float) -> float:
     return baseline_seconds / optimized_seconds
 
 
-def parallel_efficiency(
-    seconds: float, slices: int, base_seconds: float, base_slices: int
-) -> float:
-    """Work-normalized scaling vs a base slice count."""
-    return (base_seconds * base_slices) / (seconds * slices)
-
-
 def memory_efficiency(unlimited_seconds: float, limited_seconds: float) -> float:
     """How much of the unlimited-memory performance survives the budget."""
     return unlimited_seconds / limited_seconds

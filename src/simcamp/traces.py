@@ -9,16 +9,11 @@ only at I/O boundaries.
 
 from __future__ import annotations
 
-import enum
 import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, TextIO
-
-LESS = -1
-EQUAL = 0
-GREATER = 1
+from typing import Iterable, Iterator, TextIO
 
 _TOKEN_FORBIDDEN = set(",;#")
 
@@ -113,61 +108,6 @@ class InputTrace:
         return InputTrace(alphabet, alphabet.parse(tokens))
 
 
-def _symbols_of(t: "InputTrace | Sequence[int]") -> Sequence[int]:
-    return t.symbols if isinstance(t, InputTrace) else t
-
-
-def _check_same_alphabet(a: object, b: object) -> None:
-    if (
-        isinstance(a, InputTrace)
-        and isinstance(b, InputTrace)
-        and a.alphabet != b.alphabet
-    ):
-        raise AlphabetMismatchError("traces use different alphabets")
-
-
-def lex_compare(a: "InputTrace | Sequence[int]", b: "InputTrace | Sequence[int]") -> int:
-    """Total lexicographic order; a proper prefix precedes its extensions.
-
-    Returns LESS (-1), EQUAL (0) or GREATER (1).
-    """
-    _check_same_alphabet(a, b)
-    sa, sb = tuple(_symbols_of(a)), tuple(_symbols_of(b))
-    if sa == sb:
-        return EQUAL
-    return LESS if sa < sb else GREATER
-
-
-class PrefixRelation(enum.Enum):
-    NOT_PREFIX = "not_prefix"
-    PROPER_PREFIX = "proper_prefix"
-    EQUAL = "equal"
-
-
-def prefix_relation(
-    a: "InputTrace | Sequence[int]", b: "InputTrace | Sequence[int]"
-) -> PrefixRelation:
-    """How ``a`` relates to ``b`` as a prefix; ``a`` may be the empty sequence ()."""
-    _check_same_alphabet(a, b)
-    sa, sb = tuple(_symbols_of(a)), tuple(_symbols_of(b))
-    if sa == sb:
-        return PrefixRelation.EQUAL
-    if len(sa) < len(sb) and sb[: len(sa)] == sa:
-        return PrefixRelation.PROPER_PREFIX
-    return PrefixRelation.NOT_PREFIX
-
-
-def sample_time_function(trace: InputTrace, quantum: float, time: float) -> str:
-    """The input token held at ``time``: symbol at index floor(time/quantum)."""
-    if quantum <= 0:
-        raise ValueError("time quantum must be > 0")
-    if not (0 <= time < quantum * trace.horizon):
-        raise ValueError(
-            f"time {time} outside [0, {quantum * trace.horizon}) for horizon {trace.horizon}"
-        )
-    return trace.alphabet.tokens[trace.symbols[int(time // quantum)]]
-
-
 @dataclass(slots=True)
 class TraceCorpus:
     """A set of scenarios sharing one alphabet and one time quantum."""
@@ -175,8 +115,6 @@ class TraceCorpus:
     alphabet: Alphabet
     quantum: float
     traces: list[InputTrace] = field(default_factory=list)
-    provenance: str = ""
-    is_sorted: bool = False
 
     def __post_init__(self) -> None:
         if self.quantum <= 0:
@@ -184,21 +122,9 @@ class TraceCorpus:
         for t in self.traces:
             if t.alphabet != self.alphabet:
                 raise AlphabetMismatchError("corpus traces must share the corpus alphabet")
-        if self.is_sorted:
-            for prev, cur in zip(self.traces, self.traces[1:]):
-                if not prev.symbols < cur.symbols:
-                    raise ValueError("corpus flagged sorted but is not strictly ascending")
 
     def __len__(self) -> int:
         return len(self.traces)
-
-    @property
-    def min_horizon(self) -> int:
-        return min(t.horizon for t in self.traces)
-
-    @property
-    def max_horizon(self) -> int:
-        return max(t.horizon for t in self.traces)
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +177,6 @@ def _body_lines(stream: TextIO) -> Iterator[str]:
             yield line
 
 
-def iter_trace_lines(stream: TextIO) -> Iterator[tuple[Alphabet, float] | list[str]]:
-    """Streaming reader: yields (alphabet, quantum) once, then token lists."""
-    yield _read_header(stream)
-    for line in _body_lines(stream):
-        yield line.split(",")
-
-
 def read_trace_lines(path: str) -> tuple[Alphabet, float, list[str]]:
     """A trace file's header fields and its trace lines, left unparsed.
 
@@ -271,10 +190,11 @@ def read_trace_lines(path: str) -> tuple[Alphabet, float, list[str]]:
 
 def read_trace_file(path: str) -> TraceCorpus:
     with open(path, "r", encoding="utf-8") as fh:
-        items = iter_trace_lines(fh)
-        alphabet, quantum = next(items)  # type: ignore[misc]
-        traces = [InputTrace.from_tokens(alphabet, tokens) for tokens in items]  # type: ignore[arg-type]
-    return TraceCorpus(alphabet, quantum, traces, provenance=f"file:{path}")
+        alphabet, quantum = _read_header(fh)
+        traces = [
+            InputTrace(alphabet, alphabet.parse_line(line)) for line in _body_lines(fh)
+        ]
+    return TraceCorpus(alphabet, quantum, traces)
 
 
 @contextmanager

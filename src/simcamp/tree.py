@@ -68,7 +68,6 @@ class BranchTree:
             ROOT_ID: BranchNode(ROOT_ID, None, (), 0)
         }
         self._next_id = 1
-        self.trace_count = 0
         self.shared_prefix_count = 0
         self.capacity = 1
 
@@ -133,24 +132,6 @@ class BranchTree:
         """{full prefix: pending count} over shared-prefix nodes (test hook)."""
         return {self.prefix_of(n.node_id): n.pending for n in self.shared_nodes()}
 
-    def stats(self) -> dict[str, int]:
-        """size (shared-prefix node count), max_depth, and total depth-gap span."""
-        shared = list(self.shared_nodes())
-        return {
-            "size": self.shared_prefix_count,
-            "max_depth": max((n.depth for n in shared), default=0),
-            "depth_gap_sum": sum(self.depth_gap(n) for n in shared),
-        }
-
-    def dump(self) -> list[str]:
-        """One node per line: ``id depth pending parent`` (sorted by id)."""
-        lines = []
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            parent = "-" if node.parent_id is None else str(node.parent_id)
-            lines.append(f"{node_id} {node.depth} {node.pending} {parent}")
-        return lines
-
     def clone(self) -> BranchTree:
         """Deep copy, so one built tree can feed several optimizer runs."""
         other = BranchTree.__new__(BranchTree)
@@ -169,7 +150,6 @@ class BranchTree:
             for nid, n in self.nodes.items()
         }
         other._next_id = self._next_id
-        other.trace_count = self.trace_count
         other.shared_prefix_count = self.shared_prefix_count
         other.capacity = self.capacity
         return other
@@ -263,6 +243,5 @@ def build_tree(traces: Sequence[InputTrace]) -> BranchTree:
                     walk.pending += 1
                 walk = tree.nodes[walk.parent_id] if walk.parent_id is not None else None
         last = cur
-        tree.trace_count += 1
     tree.capacity = len(tree.nodes)
     return tree

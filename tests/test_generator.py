@@ -15,8 +15,6 @@ from simcamp.generator import (
     read_constraint_file,
     sample_indices,
     satisfies,
-    scenario_at,
-    scenario_count,
     write_constraint_file,
 )
 from simcamp.traces import Alphabet, InputTrace, TraceFormatError
@@ -35,8 +33,8 @@ def test_no_consecutive_ones_horizon_two():
     assert [table.get(j).symbols for j in range(3)] == [(0, 0), (0, 1), (1, 0)]
     with pytest.raises(IndexError, match=r"index 3 out of range \[0, 3\)"):
         table.get(3)
-    assert scenario_count(spec) == 3
-    assert scenario_at(spec, 2).symbols == (1, 0)
+    assert GeneratorTable(spec).count() == 3
+    assert GeneratorTable(spec).get(2).symbols == (1, 0)
 
 
 def test_unconstrained_spec_counts_all_words():

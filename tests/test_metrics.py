@@ -13,7 +13,6 @@ from simcamp.metrics import (
     inflation_table,
     memory_efficiency,
     omission_probability,
-    parallel_efficiency,
     speedup,
     write_progress_csv,
     write_report_csv,
@@ -32,8 +31,6 @@ def test_completion_time_is_the_slowest_slice():
 
 def test_speedup_and_efficiencies():
     assert speedup(12.0, 3.0) == 4.0
-    assert parallel_efficiency(3.0, 4, 12.0, 1) == 1.0
-    assert parallel_efficiency(6.0, 4, 12.0, 1) == 0.5
     assert memory_efficiency(4.0, 5.0) == 0.8
     with pytest.raises(ZeroDivisionError):
         speedup(1.0, 0.0)

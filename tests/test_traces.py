@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import pickle
 
 import pytest
@@ -9,22 +8,15 @@ from hypothesis import given, strategies as st
 from simcamp.optimizer import parse_command
 from simcamp.slicing import external_sort
 from simcamp.traces import (
-    EQUAL,
-    GREATER,
-    LESS,
     Alphabet,
     AlphabetMismatchError,
     InputTrace,
-    PrefixRelation,
     TraceCorpus,
     TraceFormatError,
     format_trace_header,
-    iter_trace_lines,
-    lex_compare,
     parse_trace_header,
-    prefix_relation,
     read_trace_file,
-    sample_time_function,
+    read_trace_lines,
     write_trace_file,
 )
 from util import AB, ABCD, t, ts
@@ -74,53 +66,25 @@ def test_trace_validation():
     assert InputTrace.from_tokens(AB, ["b", "a"]).symbols == (1, 0)
 
 
-def test_lex_compare_prefix_precedes_extension():
-    assert lex_compare(t("a"), t("ab")) == LESS
-    assert lex_compare(t("ab"), t("a")) == GREATER
-    assert lex_compare(t("ab"), t("ab")) == EQUAL
-    assert lex_compare(t("ab"), t("b")) == LESS
-    assert lex_compare((1, 0), (1, 1)) == LESS  # bare symbol sequences work too
-
-
-def test_lex_compare_rejects_mixed_alphabets():
-    with pytest.raises(AlphabetMismatchError):
-        lex_compare(t("a", AB), t("a", ABCD))
-
-
-def test_prefix_relation():
-    assert prefix_relation(t("a"), t("ab")) is PrefixRelation.PROPER_PREFIX
-    assert prefix_relation(t("ab"), t("a")) is PrefixRelation.NOT_PREFIX
-    assert prefix_relation(t("ab"), t("ab")) is PrefixRelation.EQUAL
-    assert prefix_relation(t("ab"), t("ba")) is PrefixRelation.NOT_PREFIX
-    assert prefix_relation((), (0,)) is PrefixRelation.PROPER_PREFIX
-
-
-def test_sample_time_function():
-    tr = t("aab")
-    assert sample_time_function(tr, 0.5, 0.0) == "a"
-    assert sample_time_function(tr, 0.5, 0.49) == "a"
-    assert sample_time_function(tr, 0.5, 1.0) == "b"
-    assert sample_time_function(tr, 0.5, 1.49) == "b"
-    with pytest.raises(ValueError):
-        sample_time_function(tr, 0.5, 1.5)  # domain is [0, h*q)
-    with pytest.raises(ValueError):
-        sample_time_function(tr, 0.5, -0.1)
-
-
 def test_corpus_sorted_flag_checked():
-    TraceCorpus(ABCD, 1.0, ts("aa", "ab"), is_sorted=True)
-    with pytest.raises(ValueError):
-        TraceCorpus(ABCD, 1.0, ts("ab", "aa"), is_sorted=True)
-    with pytest.raises(ValueError):
-        TraceCorpus(ABCD, 1.0, ts("aa", "aa"), is_sorted=True)
+    # A corpus carries no sortedness flag: it keeps its traces in the order
+    # given (external_sort orders files), and checks only its quantum.
+    c = TraceCorpus(ABCD, 1.0, ts("ab", "aa", "aa"))
+    assert [x.tokens() for x in c.traces] == [("a", "b"), ("a", "a"), ("a", "a")]
     with pytest.raises(ValueError):
         TraceCorpus(ABCD, 0.0, ts("aa"))
 
 
 def test_corpus_horizons():
     c = TraceCorpus(ABCD, 1.0, ts("aa", "b", "abc"))
-    assert (c.min_horizon, c.max_horizon) == (1, 3)
+    horizons = [x.horizon for x in c.traces]
+    assert (min(horizons), max(horizons)) == (1, 3)
     assert len(c) == 3
+
+
+def test_corpus_rejects_a_trace_of_another_alphabet():
+    with pytest.raises(AlphabetMismatchError):
+        TraceCorpus(ABCD, 1.0, [t("a", ABCD), t("a", AB)])
 
 
 def test_header_round_trip():
@@ -137,13 +101,18 @@ def test_header_rejects_garbage():
             parse_trace_header(bad)
 
 
-def test_iter_trace_lines_skips_comments_and_blanks():
-    stream = io.StringIO(
-        "#alphabet=a,b;q=0.5\n\na,b\n# note\nb,b\n\n"
-    )
-    rows = list(iter_trace_lines(stream))
-    assert rows[0] == (AB, 0.5)
-    assert rows[1:] == [["a", "b"], ["b", "b"]]
+def test_both_readers_skip_comments_and_blanks(tmp_path):
+    path = tmp_path / "traces.txt"
+    path.write_text("#alphabet=a,b;q=0.5\n\na,b\n# note\nb,b\n\n")
+    corpus = read_trace_file(str(path))
+    assert (corpus.alphabet, corpus.quantum) == (AB, 0.5)
+    assert [x.symbols for x in corpus.traces] == [(0, 1), (1, 1)]
+    alphabet, quantum, lines = read_trace_lines(str(path))
+    assert (alphabet, quantum) == (AB, 0.5)
+    assert lines == ["a,b", "b,b"]
+    assert [alphabet.parse_line(line) for line in lines] == [
+        x.symbols for x in corpus.traces
+    ]
 
 
 def test_file_round_trip(tmp_path):
@@ -186,16 +155,6 @@ def test_round_trip_preserves_symbols(symbol_lists):
     finally:
         os.unlink(path)
     assert [x.symbols for x in back.traces] == [tuple(s) for s in symbol_lists]
-
-
-@given(
-    st.lists(st.integers(0, 3), min_size=1, max_size=5),
-    st.lists(st.integers(0, 3), min_size=1, max_size=5),
-)
-def test_lex_compare_matches_tuple_order(a, b):
-    got = lex_compare(tuple(a), tuple(b))
-    want = EQUAL if a == b else (LESS if tuple(a) < tuple(b) else GREATER)
-    assert got == want
 
 
 # The per-token definitions the alphabet codec replaced, as its reference.

@@ -100,17 +100,6 @@ def test_clone_is_independent():
     assert len(tree.nodes) == 2 and len(copy.nodes) == 1
 
 
-def test_stats_and_dump():
-    tree = build_tree(sorted_ts("aab", "aac", "ab"))
-    st_ = tree.stats()
-    assert st_["size"] == 2
-    assert st_["max_depth"] == 2
-    assert st_["depth_gap_sum"] == 2
-    lines = tree.dump()
-    assert lines[0] == "0 0 0 -"
-    assert len(lines) == 3
-
-
 def test_matches_pairwise_oracle_random():
     rng = random.Random(24601)
     for _ in range(150):
