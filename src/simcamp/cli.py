@@ -76,8 +76,9 @@ def cmd_sort(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_slice(args: argparse.Namespace) -> int:
-    config = RunConfig(
+def _run_config(args: argparse.Namespace, **options) -> RunConfig:
+    """The RunConfig of the options ``slice`` and ``pipeline`` share."""
+    return RunConfig(
         source=args.infile,
         out_dir=args.out_dir,
         slices=args.slices,
@@ -86,8 +87,12 @@ def cmd_slice(args: argparse.Namespace) -> int:
         fraction=args.fraction,
         quantum=args.quantum,
         dedupe=args.dedupe,
+        **options,
     )
-    tasks = prepare_slices(config)
+
+
+def cmd_slice(args: argparse.Namespace) -> int:
+    tasks = prepare_slices(_run_config(args))
     _print_json({"out_dir": args.out_dir, "slices": len(tasks)})
     return 0
 
@@ -98,7 +103,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     ordered = order_slice(corpus.traces, args.order, args.seed)
     tree = build_tree(sorted(corpus.traces, key=lambda t: t.symbols))
     capacity = tree.capacity
-    shared = tree.shared_prefix_count
     resolved = capacity if args.sigma == "capacity" else parse_sigma(args.sigma)
     campaign = optimize_slice(
         ordered, tree, resolved, corpus.quantum, slice_id=args.slice_id
@@ -109,7 +113,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             "out": args.out,
             "traces": len(ordered),
             "capacity": capacity,
-            "shared_prefixes": shared,
+            "shared_prefixes": tree.shared_prefix_count,
             "sigma": resolved,
             "length_q": campaign.length_quanta,
             "peak_stored": campaign.peak_stored,
@@ -155,18 +159,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        source=args.infile,
-        out_dir=args.out_dir,
-        slices=args.slices,
-        sigma=args.sigma,
-        order_mode=args.order,
-        seed=args.seed,
-        fraction=args.fraction,
-        quantum=args.quantum,
-        workers=args.workers,
-        dedupe=args.dedupe,
-        model_seed=args.model_seed,
+    config = _run_config(
+        args, sigma=args.sigma, workers=args.workers, model_seed=args.model_seed
     )
     summary = run_pipeline(config, read_cost_or_default(args.costs), args.f_grid)
     _print_json(summary)
@@ -200,6 +194,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--in", dest="infile", required=True, help="trace or spec file")
+    run.add_argument("--out-dir", required=True)
+    run.add_argument("--slices", type=int, default=1)
+    run.add_argument("--order", choices=ORDER_MODES, default="random")
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--fraction", type=float, default=1.0)
+    run.add_argument("--quantum", type=float, default=1.0, help="for spec sources")
+    run.add_argument("--dedupe", action="store_true")
+
     sg = sub.add_parser("sg", help="constrained scenario generator")
     sg_sub = sg.add_subparsers(dest="sg_command", required=True)
     sg_count = sg_sub.add_parser("count", help="count accepted scenarios")
@@ -217,15 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dedupe", action="store_true")
     p.set_defaults(func=cmd_sort)
 
-    p = sub.add_parser("slice", help="cut a corpus into slice files")
-    p.add_argument("--in", dest="infile", required=True, help="trace or spec file")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--slices", type=int, default=1)
-    p.add_argument("--order", choices=ORDER_MODES, default="random")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fraction", type=float, default=1.0)
-    p.add_argument("--quantum", type=float, default=1.0, help="for spec sources")
-    p.add_argument("--dedupe", action="store_true")
+    p = sub.add_parser("slice", parents=[run], help="cut a corpus into slice files")
     p.set_defaults(func=cmd_slice)
 
     p = sub.add_parser("optimize", help="emit a campaign for one slice")
@@ -252,19 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slice", required=True)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("pipeline", help="run every stage end to end")
-    p.add_argument("--in", dest="infile", required=True, help="trace or spec file")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--slices", type=int, default=1)
+    p = sub.add_parser("pipeline", parents=[run], help="run every stage end to end")
     p.add_argument("--sigma", default="capacity", help=SIGMA_CHOICES_DOC)
-    p.add_argument("--order", choices=ORDER_MODES, default="random")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fraction", type=float, default=1.0)
-    p.add_argument("--quantum", type=float, default=1.0, help="for spec sources")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--costs", help="cost model file")
     p.add_argument("--f-grid", type=_parse_f_grid, default=[1.0])
-    p.add_argument("--dedupe", action="store_true")
     p.add_argument("--model-seed", type=int, default=None)
     p.set_defaults(func=cmd_pipeline)
 

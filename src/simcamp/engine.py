@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import subprocess
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from itertools import islice
 from typing import IO, Callable, NamedTuple, Sequence
 
@@ -155,7 +155,6 @@ class ExecutionResult:
     error: str | None
     length_quanta: int
     peak_memory: int
-    command_counts: dict[str, int] = field(default_factory=dict)
 
 
 def _fold(
@@ -165,12 +164,10 @@ def _fold(
 ) -> ExecutionResult:
     """Step ``sim`` over the campaign, stopping at the first erroring command."""
     failing_index: int | None = None
-    counts: dict[str, int] = {}
     for i, cmd in enumerate(campaign.commands):
         if not sim.step(cmd):
             failing_index = i
             break
-        counts[cmd.op] = counts.get(cmd.op, 0) + 1
         if cmd.op == "out" and progress is not None:
             progress(len(sim.observations))
     return ExecutionResult(
@@ -180,7 +177,6 @@ def _fold(
         error=sim.error,
         length_quanta=sim.length_quanta,
         peak_memory=sim.peak_memory,
-        command_counts=counts,
     )
 
 
@@ -220,14 +216,22 @@ class CostModel:
         return CostModel(self.load, self.store, self.free, self.out, self.run_per_q, f)
 
 
+_COST_KEYS = frozenset(f.name for f in fields(CostModel))
+
+
 def parse_cost_model(text: str) -> CostModel:
+    """Parse ``key=value`` cost entries; unknown or repeated keys are errors."""
     values: dict[str, float] = {}
     for token in text.split():
         if token.startswith("#"):
             break
-        key, _, raw = token.partition("=")
-        if not _:
+        key, eq, raw = token.partition("=")
+        if not eq:
             raise TraceFormatError(f"malformed cost entry {token!r}")
+        if key not in _COST_KEYS:
+            raise TraceFormatError(f"unknown cost key {key!r}")
+        if key in values:
+            raise TraceFormatError(f"repeated cost key {key!r}")
         try:
             values[key] = float(raw)
         except ValueError as exc:
@@ -235,14 +239,7 @@ def parse_cost_model(text: str) -> CostModel:
     missing = {"load", "store", "free", "out", "run_per_q"} - values.keys()
     if missing:
         raise TraceFormatError(f"cost model missing keys: {sorted(missing)}")
-    return CostModel(
-        load=values["load"],
-        store=values["store"],
-        free=values["free"],
-        out=values["out"],
-        run_per_q=values["run_per_q"],
-        f=values.get("f", 1.0),
-    )
+    return CostModel(**values)
 
 
 def read_cost_file(path: str) -> CostModel:

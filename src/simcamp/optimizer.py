@@ -7,12 +7,13 @@ trace resumes from its deepest stored prefix; runs break at prefixes worth
 checkpointing; checkpoints are freed as soon as no remaining trace can
 reuse them, or evicted by the depth-gap heuristic when memory is full.
 
-The work per trace is per checkpoint candidate and per run, not per
-symbol: storage is decided once for each tree node on the trace's chain
-below its load point, and the trace's constant runs (from
-``itertools.groupby``) are cut only where a node is stored.  When the
-index is full and holds no victim, nothing can be stored before the
-trace's Out, so its runs are emitted without consulting any node.
+``CheckpointIndex`` is the one record of which nodes hold a checkpoint,
+the reserved root included; the tree only knows prefixes and their
+pending uses.  The storage rule lives in one place, the run scan of
+``optimize_slice``: its work per trace is per checkpoint candidate and
+per run, not per symbol.  Storage is decided once for each tree node on
+the trace's chain below its load point, and the trace's constant runs
+(from ``itertools.groupby``) are cut only where a node is stored.
 """
 
 from __future__ import annotations
@@ -54,79 +55,51 @@ class Campaign:
 
 
 class CheckpointIndex:
-    """Bookkeeping for stored states and the depth-gap eviction policy.
+    """The stored states and the depth-gap eviction policy.
 
+    ``entries`` maps every stored node id, the reserved root included, to
+    its (gap, store-sequence) key; membership in it is what "stored" means.
     The victim candidate is the stored node with the smallest gap to its
     parent (a small gap is cheap to recompute), ties broken toward the
-    least recently stored.  The reserved initial-state slot is never a
-    victim but does occupy capacity.  Implemented as a lazy min-heap over
-    (gap, store-sequence, id) with a dict as ground truth.
+    least recently stored.  The root occupies capacity but is never a
+    victim: its key never enters the lazy min-heap over (gap, seq, id).
     """
 
     def __init__(self, capacity: int | None) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("state capacity must be >= 1")
         self.capacity = capacity
-        self.live = 0
         self.peak = 0
-        self._entries: dict[int, tuple[int, int]] = {}
+        self.entries: dict[int, tuple[int, int]] = {}
         self._heap: list[tuple[int, int, int]] = []
         self._seq = 0
 
     def note_store(self, node_id: int, gap: int) -> None:
-        self.live += 1
-        if self.live > self.peak:
-            self.peak = self.live
+        self._seq += 1
+        self.entries[node_id] = (gap, self._seq)
         if node_id != ROOT_ID:
-            self._seq += 1
-            self._entries[node_id] = (gap, self._seq)
             heapq.heappush(self._heap, (gap, self._seq, node_id))
+        if len(self.entries) > self.peak:
+            self.peak = len(self.entries)
 
     def note_free(self, node_id: int) -> None:
-        self.live -= 1
-        self._entries.pop(node_id, None)
+        del self.entries[node_id]
 
     def rekey(self, node_id: int, gap: int) -> None:
-        entry = self._entries.get(node_id)
+        """Give a stored node its new gap; ignores ids that are not stored."""
+        entry = self.entries.get(node_id)
         if entry is not None:
-            self._entries[node_id] = (gap, entry[1])
+            self.entries[node_id] = (gap, entry[1])
             heapq.heappush(self._heap, (gap, entry[1], node_id))
 
     def victim(self) -> tuple[int, int] | None:
         """Current eviction candidate as (node_id, gap), or None."""
         while self._heap:
             gap, seq, node_id = self._heap[0]
-            if self._entries.get(node_id) == (gap, seq):
+            if self.entries.get(node_id) == (gap, seq):
                 return node_id, gap
             heapq.heappop(self._heap)
         return None
-
-
-class StorageDecision(NamedTuple):
-    action: str  # store | store_evicting | skip
-    victim: int = -1
-
-
-def storage_decision(
-    tree: BranchTree, index: CheckpointIndex, node: BranchNode | None
-) -> StorageDecision:
-    """Whether the state at ``node`` is worth checkpointing right now.
-
-    Never for non-shared or already-stored prefixes.  With free capacity,
-    always.  At full capacity, only by evicting a victim whose depth gap
-    is strictly smaller than the candidate's.
-    """
-    if node is None or not node.is_shared_prefix or node.stored:
-        return StorageDecision("skip")
-    if index.capacity is None or index.live < index.capacity:
-        return StorageDecision("store")
-    found = index.victim()
-    if found is None:
-        return StorageDecision("skip")
-    victim_id, victim_gap = found
-    if victim_gap < tree.depth_gap(node):
-        return StorageDecision("store_evicting", victim_id)
-    return StorageDecision("skip")
 
 
 def optimize_slice(
@@ -147,17 +120,16 @@ def optimize_slice(
     if not ordered:
         raise ValueError("cannot optimize an empty slice")
     index = CheckpointIndex(capacity)
+    stored = index.entries
     commands: list[Command] = []
 
     def do_store(node: BranchNode) -> None:
-        node.stored = True
         index.note_store(node.node_id, tree.depth_gap(node))
         commands.append(Command("store", node_id=node.node_id))
 
-    def do_free(node: BranchNode) -> None:
-        node.stored = False
-        index.note_free(node.node_id)
-        commands.append(Command("free", node_id=node.node_id))
+    def do_free(node_id: int) -> None:
+        index.note_free(node_id)
+        commands.append(Command("free", node_id=node_id))
 
     def emit_runs(symbols: tuple[int, ...]) -> None:
         for symbol, group in groupby(symbols):
@@ -171,14 +143,13 @@ def optimize_slice(
         h = len(s)
         chain = tree.chain_for(s)
         k = len(chain) - 1
-        while k >= 0 and not chain[k].stored:
+        while k >= 0 and chain[k].node_id not in stored:
             k -= 1
         if k < 0:
             raise TreeInvariantError("no stored prefix to resume the trace from")
         load_node = chain[k]
         if j > 0:
             commands.append(Command("load", node_id=load_node.node_id))
-        start = load_node.depth
 
         # Availability sweep: every proper prefix of this trace has one
         # fewer pending use; prefixes reaching zero can never be reused.
@@ -190,32 +161,31 @@ def optimize_slice(
                         "slice does not match the tree it was built from"
                     )
                 if node.pending == 0:
-                    if node.stored:
-                        do_free(node)
+                    if node.node_id in stored:
+                        do_free(node.node_id)
                     for child in tree.remove(node.node_id):
                         index.rekey(child.node_id, tree.depth_gap(child))
 
-        # Run scan: storage is decided once per chain node below the load
-        # node, and the trace's constant runs are cut where a node is
-        # stored.  A full index with no victim stays so until this trace's
-        # Out, since nothing is stored, so then no node is consulted.
-        if (
-            index.capacity is not None
-            and index.live >= index.capacity
-            and index.victim() is None
-        ):
-            candidates: Sequence[BranchNode] = ()
-        else:
-            candidates = chain[k + 1:]
-        pos = start
-        for node in candidates:
-            decision = storage_decision(tree, index, node)
-            if decision.action == "skip":
-                continue
+        # Run scan over the chain nodes below the load node, none of them
+        # stored: each is stored if there is room, or at full capacity by
+        # evicting a victim whose gap is strictly smaller.  The trace's
+        # constant runs are cut where a node is stored.
+        pos = load_node.depth
+        for node in chain[k + 1:]:
+            if not node.is_shared_prefix:
+                continue  # this trace's sweep just removed it
+            victim = None
+            if capacity is not None and len(stored) >= capacity:
+                found = index.victim()
+                if found is None:
+                    break  # nothing is stored or freed before this trace's Out
+                victim, victim_gap = found
+                if victim_gap >= tree.depth_gap(node):
+                    continue
             emit_runs(s[pos:node.depth])
             pos = node.depth
-            if decision.action == "store_evicting":
-                do_free(tree.nodes[decision.victim])
+            if victim is not None:
+                do_free(victim)
             do_store(node)
         emit_runs(s[pos:])
         commands.append(Command("out"))

@@ -103,10 +103,6 @@ class InputTrace:
     def tokens(self) -> tuple[str, ...]:
         return tuple(self.alphabet.render(self.symbols))
 
-    @staticmethod
-    def from_tokens(alphabet: Alphabet, tokens: Iterable[str]) -> "InputTrace":
-        return InputTrace(alphabet, alphabet.parse(tokens))
-
 
 @dataclass(slots=True)
 class TraceCorpus:

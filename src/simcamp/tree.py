@@ -4,7 +4,8 @@ The tree holds one node per *shared prefix* of a slice: a prefix that is
 the longest common prefix of at least one pair of distinct traces.  Node
 weights (``pending``) count the traces extending the node's prefix; the
 campaign optimizer consumes these counts to decide when a checkpoint can
-never be reused and must be freed.
+never be reused and must be freed.  Which nodes hold a checkpoint is not
+recorded here: the optimizer's ``CheckpointIndex`` owns that.
 
 The empty prefix is always materialized as reserved id 0, because the
 executor pre-stores the simulator's initial state under it.  It is flagged
@@ -40,7 +41,6 @@ class BranchNode:
     depth: int
     pending: int = 0
     is_shared_prefix: bool = False
-    stored: bool = False
     children: set[int] = field(default_factory=set)
     child_by_symbol: dict[int, int] = field(default_factory=dict)
 
@@ -143,7 +143,6 @@ class BranchTree:
                 n.depth,
                 n.pending,
                 n.is_shared_prefix,
-                n.stored,
                 set(n.children),
                 dict(n.child_by_symbol),
             )
@@ -159,16 +158,14 @@ class BranchTree:
     def remove(self, node_id: int) -> list[BranchNode]:
         """Detach a dead node, splicing its children up to its parent.
 
-        Returns the spliced children that are currently stored: their
-        depth gap just changed, so any eviction index must re-key them.
+        Returns the spliced children: their depth gap just changed, so an
+        eviction index must re-key those it holds.
         A child can outlive its parent only when its prefix equals an
         already-replayed trace; such nodes are never on a future trace's
         chain, so they are deliberately not re-registered for chain walks.
         """
         node = self.nodes[node_id]
-        if node.is_shared_prefix:
-            node.is_shared_prefix = False
-            self.shared_prefix_count -= 1
+        node.is_shared_prefix = False
         if node.parent_id is None:
             # Reserved root: keep the entry (the initial state's slot);
             # it can only die on the last trace, so nothing depends on it after.
@@ -177,16 +174,13 @@ class BranchTree:
         parent.children.discard(node_id)
         if parent.child_by_symbol.get(node.seg[0]) == node_id:
             del parent.child_by_symbol[node.seg[0]]
-        reindex: list[BranchNode] = []
-        for child_id in node.children:
-            child = self.nodes[child_id]
+        spliced = [self.nodes[child_id] for child_id in node.children]
+        for child in spliced:
             child.parent_id = parent.node_id
             child.seg = node.seg + child.seg
-            parent.children.add(child_id)
-            if child.stored:
-                reindex.append(child)
+            parent.children.add(child.node_id)
         del self.nodes[node_id]
-        return reindex
+        return spliced
 
 
 def build_tree(traces: Sequence[InputTrace]) -> BranchTree:

@@ -21,6 +21,7 @@ from simcamp.engine import (
     write_cost_file,
 )
 from simcamp.optimizer import Campaign, Command, campaign_lines, optimize_slice
+from simcamp.traces import TraceFormatError
 from simcamp.tree import build_tree
 from util import AB, ABCD, call_with_timeout, ts
 
@@ -120,8 +121,6 @@ def test_execute_counts_and_progress():
     result = execute(campaign, reference_model(ABCD, 9), progress=seen.append)
     assert result.executable
     assert seen == [1, 2]
-    assert result.command_counts == {"store": 2, "run": 3, "out": 2, "load": 1,
-                                     "free": 1}
     assert result.length_quanta == 4
     assert result.peak_memory == 2
     assert [o.symbols for o in result.observations] == [x.symbols for x in traces]
@@ -145,6 +144,14 @@ def test_cost_model_parsing():
         parse_cost_model("load=1 store=2")
     with pytest.raises(Exception):
         parse_cost_model("load=x store=2 free=0 out=0 run_per_q=1")
+
+
+def test_cost_model_rejects_unknown_and_repeated_keys():
+    entries = "load=1 store=1 free=0 out=0 run_per_q=1"
+    with pytest.raises(TraceFormatError, match="unknown cost key 'lod'"):
+        parse_cost_model(entries + " lod=5")
+    with pytest.raises(TraceFormatError, match="repeated cost key 'load'"):
+        parse_cost_model(entries + " load=7")
 
 
 def test_inflation_scales_only_load_and_store():
@@ -177,7 +184,6 @@ def test_external_driver_matches_in_process():
         assert remote.observations == local.observations
         assert remote.length_quanta == local.length_quanta
         assert remote.peak_memory == local.peak_memory
-        assert remote.command_counts == local.command_counts
     assert remote.failing_index == cut
     assert remote.error == "free of absent id 99"
 

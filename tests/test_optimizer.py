@@ -11,12 +11,10 @@ from simcamp.optimizer import (
     Campaign,
     CheckpointIndex,
     Command,
-    StorageDecision,
     campaign_lines,
     optimize_slice,
     parse_command,
     read_campaign_file,
-    storage_decision,
     write_campaign_file,
 )
 from simcamp.slicing import order_slice
@@ -29,21 +27,35 @@ def tree_for(traces):
     return build_tree(sorted(traces, key=lambda x: x.symbols))
 
 
+def reference_decision(tree, index, node):
+    """The storage rule as a standalone function: ("skip" | "store" |
+    "store_evicting", victim id).  Never for non-shared or already-stored
+    prefixes.  With free capacity, always.  At full capacity, only by
+    evicting a victim whose depth gap is strictly smaller."""
+    if node is None or not node.is_shared_prefix or node.node_id in index.entries:
+        return "skip", -1
+    if index.capacity is None or len(index.entries) < index.capacity:
+        return "store", -1
+    found = index.victim()
+    if found is not None and found[1] < tree.depth_gap(node):
+        return "store_evicting", found[0]
+    return "skip", -1
+
+
 def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
-    """``optimize_slice`` with its earlier run scan, one step per symbol:
-    the reference whose campaigns the run-by-run scan must reproduce."""
+    """``optimize_slice`` with an earlier run scan, one step per symbol
+    and one ``reference_decision`` call per boundary: the reference whose
+    campaigns the run-by-run scan must reproduce."""
     if not ordered:
         raise ValueError("cannot optimize an empty slice")
     index = CheckpointIndex(capacity)
     commands = []
 
     def do_store(node):
-        node.stored = True
         index.note_store(node.node_id, tree.depth_gap(node))
         commands.append(Command("store", node_id=node.node_id))
 
     def do_free(node):
-        node.stored = False
         index.note_free(node.node_id)
         commands.append(Command("free", node_id=node.node_id))
 
@@ -52,7 +64,7 @@ def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
         s = trace.symbols
         h = len(s)
         chain = tree.chain_for(s)
-        load_node = next(n for n in reversed(chain) if n.stored)
+        load_node = next(n for n in reversed(chain) if n.node_id in index.entries)
         if j > 0:
             commands.append(Command("load", node_id=load_node.node_id))
         start = load_node.depth
@@ -65,7 +77,7 @@ def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
                         "slice does not match the tree it was built from"
                     )
                 if node.pending == 0:
-                    if node.stored:
+                    if node.node_id in index.entries:
                         do_free(node)
                     for child in tree.remove(node.node_id):
                         index.rekey(child.node_id, tree.depth_gap(child))
@@ -75,7 +87,7 @@ def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
                 boundary = by_depth.get(end + 1)
                 if (
                     boundary is not None
-                    and storage_decision(tree, index, boundary).action != "skip"
+                    and reference_decision(tree, index, boundary)[0] != "skip"
                 ):
                     break
                 end += 1
@@ -83,11 +95,11 @@ def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
             start = end + 1
             boundary = by_depth.get(start)
             if boundary is not None:
-                decision = storage_decision(tree, index, boundary)
-                if decision.action == "store_evicting":
-                    do_free(tree.nodes[decision.victim])
+                action, victim = reference_decision(tree, index, boundary)
+                if action == "store_evicting":
+                    do_free(tree.nodes[victim])
                     do_store(boundary)
-                elif decision.action == "store":
+                elif action == "store":
                     do_store(boundary)
         commands.append(Command("out"))
     return Campaign(commands, quantum, slice_id, index.peak, ordered[0].alphabet)
@@ -200,7 +212,7 @@ def test_checkpoint_index_eviction_order():
     index.note_store(5, 2)
     index.note_store(7, 2)
     index.note_store(9, 4)
-    assert index.live == 4 and index.peak == 4
+    assert len(index.entries) == 4 and index.peak == 4
     # equal gaps tie-break toward the least recently stored
     assert index.victim() == (5, 2)
     index.note_free(5)
@@ -212,35 +224,6 @@ def test_checkpoint_index_eviction_order():
     assert index.victim() is None
     with pytest.raises(ValueError):
         CheckpointIndex(0)
-
-
-def test_storage_decision_rules():
-    ordered = ts("aab", "aac", "ab")
-    tree = tree_for(ordered)
-    mid = next(n for n in tree.shared_nodes() if n.depth == 1)
-    deep = next(n for n in tree.shared_nodes() if n.depth == 2)
-
-    index = CheckpointIndex(2)
-    index.note_store(0, 0)
-    tree.root.stored = True
-    assert storage_decision(tree, index, None) == StorageDecision("skip")
-    assert storage_decision(tree, index, tree.root) == StorageDecision("skip")
-    assert storage_decision(tree, index, mid) == StorageDecision("store")
-    index.note_store(mid.node_id, tree.depth_gap(mid))
-    mid.stored = True
-    # full: deep's gap (1) is not strictly greater than mid's (1) -> keep mid
-    assert storage_decision(tree, index, deep) == StorageDecision("skip")
-    # a strictly larger gap does evict
-    deep.depth = 5
-    assert storage_decision(tree, index, deep) == StorageDecision(
-        "store_evicting", mid.node_id
-    )
-    # at full capacity, a candidate whose gap is not larger is skipped
-    index.note_free(mid.node_id)
-    mid.stored = False
-    index.note_store(deep.node_id, 4)
-    deep.stored = True
-    assert storage_decision(tree, index, mid) == StorageDecision("skip")
 
 
 def test_random_corpora_reach_the_edge_bound():

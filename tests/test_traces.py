@@ -63,7 +63,7 @@ def test_trace_validation():
     tr = t("aab")
     assert tr.horizon == 3
     assert tr.tokens() == ("a", "a", "b")
-    assert InputTrace.from_tokens(AB, ["b", "a"]).symbols == (1, 0)
+    assert InputTrace(AB, AB.parse(["b", "a"])).symbols == (1, 0)
 
 
 def test_corpus_sorted_flag_checked():
@@ -181,7 +181,7 @@ def test_codec_matches_per_token_definitions(tokens, data):
     assert alphabet.format_line(symbols) == line
     assert alphabet.parse_line(line) == per_token_parse(alphabet, line.split(","))
     assert alphabet.parse_line(line) == symbols
-    trace = InputTrace.from_tokens(alphabet, line.split(","))
+    trace = InputTrace(alphabet, alphabet.parse(line.split(",")))
     assert trace.symbols == symbols
     assert trace.tokens() == tuple(line.split(","))
     assert [alphabet.index(tok) for tok in tokens] == list(range(len(tokens)))

@@ -71,15 +71,14 @@ def test_remove_splices_children_upward():
     tree = build_tree(sorted_ts("aab", "aac", "ab"))
     mid = next(n for n in tree.shared_nodes() if n.depth == 1)
     deep = next(n for n in tree.shared_nodes() if n.depth == 2)
-    deep.stored = True
-    reindex = tree.remove(mid.node_id)
-    assert [n.node_id for n in reindex] == [deep.node_id]
+    spliced = tree.remove(mid.node_id)
+    assert [n.node_id for n in spliced] == [deep.node_id]
     assert deep.parent_id == ROOT_ID
     assert deep.seg == sym("aa")  # rebased through the removed node
     assert tree.depth_gap(deep) == 2
     assert tree.prefix_of(deep.node_id) == sym("aa")
     assert mid.node_id not in tree.nodes
-    assert tree.shared_prefix_count == 1
+    assert tree.shared_prefix_count == 2  # fixed at build
 
 
 def test_remove_root_is_inert():
@@ -87,7 +86,7 @@ def test_remove_root_is_inert():
     assert tree.shared_prefix_count == 1
     assert tree.remove(ROOT_ID) == []
     assert ROOT_ID in tree.nodes
-    assert tree.shared_prefix_count == 0
+    assert tree.shared_prefix_count == 1  # fixed at build
 
 
 def test_clone_is_independent():

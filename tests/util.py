@@ -15,7 +15,7 @@ AB = Alphabet.of("a", "b")
 
 def t(text: str, alphabet: Alphabet = ABCD) -> InputTrace:
     """'aab' -> the trace a,a,b (single-character tokens only)."""
-    return InputTrace.from_tokens(alphabet, list(text))
+    return InputTrace(alphabet, alphabet.parse(text))
 
 
 def ts(*texts: str, alphabet: Alphabet = ABCD) -> list[InputTrace]:
