@@ -37,21 +37,25 @@ from .pipeline import (
     RunConfig,
     analyze_runs,
     overall_omission_bound,
-    parse_sigma,
+    plan_slice,
     prepare_slices,
     read_cost_or_default,
     run_pipeline,
 )
-from .slicing import ORDER_MODES, external_sort, order_slice
+from .slicing import ORDER_MODES, external_sort
 from .traces import Alphabet, TraceFormatError, read_trace_file
-from .tree import build_tree
 
 
 def _parse_f_grid(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x]
+        grid = [float(x) for x in text.split(",") if x]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad f grid {text!r}") from exc
+    if not grid or not all(f >= 1 for f in grid):
+        raise argparse.ArgumentTypeError(
+            f"f grid {text!r} must list one or more factors, each >= 1"
+        )
+    return grid
 
 
 def _print_json(payload: dict) -> None:
@@ -98,23 +102,20 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    parse_sigma(args.sigma)
-    corpus = read_trace_file(args.slice)
-    ordered = order_slice(corpus.traces, args.order, args.seed)
-    tree = build_tree(sorted(corpus.traces, key=lambda t: t.symbols))
-    capacity = tree.capacity
-    resolved = capacity if args.sigma == "capacity" else parse_sigma(args.sigma)
+    corpus, ordered, tree, sigma = plan_slice(
+        args.slice, args.order, args.seed, args.sigma
+    )
     campaign = optimize_slice(
-        ordered, tree, resolved, corpus.quantum, slice_id=args.slice_id
+        ordered, tree, sigma, corpus.quantum, slice_id=args.slice_id
     )
     write_campaign_file(campaign, args.out)
     _print_json(
         {
             "out": args.out,
             "traces": len(ordered),
-            "capacity": capacity,
+            "capacity": tree.capacity,
             "shared_prefixes": tree.shared_prefix_count,
-            "sigma": resolved,
+            "sigma": sigma,
             "length_q": campaign.length_quanta,
             "peak_stored": campaign.peak_stored,
             "commands": len(campaign.commands),

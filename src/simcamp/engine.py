@@ -220,22 +220,22 @@ _COST_KEYS = frozenset(f.name for f in fields(CostModel))
 
 
 def parse_cost_model(text: str) -> CostModel:
-    """Parse ``key=value`` cost entries; unknown or repeated keys are errors."""
+    """Parse ``key=value`` cost entries, where ``#`` starts a comment that
+    runs to the end of its line; unknown or repeated keys are errors."""
     values: dict[str, float] = {}
-    for token in text.split():
-        if token.startswith("#"):
-            break
-        key, eq, raw = token.partition("=")
-        if not eq:
-            raise TraceFormatError(f"malformed cost entry {token!r}")
-        if key not in _COST_KEYS:
-            raise TraceFormatError(f"unknown cost key {key!r}")
-        if key in values:
-            raise TraceFormatError(f"repeated cost key {key!r}")
-        try:
-            values[key] = float(raw)
-        except ValueError as exc:
-            raise TraceFormatError(f"malformed cost entry {token!r}") from exc
+    for line in text.splitlines():
+        for token in line.partition("#")[0].split():
+            key, eq, raw = token.partition("=")
+            if not eq:
+                raise TraceFormatError(f"malformed cost entry {token!r}")
+            if key not in _COST_KEYS:
+                raise TraceFormatError(f"unknown cost key {key!r}")
+            if key in values:
+                raise TraceFormatError(f"repeated cost key {key!r}")
+            try:
+                values[key] = float(raw)
+            except ValueError as exc:
+                raise TraceFormatError(f"malformed cost entry {token!r}") from exc
     missing = {"load", "store", "free", "out", "run_per_q"} - values.keys()
     if missing:
         raise TraceFormatError(f"cost model missing keys: {sorted(missing)}")

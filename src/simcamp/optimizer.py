@@ -112,13 +112,14 @@ def optimize_slice(
     """Emit the campaign replaying ``ordered`` under the given state budget.
 
     ``ordered`` may be any permutation of the trace set the tree was built
-    from; the tree's pending counts are consumed in place, so pass a clone
-    (``tree.clone()``) to keep one built tree for several calls.
+    from.  The scan consumes pending counts on a copy of ``tree``, which
+    is left unchanged, so one built tree can feed any number of calls.
     ``capacity=None`` means unlimited storage (the resulting peak is the
     least capacity that loses nothing).
     """
     if not ordered:
         raise ValueError("cannot optimize an empty slice")
+    tree = tree.clone()
     index = CheckpointIndex(capacity)
     stored = index.entries
     commands: list[Command] = []

@@ -12,6 +12,9 @@ Stages communicate only through files in the output directory:
     results/progress_<i>.json   (atomically replaced while executing)
     report.csv, progress.csv
 
+``plan_slice`` turns a slice file into its order, tree and state budget,
+for the pipeline's slice task and for ``simcamp optimize`` alike.
+
 Every file but the two CSV reports is written to a temporary name and
 moved into place, so none is ever seen partly written.  ``config.json``
 is written before anything else and holds the run's fingerprint: the
@@ -26,12 +29,14 @@ makes reruns both resumable and byte-identical.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .engine import (
     CostModel,
@@ -53,12 +58,14 @@ from .optimizer import optimize_slice, write_campaign_file
 from .slicing import external_sort, order_slice, slice_ranges
 from .traces import (
     Alphabet,
+    InputTrace,
+    TraceCorpus,
     atomic_text_file,
     read_trace_file,
     read_trace_lines,
     write_trace_lines,
 )
-from .tree import build_tree
+from .tree import BranchTree, build_tree
 
 DEFAULT_COSTS = CostModel(load=0.0, store=0.0, free=0.0, out=0.0, run_per_q=1.0)
 DEFAULT_F_GRID = (1.0,)
@@ -90,17 +97,20 @@ class RunConfig:
             raise ValueError("slice count must be >= 1")
         if self.workers < 1:
             raise ValueError("worker count must be >= 1")
-        parse_sigma(self.sigma)
+        resolve_sigma(self.sigma, None)
 
 
-def parse_sigma(text: str) -> int | None:
-    """Validate a sigma spec; 'capacity' resolves per slice, 'unlimited' is None."""
-    if text in ("capacity", "unlimited"):
+def resolve_sigma(text: str, capacity: int | None) -> int | None:
+    """The state budget a sigma spec names for a slice of this capacity:
+    'capacity' is ``capacity``, 'unlimited' is None, else a positive integer."""
+    if text == "capacity":
+        return capacity
+    if text == "unlimited":
         return None
     try:
         k = int(text)
     except ValueError:
-        raise ValueError(f"sigma must be {SIGMA_CHOICES_DOC}") from None
+        k = 0
     if k < 1:
         raise ValueError(f"sigma must be {SIGMA_CHOICES_DOC}")
     return k
@@ -194,18 +204,43 @@ def _materialize_source(config: RunConfig) -> tuple[Alphabet, float, list[str]]:
     return alphabet, quantum, lines
 
 
+class _SlicePaths(NamedTuple):
+    slice: str
+    campaign: str
+    result: str
+    progress: str
+
+
+def _slice_paths(run_dir: str, slice_id: int) -> _SlicePaths:
+    """Where slice ``slice_id``'s files live under a run directory."""
+    return _SlicePaths(
+        os.path.join(run_dir, "slices", f"slice_{slice_id}.txt"),
+        os.path.join(run_dir, "campaigns", f"campaign_{slice_id}.txt"),
+        os.path.join(run_dir, "results", f"result_{slice_id}.json"),
+        os.path.join(run_dir, "results", f"progress_{slice_id}.json"),
+    )
+
+
 @dataclass(slots=True)
 class _SliceTask:
     slice_id: int
     size: int
-    slice_path: str
-    campaign_path: str
-    result_path: str
-    progress_path: str
+    paths: _SlicePaths
     sigma: str
     order_mode: str
     order_seed: int
     model_seed: int
+
+
+def plan_slice(
+    path: str, order_mode: str, order_seed: int, sigma: str
+) -> tuple[TraceCorpus, list[InputTrace], BranchTree, int | None]:
+    """A slice file's corpus, verification order, tree (built once, from
+    the sorted traces) and ``sigma`` resolved against the tree's capacity."""
+    corpus = read_trace_file(path)
+    ordered = order_slice(corpus.traces, order_mode, order_seed)
+    tree = build_tree(sorted(corpus.traces, key=lambda t: t.symbols))
+    return corpus, ordered, tree, resolve_sigma(sigma, tree.capacity)
 
 
 def _campaign_summary(campaign) -> dict:
@@ -217,43 +252,38 @@ def _campaign_summary(campaign) -> dict:
 
 
 def _run_slice_task(task: _SliceTask) -> dict:
-    corpus = read_trace_file(task.slice_path)
-    ordered = order_slice(corpus.traces, task.order_mode, task.order_seed)
-    tree = build_tree(sorted(corpus.traces, key=lambda t: t.symbols))
-    capacity = tree.capacity
-    resolved = capacity if task.sigma == "capacity" else parse_sigma(task.sigma)
+    paths = task.paths
+    corpus, ordered, tree, resolved = plan_slice(
+        paths.slice, task.order_mode, task.order_seed, task.sigma
+    )
 
     # Optimizing at any budget of at least the unlimited peak never meets
     # a full checkpoint index, so it reproduces the unlimited campaign.
-    unlimited = optimize_slice(
-        ordered, tree.clone(), None, corpus.quantum, task.slice_id
-    )
+    unlimited = optimize_slice(ordered, tree, None, corpus.quantum, task.slice_id)
 
     def campaign_at(cap):
         if cap is None or cap >= unlimited.peak_stored:
             return unlimited
-        return optimize_slice(
-            ordered, tree.clone(), cap, corpus.quantum, task.slice_id
-        )
+        return optimize_slice(ordered, tree, cap, corpus.quantum, task.slice_id)
 
     baseline = campaign_at(1)
     requested = baseline if resolved == 1 else campaign_at(resolved)
-    write_campaign_file(requested, task.campaign_path)
+    write_campaign_file(requested, paths.campaign)
 
     n = len(ordered)
-    write_json_atomic({"slice": task.slice_id, "j": 0, "n": n}, task.progress_path)
+    write_json_atomic({"slice": task.slice_id, "j": 0, "n": n}, paths.progress)
 
     def on_out(done: int) -> None:
         if done % 100 == 0:
             write_json_atomic(
-                {"slice": task.slice_id, "j": done, "n": n}, task.progress_path
+                {"slice": task.slice_id, "j": done, "n": n}, paths.progress
             )
 
     model = reference_model(corpus.alphabet, task.model_seed)
     result = execute(requested, model, progress=on_out)
     write_json_atomic(
         {"slice": task.slice_id, "j": len(result.observations), "n": n},
-        task.progress_path,
+        paths.progress,
     )
 
     payload = {
@@ -261,7 +291,7 @@ def _run_slice_task(task: _SliceTask) -> dict:
         "n": n,
         "order": task.order_mode,
         "order_seed": task.order_seed,
-        "capacity": capacity,
+        "capacity": tree.capacity,
         "shared_prefixes": tree.shared_prefix_count,
         "sigma_requested": task.sigma,
         "sigma_resolved": resolved,
@@ -277,7 +307,7 @@ def _run_slice_task(task: _SliceTask) -> dict:
             "first_tokens": [obs.token for obs in result.observations[:4]],
         },
     }
-    write_json_atomic(payload, task.result_path)
+    write_json_atomic(payload, paths.result)
     return payload
 
 
@@ -309,42 +339,26 @@ def prepare_slices(config: RunConfig) -> list[_SliceTask]:
         )
     ranges = slice_ranges(len(lines), config.slices)
 
-    manifest_path = os.path.join(out, "manifest.jsonl")
+    model_seed = config.seed if config.model_seed is None else config.model_seed
     tasks: list[_SliceTask] = []
-    with atomic_text_file(manifest_path) as manifest:
+    with atomic_text_file(os.path.join(out, "manifest.jsonl")) as manifest:
         for i, (start, stop) in enumerate(ranges):
-            slice_path = os.path.join(out, "slices", f"slice_{i}.txt")
-            if not os.path.exists(slice_path):
-                write_trace_lines(slice_path, alphabet, quantum, lines[start:stop])
-            seed_i = slice_seed(config.seed, i)
-            manifest.write(
-                json.dumps(
-                    {
-                        "slice": i,
-                        "size": stop - start,
-                        "order": config.order_mode,
-                        "seed": seed_i,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
+            task = _SliceTask(
+                slice_id=i,
+                size=stop - start,
+                paths=_slice_paths(out, i),
+                sigma=config.sigma,
+                order_mode=config.order_mode,
+                order_seed=slice_seed(config.seed, i),
+                model_seed=model_seed,
             )
-            tasks.append(
-                _SliceTask(
-                    slice_id=i,
-                    size=stop - start,
-                    slice_path=slice_path,
-                    campaign_path=os.path.join(out, "campaigns", f"campaign_{i}.txt"),
-                    result_path=os.path.join(out, "results", f"result_{i}.json"),
-                    progress_path=os.path.join(out, "results", f"progress_{i}.json"),
-                    sigma=config.sigma,
-                    order_mode=config.order_mode,
-                    order_seed=seed_i,
-                    model_seed=(
-                        config.model_seed if config.model_seed is not None else config.seed
-                    ),
-                )
-            )
+            if not os.path.exists(task.paths.slice):
+                body = lines[start:stop]
+                write_trace_lines(task.paths.slice, alphabet, quantum, body)
+            entry = {"slice": i, "size": task.size, "order": task.order_mode,
+                     "seed": task.order_seed}
+            manifest.write(json.dumps(entry, sort_keys=True) + "\n")
+            tasks.append(task)
 
     write_json_atomic(
         {
@@ -362,7 +376,7 @@ def prepare_slices(config: RunConfig) -> list[_SliceTask]:
 def _has_result(task: _SliceTask) -> bool:
     """Whether the slice has a readable result covering its manifest size."""
     try:
-        with open(task.result_path, "r", encoding="utf-8") as fh:
+        with open(task.paths.result, "r", encoding="utf-8") as fh:
             return json.load(fh).get("n") == task.size
     except (OSError, ValueError):
         return False
@@ -377,35 +391,29 @@ def run_pipeline(
     out = config.out_dir
     tasks = prepare_slices(config)
     todo = [t for t in tasks if not _has_result(t)]
-    if todo:
-        if config.workers > 1:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                futures = {pool.submit(_run_slice_task, t): t for t in todo}
-                for future, task in futures.items():
-                    try:
-                        future.result()
-                    except Exception as exc:
-                        raise PipelineStageError(
-                            f"slice stage failed for slice {task.slice_id}: {exc}"
-                        ) from exc
+    with contextlib.ExitStack() as stack:
+        # The pool runs every submitted task to its end, even after a
+        # failure; inline, the first failure stops the stage.
+        if config.workers > 1 and todo:
+            pool = stack.enter_context(ProcessPoolExecutor(config.workers))
+            runs = [pool.submit(_run_slice_task, t).result for t in todo]
         else:
-            for task in todo:
-                try:
-                    _run_slice_task(task)
-                except Exception as exc:
-                    raise PipelineStageError(
-                        f"slice stage failed for slice {task.slice_id}: {exc}"
-                    ) from exc
+            runs = [functools.partial(_run_slice_task, t) for t in todo]
+        for task, run in zip(todo, runs):
+            try:
+                run()
+            except Exception as exc:
+                raise PipelineStageError(
+                    f"slice stage failed for slice {task.slice_id}: {exc}"
+                ) from exc
 
     report_rows, progress_rows = analyze_runs([out], cost, f_grid)
     write_report_csv(report_rows, os.path.join(out, "report.csv"))
     write_progress_csv(progress_rows, os.path.join(out, "progress.csv"))
-    with open(os.path.join(out, "config.json"), "r", encoding="utf-8") as fh:
-        n_total = json.load(fh)["n_total"]
     return {
         "out_dir": out,
         "slices": config.slices,
-        "traces": n_total,
+        "traces": sum(t.size for t in tasks),
         "report_rows": len(report_rows),
     }
 
@@ -416,7 +424,7 @@ def _load_run(run_dir: str) -> tuple[dict, list[dict]]:
         config = json.load(fh)
     results = []
     for i in range(config["slices"]):
-        path = os.path.join(run_dir, "results", f"result_{i}.json")
+        path = _slice_paths(run_dir, i).result
         if not os.path.exists(path):
             raise PipelineStageError(f"analyze stage: missing result for slice {i}")
         with open(path, "r", encoding="utf-8") as fh:
@@ -493,7 +501,7 @@ def read_progress(run_dir: str) -> list[tuple[int, int, int]]:
         raise PipelineStageError(f"empty manifest under {run_dir}")
     entries = []
     for slice_id, size in sorted(sizes.items()):
-        path = os.path.join(run_dir, "results", f"progress_{slice_id}.json")
+        path = _slice_paths(run_dir, slice_id).progress
         done = 0
         if os.path.exists(path):
             with open(path, "r", encoding="utf-8") as fh:

@@ -13,11 +13,12 @@ import heapq
 import os
 import random
 import tempfile
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .traces import (
     Alphabet,
     InputTrace,
+    _body_lines,
     atomic_text_file,
     format_trace_header,
     parse_trace_header,
@@ -69,12 +70,12 @@ def order_slice(
 
 
 def _run_files(
-    in_path: str,
+    lines: Iterable[str],
     tmp_dir: str,
     alphabet: Alphabet,
     budget_symbols: int,
 ) -> list[str]:
-    """Split the input into sorted runs of at most ``budget_symbols`` symbols."""
+    """Split trace lines into sorted runs of at most ``budget_symbols`` symbols."""
     paths: list[str] = []
 
     def flush(run: list[tuple[int, ...]]) -> None:
@@ -87,20 +88,14 @@ def _run_files(
 
     run: list[tuple[int, ...]] = []
     used = 0
-    with open(in_path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        parse_trace_header(header)  # validated by caller; keeps offsets honest
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            symbols = alphabet.parse_line(line)
-            run.append(symbols)
-            used += len(symbols)
-            if used >= budget_symbols:
-                flush(run)
-                run = []
-                used = 0
+    for line in lines:
+        symbols = alphabet.parse_line(line)
+        run.append(symbols)
+        used += len(symbols)
+        if used >= budget_symbols:
+            flush(run)
+            run = []
+            used = 0
     if run:
         flush(run)
     return paths
@@ -129,13 +124,12 @@ def external_sort(
     """
     if budget_symbols < 1:
         raise ValueError("memory budget must be >= 1 symbol")
-    with open(in_path, "r", encoding="utf-8") as fh:
-        alphabet, quantum = parse_trace_header(fh.readline())
-
     traces_in = traces_out = duplicates = 0
     out_dir = os.path.dirname(os.path.abspath(out_path))
     with tempfile.TemporaryDirectory(dir=out_dir) as tmp_dir:
-        runs = _run_files(in_path, tmp_dir, alphabet, budget_symbols)
+        with open(in_path, "r", encoding="utf-8") as fh:
+            alphabet, quantum = parse_trace_header(fh.readline())
+            runs = _run_files(_body_lines(fh), tmp_dir, alphabet, budget_symbols)
         merged = heapq.merge(
             *(_iter_run(path, i, alphabet) for i, path in enumerate(runs))
         )

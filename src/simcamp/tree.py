@@ -133,7 +133,7 @@ class BranchTree:
         return {self.prefix_of(n.node_id): n.pending for n in self.shared_nodes()}
 
     def clone(self) -> BranchTree:
-        """Deep copy, so one built tree can feed several optimizer runs."""
+        """Deep copy: ``optimize_slice`` consumes a clone, not the built tree."""
         other = BranchTree.__new__(BranchTree)
         other.nodes = {
             nid: BranchNode(

@@ -118,7 +118,7 @@ def full_campaigns(corpus) -> tuple[list[Campaign], float]:
     cases, _ = corpus
     start = time.perf_counter()
     campaigns = [
-        optimize_slice(c.ordered, c.tree.clone(), c.tree.capacity, c.quantum)
+        optimize_slice(c.ordered, c.tree, c.tree.capacity, c.quantum)
         for c in cases
     ]
     return campaigns, time.perf_counter() - start
@@ -161,7 +161,7 @@ def test_criterion_3_memory_budget_is_respected(corpus):
         lengths: dict[int, int] = {}
         for sigma in grid:
             campaign = optimize_slice(
-                case.ordered, case.tree.clone(), sigma, case.quantum
+                case.ordered, case.tree, sigma, case.quantum
             )
             result = execute(campaign, reference_model(case.alphabet, seed=i))
             assert result.executable, result.error
@@ -220,7 +220,7 @@ def test_criterion_6_efficiency_survives_halved_memory(corpus):
             order = list(case.ordered)
             random.Random(seed * 7919 + si).shuffle(order)
             orders[si, seed] = order
-            unlimited = optimize_slice(order, case.tree.clone(), None, case.quantum)
+            unlimited = optimize_slice(order, case.tree, None, case.quantum)
             assert unlimited.length_quanta == case.optimal_quanta
             assert unlimited.peak_stored <= case.tree.capacity
             peaks[si, seed] = unlimited.peak_stored
@@ -244,7 +244,7 @@ def test_criterion_6_efficiency_survives_halved_memory(corpus):
                 else:
                     if sigma not in cache:
                         cache[sigma] = optimize_slice(
-                            orders[si, seed], case.tree.clone(), sigma, case.quantum
+                            orders[si, seed], case.tree, sigma, case.quantum
                         ).length_quanta
                     eff = case.optimal_quanta / cache[sigma]
                 sums[p] += eff
@@ -287,7 +287,7 @@ def test_criterion_7_speedup_decays_with_checkpoint_cost(corpus, full_campaigns)
     chain_alphabet = Alphabet.of("a")
     chain = [InputTrace(chain_alphabet, (0,) * n) for n in range(1, 15)]
     chain_tree = build_tree(chain)
-    chain_opt = optimize_slice(chain, chain_tree.clone(), chain_tree.capacity, 1.0)
+    chain_opt = optimize_slice(chain, chain_tree, chain_tree.capacity, 1.0)
     chain_naive = naive_campaign(chain, 1.0)
     assert chain_opt.length_quanta == 14
     assert chain_naive.length_quanta == 105

@@ -119,6 +119,19 @@ def test_pipeline_analyze_progress(tmp_path, capsys):
     assert json.loads(out.out)["rows"] == 6
 
 
+@pytest.mark.parametrize("grid, named", [("", "''"), ("0.5,-1", "0.5"), ("1,-1", "-1")])
+def test_f_grid_must_be_nonempty_and_at_least_one(tmp_path, capsys, grid, named):
+    for argv in (
+        ["pipeline", "--in", corpus_file(tmp_path), "--out-dir", str(tmp_path / "run")],
+        ["analyze", str(tmp_path / "run")],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--f-grid", grid])
+        assert exit_info.value.code == 2
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_slice_command(tmp_path, capsys):
     path = tmp_path / "corpus.txt"
     write_trace_file(

@@ -146,6 +146,12 @@ def test_cost_model_parsing():
         parse_cost_model("load=x store=2 free=0 out=0 run_per_q=1")
 
 
+def test_cost_model_comment_runs_to_the_end_of_its_line():
+    entries = "load=1 store=1 free=0 out=0 run_per_q=1"
+    assert parse_cost_model("# unit costs\n" + entries) == CostModel(1, 1, 0, 0, 1)
+    assert parse_cost_model(entries + " # c\nf=5").f == 5.0
+
+
 def test_cost_model_rejects_unknown_and_repeated_keys():
     entries = "load=1 store=1 free=0 out=0 run_per_q=1"
     with pytest.raises(TraceFormatError, match="unknown cost key 'lod'"):

@@ -197,6 +197,15 @@ def test_rejects_empty_slice():
         optimize_slice([], build_tree([]), 1, 1.0)
 
 
+def test_optimize_slice_leaves_its_tree_unchanged():
+    ordered = ts("aab", "aac", "ab", "ba")
+    tree = tree_for(ordered)
+    before = tree.shared_prefix_map()
+    first = optimize_slice(ordered, tree, None, 1.0)
+    assert tree.shared_prefix_map() == before
+    assert optimize_slice(ordered, tree, None, 1.0).commands == first.commands
+
+
 def test_foreign_tree_still_replays_faithfully():
     # A tree built from a subset cannot break replay, only shorten reuse.
     ordered = ts("aab", "aac", "aad")
@@ -232,7 +241,7 @@ def test_random_corpora_reach_the_edge_bound():
         _, traces = random_traces(rng, rng.randint(2, 60), rng.randint(2, 4), 7)
         ordered = order_slice(traces, "random", seed=rng.randrange(1 << 20))
         tree = tree_for(traces)
-        campaign = optimize_slice(ordered, tree.clone(), tree.capacity, 1.0)
+        campaign = optimize_slice(ordered, tree, tree.capacity, 1.0)
         assert campaign.length_quanta == edge_count(traces)
         result = execute(campaign, reference_model(traces[0].alphabet, 1))
         assert result.executable
@@ -251,7 +260,7 @@ def test_memory_bound_holds_under_pressure():
         naive_len = naive_campaign(ordered, 1.0).length_quanta
         lengths = {}
         for sigma in (1, 2, max(1, tree.capacity // 2), tree.capacity):
-            campaign = optimize_slice(ordered, tree.clone(), sigma, 1.0)
+            campaign = optimize_slice(ordered, tree, sigma, 1.0)
             result = execute(campaign, reference_model(traces[0].alphabet, 0))
             assert result.executable
             assert result.peak_memory <= sigma
@@ -279,9 +288,9 @@ def test_budget_at_least_unlimited_peak_reproduces_unlimited(
     traces = [InputTrace(alphabet, tuple(s)) for s in symbol_lists]
     ordered = order_slice(traces, "random", seed=order_seed)
     tree = tree_for(traces)
-    unlimited = optimize_slice(ordered, tree.clone(), None, 1.0)
+    unlimited = optimize_slice(ordered, tree, None, 1.0)
     sigma = unlimited.peak_stored + extra
-    bounded = optimize_slice(ordered, tree.clone(), sigma, 1.0)
+    bounded = optimize_slice(ordered, tree, sigma, 1.0)
     assert bounded.commands == unlimited.commands
     assert bounded.peak_stored == unlimited.peak_stored
 

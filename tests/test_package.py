@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import simcamp
+import simcamp.cli
+import simcamp.pipeline
 
 
 def test_every_exported_name_resolves():
@@ -27,3 +30,19 @@ def test_readme_library_use_example_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
     assert "quanta, peak" in capsys.readouterr().out
+
+
+def test_benchmark_traced_names_are_bound():
+    # perfbench/child.py skips a traced name neither module binds, which
+    # would silently zero that layer's metrics.  write_trace_file has no
+    # caller in either module.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    unbound = [
+        name
+        for name in child.TRACED_NAMES
+        if not hasattr(simcamp.pipeline, name) and not hasattr(simcamp.cli, name)
+    ]
+    assert unbound == ["write_trace_file"]

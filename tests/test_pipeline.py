@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -19,9 +20,10 @@ from simcamp.pipeline import (
     _run_slice_task,
     analyze_runs,
     overall_omission_bound,
-    parse_sigma,
     prepare_slices,
+    read_cost_or_default,
     read_progress,
+    resolve_sigma,
     run_pipeline,
     slice_seed,
     write_json_atomic,
@@ -237,13 +239,13 @@ def spec_file(tmp_path):
 
 
 def test_parse_sigma():
-    assert parse_sigma("capacity") is None
-    assert parse_sigma("unlimited") is None
-    assert parse_sigma("7") == 7
+    assert resolve_sigma("capacity", 5) == 5
+    assert resolve_sigma("unlimited", 5) is None
+    assert resolve_sigma("7", 5) == 7
     with pytest.raises(ValueError):
-        parse_sigma("0")
+        resolve_sigma("0", 5)
     with pytest.raises(ValueError):
-        parse_sigma("lots")
+        resolve_sigma("lots", 5)
 
 
 def test_slice_seed_is_stable_and_spread():
@@ -379,6 +381,47 @@ def test_analyze_many_runs_appends_mean_rows(tmp_path):
     assert len(progress) == 4
     for row in means:
         assert row["N"] == 12 and row["D"] == 2
+
+
+@pytest.mark.parametrize("sigma", ["capacity", "4"])
+def test_report_speedup_decays_with_checkpoint_cost(tmp_path, sigma):
+    # Acceptance criterion 7, on the speedups report.csv computes itself.
+    costs = tmp_path / "costs.txt"
+    costs.write_text("load=0.5 store=0.5 free=0 out=0 run_per_q=1\n")
+    out = tmp_path / "run"
+    config = RunConfig(
+        source=tight_file(tmp_path), out_dir=str(out), slices=2, sigma=sigma
+    )
+    run_pipeline(config, read_cost_or_default(str(costs)), (1.0, 10.0, 100.0))
+    with open(out / "report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    curves: dict[str, list[tuple[float, float]]] = {}
+    for row in rows:
+        point = (float(row["f"]), float(row["speedup"]))
+        curves.setdefault(row["sigma"], []).append(point)
+    assert sorted(curves) == sorted({sigma, "1", "unlimited"})
+    for label, curve in curves.items():
+        speedups = [s for _f, s in sorted(curve)]
+        assert len(speedups) == 3
+        assert speedups == sorted(speedups, reverse=True), label
+    assert curves["unlimited"][0][1] > curves["unlimited"][-1][1]
+
+
+@pytest.mark.parametrize("workers, finished", [(1, [0]), (3, [0, 2])])
+def test_a_failed_slice_is_named_and_the_pool_finishes_the_rest(
+    tmp_path, workers, finished
+):
+    out = tmp_path / "run"
+    config = RunConfig(
+        source=corpus_file(tmp_path), out_dir=str(out), slices=3, workers=workers
+    )
+    prepare_slices(config)
+    bad = out / "slices" / "slice_1.txt"
+    bad.write_text(bad.read_text() + "z\n")
+    with pytest.raises(PipelineStageError, match="slice stage failed for slice 1"):
+        run_pipeline(config)
+    results = sorted((out / "results").glob("result_*.json"))
+    assert [int(p.stem.split("_")[1]) for p in results] == finished
 
 
 def test_analyze_requires_all_results(tmp_path):
