@@ -188,6 +188,12 @@ class GeneratorTable:
             yield InputTrace(alphabet, tuple(symbols))
 
 
+def check_fraction(fraction: float) -> None:
+    """Raise ValueError unless ``fraction`` lies in (0, 1]; NaN does not."""
+    if not 0 < fraction <= 1:
+        raise ValueError(f"fraction must lie in (0, 1], not {fraction:g}")
+
+
 def sample_indices(n: int, fraction: float, seed: int) -> list[int]:
     """A sorted, duplicate-free sample of round(fraction*n) indices in [0, n).
 
@@ -195,8 +201,7 @@ def sample_indices(n: int, fraction: float, seed: int) -> list[int]:
     """
     if n < 1:
         raise ValueError("population size must be >= 1")
-    if not (0 < fraction <= 1):
-        raise ValueError("fraction must lie in (0, 1]")
+    check_fraction(fraction)
     size = math.floor(fraction * n + 0.5)
     if size == n:
         return list(range(n))

@@ -5,7 +5,8 @@ tree, emit the Load/Store/Free/Run/Out command sequence that replays every
 trace while holding at most ``capacity`` simulator states at once.  Each
 trace resumes from its deepest stored prefix; runs break at prefixes worth
 checkpointing; checkpoints are freed as soon as no remaining trace can
-reuse them, or evicted by the depth-gap heuristic when memory is full.
+reuse them, or, when memory is full, the one whose next use lies furthest
+ahead in the fixed verification order is evicted (Belady's rule).
 
 ``CheckpointIndex`` is the one record of which nodes hold a checkpoint,
 the reserved root included; the tree only knows prefixes and their
@@ -19,13 +20,20 @@ the trace's chain below its load point, and the trace's constant runs
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterator, NamedTuple, Sequence
 
-from .traces import Alphabet, InputTrace, TraceFormatError, atomic_text_file
-from .tree import ROOT_ID, BranchNode, BranchTree, TreeInvariantError
+from .traces import (
+    Alphabet,
+    InputTrace,
+    TraceFormatError,
+    atomic_text_file,
+    check_quantum,
+)
+from .tree import ROOT_ID, BranchTree, TreeInvariantError
 
 
 class Command(NamedTuple):
@@ -55,14 +63,16 @@ class Campaign:
 
 
 class CheckpointIndex:
-    """The stored states and the depth-gap eviction policy.
+    """The stored states and the furthest-next-use eviction policy.
 
     ``entries`` maps every stored node id, the reserved root included, to
-    its (gap, store-sequence) key; membership in it is what "stored" means.
-    The victim candidate is the stored node with the smallest gap to its
-    parent (a small gap is cheap to recompute), ties broken toward the
-    least recently stored.  The root occupies capacity but is never a
-    victim: its key never enters the lazy min-heap over (gap, seq, id).
+    its (next use, store-sequence) key; membership in it is what "stored"
+    means.  A node's next use is the position, in the verification order,
+    of the next trace whose chain holds it.  The victim candidate is the
+    stored node used furthest in the future, ties broken toward the least
+    recently stored; with uniform recompute costs this is the optimal
+    offline rule (Belady, 1966).  The root occupies capacity but is never
+    a victim: its key never enters the lazy heap over (-next use, seq, id).
     """
 
     def __init__(self, capacity: int | None) -> None:
@@ -74,32 +84,59 @@ class CheckpointIndex:
         self._heap: list[tuple[int, int, int]] = []
         self._seq = 0
 
-    def note_store(self, node_id: int, gap: int) -> None:
+    def note_store(self, node_id: int, next_use: int) -> None:
         self._seq += 1
-        self.entries[node_id] = (gap, self._seq)
+        self.entries[node_id] = (next_use, self._seq)
         if node_id != ROOT_ID:
-            heapq.heappush(self._heap, (gap, self._seq, node_id))
+            self._push(node_id, next_use, self._seq)
         if len(self.entries) > self.peak:
             self.peak = len(self.entries)
 
     def note_free(self, node_id: int) -> None:
         del self.entries[node_id]
 
-    def rekey(self, node_id: int, gap: int) -> None:
-        """Give a stored node its new gap; ignores ids that are not stored."""
+    def rekey(self, node_id: int, next_use: int) -> None:
+        """Give a stored node its new next use; ignores the root, ids that
+        are not stored and unchanged keys."""
         entry = self.entries.get(node_id)
-        if entry is not None:
-            self.entries[node_id] = (gap, entry[1])
-            heapq.heappush(self._heap, (gap, entry[1], node_id))
+        if entry is not None and entry[0] != next_use and node_id != ROOT_ID:
+            self.entries[node_id] = (next_use, entry[1])
+            self._push(node_id, next_use, entry[1])
+
+    def _push(self, node_id: int, next_use: int, seq: int) -> None:
+        heapq.heappush(self._heap, (-next_use, seq, node_id))
+        # Superseded keys leave the heap only when they reach its head;
+        # once they outnumber the live ones, rebuild it from the live keys.
+        if len(self._heap) > 2 * len(self.entries) + 8:
+            self._heap = [
+                (-use, order, nid)
+                for nid, (use, order) in self.entries.items()
+                if nid != ROOT_ID
+            ]
+            heapq.heapify(self._heap)
 
     def victim(self) -> tuple[int, int] | None:
-        """Current eviction candidate as (node_id, gap), or None."""
+        """Current eviction candidate as (node_id, next use), or None."""
         while self._heap:
-            gap, seq, node_id = self._heap[0]
-            if self.entries.get(node_id) == (gap, seq):
-                return node_id, gap
+            neg_use, seq, node_id = self._heap[0]
+            if self.entries.get(node_id) == (-neg_use, seq):
+                return node_id, -neg_use
             heapq.heappop(self._heap)
         return None
+
+
+def _next_use_table(
+    ordered: Sequence[InputTrace], tree: BranchTree
+) -> dict[int, list[int]]:
+    """For each node of ``tree``, the positions in ``ordered`` of the
+    traces whose chain holds it, ascending, then ``len(ordered)``."""
+    uses: dict[int, list[int]] = {node_id: [] for node_id in tree.nodes}
+    for j, trace in enumerate(ordered):
+        for node in tree.chain_for(trace.symbols):
+            uses[node.node_id].append(j)
+    for positions in uses.values():
+        positions.append(len(ordered))
+    return uses
 
 
 def optimize_slice(
@@ -124,9 +161,23 @@ def optimize_slice(
     stored = index.entries
     commands: list[Command] = []
 
-    def do_store(node: BranchNode) -> None:
-        index.note_store(node.node_id, tree.depth_gap(node))
-        commands.append(Command("store", node_id=node.node_id))
+    # Only a budget strictly between 1 (the root alone) and the tree's
+    # capacity can ever evict, so only then are next uses needed.  Other
+    # budgets key every checkpoint 0, and equal keys never evict.
+    if capacity is not None and 1 < capacity < tree.capacity:
+        uses = _next_use_table(ordered, tree)
+
+        def next_use(node_id: int, j: int) -> int:
+            positions = uses[node_id]
+            return positions[bisect_right(positions, j)]
+    else:
+
+        def next_use(node_id: int, j: int) -> int:
+            return 0
+
+    def do_store(node_id: int, use: int) -> None:
+        index.note_store(node_id, use)
+        commands.append(Command("store", node_id=node_id))
 
     def do_free(node_id: int) -> None:
         index.note_free(node_id)
@@ -137,7 +188,7 @@ def optimize_slice(
             commands.append(Command("run", symbol=symbol, quanta=len(list(group))))
 
     # The campaign begins by checkpointing the initial state under id 0.
-    do_store(tree.root)
+    do_store(ROOT_ID, 0)
 
     for j, trace in enumerate(ordered):
         s = trace.symbols
@@ -164,32 +215,37 @@ def optimize_slice(
                 if node.pending == 0:
                     if node.node_id in stored:
                         do_free(node.node_id)
-                    for child in tree.remove(node.node_id):
-                        index.rekey(child.node_id, tree.depth_gap(child))
+                    tree.remove(node.node_id)
 
         # Run scan over the chain nodes below the load node, none of them
         # stored: each is stored if there is room, or at full capacity by
-        # evicting a victim whose gap is strictly smaller.  The trace's
-        # constant runs are cut where a node is stored.
+        # evicting a victim whose next use is strictly later.  A deeper
+        # node is used no sooner than a shallower one, so the first node
+        # that loses ends the scan.  The trace's constant runs are cut
+        # where a node is stored.
         pos = load_node.depth
         for node in chain[k + 1:]:
             if not node.is_shared_prefix:
                 continue  # this trace's sweep just removed it
+            use = next_use(node.node_id, j)
             victim = None
             if capacity is not None and len(stored) >= capacity:
                 found = index.victim()
-                if found is None:
-                    break  # nothing is stored or freed before this trace's Out
-                victim, victim_gap = found
-                if victim_gap >= tree.depth_gap(node):
-                    continue
+                if found is None or found[1] <= use:
+                    break
+                victim = found[0]
             emit_runs(s[pos:node.depth])
             pos = node.depth
             if victim is not None:
                 do_free(victim)
-            do_store(node)
+            do_store(node.node_id, use)
         emit_runs(s[pos:])
         commands.append(Command("out"))
+
+        # The stored nodes at or above the load node were used by this
+        # trace; those stored below it were keyed when stored.
+        for node in chain[1:k + 1]:
+            index.rekey(node.node_id, next_use(node.node_id, j))
 
     return Campaign(
         commands=commands,
@@ -240,8 +296,10 @@ def parse_campaign_header(line: str) -> tuple[float, int]:
         slice_id = int(slice_part[len("slice="):])
     except ValueError as exc:
         raise TraceFormatError(f"malformed campaign header: {line!r}") from exc
-    if quantum <= 0:
-        raise TraceFormatError("campaign quantum must be > 0")
+    try:
+        check_quantum(quantum)
+    except ValueError as exc:
+        raise TraceFormatError(f"campaign header: {exc}") from None
     return quantum, slice_id
 
 

@@ -45,7 +45,12 @@ from .engine import (
     read_cost_file,
     reference_model,
 )
-from .generator import GeneratorTable, read_constraint_file, sample_indices
+from .generator import (
+    GeneratorTable,
+    check_fraction,
+    read_constraint_file,
+    sample_indices,
+)
 from .metrics import (
     completion_time,
     memory_efficiency,
@@ -61,6 +66,7 @@ from .traces import (
     InputTrace,
     TraceCorpus,
     atomic_text_file,
+    check_quantum,
     read_trace_file,
     read_trace_lines,
     write_trace_lines,
@@ -98,6 +104,8 @@ class RunConfig:
         if self.workers < 1:
             raise ValueError("worker count must be >= 1")
         resolve_sigma(self.sigma, None)
+        check_fraction(self.fraction)
+        check_quantum(self.quantum)
 
 
 def resolve_sigma(text: str, capacity: int | None) -> int | None:

@@ -9,6 +9,7 @@ only at I/O boundaries.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -104,6 +105,13 @@ class InputTrace:
         return tuple(self.alphabet.render(self.symbols))
 
 
+def check_quantum(quantum: float) -> None:
+    """Raise ValueError unless ``quantum`` is a usable time quantum: finite
+    and > 0 (NaN is neither)."""
+    if not 0 < quantum < math.inf:
+        raise ValueError(f"time quantum must be finite and > 0, not {quantum:g}")
+
+
 @dataclass(slots=True)
 class TraceCorpus:
     """A set of scenarios sharing one alphabet and one time quantum."""
@@ -113,8 +121,7 @@ class TraceCorpus:
     traces: list[InputTrace] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.quantum <= 0:
-            raise ValueError("time quantum must be > 0")
+        check_quantum(self.quantum)
         for t in self.traces:
             if t.alphabet != self.alphabet:
                 raise AlphabetMismatchError("corpus traces must share the corpus alphabet")
@@ -145,8 +152,10 @@ def parse_trace_header(line: str) -> tuple[Alphabet, float]:
         quantum = float(q_part[len("q="):])
     except ValueError as exc:
         raise TraceFormatError(f"malformed trace header: {line!r}") from exc
-    if quantum <= 0:
-        raise TraceFormatError("header quantum must be > 0")
+    try:
+        check_quantum(quantum)
+    except ValueError as exc:
+        raise TraceFormatError(f"trace header: {exc}") from None
     try:
         alphabet = Alphabet(tuple(tokens))
     except ValueError as exc:

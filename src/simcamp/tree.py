@@ -95,12 +95,6 @@ class BranchTree:
 
     # -- queries ----------------------------------------------------------
 
-    def depth_gap(self, node: BranchNode) -> int:
-        """Depth distance to the parent; the eviction heuristic's key."""
-        if node.parent_id is None:
-            return 0
-        return node.depth - self.nodes[node.parent_id].depth
-
     def prefix_of(self, node_id: int) -> tuple[int, ...]:
         parts: list[tuple[int, ...]] = []
         node = self.nodes[node_id]
@@ -155,11 +149,9 @@ class BranchTree:
 
     # -- mutation during campaign generation ------------------------------
 
-    def remove(self, node_id: int) -> list[BranchNode]:
+    def remove(self, node_id: int) -> None:
         """Detach a dead node, splicing its children up to its parent.
 
-        Returns the spliced children: their depth gap just changed, so an
-        eviction index must re-key those it holds.
         A child can outlive its parent only when its prefix equals an
         already-replayed trace; such nodes are never on a future trace's
         chain, so they are deliberately not re-registered for chain walks.
@@ -169,18 +161,17 @@ class BranchTree:
         if node.parent_id is None:
             # Reserved root: keep the entry (the initial state's slot);
             # it can only die on the last trace, so nothing depends on it after.
-            return []
+            return
         parent = self.nodes[node.parent_id]
         parent.children.discard(node_id)
         if parent.child_by_symbol.get(node.seg[0]) == node_id:
             del parent.child_by_symbol[node.seg[0]]
-        spliced = [self.nodes[child_id] for child_id in node.children]
-        for child in spliced:
+        for child_id in node.children:
+            child = self.nodes[child_id]
             child.parent_id = parent.node_id
             child.seg = node.seg + child.seg
-            parent.children.add(child.node_id)
+            parent.children.add(child_id)
         del self.nodes[node_id]
-        return spliced
 
 
 def build_tree(traces: Sequence[InputTrace]) -> BranchTree:

@@ -153,11 +153,11 @@ def test_criterion_2_campaigns_replay_the_exact_slice(corpus, full_campaigns):
 
 def test_criterion_3_memory_budget_is_respected(corpus):
     cases, _ = corpus
+    totals = {0.25: 0, 0.5: 0}
     for i, case in enumerate(cases):
         cap = case.tree.capacity
-        grid = sorted(
-            {1, 2, max(1, int(0.25 * cap + 0.5)), max(1, int(0.5 * cap + 0.5)), cap}
-        )
+        budgets = {p: max(1, int(p * cap + 0.5)) for p in totals}
+        grid = sorted({1, 2, *budgets.values(), cap})
         lengths: dict[int, int] = {}
         for sigma in grid:
             campaign = optimize_slice(
@@ -169,6 +169,12 @@ def test_criterion_3_memory_budget_is_respected(corpus):
             assert campaign.length_quanta <= case.naive_quanta
             lengths[sigma] = campaign.length_quanta
         assert lengths[cap] <= lengths[1]
+        for p, sigma in budgets.items():
+            totals[p] += lengths[sigma]
+    # The corpus totals of depth-gap eviction, the policy before furthest
+    # next use: an eviction policy that loses to it in aggregate fails here.
+    assert totals[0.25] <= 524_074
+    assert totals[0.5] <= 423_453
 
 
 def test_criterion_4_tree_matches_pairwise_prefix_oracle():

@@ -160,6 +160,38 @@ def test_errors_exit_with_code_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "source, option, value",
+    [
+        ("spec", "--quantum", "0"),
+        ("spec", "--quantum", "nan"),
+        ("file", "--quantum", "inf"),
+        ("file", "--fraction", "1.5"),
+        ("file", "--fraction", "nan"),
+        ("spec", "--fraction", "0"),
+    ],
+)
+def test_bad_quantum_or_fraction_exits_before_any_file(
+    tmp_path, capsys, source, option, value
+):
+    if source == "spec":
+        src = tmp_path / "spec.txt"
+        src.write_text(
+            "alphabet=a,b\nhorizon=3\nstates=1\nstart=0\naccept=0\n"
+            "0 a -> 0\n0 b -> 0\n"
+        )
+    else:
+        src = corpus_file(tmp_path)
+    out_dir = tmp_path / "run"
+    code, out = run_cli(
+        capsys, "pipeline", "--in", str(src), "--out-dir", str(out_dir), option, value
+    )
+    assert code == 2
+    assert not (out_dir / "config.json").exists()
+    named = {"--quantum": "time quantum", "--fraction": "fraction"}[option]
+    assert f"{named} must" in out.err
+
+
 def test_execute_reports_failure_with_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("#q=1;slice=0\nLOAD 5\nOUT\n")

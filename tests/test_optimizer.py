@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import simcamp.optimizer as optimizer
 from simcamp.engine import execute, reference_model
 from simcamp.oracles import edge_count, naive_campaign
 from simcamp.optimizer import (
@@ -19,7 +21,7 @@ from simcamp.optimizer import (
 )
 from simcamp.slicing import order_slice
 from simcamp.traces import Alphabet, InputTrace, TraceFormatError
-from simcamp.tree import TreeInvariantError, build_tree
+from simcamp.tree import ROOT_ID, TreeInvariantError, build_tree
 from util import ABCD, random_traces, t, ts
 
 
@@ -27,44 +29,69 @@ def tree_for(traces):
     return build_tree(sorted(traces, key=lambda x: x.symbols))
 
 
-def reference_decision(tree, index, node):
+def reference_next_use(prefixes, ordered, node_id, j):
+    """The position of the first trace after ``j`` in ``ordered`` whose
+    chain holds the node, found by a linear search; ``len(ordered)`` if
+    none does.  ``prefixes`` holds every node's prefix before any removal."""
+    prefix = prefixes[node_id]
+    for p in range(j + 1, len(ordered)):
+        if ordered[p].symbols[:len(prefix)] == prefix:
+            return p
+    return len(ordered)
+
+
+def reference_decision(capacity, stored, node, next_use):
     """The storage rule as a standalone function: ("skip" | "store" |
-    "store_evicting", victim id).  Never for non-shared or already-stored
+    "store_evicting", victim id).  ``stored`` maps each stored node id to
+    its (next use, store sequence).  Never for non-shared or already-stored
     prefixes.  With free capacity, always.  At full capacity, only by
-    evicting a victim whose depth gap is strictly smaller."""
-    if node is None or not node.is_shared_prefix or node.node_id in index.entries:
+    evicting the stored node other than the root whose next use is
+    furthest (ties: the least recently stored), when that use is strictly
+    later than the candidate's ``next_use``."""
+    if not node.is_shared_prefix or node.node_id in stored:
         return "skip", -1
-    if index.capacity is None or len(index.entries) < index.capacity:
+    if capacity is None or len(stored) < capacity:
         return "store", -1
-    found = index.victim()
-    if found is not None and found[1] < tree.depth_gap(node):
-        return "store_evicting", found[0]
+    keys = [(-use, seq, nid) for nid, (use, seq) in stored.items() if nid != ROOT_ID]
+    if keys:
+        neg_use, _, victim = min(keys)
+        if -neg_use > next_use:
+            return "store_evicting", victim
     return "skip", -1
 
 
 def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
     """``optimize_slice`` with an earlier run scan, one step per symbol
-    and one ``reference_decision`` call per boundary: the reference whose
-    campaigns the run-by-run scan must reproduce."""
+    and one ``reference_decision`` call per boundary, and with next uses
+    found by linear search and victims by a search of every stored node:
+    the reference whose campaigns the run-by-run scan must reproduce."""
     if not ordered:
         raise ValueError("cannot optimize an empty slice")
-    index = CheckpointIndex(capacity)
+    prefixes = {nid: tree.prefix_of(nid) for nid in tree.nodes}
+    stored = {}
+    sequence = itertools.count(1)
+    peak = 0
     commands = []
 
-    def do_store(node):
-        index.note_store(node.node_id, tree.depth_gap(node))
+    def next_use(node, j):
+        return reference_next_use(prefixes, ordered, node.node_id, j)
+
+    def do_store(node, j):
+        nonlocal peak
+        stored[node.node_id] = (next_use(node, j), next(sequence))
+        peak = max(peak, len(stored))
         commands.append(Command("store", node_id=node.node_id))
 
     def do_free(node):
-        index.note_free(node.node_id)
+        del stored[node.node_id]
         commands.append(Command("free", node_id=node.node_id))
 
-    do_store(tree.root)
+    do_store(tree.root, -1)
     for j, trace in enumerate(ordered):
         s = trace.symbols
         h = len(s)
         chain = tree.chain_for(s)
-        load_node = next(n for n in reversed(chain) if n.node_id in index.entries)
+        load_node = next(n for n in reversed(chain) if n.node_id in stored)
         if j > 0:
             commands.append(Command("load", node_id=load_node.node_id))
         start = load_node.depth
@@ -77,32 +104,35 @@ def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
                         "slice does not match the tree it was built from"
                     )
                 if node.pending == 0:
-                    if node.node_id in index.entries:
+                    if node.node_id in stored:
                         do_free(node)
-                    for child in tree.remove(node.node_id):
-                        index.rekey(child.node_id, tree.depth_gap(child))
+                    tree.remove(node.node_id)
+
+        def decide(boundary):
+            if boundary is None:
+                return "skip", -1
+            return reference_decision(capacity, stored, boundary, next_use(boundary, j))
+
         while start < h:
             end = start
             while end + 1 <= h - 1 and s[end + 1] == s[start]:
-                boundary = by_depth.get(end + 1)
-                if (
-                    boundary is not None
-                    and reference_decision(tree, index, boundary)[0] != "skip"
-                ):
+                if decide(by_depth.get(end + 1))[0] != "skip":
                     break
                 end += 1
             commands.append(Command("run", symbol=s[start], quanta=end - start + 1))
             start = end + 1
             boundary = by_depth.get(start)
-            if boundary is not None:
-                action, victim = reference_decision(tree, index, boundary)
-                if action == "store_evicting":
-                    do_free(tree.nodes[victim])
-                    do_store(boundary)
-                elif action == "store":
-                    do_store(boundary)
+            action, victim = decide(boundary)
+            if action == "store_evicting":
+                do_free(tree.nodes[victim])
+                do_store(boundary, j)
+            elif action == "store":
+                do_store(boundary, j)
         commands.append(Command("out"))
-    return Campaign(commands, quantum, slice_id, index.peak, ordered[0].alphabet)
+        for node in chain:
+            if node.node_id in stored:
+                stored[node.node_id] = (next_use(node, j), stored[node.node_id][1])
+    return Campaign(commands, quantum, slice_id, peak, ordered[0].alphabet)
 
 
 def test_two_trace_campaign_with_reuse():
@@ -192,6 +222,63 @@ def test_trace_equal_to_stored_prefix():
     assert campaign.peak_stored == 2
 
 
+def test_next_use_evicts_the_checkpoint_used_furthest_ahead():
+    # When "bb" is reached, "a" and "ab" fill both free slots.  Both have
+    # depth gap 1, so the depth-gap rule evicted "a", the least recently
+    # stored, and "aa" replayed from the root: 9 quanta.  "a" is next used
+    # by "aa" and "ab" by no later trace, so next use evicts "ab" instead.
+    ordered = ts("aba", "ab", "bb", "aa", "bbba")
+    campaign = optimize_slice(ordered, tree_for(ordered), 3, 1.0)
+    assert list(campaign_lines(campaign)) == [
+        "#q=1;slice=0",
+        "STORE 0",
+        "RUN a 1",
+        "STORE 1",
+        "RUN b 1",
+        "STORE 2",
+        "RUN a 1",
+        "OUT",
+        "LOAD 2",
+        "OUT",
+        "LOAD 0",
+        "RUN b 2",
+        "FREE 2",
+        "STORE 3",
+        "OUT",
+        "LOAD 1",
+        "FREE 1",
+        "RUN a 1",
+        "OUT",
+        "LOAD 3",
+        "FREE 0",
+        "RUN b 1",
+        "RUN a 1",
+        "OUT",
+    ]
+    assert campaign.length_quanta == 8
+
+
+def test_budgets_that_cannot_bind_build_no_next_use_table(monkeypatch):
+    # Building the table at every budget emits the same campaigns, but on
+    # the 8,192-trace binary corpus at capacity it adds about a quarter to
+    # the wall time and 2 MB to the peak memory.
+    calls = []
+    build = optimizer._next_use_table
+
+    def spy(ordered, tree):
+        calls.append(len(ordered))
+        return build(ordered, tree)
+
+    monkeypatch.setattr(optimizer, "_next_use_table", spy)
+    ordered = ts("aba", "ab", "bb", "aa", "bbba")
+    tree = tree_for(ordered)
+    for sigma in (None, 1, tree.capacity, tree.capacity + 1):
+        optimize_slice(ordered, tree, sigma, 1.0)
+    assert calls == []
+    optimize_slice(ordered, tree, tree.capacity - 1, 1.0)
+    assert calls == [len(ordered)]
+
+
 def test_rejects_empty_slice():
     with pytest.raises(ValueError):
         optimize_slice([], build_tree([]), 1, 1.0)
@@ -217,22 +304,47 @@ def test_foreign_tree_still_replays_faithfully():
 
 def test_checkpoint_index_eviction_order():
     index = CheckpointIndex(3)
-    index.note_store(0, 0)   # reserved slot: occupies capacity, never a victim
-    index.note_store(5, 2)
-    index.note_store(7, 2)
+    index.note_store(0, 99)  # reserved slot: occupies capacity, never a victim
+    index.note_store(5, 6)
+    index.note_store(7, 6)
     index.note_store(9, 4)
     assert len(index.entries) == 4 and index.peak == 4
-    # equal gaps tie-break toward the least recently stored
-    assert index.victim() == (5, 2)
+    # the furthest next use is the victim; equal next uses tie-break
+    # toward the least recently stored
+    assert index.victim() == (5, 6)
     index.note_free(5)
-    assert index.victim() == (7, 2)  # stale heap head is skipped lazily
-    index.rekey(9, 1)
-    assert index.victim() == (9, 1)
-    index.note_free(9)
+    assert index.victim() == (7, 6)  # stale heap head is skipped lazily
+    index.rekey(9, 8)
+    assert index.victim() == (9, 8)
+    # Re-keying every stored id, the root included, keeps the root out:
+    # on equal keys it would win the tie as the least recently stored.
+    for node_id in list(index.entries):
+        index.rekey(node_id, 1000)
+    assert index.entries[0] == (99, 1)
+    assert index.victim() == (7, 1000)
     index.note_free(7)
+    assert index.victim() == (9, 1000)
+    index.note_free(9)
     assert index.victim() is None
+    assert list(index.entries) == [0]
     with pytest.raises(ValueError):
         CheckpointIndex(0)
+
+
+def test_checkpoint_index_heap_stays_bounded_under_rekeys():
+    index = CheckpointIndex(5)
+    index.note_store(0, 0)
+    for node_id in range(1, 5):
+        index.note_store(node_id, node_id)
+    for step in range(1, 1001):
+        node_id = step % 4 + 1
+        index.rekey(node_id, 10 * step + node_id)
+        assert len(index._heap) <= 2 * len(index.entries) + 8
+    # The last re-keys gave node 1 the furthest next use, then 4, 3, 2.
+    for node_id in (1, 4, 3, 2):
+        assert index.victim() == (node_id, index.entries[node_id][0])
+        index.note_free(node_id)
+    assert index.victim() is None
 
 
 def test_random_corpora_reach_the_edge_bound():

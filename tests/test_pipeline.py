@@ -34,7 +34,9 @@ from util import ABCD, ts
 # SHA-256 of every pipeline output on ``corpus_file`` with two slices and
 # seed 3.  A change meant to keep outputs must reproduce them byte for byte.
 # The report.csv digests were re-recorded when the constant par_eff column
-# was dropped; every other digest is unchanged since it was recorded.
+# was dropped, and the sigma 2 slice 1 campaign and result when eviction
+# moved from the depth-gap rule to furthest next use (same length, other
+# victims); every other digest is unchanged since it was recorded.
 GOLDEN_DIGESTS = {
     "capacity": {
         "campaigns/campaign_0.txt":
@@ -54,11 +56,11 @@ GOLDEN_DIGESTS = {
         "campaigns/campaign_0.txt":
             "519ed10f054ae5ff68a317053a34dc82cb4031b58795dde621a23b9816e895e1",
         "campaigns/campaign_1.txt":
-            "0d278d215c175404b918ddfab8e4385849bd67f62323636c4b247ff32e868806",
+            "7421421cb9aee0a1d9e09559929fbee5f926461362471fcd7cb271432e2b9c45",
         "results/result_0.json":
             "9c16b6e1140b0fff6185c25960c01578ae7d44ed25f982f5cb920f0146d6c144",
         "results/result_1.json":
-            "b10ed70aa0cfb40d3729a8cebf060cfec2c6a7b7d68228b9460acb71a429f273",
+            "d629b358fc9fc6a664522376e9469b02277a3135ca54bb9f705f81064dc8fd97",
         "report.csv":
             "5405ef13f2304237ff1a4923d814f65a9ad4f96b9dba0c42c3fd9b03dbb1a158",
         "progress.csv":
@@ -174,7 +176,10 @@ SAMPLED_FILE_DIGESTS = {
 
 # SHA-256 of every output of ``tight_file`` (40 traces, horizon 60) with two
 # slices and seed 5.  Capacity is 14 per slice; at sigma 4 the campaigns
-# evict and split runs at checkpoints, and sigma 1 stores nothing.
+# evict and split runs at checkpoints, and sigma 1 stores nothing.  The
+# sigma 4 campaigns, results and report were re-recorded when eviction moved
+# from the depth-gap rule to furthest next use, which makes them longer:
+# 1,985 -> 2,095 quanta over both slices.
 TIGHT_DIGESTS = {
     "1": {
         "campaigns/campaign_0.txt":
@@ -196,19 +201,19 @@ TIGHT_DIGESTS = {
     },
     "4": {
         "campaigns/campaign_0.txt":
-            "6628fcc7b245994460bfbc00b0e2e9194bf69bbc659d8f77921494b283d189c6",
+            "3146ee447830451cd8bbb6af499054c33d89193a1b218728dd6feb35b44e3191",
         "campaigns/campaign_1.txt":
-            "f67f2813ab6beb05d5f6126082b1ab9c7216f6bd37f0d1ac9451a9a186da2ae9",
+            "4aac0e0a3d03f56e7d00f7d35593b8d3b1d92ff7702f6191cb76d8efdcaa069c",
         "results/result_0.json":
-            "7d356fffdba2df5ad8c7176bb86ab43e7eb513959def10de576c9e046d064ef5",
+            "770340ab5d391392d3be673b3a417e569355e2ce9126e1199436b4a1785b4052",
         "results/result_1.json":
-            "bdc9693c1f3fa9b4511e4212992ee8cb961d5e7bf6f12337447ad517c72deab1",
+            "9503b9b3d0526323c841039e377d5e9090ed5891b5b25865fc869cb8c53a8692",
         "slices/slice_0.txt":
             "992e9062053b0347edaae1390b8672e8806b3123b5a84af94386d44366a0fda1",
         "slices/slice_1.txt":
             "c2a579be346549a6cec539d7e00abd7643f8c272895c43be8abc115fa5cb2744",
         "report.csv":
-            "3aaa112d7c5a36b69e6885e7a0c8208754763c0aa4311998ff6ada48de85272b",
+            "d695f5cabce0d5b27bb31129b3804ba8ce02e759e1c47040b95fa2a76f6cadd1",
         "progress.csv":
             "808db6f896a864ba4b0d12d54fa284c87f1da9c3213c65e00a16ef7294ace5f5",
     },

@@ -5,7 +5,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from simcamp.optimizer import parse_command
+from simcamp.optimizer import parse_campaign_header, parse_command
 from simcamp.slicing import external_sort
 from simcamp.traces import (
     Alphabet,
@@ -99,6 +99,16 @@ def test_header_rejects_garbage():
                 "#alphabet=a,b;q=x", "#alphabet=;q=1"):
         with pytest.raises(TraceFormatError):
             parse_trace_header(bad)
+
+
+@pytest.mark.parametrize("q", ["nan", "inf", "-inf", "0", "-1"])
+def test_every_quantum_must_be_finite_and_positive(q):
+    with pytest.raises(TraceFormatError):
+        parse_trace_header(f"#alphabet=a,b;q={q}")
+    with pytest.raises(TraceFormatError):
+        parse_campaign_header(f"#q={q};slice=0")
+    with pytest.raises(ValueError):
+        TraceCorpus(ABCD, float(q), ts("aa"))
 
 
 def test_both_readers_skip_comments_and_blanks(tmp_path):
