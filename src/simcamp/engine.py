@@ -12,6 +12,7 @@ reply of an external driver against its own step.
 
 from __future__ import annotations
 
+import math
 import subprocess
 import threading
 from dataclasses import dataclass, fields
@@ -201,9 +202,16 @@ def execute(
 # ---------------------------------------------------------------------------
 
 
+# The per-command costs; a cost file must give all five, and ``f`` is optional.
+_COSTS = ("load", "store", "free", "out", "run_per_q")
+
+
 @dataclass(frozen=True, slots=True)
 class CostModel:
-    """Per-command wall-clock costs in seconds; ``f`` inflates Load+Store."""
+    """Per-command wall-clock costs in seconds; ``f`` inflates Load+Store.
+
+    Every cost must be finite and >= 0, and ``f`` >= 1 (NaN is neither).
+    """
 
     load: float
     store: float
@@ -211,6 +219,14 @@ class CostModel:
     out: float = 0.0
     run_per_q: float = 1.0
     f: float = 1.0
+
+    def __post_init__(self) -> None:
+        for key in _COSTS:
+            value = getattr(self, key)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"cost {key} must be finite and >= 0, not {value:g}")
+        if not self.f >= 1:
+            raise ValueError(f"inflation factor f must be >= 1, not {self.f:g}")
 
     def with_inflation(self, f: float) -> "CostModel":
         return CostModel(self.load, self.store, self.free, self.out, self.run_per_q, f)
@@ -236,10 +252,13 @@ def parse_cost_model(text: str) -> CostModel:
                 values[key] = float(raw)
             except ValueError as exc:
                 raise TraceFormatError(f"malformed cost entry {token!r}") from exc
-    missing = {"load", "store", "free", "out", "run_per_q"} - values.keys()
+    missing = set(_COSTS) - values.keys()
     if missing:
         raise TraceFormatError(f"cost model missing keys: {sorted(missing)}")
-    return CostModel(**values)
+    try:
+        return CostModel(**values)
+    except ValueError as exc:
+        raise TraceFormatError(f"cost model: {exc}") from None
 
 
 def read_cost_file(path: str) -> CostModel:

@@ -70,8 +70,6 @@ def inflation_table(
     """
     rows = []
     for f in f_grid:
-        if f < 1:
-            raise ValueError("inflation factor must be >= 1")
         inflated = cost.with_inflation(f)
         base_time = completion_time(
             estimate_seconds(c, inflated) for c in baseline

@@ -192,7 +192,6 @@ def optimize_slice(
 
     for j, trace in enumerate(ordered):
         s = trace.symbols
-        h = len(s)
         chain = tree.chain_for(s)
         k = len(chain) - 1
         while k >= 0 and chain[k].node_id not in stored:
@@ -203,10 +202,12 @@ def optimize_slice(
         if j > 0:
             commands.append(Command("load", node_id=load_node.node_id))
 
-        # Availability sweep: every proper prefix of this trace has one
-        # fewer pending use; prefixes reaching zero can never be reused.
+        # Availability sweep: every prefix of this trace on its chain,
+        # itself included, has one fewer pending use; prefixes reaching
+        # zero can never be reused, so their checkpoints are freed before
+        # the run scan.
         for node in reversed(chain):
-            if node.depth <= h - 1 and node.is_shared_prefix:
+            if node.is_shared_prefix:
                 node.pending -= 1
                 if node.pending < 0:
                     raise TreeInvariantError(

@@ -36,6 +36,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 from .engine import (
@@ -259,6 +260,26 @@ def _campaign_summary(campaign) -> dict:
     }
 
 
+def _baseline_summary(ordered: Sequence[InputTrace], tree: BranchTree) -> dict:
+    """``_campaign_summary`` of the sigma=1 campaign, counted instead of
+    planned: the root is stored once, every trace after the first loads
+    it and replays all of its constant runs, and the root is freed after
+    its last use only when it is a shared prefix."""
+    n = len(ordered)
+    counts = {
+        "store": 1,
+        "load": n - 1,
+        "run": sum(sum(1 for _ in groupby(t.symbols)) for t in ordered),
+        "out": n,
+        "free": int(tree.root.is_shared_prefix),
+    }
+    return {
+        "length_q": sum(len(t.symbols) for t in ordered),
+        "peak_stored": 1,
+        "counts": {op: k for op, k in counts.items() if k},
+    }
+
+
 def _run_slice_task(task: _SliceTask) -> dict:
     paths = task.paths
     corpus, ordered, tree, resolved = plan_slice(
@@ -268,14 +289,12 @@ def _run_slice_task(task: _SliceTask) -> dict:
     # Optimizing at any budget of at least the unlimited peak never meets
     # a full checkpoint index, so it reproduces the unlimited campaign.
     unlimited = optimize_slice(ordered, tree, None, corpus.quantum, task.slice_id)
-
-    def campaign_at(cap):
-        if cap is None or cap >= unlimited.peak_stored:
-            return unlimited
-        return optimize_slice(ordered, tree, cap, corpus.quantum, task.slice_id)
-
-    baseline = campaign_at(1)
-    requested = baseline if resolved == 1 else campaign_at(resolved)
+    if resolved is None or resolved >= unlimited.peak_stored:
+        requested = unlimited
+    else:
+        requested = optimize_slice(
+            ordered, tree, resolved, corpus.quantum, task.slice_id
+        )
     write_campaign_file(requested, paths.campaign)
 
     n = len(ordered)
@@ -304,7 +323,7 @@ def _run_slice_task(task: _SliceTask) -> dict:
         "sigma_requested": task.sigma,
         "sigma_resolved": resolved,
         "requested": _campaign_summary(requested),
-        "baseline": _campaign_summary(baseline),
+        "baseline": _baseline_summary(ordered, tree),
         "unlimited": _campaign_summary(unlimited),
         "execution": {
             "executable": result.executable,

@@ -152,9 +152,10 @@ class BranchTree:
     def remove(self, node_id: int) -> None:
         """Detach a dead node, splicing its children up to its parent.
 
-        A child can outlive its parent only when its prefix equals an
-        already-replayed trace; such nodes are never on a future trace's
-        chain, so they are deliberately not re-registered for chain walks.
+        In a tree built from the slice being replayed, no node dies before
+        its descendants, so a dead node has no children left.  Only a tree
+        built from other traces can leave some; they are spliced up but
+        not re-registered for chain walks, which can only lose reuse.
         """
         node = self.nodes[node_id]
         node.is_shared_prefix = False

@@ -160,6 +160,20 @@ def test_cost_model_rejects_unknown_and_repeated_keys():
         parse_cost_model(entries + " load=7")
 
 
+def test_cost_model_rejects_unusable_costs():
+    with pytest.raises(TraceFormatError, match="cost load must be finite and >= 0"):
+        parse_cost_model("load=-1 store=nan free=0 out=0 run_per_q=inf f=0.5")
+    entries = {"load": "1", "store": "1", "free": "0", "out": "0", "run_per_q": "1"}
+    for key, bad in [("load", "-1"), ("store", "nan"), ("free", "inf"),
+                     ("out", "-inf"), ("run_per_q", "inf"), ("f", "0.5"),
+                     ("f", "nan")]:
+        text = " ".join(f"{k}={v}" for k, v in {**entries, key: bad}.items())
+        with pytest.raises(TraceFormatError, match=rf"\b{key} must be"):
+            parse_cost_model(text)
+    with pytest.raises(ValueError, match="inflation factor f must be >= 1"):
+        CostModel(1, 1).with_inflation(0.5)
+
+
 def test_inflation_scales_only_load_and_store():
     campaign, _ = campaign_for(["aab", "aac"], sigma=2)
     cost = CostModel(load=1.0, store=1.0, free=10.0, out=100.0, run_per_q=1.0)

@@ -97,7 +97,7 @@ def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
         start = load_node.depth
         by_depth = {n.depth: n for n in chain}
         for node in reversed(chain):
-            if node.depth <= h - 1 and node.is_shared_prefix:
+            if node.depth <= h and node.is_shared_prefix:
                 node.pending -= 1
                 if node.pending < 0:
                     raise TreeInvariantError(
@@ -204,8 +204,8 @@ def test_singleton_campaign():
 
 def test_trace_equal_to_stored_prefix():
     # "aa" itself ends exactly at the shared prefix: store happens at full
-    # depth, and the checkpoint is never freed (the availability sweep only
-    # counts down proper prefixes, and "aa" is not a proper prefix of itself).
+    # depth.  The availability sweep counts trace "aa" as a use of its own
+    # prefix, so "aab" is the checkpoint's last use and frees it once loaded.
     ordered = ts("aa", "aab")
     campaign = optimize_slice(ordered, tree_for(ordered), None, 1.0)
     assert list(campaign_lines(campaign)) == [
@@ -215,6 +215,7 @@ def test_trace_equal_to_stored_prefix():
         "STORE 1",
         "OUT",
         "LOAD 1",
+        "FREE 1",
         "RUN b 1",
         "OUT",
     ]
@@ -223,11 +224,13 @@ def test_trace_equal_to_stored_prefix():
 
 
 def test_next_use_evicts_the_checkpoint_used_furthest_ahead():
-    # When "bb" is reached, "a" and "ab" fill both free slots.  Both have
-    # depth gap 1, so the depth-gap rule evicted "a", the least recently
-    # stored, and "aa" replayed from the root: 9 quanta.  "a" is next used
-    # by "aa" and "ab" by no later trace, so next use evicts "ab" instead.
-    ordered = ts("aba", "ab", "bb", "aa", "bbba")
+    # When "bb" is reached, "a" and "ab" fill both free slots.  "a" is next
+    # used by "aa" and "ab" by "abb", one trace later, so next use evicts
+    # "ab": 10 quanta.  Always evicting the least recently stored checkpoint
+    # takes 11.  "ab" needs the later use: since the availability sweep
+    # counts a trace as a use of its own prefix, trace "ab" would otherwise
+    # free it, and "bb" would find a free slot.
+    ordered = ts("aba", "ab", "bb", "aa", "bbba", "abb")
     campaign = optimize_slice(ordered, tree_for(ordered), 3, 1.0)
     assert list(campaign_lines(campaign)) == [
         "#q=1;slice=0",
@@ -246,16 +249,31 @@ def test_next_use_evicts_the_checkpoint_used_furthest_ahead():
         "STORE 3",
         "OUT",
         "LOAD 1",
-        "FREE 1",
         "RUN a 1",
         "OUT",
         "LOAD 3",
-        "FREE 0",
+        "FREE 3",
         "RUN b 1",
         "RUN a 1",
         "OUT",
+        "LOAD 1",
+        "FREE 1",
+        "FREE 0",
+        "RUN b 2",
+        "OUT",
     ]
+    assert campaign.length_quanta == 10
+
+
+def test_checkpoint_equal_to_a_trace_is_freed_after_its_last_use():
+    # "ab" is stored while replaying "aba" and last used by trace "ab",
+    # which frees it, so the unlimited campaign holds at most 3 states.
+    ordered = ts("aba", "ab", "bb", "aa", "bbba")
+    campaign = optimize_slice(ordered, tree_for(ordered), None, 1.0)
+    assert campaign.peak_stored == 3
     assert campaign.length_quanta == 8
+    lines = list(campaign_lines(campaign))
+    assert lines[8:11] == ["LOAD 2", "FREE 2", "OUT"]
 
 
 def test_budgets_that_cannot_bind_build_no_next_use_table(monkeypatch):
@@ -448,6 +466,20 @@ def test_run_scan_matches_the_per_symbol_scan(traces, capacity, order_seed, subs
         return campaign.commands, campaign.peak_stored
 
     assert outcome(optimize_slice) == outcome(reference_optimize_slice)
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_slices(), st.integers(0, 1 << 20))
+def test_every_checkpoint_but_an_unshared_root_is_freed(traces, order_seed):
+    # A checkpoint is freed once no trace left can load it, whether its
+    # prefix is a proper prefix of the traces using it or one of them.
+    # Only the root outlives the campaign, when it is not a shared prefix.
+    ordered = order_slice(traces, "random", seed=order_seed)
+    tree = tree_for(traces)
+    for capacity in (None, 1, 2, 3, tree.capacity):
+        counts = optimize_slice(ordered, tree, capacity, 1.0).command_counts()
+        left = counts.get("store", 0) - counts.get("free", 0)
+        assert left == (0 if tree.root.is_shared_prefix else 1)
 
 
 def test_campaign_file_round_trip(tmp_path):

@@ -8,6 +8,7 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from simcamp.engine import CostModel
 from simcamp.metrics import REPORT_COLUMNS
@@ -17,6 +18,8 @@ from simcamp.optimizer import read_campaign_file
 from simcamp.pipeline import (
     PipelineStageError,
     RunConfig,
+    _baseline_summary,
+    _campaign_summary,
     _run_slice_task,
     analyze_runs,
     overall_omission_bound,
@@ -28,7 +31,9 @@ from simcamp.pipeline import (
     slice_seed,
     write_json_atomic,
 )
-from simcamp.traces import TraceCorpus, write_trace_file
+from simcamp.slicing import order_slice
+from simcamp.traces import InputTrace, TraceCorpus, write_trace_file
+from simcamp.tree import build_tree
 from util import ABCD, ts
 
 # SHA-256 of every pipeline output on ``corpus_file`` with two slices and
@@ -36,17 +41,23 @@ from util import ABCD, ts
 # The report.csv digests were re-recorded when the constant par_eff column
 # was dropped, and the sigma 2 slice 1 campaign and result when eviction
 # moved from the depth-gap rule to furthest next use (same length, other
-# victims); every other digest is unchanged since it was recorded.
+# victims).  Every campaign and result but the sigma 1 slice 0 campaign
+# was re-recorded when the availability sweep began to count a trace as a
+# use of its own prefix: ``corpus_file`` holds traces that are prefixes of
+# others ("aa" of "aab"), whose checkpoints are now freed after their last
+# use, and the sigma 1 campaign no longer stores one on its last trace.
+# Lengths stayed equal, and no peak or store count rose.  The report and
+# progress digests are unchanged since they were recorded.
 GOLDEN_DIGESTS = {
     "capacity": {
         "campaigns/campaign_0.txt":
-            "d626b06cdeb4d2c52872c99b480a6b65d761a46e2e38ed5293683edff207bc8c",
+            "66afca09c0c7dfab6a980673ee67946d5cf6eb6d915beebf2073f297decc773f",
         "campaigns/campaign_1.txt":
-            "1622468d9ac28865c777cc39e6f6a22f0bccb4f27cdb4fd074622b7c31cbdc90",
+            "7b4bcc638ed89aef218df73b28520182a151129d9eb949a78d9568cb13d315c7",
         "results/result_0.json":
-            "e284b8f0a23d4772c5bd9ff1164af45ae06b4134787fe3999fe66187b084eea5",
+            "503773e85b20e5931547cb10185dbd16f850cc9cf8e59f5f8bec05e942a3729c",
         "results/result_1.json":
-            "6bb9b45d1956ae60f7b339f58681e3507cdc1b89bada977b7533e8536fb64d77",
+            "581cd33165422ca4a47c7267c4df37e2916be7f9041e7dde7bf41c04d9302cb7",
         "report.csv":
             "047ea74d71f208700b9d075a6090224bf640af0fc2ca7443b33091f8da9b09ab",
         "progress.csv":
@@ -54,13 +65,13 @@ GOLDEN_DIGESTS = {
     },
     "2": {
         "campaigns/campaign_0.txt":
-            "519ed10f054ae5ff68a317053a34dc82cb4031b58795dde621a23b9816e895e1",
+            "8fd8a667a2db79dcf8d2696ce0283091bd79a1870e39c1d34344a8ceabd49caa",
         "campaigns/campaign_1.txt":
-            "7421421cb9aee0a1d9e09559929fbee5f926461362471fcd7cb271432e2b9c45",
+            "a35a43b6f94c462c0dc34981ddcdcd3a2697e54ea509e6056f13056448dc1aa9",
         "results/result_0.json":
-            "9c16b6e1140b0fff6185c25960c01578ae7d44ed25f982f5cb920f0146d6c144",
+            "124228d1c5f3f60d209d2470fccc9d8038447289955ee66274ef5d8fc20d2240",
         "results/result_1.json":
-            "d629b358fc9fc6a664522376e9469b02277a3135ca54bb9f705f81064dc8fd97",
+            "8ce50859d807182f4066efc907749db895a3df4e7409082502f6642ee9c42ca7",
         "report.csv":
             "5405ef13f2304237ff1a4923d814f65a9ad4f96b9dba0c42c3fd9b03dbb1a158",
         "progress.csv":
@@ -70,11 +81,11 @@ GOLDEN_DIGESTS = {
         "campaigns/campaign_0.txt":
             "1e7e028c0dca4022fe8c74784207d502db4044d18a5be85d82145bfec51da46e",
         "campaigns/campaign_1.txt":
-            "f288a4eb701e5c83733bff93763a73c21f817eed145bf0e98bfd674191025fd3",
+            "ca7e95b6789bceb16249ebca500c7e8d9d35f18472a3b8fbd79df95c416045d2",
         "results/result_0.json":
-            "94948666c23131849e9a7ae0fb68b5a4eefa5b0443cf8befede9b1a61cb5ea14",
+            "e6e30eebdbb7ab1a5561018a68117815c36ce6bfdddd522f816d44dc0996e319",
         "results/result_1.json":
-            "c617451e7fef722dc9fdd738e22f0a3f2e7db124f07ba03e67476dd7cb3c06c2",
+            "79507d0e3891438ba18270af33e3bda923fe9505dbf0eb79cdd3f7febacc20cb",
         "report.csv":
             "672d5b699355e457b67b20b62d3da14fe88ef5b9f433137321c39e39b56af163",
         "progress.csv":
@@ -82,13 +93,13 @@ GOLDEN_DIGESTS = {
     },
     "unlimited": {
         "campaigns/campaign_0.txt":
-            "d626b06cdeb4d2c52872c99b480a6b65d761a46e2e38ed5293683edff207bc8c",
+            "66afca09c0c7dfab6a980673ee67946d5cf6eb6d915beebf2073f297decc773f",
         "campaigns/campaign_1.txt":
-            "1622468d9ac28865c777cc39e6f6a22f0bccb4f27cdb4fd074622b7c31cbdc90",
+            "7b4bcc638ed89aef218df73b28520182a151129d9eb949a78d9568cb13d315c7",
         "results/result_0.json":
-            "0253cb8dad41790b2858675185e57d2a7af6090b90ae59d4df1a4ef7f22d02fc",
+            "84b8a21c09415945c0988f45356d21b20f771127798c7db2b474ddd05c273d6c",
         "results/result_1.json":
-            "9a3059f49c0c47dbc0a9155159541ced920c1e4eda03c0eacb2c802f5cfc186f",
+            "19e9250cdbedfc213e4294cd6e3e5b94f73601c1880eb145988f7452339d5085",
         "report.csv":
             "665b42a99529033c62aff85202667236513a25d83230c6afed602abae642b9db",
         "progress.csv":
@@ -670,3 +681,61 @@ def test_a_crash_before_the_slices_are_written_still_claims_the_directory(
     monkeypatch.undo()
     with pytest.raises(PipelineStageError, match=re.escape("slices=3, not 2")):
         run_pipeline(RunConfig(source=src, out_dir=str(out), slices=2, seed=3))
+
+
+@st.composite
+def baseline_slices(draw):
+    """Distinct traces over a,b,c, sorted, some of them prefixes of others.
+    Half the time every trace starts with "a", so the root is not shared."""
+    lead = (0,) if draw(st.booleans()) else ()
+    bodies = draw(
+        st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=8),
+                 min_size=1, max_size=12)
+    )
+    symbols = set()
+    for body in bodies:
+        trace = lead + tuple(body)
+        symbols.add(trace)
+        if len(trace) > 1 and draw(st.booleans()):
+            symbols.add(trace[:draw(st.integers(1, len(trace) - 1))])
+    return sorted(symbols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(baseline_slices(), st.integers(0, 1 << 20))
+@example(symbol_lists=[(0, 0, 1)], order_seed=0)
+@example(symbol_lists=[(0, 0, 1), (0, 1), (0, 1, 1)], order_seed=1)
+@example(symbol_lists=[(0,), (0, 1), (0, 1, 2), (1,)], order_seed=2)
+def test_counted_baseline_equals_the_planned_sigma_1_campaign(
+    symbol_lists, order_seed
+):
+    traces = [InputTrace(ABCD, s) for s in symbol_lists]
+    ordered = order_slice(traces, "random", seed=order_seed)
+    tree = build_tree(traces)
+    planned = optimizer.optimize_slice(ordered, tree, 1, 0.5)
+    assert _baseline_summary(ordered, tree) == _campaign_summary(planned)
+
+
+@pytest.mark.parametrize(
+    "sigma, budgets",
+    [("capacity", [None]), ("unlimited", [None]), ("1", [None, 1]),
+     ("2", [None, 2])],
+)
+def test_a_slice_task_plans_only_the_campaigns_it_writes(
+    tmp_path, monkeypatch, sigma, budgets
+):
+    # The unlimited campaign is always planned for the result's
+    # ``unlimited`` entry; a second call plans a budget below its peak.
+    # The sigma=1 baseline is counted, not planned.
+    calls = []
+    plan = pipeline.optimize_slice
+
+    def spy(ordered, tree, capacity, *args):
+        calls.append(capacity)
+        return plan(ordered, tree, capacity, *args)
+
+    monkeypatch.setattr(pipeline, "optimize_slice", spy)
+    out = tmp_path / "run"
+    run_pipeline(RunConfig(source=corpus_file(tmp_path), out_dir=str(out),
+                           slices=2, seed=3, sigma=sigma))
+    assert calls == budgets * 2
