@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shlex
 import sys
@@ -41,6 +42,7 @@ from .pipeline import (
     prepare_slices,
     read_cost_or_default,
     run_pipeline,
+    slice_corpus,
 )
 from .slicing import ORDER_MODES, external_sort
 from .traces import Alphabet, TraceFormatError, read_trace_file
@@ -51,9 +53,9 @@ def _parse_f_grid(text: str) -> list[float]:
         grid = [float(x) for x in text.split(",") if x]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad f grid {text!r}") from exc
-    if not grid or not all(f >= 1 for f in grid):
+    if not grid or not all(1 <= f < math.inf for f in grid):
         raise argparse.ArgumentTypeError(
-            f"f grid {text!r} must list one or more factors, each >= 1"
+            f"f grid {text!r} must list one or more factors, each finite and >= 1"
         )
     return grid
 
@@ -97,14 +99,18 @@ def _run_config(args: argparse.Namespace, **options) -> RunConfig:
 
 def cmd_slice(args: argparse.Namespace) -> int:
     tasks = prepare_slices(_run_config(args))
+    for task in tasks:
+        # A constraint-spec slice file is written when its traces are first
+        # extracted; prepare_slices has written every trace-file slice.
+        if not os.path.exists(task.paths.slice):
+            slice_corpus(task)
     _print_json({"out_dir": args.out_dir, "slices": len(tasks)})
     return 0
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    corpus, ordered, tree, sigma = plan_slice(
-        args.slice, args.order, args.seed, args.sigma
-    )
+    corpus = read_trace_file(args.slice)
+    ordered, tree, sigma = plan_slice(corpus, args.order, args.seed, args.sigma)
     campaign = optimize_slice(
         ordered, tree, sigma, corpus.quantum, slice_id=args.slice_id
     )

@@ -210,7 +210,8 @@ _COSTS = ("load", "store", "free", "out", "run_per_q")
 class CostModel:
     """Per-command wall-clock costs in seconds; ``f`` inflates Load+Store.
 
-    Every cost must be finite and >= 0, and ``f`` >= 1 (NaN is neither).
+    Every cost must be finite and >= 0, and ``f`` finite and >= 1 (NaN is
+    neither): an infinite ``f`` times a zero cost is NaN.
     """
 
     load: float
@@ -225,8 +226,10 @@ class CostModel:
             value = getattr(self, key)
             if not 0 <= value < math.inf:
                 raise ValueError(f"cost {key} must be finite and >= 0, not {value:g}")
-        if not self.f >= 1:
-            raise ValueError(f"inflation factor f must be >= 1, not {self.f:g}")
+        if not 1 <= self.f < math.inf:
+            raise ValueError(
+                f"inflation factor f must be >= 1 and finite, not {self.f:g}"
+            )
 
     def with_inflation(self, f: float) -> "CostModel":
         return CostModel(self.load, self.store, self.free, self.out, self.run_per_q, f)

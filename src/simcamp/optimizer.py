@@ -164,7 +164,8 @@ def optimize_slice(
     # Only a budget strictly between 1 (the root alone) and the tree's
     # capacity can ever evict, so only then are next uses needed.  Other
     # budgets key every checkpoint 0, and equal keys never evict.
-    if capacity is not None and 1 < capacity < tree.capacity:
+    keyed = capacity is not None and 1 < capacity < tree.capacity
+    if keyed:
         uses = _next_use_table(ordered, tree)
 
         def next_use(node_id: int, j: int) -> int:
@@ -244,9 +245,11 @@ def optimize_slice(
         commands.append(Command("out"))
 
         # The stored nodes at or above the load node were used by this
-        # trace; those stored below it were keyed when stored.
-        for node in chain[1:k + 1]:
-            index.rekey(node.node_id, next_use(node.node_id, j))
+        # trace; those stored below it were keyed when stored.  Unkeyed,
+        # every key stays 0.
+        if keyed:
+            for node in chain[1:k + 1]:
+                index.rekey(node.node_id, next_use(node.node_id, j))
 
     return Campaign(
         commands=commands,

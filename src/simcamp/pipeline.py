@@ -12,8 +12,21 @@ Stages communicate only through files in the output directory:
     results/progress_<i>.json   (atomically replaced while executing)
     report.csv, progress.csv
 
-``plan_slice`` turns a slice file into its order, tree and state budget,
-for the pipeline's slice task and for ``simcamp optimize`` alike.
+The stages, in order:
+
+1. ``prepare_slices`` (source and slice stages, in the calling process):
+   claim the directory, then sort and sample a trace file and cut its
+   slice files from ``sorted.txt``, or count and sample a constraint
+   spec; write the manifest and ``config.json``.
+2. ``_run_slice_task`` (one per slice, inline or in a worker pool): get
+   the slice's traces through ``slice_corpus`` (which extracts a spec
+   slice and writes its slice file, or reads the slice file already
+   there), plan it with ``plan_slice``, write the campaign, execute it on
+   the reference model and write the result.
+3. ``analyze_runs``: ``report.csv`` and ``progress.csv``.
+
+``plan_slice`` turns a slice's traces into their order, tree and state
+budget, for the pipeline's slice task and for ``simcamp optimize`` alike.
 
 Every file but the two CSV reports is written to a temporary name and
 moved into place, so none is ever seen partly written.  ``config.json``
@@ -47,6 +60,7 @@ from .engine import (
     reference_model,
 )
 from .generator import (
+    ConstraintSpec,
     GeneratorTable,
     check_fraction,
     read_constraint_file,
@@ -183,20 +197,21 @@ def _is_constraint_file(path: str) -> bool:
     return first.startswith("alphabet=")
 
 
-def _materialize_source(config: RunConfig) -> tuple[Alphabet, float, list[str]]:
-    """The sorted, sampled corpus the slices are cut from, as trace lines."""
+def _materialize_source(
+    config: RunConfig,
+) -> tuple[Alphabet, float, ConstraintSpec | None, Sequence]:
+    """The sorted, sampled corpus the slices are cut from: for a trace
+    file, its trace lines; for a constraint spec, the spec and the sampled
+    indices of its traces, which the slice tasks extract."""
     if _is_constraint_file(config.source):
         spec = read_constraint_file(config.source)
-        table = GeneratorTable(spec)
-        total = table.count()
+        total = GeneratorTable(spec).count()
         if total == 0:
             raise PipelineStageError("source stage: constraint spec accepts no traces")
         indices = sample_indices(total, config.fraction, config.seed)
         if not indices:
             raise PipelineStageError("source stage: sampled zero traces")
-        alphabet = spec.alphabet
-        lines = [alphabet.format_line(t.symbols) for t in table.extract(indices)]
-        return alphabet, config.quantum, lines
+        return spec.alphabet, config.quantum, spec, indices
 
     sorted_path = os.path.join(config.out_dir, "sorted.txt")
     if not os.path.exists(sorted_path):
@@ -210,7 +225,7 @@ def _materialize_source(config: RunConfig) -> tuple[Alphabet, float, list[str]]:
     if config.fraction < 1.0:
         keep = sample_indices(len(lines), config.fraction, config.seed)
         lines = [lines[j] for j in keep]
-    return alphabet, quantum, lines
+    return alphabet, quantum, None, lines
 
 
 class _SlicePaths(NamedTuple):
@@ -230,6 +245,14 @@ def _slice_paths(run_dir: str, slice_id: int) -> _SlicePaths:
     )
 
 
+class _SpecSlice(NamedTuple):
+    """What a slice task needs to extract its traces from a constraint spec."""
+
+    spec: ConstraintSpec
+    quantum: float
+    indices: Sequence[int]
+
+
 @dataclass(slots=True)
 class _SliceTask:
     slice_id: int
@@ -239,17 +262,34 @@ class _SliceTask:
     order_mode: str
     order_seed: int
     model_seed: int
+    # None for a file source, whose slice file prepare_slices writes.
+    spec_slice: _SpecSlice | None = None
+
+
+def slice_corpus(task: _SliceTask) -> TraceCorpus:
+    """The slice's traces.  A slice file that exists (every file source,
+    and a spec slice extracted by an earlier run) is read; otherwise the
+    spec slice is extracted and written to its slice file."""
+    path = task.paths.slice
+    if task.spec_slice is None or os.path.exists(path):
+        return read_trace_file(path)
+    spec, quantum, indices = task.spec_slice
+    traces = list(GeneratorTable(spec).extract(indices))
+    alphabet = spec.alphabet
+    write_trace_lines(
+        path, alphabet, quantum, (alphabet.format_line(t.symbols) for t in traces)
+    )
+    return TraceCorpus(alphabet, quantum, traces)
 
 
 def plan_slice(
-    path: str, order_mode: str, order_seed: int, sigma: str
-) -> tuple[TraceCorpus, list[InputTrace], BranchTree, int | None]:
-    """A slice file's corpus, verification order, tree (built once, from
-    the sorted traces) and ``sigma`` resolved against the tree's capacity."""
-    corpus = read_trace_file(path)
+    corpus: TraceCorpus, order_mode: str, order_seed: int, sigma: str
+) -> tuple[list[InputTrace], BranchTree, int | None]:
+    """A slice's verification order, tree (built once, from the sorted
+    traces) and ``sigma`` resolved against the tree's capacity."""
     ordered = order_slice(corpus.traces, order_mode, order_seed)
     tree = build_tree(sorted(corpus.traces, key=lambda t: t.symbols))
-    return corpus, ordered, tree, resolve_sigma(sigma, tree.capacity)
+    return ordered, tree, resolve_sigma(sigma, tree.capacity)
 
 
 def _campaign_summary(campaign) -> dict:
@@ -282,8 +322,9 @@ def _baseline_summary(ordered: Sequence[InputTrace], tree: BranchTree) -> dict:
 
 def _run_slice_task(task: _SliceTask) -> dict:
     paths = task.paths
-    corpus, ordered, tree, resolved = plan_slice(
-        paths.slice, task.order_mode, task.order_seed, task.sigma
+    corpus = slice_corpus(task)
+    ordered, tree, resolved = plan_slice(
+        corpus, task.order_mode, task.order_seed, task.sigma
     )
 
     # Optimizing at any budget of at least the unlimited peak never meets
@@ -339,9 +380,11 @@ def _run_slice_task(task: _SliceTask) -> dict:
 
 
 def prepare_slices(config: RunConfig) -> list[_SliceTask]:
-    """Source + slice stages: produce slice files, the manifest, config.json.
+    """Source + slice stages: the manifest, config.json and, for a trace
+    file source, the slice files.
 
-    Returns the per-slice task descriptions for the later stages.
+    Returns the per-slice task descriptions for the later stages; a
+    constraint-spec slice is extracted and written by its task.
     """
     out = config.out_dir
     for sub in ("slices", "campaigns", "results"):
@@ -354,22 +397,23 @@ def prepare_slices(config: RunConfig) -> list[_SliceTask]:
     _claim_out_dir(config, fingerprint)
 
     try:
-        alphabet, quantum, lines = _materialize_source(config)
+        alphabet, quantum, spec, items = _materialize_source(config)
     except PipelineStageError:
         raise
     except Exception as exc:
         raise PipelineStageError(f"source stage failed: {exc}") from exc
 
-    if config.slices > len(lines):
+    if config.slices > len(items):
         raise PipelineStageError(
-            f"slice stage: {config.slices} slices for {len(lines)} traces"
+            f"slice stage: {config.slices} slices for {len(items)} traces"
         )
-    ranges = slice_ranges(len(lines), config.slices)
+    ranges = slice_ranges(len(items), config.slices)
 
     model_seed = config.seed if config.model_seed is None else config.model_seed
     tasks: list[_SliceTask] = []
     with atomic_text_file(os.path.join(out, "manifest.jsonl")) as manifest:
         for i, (start, stop) in enumerate(ranges):
+            body = items[start:stop]
             task = _SliceTask(
                 slice_id=i,
                 size=stop - start,
@@ -378,9 +422,9 @@ def prepare_slices(config: RunConfig) -> list[_SliceTask]:
                 order_mode=config.order_mode,
                 order_seed=slice_seed(config.seed, i),
                 model_seed=model_seed,
+                spec_slice=None if spec is None else _SpecSlice(spec, quantum, body),
             )
-            if not os.path.exists(task.paths.slice):
-                body = lines[start:stop]
+            if spec is None and not os.path.exists(task.paths.slice):
                 write_trace_lines(task.paths.slice, alphabet, quantum, body)
             entry = {"slice": i, "size": task.size, "order": task.order_mode,
                      "seed": task.order_seed}
@@ -389,7 +433,7 @@ def prepare_slices(config: RunConfig) -> list[_SliceTask]:
 
     write_json_atomic(
         {
-            "n_total": len(lines),
+            "n_total": len(items),
             "alphabet": list(alphabet.tokens),
             "quantum": quantum,
             "fingerprint": fingerprint,

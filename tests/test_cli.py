@@ -119,7 +119,10 @@ def test_pipeline_analyze_progress(tmp_path, capsys):
     assert json.loads(out.out)["rows"] == 6
 
 
-@pytest.mark.parametrize("grid, named", [("", "''"), ("0.5,-1", "0.5"), ("1,-1", "-1")])
+@pytest.mark.parametrize(
+    "grid, named",
+    [("", "''"), ("0.5,-1", "0.5"), ("1,-1", "-1"), ("1,inf", "'1,inf'")],
+)
 def test_f_grid_must_be_nonempty_and_at_least_one(tmp_path, capsys, grid, named):
     for argv in (
         ["pipeline", "--in", corpus_file(tmp_path), "--out-dir", str(tmp_path / "run")],

@@ -172,6 +172,9 @@ def test_cost_model_rejects_unusable_costs():
             parse_cost_model(text)
     with pytest.raises(ValueError, match="inflation factor f must be >= 1"):
         CostModel(1, 1).with_inflation(0.5)
+    # An infinite f times a zero cost would make every estimate NaN.
+    with pytest.raises(TraceFormatError, match="f must be >= 1 and finite, not inf"):
+        parse_cost_model("load=0 store=0 free=0 out=0 run_per_q=1 f=inf")
 
 
 def test_inflation_scales_only_load_and_store():

@@ -297,6 +297,25 @@ def test_budgets_that_cannot_bind_build_no_next_use_table(monkeypatch):
     assert calls == [len(ordered)]
 
 
+def test_budgets_that_cannot_bind_rekey_nothing(monkeypatch):
+    # Unkeyed, every checkpoint's key is 0, so a re-key could change none.
+    calls = []
+    rekey = CheckpointIndex.rekey
+
+    def spy(self, node_id, next_use):
+        calls.append(node_id)
+        return rekey(self, node_id, next_use)
+
+    monkeypatch.setattr(CheckpointIndex, "rekey", spy)
+    ordered = ts("aba", "ab", "bb", "aa", "bbba", "abab", "bbb")
+    tree = tree_for(ordered)
+    for sigma in (None, tree.capacity):
+        optimize_slice(ordered, tree, sigma, 1.0)
+    assert calls == []
+    optimize_slice(ordered, tree, tree.capacity - 1, 1.0)
+    assert calls
+
+
 def test_rejects_empty_slice():
     with pytest.raises(ValueError):
         optimize_slice([], build_tree([]), 1, 1.0)

@@ -10,7 +10,9 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from simcamp.cli import main
 from simcamp.engine import CostModel
+from simcamp.generator import GeneratorTable
 from simcamp.metrics import REPORT_COLUMNS
 import simcamp.optimizer as optimizer
 import simcamp.pipeline as pipeline
@@ -681,6 +683,104 @@ def test_a_crash_before_the_slices_are_written_still_claims_the_directory(
     monkeypatch.undo()
     with pytest.raises(PipelineStageError, match=re.escape("slices=3, not 2")):
         run_pipeline(RunConfig(source=src, out_dir=str(out), slices=2, seed=3))
+
+
+def spy_extract(monkeypatch):
+    """Record the number of indices each ``GeneratorTable.extract`` call gets."""
+    extracted = []
+    extract = GeneratorTable.extract
+
+    def spy(self, indices):
+        indices = list(indices)
+        extracted.append(len(indices))
+        return extract(self, indices)
+
+    monkeypatch.setattr(GeneratorTable, "extract", spy)
+    return extracted
+
+
+def test_spec_slices_are_extracted_by_their_own_tasks(tmp_path, monkeypatch):
+    extracted = spy_extract(monkeypatch)
+    out = tmp_path / "run"
+    config = RunConfig(source=spec_file(tmp_path), out_dir=str(out), slices=2, seed=3)
+    tasks = prepare_slices(config)
+    assert extracted == []
+    sizes = [
+        json.loads(line)["size"]
+        for line in (out / "manifest.jsonl").read_text().splitlines()
+    ]
+    for task in tasks:
+        _run_slice_task(task)
+    assert extracted == sizes == [22, 21]
+
+
+@pytest.mark.parametrize("fraction", sorted(SPEC_DIGESTS))
+def test_a_crash_between_the_manifest_and_the_spec_slices_resumes(
+    tmp_path, fraction
+):
+    # Two workers: each task's parsed spec travels to a pool process.
+    out = tmp_path / "run"
+    config = RunConfig(source=spec_file(tmp_path), out_dir=str(out), slices=2,
+                       seed=3, fraction=fraction, workers=2)
+    prepare_slices(config)
+    assert (out / "manifest.jsonl").exists()
+    assert os.listdir(out / "slices") == []
+
+    run_pipeline(config)
+    assert output_digests(out, ("slices", "campaigns", "results")) == (
+        SPEC_DIGESTS[fraction]
+    )
+
+
+def test_a_crash_mid_spec_slice_write_leaves_no_slice_file(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    config = RunConfig(source=spec_file(tmp_path), out_dir=str(out), slices=2, seed=3)
+    crash_slice_writes_at_line(monkeypatch, 3)
+    with pytest.raises(PipelineStageError, match="slice 0: disk full"):
+        run_pipeline(config)
+    monkeypatch.undo()
+    assert os.listdir(out / "slices") == []
+
+    run_pipeline(config)
+    assert output_digests(out, ("slices", "campaigns", "results")) == (
+        SPEC_DIGESTS[1.0]
+    )
+
+
+def test_a_rerun_reads_existing_spec_slices_without_extracting(
+    tmp_path, monkeypatch
+):
+    out = tmp_path / "run"
+    config = RunConfig(source=spec_file(tmp_path), out_dir=str(out), slices=2, seed=3)
+    run_pipeline(config)
+    for sub in ("campaigns", "results"):
+        for path in (out / sub).iterdir():
+            path.unlink()
+
+    extracted = spy_extract(monkeypatch)
+    run_pipeline(config)
+    assert extracted == []
+    assert output_digests(out, ("slices", "campaigns", "results")) == (
+        SPEC_DIGESTS[1.0]
+    )
+
+
+@pytest.mark.parametrize("fraction", sorted(SPEC_DIGESTS))
+def test_slice_command_writes_every_spec_slice(tmp_path, capsys, fraction):
+    out = tmp_path / "cut"
+    code = main(["slice", "--in", spec_file(tmp_path), "--out-dir", str(out),
+                 "--slices", "2", "--seed", "3", "--fraction", str(fraction)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["slices"] == 2
+    expected = {
+        name: digest
+        for name, digest in SPEC_DIGESTS[fraction].items()
+        if name.startswith("slices/")
+    }
+    assert {
+        f"slices/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (out / "slices").iterdir()
+    } == expected
 
 
 @st.composite
