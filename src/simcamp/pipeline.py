@@ -50,6 +50,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import groupby
+from time import monotonic
 from typing import NamedTuple, Sequence
 
 from .engine import (
@@ -92,6 +93,10 @@ DEFAULT_COSTS = CostModel(load=0.0, store=0.0, free=0.0, out=0.0, run_per_q=1.0)
 DEFAULT_F_GRID = (1.0,)
 
 SIGMA_CHOICES_DOC = "a positive integer, 'capacity', or 'unlimited'"
+
+# Least time between two progress writes of one slice task, in seconds
+# (the first and last writes of a task are always made).
+PROGRESS_INTERVAL_S = 1.0
 
 
 class PipelineStageError(RuntimeError):
@@ -339,13 +344,17 @@ def _run_slice_task(task: _SliceTask) -> dict:
     write_campaign_file(requested, paths.campaign)
 
     n = len(ordered)
+    last_write = monotonic()
     write_json_atomic({"slice": task.slice_id, "j": 0, "n": n}, paths.progress)
 
     def on_out(done: int) -> None:
-        if done % 100 == 0:
+        nonlocal last_write
+        now = monotonic()
+        if now - last_write >= PROGRESS_INTERVAL_S:
             write_json_atomic(
                 {"slice": task.slice_id, "j": done, "n": n}, paths.progress
             )
+            last_write = now
 
     model = reference_model(corpus.alphabet, task.model_seed)
     result = execute(requested, model, progress=on_out)

@@ -5,6 +5,12 @@ possible, remainder to the leading slices.  Each slice's verification
 order is fixed up front: lexicographic, seeded-random, or as given.
 File-sourced corpora are sorted with a classic run-generation + k-way
 merge so memory stays bounded regardless of corpus size.
+
+The sort parses each trace once.  A run is a file of binary records,
+each a sort key and the input's own line: the key holds the line's
+symbols as 4-byte big-endian integers, so comparing keys as bytes
+compares traces in alphabet order, a proper prefix first.  The merge
+orders records by key and copies each kept line verbatim.
 """
 
 from __future__ import annotations
@@ -12,7 +18,10 @@ from __future__ import annotations
 import heapq
 import os
 import random
+import struct
+import sys
 import tempfile
+from array import array
 from typing import Iterable, Iterator, Sequence
 
 from .traces import (
@@ -69,28 +78,53 @@ def order_slice(
     raise ValueError(f"order mode must be one of {ORDER_MODES}")
 
 
+# A run record: the key's and the line's byte lengths, then the key, then
+# the line's UTF-8 bytes.  Framing by bytes, not characters, lets a record
+# be read back without decoding it.
+_FRAME = struct.Struct(">II")
+_SWAP_TO_BIG_ENDIAN = sys.byteorder == "little"
+
+
+def _sort_key(symbols: tuple[int, ...]) -> bytes:
+    """Symbols as 4-byte big-endian unsigned integers.
+
+    Byte order of two keys is the order of their symbol tuples, and a
+    proper prefix sorts first, for alphabets of any size.
+    """
+    key = array("I", symbols)
+    if _SWAP_TO_BIG_ENDIAN:
+        key.byteswap()
+    return key.tobytes()
+
+
 def _run_files(
     lines: Iterable[str],
     tmp_dir: str,
     alphabet: Alphabet,
     budget_symbols: int,
 ) -> list[str]:
-    """Split trace lines into sorted runs of at most ``budget_symbols`` symbols."""
+    """Split trace lines into sorted runs, each closed once it holds
+    ``budget_symbols`` symbols.
+
+    Each line is parsed once, which checks it; a valid stripped line is
+    already canonical, so the run keeps its bytes instead of formatting
+    the symbols back.
+    """
     paths: list[str] = []
 
-    def flush(run: list[tuple[int, ...]]) -> None:
+    def flush(run: list[tuple[bytes, bytes]]) -> None:
         run.sort()
-        path = os.path.join(tmp_dir, f"run{len(paths)}.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            for symbols in run:
-                fh.write(alphabet.format_line(symbols) + "\n")
+        path = os.path.join(tmp_dir, f"run{len(paths)}.bin")
+        with open(path, "wb") as fh:
+            for key, line in run:
+                fh.write(_FRAME.pack(len(key), len(line)) + key + line)
         paths.append(path)
 
-    run: list[tuple[int, ...]] = []
+    run: list[tuple[bytes, bytes]] = []
     used = 0
     for line in lines:
         symbols = alphabet.parse_line(line)
-        run.append(symbols)
+        run.append((_sort_key(symbols), line.encode("utf-8")))
         used += len(symbols)
         if used >= budget_symbols:
             flush(run)
@@ -101,13 +135,14 @@ def _run_files(
     return paths
 
 
-def _iter_run(path: str, run_index: int, alphabet: Alphabet) -> Iterator[
-    tuple[tuple[int, ...], int, int, str]
-]:
-    """A run's traces in order, each with its line as ``flush`` wrote it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for pos, line in enumerate(fh):
-            yield (alphabet.parse_line(line[:-1]), run_index, pos, line)
+def _iter_run(path: str) -> Iterator[tuple[bytes, bytes]]:
+    """A run's ``(key, line)`` records in order, read back without parsing."""
+    with open(path, "rb") as fh:
+        read = fh.read
+        while header := read(_FRAME.size):
+            key_len, line_len = _FRAME.unpack(header)
+            record = read(key_len + line_len)
+            yield record[:key_len], record[key_len:]
 
 
 def external_sort(
@@ -118,9 +153,18 @@ def external_sort(
 ) -> dict[str, int]:
     """Sort a trace file lexicographically with bounded memory.
 
+    Runs take traces until their symbols reach ``budget_symbols``; each
+    is sorted and written as ``(key, line)`` records to a private
+    temporary directory beside ``out_path``, which is removed when the
+    sort ends, failed or not.  Each line is parsed once, when its run is
+    built; a line that does not parse is a TraceFormatError.  The merge
+    orders records by key and writes each kept line as the input had it,
+    stripped, so the output is the input's lines in alphabet order.
+    ``out_path`` is replaced only once the output is complete.
+
     Returns a report: traces in/out, sorted runs used, duplicates seen.
-    Duplicate traces are an error unless ``dedupe`` is set, in which case
-    only the first occurrence is kept.
+    Duplicate traces (equal keys) are an error unless ``dedupe`` is set,
+    in which case only the first occurrence is kept.
     """
     if budget_symbols < 1:
         raise ValueError("memory budget must be >= 1 symbol")
@@ -130,24 +174,24 @@ def external_sort(
         with open(in_path, "r", encoding="utf-8") as fh:
             alphabet, quantum = parse_trace_header(fh.readline())
             runs = _run_files(_body_lines(fh), tmp_dir, alphabet, budget_symbols)
-        merged = heapq.merge(
-            *(_iter_run(path, i, alphabet) for i, path in enumerate(runs))
-        )
+        merged = heapq.merge(*map(_iter_run, runs))
         with atomic_text_file(out_path) as fh:
             fh.write(format_trace_header(alphabet, quantum) + "\n")
-            previous: tuple[int, ...] | None = None
-            for symbols, _run, _pos, line in merged:
+            fh.flush()
+            out = fh.buffer  # run lines are already UTF-8
+            previous: bytes | None = None
+            for key, line in merged:
                 traces_in += 1
-                if symbols == previous:
+                if key == previous:
                     if not dedupe:
                         raise DuplicateTraceError(
-                            "duplicate trace " + alphabet.format_line(symbols)
+                            "duplicate trace " + line.decode("utf-8")
                         )
                     duplicates += 1
                     continue
-                fh.write(line)
+                out.write(line + b"\n")
                 traces_out += 1
-                previous = symbols
+                previous = key
     return {
         "traces_in": traces_in,
         "traces_out": traces_out,

@@ -41,7 +41,6 @@ class BranchNode:
     depth: int
     pending: int = 0
     is_shared_prefix: bool = False
-    children: set[int] = field(default_factory=set)
     child_by_symbol: dict[int, int] = field(default_factory=dict)
 
 
@@ -81,16 +80,12 @@ class BranchTree:
         node = BranchNode(self._next_id, parent.node_id, seg, depth)
         self._next_id += 1
         self.nodes[node.node_id] = node
-        parent.children.add(node.node_id)
         parent.child_by_symbol[seg[0]] = node.node_id
         return node
 
     def _reparent(self, child: BranchNode, new_parent: BranchNode) -> None:
-        old_parent = self.nodes[child.parent_id]  # type: ignore[index]
-        old_parent.children.discard(child.node_id)
         child.parent_id = new_parent.node_id
         child.seg = child.seg[len(new_parent.seg):]
-        new_parent.children.add(child.node_id)
         new_parent.child_by_symbol[child.seg[0]] = child.node_id
 
     # -- queries ----------------------------------------------------------
@@ -137,7 +132,6 @@ class BranchTree:
                 n.depth,
                 n.pending,
                 n.is_shared_prefix,
-                set(n.children),
                 dict(n.child_by_symbol),
             )
             for nid, n in self.nodes.items()
@@ -150,12 +144,12 @@ class BranchTree:
     # -- mutation during campaign generation ------------------------------
 
     def remove(self, node_id: int) -> None:
-        """Detach a dead node, splicing its children up to its parent.
+        """Detach a dead node: chain walks no longer reach it.
 
         In a tree built from the slice being replayed, no node dies before
         its descendants, so a dead node has no children left.  Only a tree
-        built from other traces can leave some; they are spliced up but
-        not re-registered for chain walks, which can only lose reuse.
+        built from other traces can leave some; chain walks no longer reach
+        them either, which can only lose reuse.
         """
         node = self.nodes[node_id]
         node.is_shared_prefix = False
@@ -164,14 +158,8 @@ class BranchTree:
             # it can only die on the last trace, so nothing depends on it after.
             return
         parent = self.nodes[node.parent_id]
-        parent.children.discard(node_id)
         if parent.child_by_symbol.get(node.seg[0]) == node_id:
             del parent.child_by_symbol[node.seg[0]]
-        for child_id in node.children:
-            child = self.nodes[child_id]
-            child.parent_id = parent.node_id
-            child.seg = node.seg + child.seg
-            parent.children.add(child_id)
         del self.nodes[node_id]
 
 

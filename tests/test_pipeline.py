@@ -561,6 +561,48 @@ def test_progress_of_another_size_counts_as_nothing_done(tmp_path):
     assert read_progress(str(out)) == [(0, 6, 6), (1, 0, 6)]
 
 
+@pytest.mark.parametrize(
+    "ticks_per_interval, writes",
+    [
+        (None, [0, 40]),  # the clock never advances
+        (4, list(range(0, 41, 4)) + [40]),
+        (1, list(range(41)) + [40]),
+    ],
+)
+def test_progress_is_written_at_start_end_and_once_per_interval(
+    tmp_path, monkeypatch, ticks_per_interval, writes
+):
+    # A fake clock advances one tick per reading; the slice task reads it
+    # once at its first progress write and once per executed out.
+    step = pipeline.PROGRESS_INTERVAL_S / (ticks_per_interval or float("inf"))
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(pipeline, "monotonic", lambda: next(ticks) * step)
+    executed = 0
+    seen = []
+    execute, write = pipeline.execute, pipeline.write_json_atomic
+
+    def counting_execute(campaign, model, progress):
+        def count(done):
+            nonlocal executed
+            executed = done
+            progress(done)
+
+        return execute(campaign, model, progress=count)
+
+    def recording_write(payload, path):
+        if os.path.basename(path).startswith("progress_"):
+            assert payload["j"] <= executed
+            seen.append(payload["j"])
+        write(payload, path)
+
+    monkeypatch.setattr(pipeline, "execute", counting_execute)
+    monkeypatch.setattr(pipeline, "write_json_atomic", recording_write)
+    out = tmp_path / "run"
+    run_pipeline(RunConfig(source=tight_file(tmp_path), out_dir=str(out), seed=5))
+    assert seen == writes
+    assert read_progress(str(out)) == [(0, 40, 40)]
+
+
 def crash_slice_writes_at_line(monkeypatch, nth):
     """Make the slice writer fail with ``disk full`` as it reaches the
     ``nth`` trace line it writes, after the lines before it are written."""

@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 
 import pytest
 
+import simcamp.slicing as slicing
 from simcamp.slicing import (
     DuplicateTraceError,
     external_sort,
     order_slice,
     slice_ranges,
 )
-from simcamp.traces import read_trace_file
+from simcamp.traces import Alphabet, TraceFormatError, read_trace_file
 from util import t, ts
 
 
@@ -134,3 +136,93 @@ def test_external_sort_over_many_runs_is_byte_identical(tmp_path, dedupe):
     assert report["traces_out"] == 300
     assert report["duplicates"] == (100 if dedupe else 0)
     assert hashlib.sha256(dst.read_bytes()).hexdigest() == MULTI_RUN_DIGEST
+
+
+def random_sort_case(rng):
+    """A corpus that meets each hazard of the sort's run records: symbol
+    indices of 256 and more, multi-byte tokens, alphabet order unlike
+    string order, proper prefixes of other traces (planted last, so a
+    small budget puts them in another run) and planted duplicates."""
+    size = rng.choice((1, 2, 3, rng.randint(4, 300), rng.randint(257, 300)))
+    tokens = ["é", "日本", "a"] + [f"t{i}" for i in range(size)] + ["zé"]
+    tokens = rng.sample(tokens, size)
+    alphabet = Alphabet(tuple(tokens))
+    traces = set()
+    for _ in range(rng.randint(1, 40)):
+        horizon = rng.randint(1, 8)
+        traces.add(tuple(rng.randrange(size) for _ in range(horizon)))
+    traces = list(traces)
+    rng.shuffle(traces)
+    for trace in traces[: rng.randint(0, 4)]:
+        if len(trace) > 1:
+            traces.append(trace[: rng.randint(1, len(trace) - 1)])
+    lines = list(dict.fromkeys(alphabet.format_line(x) for x in traces))
+    duplicates = rng.sample(lines, min(len(lines), rng.choice((0, 0, 1, 3))))
+    for line in duplicates:
+        lines.insert(rng.randint(0, len(lines)), line)
+    return alphabet, lines, duplicates
+
+
+@pytest.mark.parametrize("dedupe", [False, True])
+def test_external_sort_matches_an_in_memory_sort(tmp_path, dedupe):
+    rng = random.Random(1409 + dedupe)
+    for case in range(150):
+        alphabet, lines, duplicates = random_sort_case(rng)
+        header = f"#alphabet={','.join(alphabet.tokens)};q=0.25"
+        src, dst = tmp_path / f"in{case}.txt", tmp_path / f"out{case}.txt"
+        rows = [
+            " " + line + "\t" if rng.random() < 0.1 else line for line in lines
+        ]
+        src.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        total = sum(len(alphabet.parse_line(line)) for line in lines)
+        budget = rng.randint(1, total)
+        ordered = sorted(set(lines), key=alphabet.parse_line)
+        if duplicates and not dedupe:
+            first = min(duplicates, key=alphabet.parse_line)
+            with pytest.raises(DuplicateTraceError) as err:
+                external_sort(str(src), str(dst), budget_symbols=budget)
+            assert str(err.value) == "duplicate trace " + first, case
+            assert not dst.exists(), case
+            continue
+        report = external_sort(str(src), str(dst), budget_symbols=budget,
+                               dedupe=dedupe)
+        expected = header + "\n" + "".join(line + "\n" for line in ordered)
+        assert dst.read_bytes() == expected.encode("utf-8"), case
+        assert report["traces_in"] == len(lines)
+        assert report["traces_out"] == len(ordered)
+        assert report["duplicates"] == len(lines) - len(ordered)
+
+
+@pytest.mark.parametrize("case", ["sorted", "duplicate", "bad token"])
+def test_no_run_file_outlives_the_sort(tmp_path, monkeypatch, case):
+    src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+    rows = [f"{x},{y}" for x in "dcba" for y in "abcd"]
+    if case == "duplicate":
+        rows.append("c,b")
+    if case == "bad token":
+        rows.insert(12, "a,z")
+    write_corpus(src, rows)
+    dst.write_text("left untouched\n")
+    seen = []
+    make_runs = slicing._run_files
+
+    def spy(lines, tmp_dir, *args):
+        try:
+            return make_runs(lines, tmp_dir, *args)
+        finally:
+            seen.append((tmp_dir, os.listdir(tmp_dir)))
+
+    monkeypatch.setattr(slicing, "_run_files", spy)
+    # a 4-symbol budget writes a run for every two traces
+    if case == "sorted":
+        external_sort(str(src), str(dst), budget_symbols=4)
+        assert dst.read_text().splitlines()[1:] == sorted(rows)
+    else:
+        error = DuplicateTraceError if case == "duplicate" else TraceFormatError
+        with pytest.raises(error):
+            external_sort(str(src), str(dst), budget_symbols=4)
+        assert dst.read_text() == "left untouched\n"
+    [(tmp_dir, run_files)] = seen
+    assert len(run_files) == {"sorted": 8, "duplicate": 9, "bad token": 6}[case]
+    assert not os.path.exists(tmp_dir)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "out.txt"]

@@ -66,17 +66,23 @@ def test_chain_for_walks_materialized_prefixes():
     assert [n.depth for n in tree.chain_for(sym("ab"))] == [0, 1]
 
 
-def test_remove_splices_children_upward():
-    tree = build_tree(sorted_ts("aab", "aac", "ab"))
-    mid = next(n for n in tree.shared_nodes() if n.depth == 1)
-    deep = next(n for n in tree.shared_nodes() if n.depth == 2)
-    tree.remove(mid.node_id)
-    assert tree.root.children == {deep.node_id}
-    assert deep.parent_id == ROOT_ID
-    assert deep.seg == sym("aa")  # rebased through the removed node
-    assert tree.prefix_of(deep.node_id) == sym("aa")
-    assert mid.node_id not in tree.nodes
-    assert tree.shared_prefix_count == 2  # fixed at build
+def test_remove_detaches_only_the_dead_node():
+    traces = sorted_ts("aab", "aac", "ab", "ba", "bb")
+    tree = build_tree(traces)
+    dead = next(n for n in tree.shared_nodes() if n.depth == 2)  # "aa"
+    parent = tree.nodes[dead.parent_id]
+    chains = {
+        x.symbols: [n.node_id for n in tree.chain_for(x.symbols)] for x in traces
+    }
+    tree.remove(dead.node_id)
+    assert dead.node_id not in tree.nodes
+    assert dead.node_id not in parent.child_by_symbol.values()
+    assert chains[sym("aab")][-1] == dead.node_id
+    for trace in traces:
+        chain = [n.node_id for n in tree.chain_for(trace.symbols)]
+        expected = [i for i in chains[trace.symbols] if i != dead.node_id]
+        assert chain == expected
+    assert tree.shared_prefix_count == 4  # fixed at build
 
 
 def test_remove_root_is_inert():
