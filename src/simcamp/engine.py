@@ -20,7 +20,7 @@ from itertools import islice
 from typing import IO, Callable, NamedTuple, Sequence
 
 from .optimizer import Campaign, Command, campaign_lines
-from .traces import Alphabet, TraceFormatError
+from .traces import Alphabet, TraceFormatError, format_number
 
 _MASK64 = (1 << 64) - 1
 
@@ -270,9 +270,8 @@ def read_cost_file(path: str) -> CostModel:
 
 
 def format_cost_model(cost: CostModel) -> str:
-    return (
-        f"load={cost.load:g} store={cost.store:g} free={cost.free:g} "
-        f"out={cost.out:g} run_per_q={cost.run_per_q:g} f={cost.f:g}"
+    return " ".join(
+        f"{f.name}={format_number(getattr(cost, f.name))}" for f in fields(CostModel)
     )
 
 

@@ -32,6 +32,7 @@ from .traces import (
     TraceFormatError,
     atomic_text_file,
     check_quantum,
+    format_number,
 )
 from .tree import ROOT_ID, BranchTree, TreeInvariantError
 
@@ -271,7 +272,7 @@ def optimize_slice(
 
 def campaign_lines(campaign: Campaign) -> Iterator[str]:
     """The campaign's file/protocol lines, header first."""
-    yield f"#q={campaign.quantum:g};slice={campaign.slice_id}"
+    yield f"#q={format_number(campaign.quantum)};slice={campaign.slice_id}"
     for cmd in campaign.commands:
         yield format_command(cmd, campaign.alphabet)
 

@@ -335,12 +335,14 @@ def _run_slice_task(task: _SliceTask) -> dict:
     # Optimizing at any budget of at least the unlimited peak never meets
     # a full checkpoint index, so it reproduces the unlimited campaign.
     unlimited = optimize_slice(ordered, tree, None, corpus.quantum, task.slice_id)
+    unlimited_summary = _campaign_summary(unlimited)
     if resolved is None or resolved >= unlimited.peak_stored:
-        requested = unlimited
+        requested, requested_summary = unlimited, unlimited_summary
     else:
         requested = optimize_slice(
             ordered, tree, resolved, corpus.quantum, task.slice_id
         )
+        requested_summary = _campaign_summary(requested)
     write_campaign_file(requested, paths.campaign)
 
     n = len(ordered)
@@ -372,9 +374,9 @@ def _run_slice_task(task: _SliceTask) -> dict:
         "shared_prefixes": tree.shared_prefix_count,
         "sigma_requested": task.sigma,
         "sigma_resolved": resolved,
-        "requested": _campaign_summary(requested),
+        "requested": requested_summary,
         "baseline": _baseline_summary(ordered, tree),
-        "unlimited": _campaign_summary(unlimited),
+        "unlimited": unlimited_summary,
         "execution": {
             "executable": result.executable,
             "outs": len(result.observations),
@@ -440,13 +442,15 @@ def prepare_slices(config: RunConfig) -> list[_SliceTask]:
             manifest.write(json.dumps(entry, sort_keys=True) + "\n")
             tasks.append(task)
 
+    # The resolved fields win over RunConfig's: its quantum is only the
+    # default for a spec source, and a trace file's header sets its own.
     write_json_atomic(
         {
+            **asdict(config),
             "n_total": len(items),
             "alphabet": list(alphabet.tokens),
             "quantum": quantum,
             "fingerprint": fingerprint,
-            **asdict(config),
         },
         os.path.join(out, "config.json"),
     )

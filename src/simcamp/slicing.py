@@ -7,10 +7,12 @@ File-sourced corpora are sorted with a classic run-generation + k-way
 merge so memory stays bounded regardless of corpus size.
 
 The sort parses each trace once.  A run is a file of binary records,
-each a sort key and the input's own line: the key holds the line's
-symbols as 4-byte big-endian integers, so comparing keys as bytes
-compares traces in alphabet order, a proper prefix first.  The merge
-orders records by key and copies each kept line verbatim.
+each a sort key and the input's own line.  The key is the alphabet's
+(``Alphabet.sort_key``): one byte per symbol when every token is one
+ASCII character, else each symbol as a 4-byte big-endian integer.  Both
+encodings preserve order: comparing keys as bytes compares traces in
+alphabet order, a proper prefix first.  The merge orders records by key
+and copies each kept line verbatim.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ import heapq
 import os
 import random
 import struct
-import sys
 import tempfile
-from array import array
 from typing import Iterable, Iterator, Sequence
 
 from .traces import (
@@ -82,19 +82,6 @@ def order_slice(
 # the line's UTF-8 bytes.  Framing by bytes, not characters, lets a record
 # be read back without decoding it.
 _FRAME = struct.Struct(">II")
-_SWAP_TO_BIG_ENDIAN = sys.byteorder == "little"
-
-
-def _sort_key(symbols: tuple[int, ...]) -> bytes:
-    """Symbols as 4-byte big-endian unsigned integers.
-
-    Byte order of two keys is the order of their symbol tuples, and a
-    proper prefix sorts first, for alphabets of any size.
-    """
-    key = array("I", symbols)
-    if _SWAP_TO_BIG_ENDIAN:
-        key.byteswap()
-    return key.tobytes()
 
 
 def _run_files(
@@ -120,12 +107,13 @@ def _run_files(
                 fh.write(_FRAME.pack(len(key), len(line)) + key + line)
         paths.append(path)
 
+    sort_key = alphabet.sort_key
     run: list[tuple[bytes, bytes]] = []
     used = 0
     for line in lines:
-        symbols = alphabet.parse_line(line)
-        run.append((_sort_key(symbols), line.encode("utf-8")))
-        used += len(symbols)
+        key, count = sort_key(line)
+        run.append((key, line.encode("utf-8")))
+        used += count
         if used >= budget_symbols:
             flush(run)
             run = []
@@ -156,10 +144,13 @@ def external_sort(
     Runs take traces until their symbols reach ``budget_symbols``; each
     is sorted and written as ``(key, line)`` records to a private
     temporary directory beside ``out_path``, which is removed when the
-    sort ends, failed or not.  Each line is parsed once, when its run is
-    built; a line that does not parse is a TraceFormatError.  The merge
-    orders records by key and writes each kept line as the input had it,
-    stripped, so the output is the input's lines in alphabet order.
+    sort ends, failed or not.  Each line is parsed once, into its
+    ``Alphabet.sort_key``, when its run is built; a line that does not
+    parse is a TraceFormatError.  Over one-character ASCII tokens the key
+    is the line's symbols one byte each, else 4 big-endian bytes each;
+    both compare as bytes in alphabet order, a proper prefix first.  The
+    merge orders records by key and writes each kept line as the input had
+    it, stripped, so the output is the input's lines in alphabet order.
     ``out_path`` is replaced only once the output is complete.
 
     Returns a report: traces in/out, sorted runs used, duplicates seen.

@@ -11,12 +11,20 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import tempfile
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, TextIO
 
 _TOKEN_FORBIDDEN = set(",;#")
+
+# The byte table's entry for a byte that is no token.  An alphabet of
+# one-character ASCII tokens has at most 128 symbols, so a translated
+# line holds a symbol >= the alphabet size exactly when it holds this.
+_NOT_A_SYMBOL = b"\xff"
+_SWAP_TO_BIG_ENDIAN = sys.byteorder == "little"
 
 
 class TraceFormatError(ValueError):
@@ -32,11 +40,17 @@ class Alphabet:
     """Finite ordered input domain: the order of ``tokens`` is the total order.
 
     It is also the trace codec: every token/symbol conversion goes through
-    the token-to-index table built once here.
+    the token-to-index table built once here.  When every token is one
+    ASCII character, a 256-entry byte-to-symbol table is built as well,
+    and a trace line is decoded as bytes, without splitting it into
+    tokens.  That byte path accepts exactly the lines the token path
+    accepts; a line it rejects goes to the token path, which raises the
+    same TraceFormatError for it as for any other alphabet.
     """
 
     tokens: tuple[str, ...]
     _table: dict[str, int] = field(init=False, repr=False, compare=False)
+    _byte_table: bytes | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.tokens:
@@ -49,6 +63,13 @@ class Alphabet:
         object.__setattr__(
             self, "_table", {tok: i for i, tok in enumerate(self.tokens)}
         )
+        byte_table = None
+        if all(len(tok) == 1 and tok.isascii() for tok in self.tokens):
+            table = bytearray(_NOT_A_SYMBOL * 256)
+            for i, tok in enumerate(self.tokens):
+                table[ord(tok)] = i
+            byte_table = bytes(table)
+        object.__setattr__(self, "_byte_table", byte_table)
 
     @staticmethod
     def of(*tokens: str) -> "Alphabet":
@@ -70,9 +91,47 @@ class Alphabet:
         except KeyError as exc:
             raise TraceFormatError(f"unknown symbol token {exc.args[0]!r}") from None
 
+    def _byte_symbols(self, line: str) -> bytes | None:
+        """A stripped trace line's symbols, one byte each, from the byte
+        table; None when there is no table or the line is not valid.
+
+        A valid line over one-character tokens alternates token and comma
+        and ends on a token: odd length, ``n - 1`` commas for ``n``
+        symbols, and every other byte a token.  A comma among those bytes
+        translates to no symbol, so all ``n - 1`` commas sit between them.
+        """
+        table = self._byte_table
+        if table is None or not len(line) % 2 or not line.isascii():
+            return None
+        raw = line.encode("ascii")
+        symbols = raw[::2].translate(table)
+        if raw.count(b",") != len(symbols) - 1 or _NOT_A_SYMBOL in symbols:
+            return None
+        return symbols
+
     def parse_line(self, line: str) -> tuple[int, ...]:
         """The symbols of one stripped trace line."""
+        symbols = self._byte_symbols(line)
+        if symbols is not None:
+            return tuple(symbols)
         return self.parse(line.split(","))
+
+    def sort_key(self, line: str) -> tuple[bytes, int]:
+        """A stripped trace line's sort key and its number of symbols.
+
+        Comparing two keys of this alphabet as bytes compares the traces
+        in alphabet order, a proper prefix first.  Over one-character
+        ASCII tokens a key is one byte per symbol; otherwise it holds the
+        symbols as 4-byte big-endian unsigned integers, for alphabets of
+        any size.  A line that does not parse is a TraceFormatError.
+        """
+        symbols = self._byte_symbols(line)
+        if symbols is not None:
+            return symbols, len(symbols)
+        key = array("I", self.parse(line.split(",")))
+        if _SWAP_TO_BIG_ENDIAN:
+            key.byteswap()
+        return key.tobytes(), len(key)
 
     def render(self, symbols: Iterable[int]) -> list[str]:
         """The tokens of ``symbols``."""
@@ -103,6 +162,13 @@ class InputTrace:
 
     def tokens(self) -> tuple[str, ...]:
         return tuple(self.alphabet.render(self.symbols))
+
+
+def format_number(value: float) -> str:
+    """``value`` as file text that reads back equal: its short ``:g``
+    form when that is exact, else ``repr``."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
 
 
 def check_quantum(quantum: float) -> None:
@@ -164,7 +230,7 @@ def parse_trace_header(line: str) -> tuple[Alphabet, float]:
 
 
 def format_trace_header(alphabet: Alphabet, quantum: float) -> str:
-    return f"#alphabet={','.join(alphabet.tokens)};q={quantum:g}"
+    return f"#alphabet={','.join(alphabet.tokens)};q={format_number(quantum)}"
 
 
 def _read_header(stream: TextIO) -> tuple[Alphabet, float]:

@@ -34,7 +34,7 @@ from simcamp.pipeline import (
     write_json_atomic,
 )
 from simcamp.slicing import order_slice
-from simcamp.traces import InputTrace, TraceCorpus, write_trace_file
+from simcamp.traces import InputTrace, TraceCorpus, read_trace_file, write_trace_file
 from simcamp.tree import build_tree
 from util import ABCD, ts
 
@@ -701,6 +701,25 @@ def test_a_rerun_on_another_source_is_refused(tmp_path):
         fh.write("d,d,d\n")
     with pytest.raises(PipelineStageError, match="source_sha256="):
         run_pipeline(RunConfig(source=src, out_dir=str(out), slices=2, seed=3))
+
+
+def test_a_source_quantum_reaches_config_json_and_every_file(tmp_path):
+    quantum = 0.123456789
+    src = tmp_path / "corpus.txt"
+    write_trace_file(TraceCorpus(ABCD, quantum, ts("ab", "b", "ca")), str(src))
+    out = tmp_path / "run"
+    run_pipeline(RunConfig(source=str(src), out_dir=str(out), slices=2))
+    with open(out / "config.json") as fh:
+        config = json.load(fh)
+    assert config["quantum"] == quantum
+    # The fingerprint keeps RunConfig's spec default, so resumes match as before.
+    assert config["fingerprint"]["quantum"] == 1.0
+    assert read_trace_file(str(out / "sorted.txt")).quantum == quantum
+    for i in range(2):
+        slice_file = str(out / "slices" / f"slice_{i}.txt")
+        assert read_trace_file(slice_file).quantum == quantum
+        campaign_file = str(out / "campaigns" / f"campaign_{i}.txt")
+        assert read_campaign_file(campaign_file, ABCD).quantum == quantum
 
 
 def test_a_rerun_from_a_moved_source_with_more_workers_resumes(tmp_path):

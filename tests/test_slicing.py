@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+import string
 
 import pytest
 
@@ -138,14 +139,26 @@ def test_external_sort_over_many_runs_is_byte_identical(tmp_path, dedupe):
     assert hashlib.sha256(dst.read_bytes()).hexdigest() == MULTI_RUN_DIGEST
 
 
+# Every printable ASCII character that can be a token.
+ASCII_TOKENS = [c for c in string.printable if not c.isspace() and c not in ",;#"]
+
+
 def random_sort_case(rng):
     """A corpus that meets each hazard of the sort's run records: symbol
     indices of 256 and more, multi-byte tokens, alphabet order unlike
     string order, proper prefixes of other traces (planted last, so a
-    small budget puts them in another run) and planted duplicates."""
-    size = rng.choice((1, 2, 3, rng.randint(4, 300), rng.randint(257, 300)))
-    tokens = ["é", "日本", "a"] + [f"t{i}" for i in range(size)] + ["zé"]
-    tokens = rng.sample(tokens, size)
+    small budget puts them in another run) and planted duplicates.  Some
+    alphabets are single printable ASCII characters in an order unlike
+    ASCII order, whose keys hold one byte per symbol."""
+    if rng.random() < 0.3:
+        size = rng.choice((1, 2, 3, rng.randint(4, len(ASCII_TOKENS))))
+        tokens = rng.sample(ASCII_TOKENS, size)
+        if size > 1 and tokens == sorted(tokens):
+            tokens.reverse()
+    else:
+        size = rng.choice((1, 2, 3, rng.randint(4, 300), rng.randint(257, 300)))
+        tokens = ["é", "日本", "a"] + [f"t{i}" for i in range(size)] + ["zé"]
+        tokens = rng.sample(tokens, size)
     alphabet = Alphabet(tuple(tokens))
     traces = set()
     for _ in range(rng.randint(1, 40)):

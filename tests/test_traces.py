@@ -5,7 +5,14 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from simcamp.optimizer import parse_campaign_header, parse_command
+from simcamp.engine import CostModel, read_cost_file, write_cost_file
+from simcamp.optimizer import (
+    parse_campaign_header,
+    parse_command,
+    read_campaign_file,
+    write_campaign_file,
+)
+from simcamp.oracles import naive_campaign
 from simcamp.slicing import external_sort
 from simcamp.traces import (
     Alphabet,
@@ -227,3 +234,55 @@ def test_a_campaign_command_with_an_unknown_token_names_it():
     # Commands split on whitespace, so a RUN cannot carry an empty token.
     with pytest.raises(TraceFormatError, match="unknown symbol token 'zz'"):
         parse_command("RUN zz 3", AB)
+
+
+@pytest.mark.parametrize("value", [1, 0.25, 0.1, 0.123456789, 1e-07, 123456789.0])
+def test_a_quantum_or_cost_reads_back_equal(tmp_path, value):
+    traces = ts("ab", "b")
+    path = str(tmp_path / "traces.txt")
+    write_trace_file(TraceCorpus(ABCD, value, traces), path)
+    assert read_trace_file(path).quantum == value
+    path = str(tmp_path / "campaign.txt")
+    write_campaign_file(naive_campaign(traces, value), path)
+    assert read_campaign_file(path, ABCD).quantum == value
+    cost = CostModel(value, value, value, value, value, f=1 + value)
+    path = str(tmp_path / "costs.txt")
+    write_cost_file(cost, path)
+    assert read_cost_file(path) == cost
+
+
+# One-character ASCII tokens in an order unlike ASCII order: the byte path.
+CBA = Alphabet.of("c", "a", "b")
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["", "a,,b", ",a", "a,", "a,bb", "ab", "abc", "a,z", "a,\u00e9", "a,b c", ","],
+)
+def test_a_malformed_line_gets_the_token_paths_error(line):
+    with pytest.raises(TraceFormatError) as token_path:
+        CBA.parse(line.split(","))
+    with pytest.raises(TraceFormatError) as parsed:
+        CBA.parse_line(line)
+    with pytest.raises(TraceFormatError) as keyed:
+        CBA.sort_key(line)
+    assert str(parsed.value) == str(keyed.value) == str(token_path.value)
+
+
+def test_one_character_tokens_never_take_the_token_path(tmp_path, monkeypatch):
+    rows = ["a,c,b", "b", "c,c", "a,c"]
+    src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text("#alphabet=c,a,b;q=1\n" + "\n".join(rows) + "\n")
+    calls = []
+    parse = Alphabet.parse
+
+    def spy(self, tokens):
+        calls.append(tokens)
+        return parse(self, tokens)
+
+    monkeypatch.setattr(Alphabet, "parse", spy)
+    external_sort(str(src), str(dst), budget_symbols=3)
+    back = read_trace_file(str(dst))
+    assert [",".join(x.tokens()) for x in back.traces] == ["c,c", "a,c", "a,c,b", "b"]
+    assert calls == []
+    assert CBA.sort_key("a,c,b") == (bytes([1, 0, 2]), 3)
