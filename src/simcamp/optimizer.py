@@ -34,7 +34,7 @@ from .traces import (
     check_quantum,
     format_number,
 )
-from .tree import ROOT_ID, BranchTree, TreeInvariantError
+from .tree import ROOT_ID, BranchNode, BranchTree, TreeInvariantError
 
 
 class Command(NamedTuple):
@@ -127,16 +127,16 @@ class CheckpointIndex:
 
 
 def _next_use_table(
-    ordered: Sequence[InputTrace], tree: BranchTree
-) -> dict[int, list[int]]:
-    """For each node of ``tree``, the positions in ``ordered`` of the
-    traces whose chain holds it, ascending, then ``len(ordered)``."""
-    uses: dict[int, list[int]] = {node_id: [] for node_id in tree.nodes}
-    for j, trace in enumerate(ordered):
-        for node in tree.chain_for(trace.symbols):
+    chains: Sequence[list[BranchNode]], size: int
+) -> list[list[int]]:
+    """For each node id below ``size``, the positions in ``chains`` of the
+    chains that hold it, ascending, then ``len(chains)``."""
+    uses: list[list[int]] = [[] for _ in range(size)]
+    for j, chain in enumerate(chains):
+        for node in chain:
             uses[node.node_id].append(j)
-    for positions in uses.values():
-        positions.append(len(ordered))
+    for positions in uses:
+        positions.append(len(chains))
     return uses
 
 
@@ -150,14 +150,15 @@ def optimize_slice(
     """Emit the campaign replaying ``ordered`` under the given state budget.
 
     ``ordered`` may be any permutation of the trace set the tree was built
-    from.  The scan consumes pending counts on a copy of ``tree``, which
-    is left unchanged, so one built tree can feed any number of calls.
-    ``capacity=None`` means unlimited storage (the resulting peak is the
-    least capacity that loses nothing).
+    from.  The scan only reads ``tree``: it counts pending uses down in a
+    list of its own, indexed by node id, so one built tree can feed any
+    number of calls.  ``capacity=None`` means unlimited storage (the
+    resulting peak is the least capacity that loses nothing).
     """
     if not ordered:
         raise ValueError("cannot optimize an empty slice")
-    tree = tree.clone()
+    # Node ids run densely from 0, the root, in insertion order.
+    pending = [node.pending for node in tree.nodes.values()]
     index = CheckpointIndex(capacity)
     stored = index.entries
     commands: list[Command] = []
@@ -167,7 +168,8 @@ def optimize_slice(
     # budgets key every checkpoint 0, and equal keys never evict.
     keyed = capacity is not None and 1 < capacity < tree.capacity
     if keyed:
-        uses = _next_use_table(ordered, tree)
+        chains = [tree.chain_for(trace.symbols) for trace in ordered]
+        uses = _next_use_table(chains, len(pending))
 
         def next_use(node_id: int, j: int) -> int:
             positions = uses[node_id]
@@ -194,10 +196,18 @@ def optimize_slice(
 
     for j, trace in enumerate(ordered):
         s = trace.symbols
-        chain = tree.chain_for(s)
-        k = len(chain) - 1
-        while k >= 0 and chain[k].node_id not in stored:
-            k -= 1
+        # The chain ends above its first node below the root that no trace
+        # left needs: nothing at or below it can be reused.  The deepest
+        # stored node on it is the load node.  A stored node below the
+        # root always has pending uses.
+        chain = chains[j] if keyed else tree.chain_for(s)
+        k = -1
+        for i, node in enumerate(chain):
+            if node.node_id in stored:
+                k = i
+            elif i and not pending[node.node_id]:
+                chain = chain[:i]
+                break
         if k < 0:
             raise TreeInvariantError("no stored prefix to resume the trace from")
         load_node = chain[k]
@@ -207,18 +217,14 @@ def optimize_slice(
         # Availability sweep: every prefix of this trace on its chain,
         # itself included, has one fewer pending use; prefixes reaching
         # zero can never be reused, so their checkpoints are freed before
-        # the run scan.
+        # the run scan.  A count already at zero belongs to a dead root or
+        # to a root that is not a shared prefix.
         for node in reversed(chain):
-            if node.is_shared_prefix:
-                node.pending -= 1
-                if node.pending < 0:
-                    raise TreeInvariantError(
-                        "slice does not match the tree it was built from"
-                    )
-                if node.pending == 0:
-                    if node.node_id in stored:
-                        do_free(node.node_id)
-                    tree.remove(node.node_id)
+            node_id = node.node_id
+            if pending[node_id]:
+                pending[node_id] -= 1
+                if not pending[node_id] and node_id in stored:
+                    do_free(node_id)
 
         # Run scan over the chain nodes below the load node, none of them
         # stored: each is stored if there is room, or at full capacity by
@@ -228,8 +234,8 @@ def optimize_slice(
         # where a node is stored.
         pos = load_node.depth
         for node in chain[k + 1:]:
-            if not node.is_shared_prefix:
-                continue  # this trace's sweep just removed it
+            if not pending[node.node_id]:
+                continue  # this trace was the node's last use
             use = next_use(node.node_id, j)
             victim = None
             if capacity is not None and len(stored) >= capacity:

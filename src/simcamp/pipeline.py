@@ -360,6 +360,14 @@ def _run_slice_task(task: _SliceTask) -> dict:
 
     model = reference_model(corpus.alphabet, task.model_seed)
     result = execute(requested, model, progress=on_out)
+    # A campaign that loads the wrong checkpoint still executes; only the
+    # history each OUT replayed shows it.
+    for i, obs in enumerate(result.observations):
+        if i >= n or obs.symbols != ordered[i].symbols:
+            raise PipelineStageError(
+                f"execute stage: slice {task.slice_id}: OUT {i} does not "
+                f"replay trace {i} of the verification order"
+            )
     write_json_atomic(
         {"slice": task.slice_id, "j": len(result.observations), "n": n},
         paths.progress,

@@ -3,9 +3,10 @@
 The tree holds one node per *shared prefix* of a slice: a prefix that is
 the longest common prefix of at least one pair of distinct traces.  Node
 weights (``pending``) count the traces extending the node's prefix; the
-campaign optimizer consumes these counts to decide when a checkpoint can
-never be reused and must be freed.  Which nodes hold a checkpoint is not
-recorded here: the optimizer's ``CheckpointIndex`` owns that.
+campaign optimizer counts copies of them down to decide when a checkpoint
+can never be reused and must be freed.  Nothing changes a node once
+``build_tree`` returns.  Which nodes hold a checkpoint is not recorded
+here: the optimizer's ``CheckpointIndex`` owns that.
 
 The empty prefix is always materialized as reserved id 0, because the
 executor pre-stores the simulator's initial state under it.  It is flagged
@@ -53,13 +54,14 @@ def _lcp_len(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 
 class BranchTree:
-    """Mutable shared-prefix tree for one slice.
+    """Shared-prefix tree for one slice, fixed once built.
 
-    ``capacity`` and ``shared_prefix_count`` are fixed at build time:
-    capacity is the number of materialized checkpoint slots (shared
-    prefixes plus the reserved empty-prefix root when the empty prefix is
-    not itself shared); holding that many simulator states at once is
-    always enough to never discard a reusable checkpoint.
+    Node ids run densely from 0 (the root) to ``capacity`` - 1, in the
+    order of ``nodes``.  ``capacity`` is the number of materialized
+    checkpoint slots (shared prefixes plus the reserved empty-prefix root
+    when the empty prefix is not itself shared); holding that many
+    simulator states at once is always enough to never discard a reusable
+    checkpoint.
     """
 
     def __init__(self) -> None:
@@ -120,47 +122,6 @@ class BranchTree:
     def shared_prefix_map(self) -> dict[tuple[int, ...], int]:
         """{full prefix: pending count} over shared-prefix nodes (test hook)."""
         return {self.prefix_of(n.node_id): n.pending for n in self.shared_nodes()}
-
-    def clone(self) -> BranchTree:
-        """Deep copy: ``optimize_slice`` consumes a clone, not the built tree."""
-        other = BranchTree.__new__(BranchTree)
-        other.nodes = {
-            nid: BranchNode(
-                n.node_id,
-                n.parent_id,
-                n.seg,
-                n.depth,
-                n.pending,
-                n.is_shared_prefix,
-                dict(n.child_by_symbol),
-            )
-            for nid, n in self.nodes.items()
-        }
-        other._next_id = self._next_id
-        other.shared_prefix_count = self.shared_prefix_count
-        other.capacity = self.capacity
-        return other
-
-    # -- mutation during campaign generation ------------------------------
-
-    def remove(self, node_id: int) -> None:
-        """Detach a dead node: chain walks no longer reach it.
-
-        In a tree built from the slice being replayed, no node dies before
-        its descendants, so a dead node has no children left.  Only a tree
-        built from other traces can leave some; chain walks no longer reach
-        them either, which can only lose reuse.
-        """
-        node = self.nodes[node_id]
-        node.is_shared_prefix = False
-        if node.parent_id is None:
-            # Reserved root: keep the entry (the initial state's slot);
-            # it can only die on the last trace, so nothing depends on it after.
-            return
-        parent = self.nodes[node.parent_id]
-        if parent.child_by_symbol.get(node.seg[0]) == node_id:
-            del parent.child_by_symbol[node.seg[0]]
-        del self.nodes[node_id]
 
 
 def build_tree(traces: Sequence[InputTrace]) -> BranchTree:

@@ -32,7 +32,7 @@ def tree_for(traces):
 def reference_next_use(prefixes, ordered, node_id, j):
     """The position of the first trace after ``j`` in ``ordered`` whose
     chain holds the node, found by a linear search; ``len(ordered)`` if
-    none does.  ``prefixes`` holds every node's prefix before any removal."""
+    none does.  ``prefixes`` holds every node's prefix."""
     prefix = prefixes[node_id]
     for p in range(j + 1, len(ordered)):
         if ordered[p].symbols[:len(prefix)] == prefix:
@@ -64,10 +64,15 @@ def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
     """``optimize_slice`` with an earlier run scan, one step per symbol
     and one ``reference_decision`` call per boundary, and with next uses
     found by linear search and victims by a search of every stored node:
-    the reference whose campaigns the run-by-run scan must reproduce."""
+    the reference whose campaigns the run-by-run scan must reproduce.
+    Pending uses are counted down in a dict; a node whose count reaches
+    zero joins ``dead``, and chain walks stop above a dead node other
+    than the root."""
     if not ordered:
         raise ValueError("cannot optimize an empty slice")
     prefixes = {nid: tree.prefix_of(nid) for nid in tree.nodes}
+    pending = {nid: node.pending for nid, node in tree.nodes.items()}
+    dead = set()
     stored = {}
     sequence = itertools.count(1)
     peak = 0
@@ -90,26 +95,25 @@ def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
     for j, trace in enumerate(ordered):
         s = trace.symbols
         h = len(s)
-        chain = tree.chain_for(s)
+        chain = list(itertools.takewhile(
+            lambda n: n.node_id == ROOT_ID or n.node_id not in dead,
+            tree.chain_for(s),
+        ))
         load_node = next(n for n in reversed(chain) if n.node_id in stored)
         if j > 0:
             commands.append(Command("load", node_id=load_node.node_id))
         start = load_node.depth
         by_depth = {n.depth: n for n in chain}
         for node in reversed(chain):
-            if node.depth <= h and node.is_shared_prefix:
-                node.pending -= 1
-                if node.pending < 0:
-                    raise TreeInvariantError(
-                        "slice does not match the tree it was built from"
-                    )
-                if node.pending == 0:
+            if node.depth <= h and node.is_shared_prefix and node.node_id not in dead:
+                pending[node.node_id] -= 1
+                if pending[node.node_id] == 0:
                     if node.node_id in stored:
                         do_free(node)
-                    tree.remove(node.node_id)
+                    dead.add(node.node_id)
 
         def decide(boundary):
-            if boundary is None:
+            if boundary is None or boundary.node_id in dead:
                 return "skip", -1
             return reference_decision(capacity, stored, boundary, next_use(boundary, j))
 
@@ -283,9 +287,9 @@ def test_budgets_that_cannot_bind_build_no_next_use_table(monkeypatch):
     calls = []
     build = optimizer._next_use_table
 
-    def spy(ordered, tree):
-        calls.append(len(ordered))
-        return build(ordered, tree)
+    def spy(chains, size):
+        calls.append(len(chains))
+        return build(chains, size)
 
     monkeypatch.setattr(optimizer, "_next_use_table", spy)
     ordered = ts("aba", "ab", "bb", "aa", "bbba")
@@ -321,13 +325,37 @@ def test_rejects_empty_slice():
         optimize_slice([], build_tree([]), 1, 1.0)
 
 
+def tree_snapshot(tree):
+    return {
+        node_id: (
+            node.parent_id,
+            node.seg,
+            node.depth,
+            node.pending,
+            node.is_shared_prefix,
+            dict(node.child_by_symbol),
+        )
+        for node_id, node in tree.nodes.items()
+    }
+
+
 def test_optimize_slice_leaves_its_tree_unchanged():
-    ordered = ts("aab", "aac", "ab", "ba")
-    tree = tree_for(ordered)
-    before = tree.shared_prefix_map()
-    first = optimize_slice(ordered, tree, None, 1.0)
-    assert tree.shared_prefix_map() == before
-    assert optimize_slice(ordered, tree, None, 1.0).commands == first.commands
+    native = ts("aab", "aac", "ab", "ba", "bb", "bba")
+    # A foreign tree whose node "a" dies, after "ab", "ac" and "ad", while
+    # its child "aa" is still in the tree.
+    foreign = tree_for(ts("aab", "aac", "ab"))
+    node_a = foreign.chain_for(t("aab").symbols)[1]
+    assert node_a.pending == 3 and node_a.child_by_symbol
+    for ordered, tree in (
+        (native, tree_for(native)),
+        (ts("ab", "ac", "ad", "aab"), foreign),
+    ):
+        before = tree_snapshot(tree)
+        for sigma in (None, 1, 2, tree.capacity - 1):
+            first = optimize_slice(ordered, tree, sigma, 1.0)
+            assert tree_snapshot(tree) == before
+            again = optimize_slice(ordered, tree, sigma, 1.0)
+            assert again.commands == first.commands
 
 
 def test_foreign_tree_still_replays_faithfully():
@@ -462,7 +490,7 @@ def run_slices(draw):
 @settings(max_examples=300, deadline=None)
 @given(
     run_slices(),
-    st.sampled_from([None, 1, 2, 3, 5]),
+    st.sampled_from([None, 1, 2, 3, 5, "half", "capacity-1"]),
     st.integers(0, 1 << 20),
     st.one_of(st.none(), st.lists(st.booleans(), min_size=1)),
 )
@@ -473,10 +501,14 @@ def test_run_scan_matches_the_per_symbol_scan(traces, capacity, order_seed, subs
     if subset is not None:
         members = [x for x, keep in zip(traces, subset + [False] * len(traces)) if keep]
     tree = build_tree(members)
+    if capacity == "half":
+        capacity = max(1, tree.capacity // 2)
+    elif capacity == "capacity-1":
+        capacity = max(1, tree.capacity - 1)
 
     def outcome(optimize):
         try:
-            campaign = optimize(ordered, tree.clone(), capacity, 1.0)
+            campaign = optimize(ordered, tree, capacity, 1.0)
         except TreeInvariantError as exc:
             return str(exc)
         except StopIteration:

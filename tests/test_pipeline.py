@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -900,3 +901,34 @@ def test_a_slice_task_plans_only_the_campaigns_it_writes(
     run_pipeline(RunConfig(source=corpus_file(tmp_path), out_dir=str(out),
                            slices=2, seed=3, sigma=sigma))
     assert calls == budgets * 2
+
+
+def test_an_out_that_replays_another_trace_fails_its_slice(tmp_path, monkeypatch):
+    # One LOAD swapped for another stored id still executes, with every
+    # OUT present, but the trace after it replays another history.
+    plan = pipeline.optimize_slice
+
+    def swap_one_load(*args):
+        campaign = plan(*args)
+        stored = set()
+        for i, cmd in enumerate(campaign.commands):
+            others = stored - {cmd.node_id}
+            if cmd.op == "load" and others:
+                campaign.commands[i] = cmd._replace(node_id=min(others))
+                return campaign
+            if cmd.op == "store":
+                stored.add(cmd.node_id)
+            elif cmd.op == "free":
+                stored.discard(cmd.node_id)
+        raise AssertionError("no LOAD with another stored id")
+
+    monkeypatch.setattr(pipeline, "optimize_slice", swap_one_load)
+    source = tmp_path / "binary.txt"
+    words = ["".join(w) for w in itertools.product("ab", repeat=4)]
+    write_trace_file(TraceCorpus(ABCD, 1.0, ts(*words)), str(source))
+    out = tmp_path / "run"
+    with pytest.raises(
+        PipelineStageError, match=r"slice 0: OUT \d+ does not replay trace \d+"
+    ):
+        run_pipeline(RunConfig(source=str(source), out_dir=str(out)))
+    assert not (out / "results" / "result_0.json").exists()

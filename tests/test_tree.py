@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from simcamp.oracles import shared_prefix_counts, shared_prefixes
 from simcamp.traces import Alphabet, InputTrace
-from simcamp.tree import ROOT_ID, BranchTree, TreeInvariantError, build_tree
+from simcamp.tree import TreeInvariantError, build_tree
 from util import random_traces, t, ts
 
 
@@ -30,6 +30,12 @@ def test_worked_examples():
 
     tree = build_tree(sorted_ts("aa", "ab", "ac", "b"))
     assert tree.shared_prefix_map() == {(): 4, sym("a"): 3}
+
+    tree = build_tree(sorted_ts("aab", "aac", "ab", "ba", "bb"))
+    assert tree.shared_prefix_count == 4  # "", "a", "aa" and "b"
+
+    tree = build_tree(sorted_ts("aa", "ba"))
+    assert tree.shared_prefix_count == 1  # the root alone
 
 
 def test_full_trace_prefix_node():
@@ -66,43 +72,6 @@ def test_chain_for_walks_materialized_prefixes():
     assert [n.depth for n in tree.chain_for(sym("ab"))] == [0, 1]
 
 
-def test_remove_detaches_only_the_dead_node():
-    traces = sorted_ts("aab", "aac", "ab", "ba", "bb")
-    tree = build_tree(traces)
-    dead = next(n for n in tree.shared_nodes() if n.depth == 2)  # "aa"
-    parent = tree.nodes[dead.parent_id]
-    chains = {
-        x.symbols: [n.node_id for n in tree.chain_for(x.symbols)] for x in traces
-    }
-    tree.remove(dead.node_id)
-    assert dead.node_id not in tree.nodes
-    assert dead.node_id not in parent.child_by_symbol.values()
-    assert chains[sym("aab")][-1] == dead.node_id
-    for trace in traces:
-        chain = [n.node_id for n in tree.chain_for(trace.symbols)]
-        expected = [i for i in chains[trace.symbols] if i != dead.node_id]
-        assert chain == expected
-    assert tree.shared_prefix_count == 4  # fixed at build
-
-
-def test_remove_root_is_inert():
-    tree = build_tree(sorted_ts("aa", "ba"))  # shared empty prefix
-    assert tree.shared_prefix_count == 1
-    tree.remove(ROOT_ID)
-    assert ROOT_ID in tree.nodes
-    assert tree.shared_prefix_count == 1  # fixed at build
-
-
-def test_clone_is_independent():
-    tree = build_tree(sorted_ts("aab", "aac"))
-    copy = tree.clone()
-    node = next(n for n in copy.shared_nodes())
-    node.pending = 0
-    copy.remove(node.node_id)
-    assert tree.shared_prefix_count == 1
-    assert len(tree.nodes) == 2 and len(copy.nodes) == 1
-
-
 def test_matches_pairwise_oracle_random():
     rng = random.Random(24601)
     for _ in range(150):
@@ -113,6 +82,7 @@ def test_matches_pairwise_oracle_random():
         assert set(counts) == shared_prefixes(traces)
         root_shared = () in counts
         assert tree.capacity == len(counts) + (0 if root_shared else 1)
+        assert list(tree.nodes) == list(range(tree.capacity))
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,3 +99,4 @@ def test_matches_pairwise_oracle_hypothesis(symbol_lists):
     traces = [InputTrace(alphabet, tuple(s)) for s in symbol_lists]
     tree = build_tree(sorted(traces, key=lambda x: x.symbols))
     assert tree.shared_prefix_map() == shared_prefix_counts(traces)
+    assert list(tree.nodes) == list(range(tree.capacity))
