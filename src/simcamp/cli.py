@@ -22,7 +22,13 @@ import shlex
 import sys
 from typing import Sequence
 
-from .engine import DriverProtocolError, execute, reference_model, run_external
+from .engine import (
+    DriverProtocolError,
+    execute,
+    reference_model,
+    run_external,
+    start_driver,
+)
 from .generator import GeneratorTable, read_constraint_file
 from .metrics import write_progress_csv, write_report_csv
 from .optimizer import (
@@ -132,10 +138,19 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_execute(args: argparse.Namespace) -> int:
     alphabet = Alphabet(tuple(args.alphabet.split(",")))
-    campaign = read_campaign_file(args.campaign, alphabet)
     if args.driver:
-        result = run_external(campaign, shlex.split(args.driver))
+        # The driver starts up while the campaign loads; a campaign that
+        # fails to load stops it.
+        driver = start_driver(shlex.split(args.driver))
+        try:
+            campaign = read_campaign_file(args.campaign, alphabet)
+        except BaseException:
+            with driver:
+                driver.kill()
+            raise
+        result = run_external(campaign, driver)
     else:
+        campaign = read_campaign_file(args.campaign, alphabet)
         result = execute(campaign, reference_model(alphabet, args.model_seed))
     _print_json(
         {

@@ -21,7 +21,7 @@ import sys
 from typing import IO, Iterator, Sequence
 
 from .engine import Simulator, reference_model
-from .optimizer import parse_command
+from .optimizer import REPEATING_OPS, Command, parse_command
 from .traces import Alphabet, TraceFormatError
 
 
@@ -37,8 +37,13 @@ def _input_batches(stdin: IO[str]) -> Iterator[list[str]]:
     fd = stdin.fileno()
     pending = b""
     while chunk := os.read(fd, _READ_SIZE):
-        *lines, pending = (pending + chunk).split(b"\n")
-        yield [line.decode(stdin.encoding, stdin.errors) for line in lines]
+        data = pending + chunk
+        end = data.rfind(b"\n") + 1
+        pending = data[end:]
+        if end:
+            # A newline byte ends a character in every encoding the
+            # protocol allows, so the completed lines decode as one text.
+            yield data[:end - 1].decode(stdin.encoding, stdin.errors).split("\n")
     if pending:
         yield [pending.decode(stdin.encoding, stdin.errors)]
 
@@ -59,27 +64,31 @@ def main(argv: Sequence[str] | None = None) -> int:
     alphabet = Alphabet(tuple(args.alphabet.split(",")))
     sim = Simulator(reference_model(alphabet, args.seed))
 
-    # Replies to a batch go out before the next read, which may block
-    # until the client has seen them.
+    # Each distinct RUN or OUT line is parsed once.  Replies to a batch go
+    # out before the next read, which may block until the client has seen
+    # them.
+    repeats: dict[str, Command] = {}
     for batch in _input_batches(sys.stdin):
         replies = []
         for raw in batch:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                cmd = parse_command(line, alphabet)
-            except TraceFormatError as exc:
-                replies.append(f"ERR {exc}\n")
-                continue
-            before = len(sim.observations)
-            if sim.step(cmd):
-                if len(sim.observations) > before:
-                    replies.append(f"OUT {sim.observations[-1].token}\n")
-                else:
-                    replies.append("OK\n")
-            else:
+            cmd = repeats.get(raw)
+            if cmd is None:
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    cmd = parse_command(line, alphabet)
+                except TraceFormatError as exc:
+                    replies.append(f"ERR {exc}\n")
+                    continue
+                if cmd.op in REPEATING_OPS:
+                    repeats[raw] = cmd
+            if not sim.step(cmd):
                 replies.append(f"ERR {sim.error}\n")
+            elif cmd.op == "out":
+                replies.append(f"OUT {sim.observations[-1].token}\n")
+            else:
+                replies.append("OK\n")
         sys.stdout.write("".join(replies))
         sys.stdout.flush()
     return 0

@@ -16,10 +16,9 @@ import math
 import subprocess
 import threading
 from dataclasses import dataclass, fields
-from itertools import islice
 from typing import IO, Callable, NamedTuple, Sequence
 
-from .optimizer import Campaign, Command, campaign_lines
+from .optimizer import Campaign, Command, campaign_chunks
 from .traces import Alphabet, TraceFormatError, format_number
 
 _MASK64 = (1 << 64) - 1
@@ -311,9 +310,6 @@ def estimate_seconds(campaign: Campaign, cost: CostModel) -> float:
 # waiting for each reply before sending the next command.
 # ---------------------------------------------------------------------------
 
-_LINES_PER_WRITE = 4096
-
-
 class DriverProtocolError(RuntimeError):
     """The external driver violated the line protocol."""
 
@@ -351,16 +347,19 @@ class _DriverShadow(Simulator):
         if self.error is not None:
             return False
         reply = self._replies.readline()
-        if not reply:
-            raise _OutputClosed
-        reply = reply.rstrip("\n")
-        if reply.startswith("ERR"):
-            return self._fail(reply[3:].strip() or "driver error")
-        if cmd.op == "out":
-            if not reply.startswith("OUT "):
-                raise DriverProtocolError(f"expected OUT reply, got {reply!r}")
-        elif reply != "OK":
-            raise DriverProtocolError(f"expected OK reply, got {reply!r}")
+        # The common reply, a terminated OK to a command that is no Out,
+        # needs none of the checks below.
+        if reply != "OK\n" or cmd.op == "out":
+            if not reply:
+                raise _OutputClosed
+            reply = reply.rstrip("\n")
+            if reply.startswith("ERR"):
+                return self._fail(reply[3:].strip() or "driver error")
+            if cmd.op == "out":
+                if not reply.startswith("OUT "):
+                    raise DriverProtocolError(f"expected OUT reply, got {reply!r}")
+            elif reply != "OK":
+                raise DriverProtocolError(f"expected OK reply, got {reply!r}")
         if not super().step(cmd):
             raise DriverProtocolError(f"driver accepted a {self.error}")
         if cmd.op == "out":
@@ -381,13 +380,11 @@ def _write_campaign(
     its input.  A driver that has closed its input ends the thread
     quietly; any other failure goes into ``failure`` for the reader.
     """
-    lines = campaign_lines(campaign)
     try:
-        while not stop.is_set():
-            chunk = list(islice(lines, _LINES_PER_WRITE))
-            if not chunk:
+        for chunk in campaign_chunks(campaign):
+            if stop.is_set():
                 break
-            stdin.write("\n".join(chunk) + "\n")
+            stdin.write(chunk)
     except BrokenPipeError:
         pass
     except Exception as exc:
@@ -399,25 +396,33 @@ def _write_campaign(
             pass
 
 
+def start_driver(argv: Sequence[str]) -> subprocess.Popen:
+    """Start an external driver, its stdin and stdout piped as text."""
+    return subprocess.Popen(
+        list(argv), stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
+    )
+
+
 def run_external(
     campaign: Campaign,
-    argv: Sequence[str],
+    driver: Sequence[str] | subprocess.Popen,
     progress: Callable[[int], None] | None = None,
 ) -> ExecutionResult:
     """Execute a campaign through an external driver subprocess.
 
-    A writer thread streams the campaign to the driver while this thread
-    reads the replies.  The same fold as ``execute`` runs over a shadow
-    simulator whose model holds no state.  The shadow keeps the input
-    history and checkpoint map, so observations carry their traces
-    whatever model the driver wraps, and it checks every reply: a driver
-    that accepts a command the shadow rejects, replies in the wrong shape
-    or stops replying raises ``DriverProtocolError``.  ``progress`` counts
-    only Out replies that have arrived.
+    ``driver`` is the driver's command line, or a driver ``start_driver``
+    started and nothing has talked to yet, so that it can start up while
+    the campaign loads; either way this call reaps it.  A writer thread
+    streams the campaign to the driver while this thread reads the
+    replies.  The same fold as ``execute`` runs over a shadow simulator
+    whose model holds no state.  The shadow keeps the input history and
+    checkpoint map, so observations carry their traces whatever model the
+    driver wraps, and it checks every reply: a driver that accepts a
+    command the shadow rejects, replies in the wrong shape or stops
+    replying raises ``DriverProtocolError``.  ``progress`` counts only Out
+    replies that have arrived.
     """
-    proc = subprocess.Popen(
-        list(argv), stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
-    )
+    proc = driver if isinstance(driver, subprocess.Popen) else start_driver(driver)
     assert proc.stdin is not None and proc.stdout is not None
     stop = threading.Event()
     failure: list[Exception] = []

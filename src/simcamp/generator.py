@@ -185,7 +185,7 @@ class GeneratorTable:
                 states[depth] = state
                 lo[depth] = first
                 hi[depth] = first + below
-            yield InputTrace(alphabet, tuple(symbols))
+            yield InputTrace._unchecked(alphabet, tuple(symbols))
 
 
 def check_fraction(fraction: float) -> None:

@@ -23,7 +23,7 @@ import heapq
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, islice
 from typing import Iterator, NamedTuple, Sequence
 
 from .traces import (
@@ -34,7 +34,7 @@ from .traces import (
     check_quantum,
     format_number,
 )
-from .tree import ROOT_ID, BranchNode, BranchTree, TreeInvariantError
+from .tree import ROOT_ID, BranchTree, TreeInvariantError
 
 
 class Command(NamedTuple):
@@ -44,6 +44,9 @@ class Command(NamedTuple):
     node_id: int = -1
     symbol: int = -1
     quanta: int = 0
+
+
+_OUT = Command("out")
 
 
 @dataclass(slots=True)
@@ -74,12 +77,17 @@ class CheckpointIndex:
     recently stored; with uniform recompute costs this is the optimal
     offline rule (Belady, 1966).  The root occupies capacity but is never
     a victim: its key never enters the lazy heap over (-next use, seq, id).
+
+    ``size`` is the number of nodes that could ever be stored.  Only a
+    capacity strictly between 1, the root alone, and ``size`` can ever
+    evict (``evicts``); any other keeps no heap and has no victim.
     """
 
-    def __init__(self, capacity: int | None) -> None:
+    def __init__(self, capacity: int | None, size: int) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("state capacity must be >= 1")
         self.capacity = capacity
+        self.evicts = capacity is not None and 1 < capacity < size
         self.peak = 0
         self.entries: dict[int, tuple[int, int]] = {}
         self._heap: list[tuple[int, int, int]] = []
@@ -88,7 +96,7 @@ class CheckpointIndex:
     def note_store(self, node_id: int, next_use: int) -> None:
         self._seq += 1
         self.entries[node_id] = (next_use, self._seq)
-        if node_id != ROOT_ID:
+        if self.evicts and node_id != ROOT_ID:
             self._push(node_id, next_use, self._seq)
         if len(self.entries) > self.peak:
             self.peak = len(self.entries)
@@ -102,7 +110,8 @@ class CheckpointIndex:
         entry = self.entries.get(node_id)
         if entry is not None and entry[0] != next_use and node_id != ROOT_ID:
             self.entries[node_id] = (next_use, entry[1])
-            self._push(node_id, next_use, entry[1])
+            if self.evicts:
+                self._push(node_id, next_use, entry[1])
 
     def _push(self, node_id: int, next_use: int, seq: int) -> None:
         heapq.heappush(self._heap, (-next_use, seq, node_id))
@@ -126,15 +135,13 @@ class CheckpointIndex:
         return None
 
 
-def _next_use_table(
-    chains: Sequence[list[BranchNode]], size: int
-) -> list[list[int]]:
+def _next_use_table(chains: Sequence[tuple[int, ...]], size: int) -> list[list[int]]:
     """For each node id below ``size``, the positions in ``chains`` of the
     chains that hold it, ascending, then ``len(chains)``."""
     uses: list[list[int]] = [[] for _ in range(size)]
     for j, chain in enumerate(chains):
-        for node in chain:
-            uses[node.node_id].append(j)
+        for node_id in chain:
+            uses[node_id].append(j)
     for positions in uses:
         positions.append(len(chains))
     return uses
@@ -150,8 +157,11 @@ def optimize_slice(
     """Emit the campaign replaying ``ordered`` under the given state budget.
 
     ``ordered`` may be any permutation of the trace set the tree was built
-    from.  The scan only reads ``tree``: it counts pending uses down in a
-    list of its own, indexed by node id, so one built tree can feed any
+    from.  The scan only reads ``tree``: each trace's chain comes as node
+    ids from the record ``build_tree`` made (``BranchTree.chain_ids``),
+    and pending uses, copied from the weights the build summed from that
+    record, are counted down in a list of the scan's own, indexed by node
+    id, beside a list of node depths.  So one built tree can feed any
     number of calls.  ``capacity=None`` means unlimited storage (the
     resulting peak is the least capacity that loses nothing).
     """
@@ -159,16 +169,17 @@ def optimize_slice(
         raise ValueError("cannot optimize an empty slice")
     # Node ids run densely from 0, the root, in insertion order.
     pending = [node.pending for node in tree.nodes.values()]
-    index = CheckpointIndex(capacity)
+    depth = [node.depth for node in tree.nodes.values()]
+    index = CheckpointIndex(capacity, len(pending))
     stored = index.entries
     commands: list[Command] = []
+    chain_ids = tree.chain_ids
 
-    # Only a budget strictly between 1 (the root alone) and the tree's
-    # capacity can ever evict, so only then are next uses needed.  Other
-    # budgets key every checkpoint 0, and equal keys never evict.
-    keyed = capacity is not None and 1 < capacity < tree.capacity
+    # Only an index that can evict needs next uses.  Otherwise every
+    # checkpoint is keyed 0, and equal keys never evict.
+    keyed = index.evicts
     if keyed:
-        chains = [tree.chain_for(trace.symbols) for trace in ordered]
+        chains = [chain_ids(trace.symbols) for trace in ordered]
         uses = _next_use_table(chains, len(pending))
 
         def next_use(node_id: int, j: int) -> int:
@@ -181,15 +192,15 @@ def optimize_slice(
 
     def do_store(node_id: int, use: int) -> None:
         index.note_store(node_id, use)
-        commands.append(Command("store", node_id=node_id))
+        commands.append(Command("store", node_id))
 
     def do_free(node_id: int) -> None:
         index.note_free(node_id)
-        commands.append(Command("free", node_id=node_id))
+        commands.append(Command("free", node_id))
 
     def emit_runs(symbols: tuple[int, ...]) -> None:
         for symbol, group in groupby(symbols):
-            commands.append(Command("run", symbol=symbol, quanta=len(list(group))))
+            commands.append(Command("run", -1, symbol, len(list(group))))
 
     # The campaign begins by checkpointing the initial state under id 0.
     do_store(ROOT_ID, 0)
@@ -200,27 +211,26 @@ def optimize_slice(
         # left needs: nothing at or below it can be reused.  The deepest
         # stored node on it is the load node.  A stored node below the
         # root always has pending uses.
-        chain = chains[j] if keyed else tree.chain_for(s)
+        chain = chains[j] if keyed else chain_ids(s)
         k = -1
-        for i, node in enumerate(chain):
-            if node.node_id in stored:
+        for i, node_id in enumerate(chain):
+            if node_id in stored:
                 k = i
-            elif i and not pending[node.node_id]:
+            elif i and not pending[node_id]:
                 chain = chain[:i]
                 break
         if k < 0:
             raise TreeInvariantError("no stored prefix to resume the trace from")
-        load_node = chain[k]
+        load_id = chain[k]
         if j > 0:
-            commands.append(Command("load", node_id=load_node.node_id))
+            commands.append(Command("load", load_id))
 
         # Availability sweep: every prefix of this trace on its chain,
         # itself included, has one fewer pending use; prefixes reaching
         # zero can never be reused, so their checkpoints are freed before
         # the run scan.  A count already at zero belongs to a dead root or
         # to a root that is not a shared prefix.
-        for node in reversed(chain):
-            node_id = node.node_id
+        for node_id in reversed(chain):
             if pending[node_id]:
                 pending[node_id] -= 1
                 if not pending[node_id] and node_id in stored:
@@ -232,31 +242,31 @@ def optimize_slice(
         # node is used no sooner than a shallower one, so the first node
         # that loses ends the scan.  The trace's constant runs are cut
         # where a node is stored.
-        pos = load_node.depth
-        for node in chain[k + 1:]:
-            if not pending[node.node_id]:
+        pos = depth[load_id]
+        for node_id in chain[k + 1:]:
+            if not pending[node_id]:
                 continue  # this trace was the node's last use
-            use = next_use(node.node_id, j)
+            use = next_use(node_id, j)
             victim = None
             if capacity is not None and len(stored) >= capacity:
                 found = index.victim()
                 if found is None or found[1] <= use:
                     break
                 victim = found[0]
-            emit_runs(s[pos:node.depth])
-            pos = node.depth
+            emit_runs(s[pos:depth[node_id]])
+            pos = depth[node_id]
             if victim is not None:
                 do_free(victim)
-            do_store(node.node_id, use)
+            do_store(node_id, use)
         emit_runs(s[pos:])
-        commands.append(Command("out"))
+        commands.append(_OUT)
 
         # The stored nodes at or above the load node were used by this
         # trace; those stored below it were keyed when stored.  Unkeyed,
         # every key stays 0.
         if keyed:
-            for node in chain[1:k + 1]:
-                index.rekey(node.node_id, next_use(node.node_id, j))
+            for node_id in chain[1:k + 1]:
+                index.rekey(node_id, next_use(node_id, j))
 
     return Campaign(
         commands=commands,
@@ -276,11 +286,29 @@ def optimize_slice(
 # ---------------------------------------------------------------------------
 
 
+# Lines per write when a campaign goes to a file or to a driver.
+_LINES_PER_WRITE = 4096
+
+# The ops whose lines repeat through a campaign; a reader parses each
+# distinct line of these once.  Id lines are all distinct.
+REPEATING_OPS = frozenset(("run", "out"))
+
+_ID_OPS = {"LOAD": "load", "STORE": "store", "FREE": "free"}
+
+
 def campaign_lines(campaign: Campaign) -> Iterator[str]:
     """The campaign's file/protocol lines, header first."""
     yield f"#q={format_number(campaign.quantum)};slice={campaign.slice_id}"
     for cmd in campaign.commands:
         yield format_command(cmd, campaign.alphabet)
+
+
+def campaign_chunks(campaign: Campaign) -> Iterator[str]:
+    """``campaign_lines`` as newline-terminated text, a few thousand
+    lines to a chunk, for writing."""
+    lines = campaign_lines(campaign)
+    while chunk := list(islice(lines, _LINES_PER_WRITE)):
+        yield "\n".join(chunk) + "\n"
 
 
 def format_command(cmd: Command, alphabet: Alphabet | None) -> str:
@@ -317,15 +345,17 @@ def parse_campaign_header(line: str) -> tuple[float, int]:
 def parse_command(line: str, alphabet: Alphabet) -> Command:
     parts = line.split()
     try:
-        if parts[0] == "OUT" and len(parts) == 1:
-            return Command("out")
-        if parts[0] in ("LOAD", "STORE", "FREE") and len(parts) == 2:
-            return Command(parts[0].lower(), node_id=int(parts[1]))
-        if parts[0] == "RUN" and len(parts) == 3:
+        if len(parts) == 2:
+            op = _ID_OPS.get(parts[0])
+            if op is not None:
+                return Command(op, int(parts[1]))
+        elif parts[0] == "OUT" and len(parts) == 1:
+            return _OUT
+        elif parts[0] == "RUN" and len(parts) == 3:
             quanta = int(parts[2])
             if quanta < 1:
                 raise ValueError
-            return Command("run", symbol=alphabet.index(parts[1]), quanta=quanta)
+            return Command("run", -1, alphabet.index(parts[1]), quanta)
     except TraceFormatError as exc:
         raise TraceFormatError(f"malformed campaign command: {line!r} ({exc})") from exc
     except (ValueError, IndexError) as exc:
@@ -335,28 +365,35 @@ def parse_command(line: str, alphabet: Alphabet) -> Command:
 
 def write_campaign_file(campaign: Campaign, path: str) -> None:
     with atomic_text_file(path) as fh:
-        for line in campaign_lines(campaign):
-            fh.write(line + "\n")
+        fh.writelines(campaign_chunks(campaign))
 
 
 def read_campaign_file(path: str, alphabet: Alphabet) -> Campaign:
+    """Read a campaign file; each distinct RUN or OUT line is parsed once."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header:
             raise TraceFormatError("empty campaign file")
         quantum, slice_id = parse_campaign_header(header)
         commands = []
+        repeats: dict[str, Command] = {}
         live = peak = 0
         for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            cmd = parse_command(line, alphabet)
+            cmd = repeats.get(raw)
+            if cmd is None:
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                cmd = parse_command(line, alphabet)
+                if cmd.op in REPEATING_OPS:
+                    repeats[raw] = cmd
             commands.append(cmd)
-            if cmd.op == "store":
+            op = cmd.op
+            if op == "store":
                 live += 1
-                peak = max(peak, live)
-            elif cmd.op == "free":
+                if live > peak:
+                    peak = live
+            elif op == "free":
                 live -= 1
     return Campaign(
         commands=commands,

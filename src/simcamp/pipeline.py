@@ -47,7 +47,6 @@ import functools
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import groupby
 from time import monotonic
@@ -487,6 +486,10 @@ def run_pipeline(
         # The pool runs every submitted task to its end, even after a
         # failure; inline, the first failure stops the stage.
         if config.workers > 1 and todo:
+            # Imported here, so that a process that never pools loads none
+            # of concurrent.futures.
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(ProcessPoolExecutor(config.workers))
             runs = [pool.submit(_run_slice_task, t).result for t in todo]
         else:

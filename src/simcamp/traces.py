@@ -156,6 +156,17 @@ class InputTrace:
         if min(self.symbols) < 0 or max(self.symbols) >= len(self.alphabet):
             raise ValueError("trace symbol index out of alphabet range")
 
+    @classmethod
+    def _unchecked(cls, alphabet: Alphabet, symbols: tuple[int, ...]) -> "InputTrace":
+        """A trace the codec or the generator made over ``alphabet``,
+        without ``__post_init__``'s checks: such symbols are non-empty
+        and in range by construction, and taking ``min`` and ``max`` of a
+        long trace costs more than parsing it."""
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "alphabet", alphabet)
+        object.__setattr__(trace, "symbols", symbols)
+        return trace
+
     @property
     def horizon(self) -> int:
         return len(self.symbols)
@@ -263,7 +274,8 @@ def read_trace_file(path: str) -> TraceCorpus:
     with open(path, "r", encoding="utf-8") as fh:
         alphabet, quantum = _read_header(fh)
         traces = [
-            InputTrace(alphabet, alphabet.parse_line(line)) for line in _body_lines(fh)
+            InputTrace._unchecked(alphabet, alphabet.parse_line(line))
+            for line in _body_lines(fh)
         ]
     return TraceCorpus(alphabet, quantum, traces)
 

@@ -8,6 +8,15 @@ can never be reused and must be freed.  Nothing changes a node once
 ``build_tree`` returns.  Which nodes hold a checkpoint is not recorded
 here: the optimizer's ``CheckpointIndex`` owns that.
 
+The build records each trace's chain once: the root-first node ids of
+the materialized prefixes of the trace (``BranchTree.chains``).  A
+trace's deepest such prefix is the deeper of the two longest common
+prefixes it shares with its neighbours in sorted order, and the build
+meets both, so chains and weights come from that one record: a node's
+weight is the number of traces whose deepest node lies in its subtree.
+``chain_for``'s segment-matching walk serves only symbols the tree was
+not built from.
+
 The empty prefix is always materialized as reserved id 0, because the
 executor pre-stores the simulator's initial state under it.  It is flagged
 as a shared prefix only when it genuinely is one (some pair of traces has
@@ -71,6 +80,9 @@ class BranchTree:
         self._next_id = 1
         self.shared_prefix_count = 0
         self.capacity = 1
+        # Root-first node ids of each built trace's chain, keyed by its
+        # symbols; traces that end at the same node share one tuple.
+        self.chains: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     @property
     def root(self) -> BranchNode:
@@ -116,6 +128,14 @@ class BranchTree:
             node = child
         return chain
 
+    def chain_ids(self, symbols: tuple[int, ...]) -> tuple[int, ...]:
+        """The node ids of ``chain_for(symbols)``: recorded at build for
+        the traces the tree was built from, walked for any others."""
+        chain = self.chains.get(symbols)
+        if chain is None:
+            chain = tuple(node.node_id for node in self.chain_for(symbols))
+        return chain
+
     def shared_nodes(self) -> Iterator[BranchNode]:
         return (n for n in self.nodes.values() if n.is_shared_prefix)
 
@@ -130,17 +150,23 @@ def build_tree(traces: Sequence[InputTrace]) -> BranchTree:
     For each trace after the first, the longest common prefix with the
     previous trace either already has a node, or gets one inserted between
     the deepest shallower node and (at most) one existing deeper child,
-    which is reparented under it and donates its weight.  Every trace then
-    bumps the weights along its prefix chain.
+    which is reparented under it.  Each trace's deepest node is the deeper
+    of its common-prefix nodes with its two neighbours.  Once the shape is
+    final, every node's root-first path and weight come from one walk down
+    the tree: each trace's chain is its deepest node's path, and a shared
+    node's weight sums the traces whose deepest node is at or below it.
 
     Raises TreeInvariantError on unsorted or duplicated input.
     """
     tree = BranchTree()
     spine: list[BranchNode] = [tree.root]
+    deepest: list[BranchNode] = []
     last: tuple[int, ...] | None = None
     for trace in traces:
         cur = trace.symbols
-        if last is not None:
+        if last is None:
+            deepest.append(tree.root)
+        else:
             if not last < cur:
                 raise TreeInvariantError(
                     "slice must be strictly lexicographically sorted (no duplicates)"
@@ -156,7 +182,6 @@ def build_tree(traces: Sequence[InputTrace]) -> BranchTree:
                     # Only the reserved root can be materialized-but-not-shared.
                     node.is_shared_prefix = True
                     tree.shared_prefix_count += 1
-                    node.pending = popped.pending if popped is not None else 1
             else:
                 occupant = top.child_by_symbol.get(cur[top.depth])
                 if occupant is not None and (popped is None or occupant != popped.node_id):
@@ -166,17 +191,31 @@ def build_tree(traces: Sequence[InputTrace]) -> BranchTree:
                 node = tree._new_node(top, cur[top.depth:d], d)
                 node.is_shared_prefix = True
                 tree.shared_prefix_count += 1
-                if popped is None:
-                    node.pending = 1
-                else:
+                if popped is not None:
                     tree._reparent(popped, node)
-                    node.pending = popped.pending
                 spine.append(node)
-            walk: BranchNode | None = node
-            while walk is not None:
-                if walk.is_shared_prefix:
-                    walk.pending += 1
-                walk = tree.nodes[walk.parent_id] if walk.parent_id is not None else None
+            if node.depth > deepest[-1].depth:
+                deepest[-1] = node
+            deepest.append(node)
         last = cur
     tree.capacity = len(tree.nodes)
+
+    nodes = tree.nodes
+    paths: list[tuple[int, ...]] = [()] * tree.capacity
+    paths[ROOT_ID] = (ROOT_ID,)
+    order = [tree.root]
+    for node in order:  # grows as it goes: parents before children
+        path = paths[node.node_id]
+        for child_id in node.child_by_symbol.values():
+            paths[child_id] = path + (child_id,)
+            order.append(nodes[child_id])
+    weight = [0] * tree.capacity
+    for trace, node in zip(traces, deepest):
+        tree.chains[trace.symbols] = paths[node.node_id]
+        weight[node.node_id] += 1
+    for node in reversed(order):
+        if node.parent_id is not None:
+            weight[node.parent_id] += weight[node.node_id]
+        if node.is_shared_prefix:
+            node.pending = weight[node.node_id]
     return tree

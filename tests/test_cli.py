@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import shlex
 import sys
+import time
 
 import pytest
 
+import simcamp.cli as cli
 from simcamp.cli import main
 from simcamp.traces import TraceCorpus, write_trace_file
 from util import ABCD, call_with_timeout, ts
@@ -161,6 +165,41 @@ def test_errors_exit_with_code_two(tmp_path, capsys):
         "--sigma", "0",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("campaign", ["malformed", "missing"])
+def test_a_campaign_that_fails_to_load_stops_its_driver(
+    tmp_path, capsys, monkeypatch, campaign
+):
+    path = tmp_path / "campaign.txt"
+    if campaign == "malformed":
+        path.write_text("#q=1;slice=0\nSTORE 0\nRUN a 0\n")
+    pid_file = tmp_path / "driver.pid"
+    script = (
+        "import os, sys\n"
+        f"with open({str(pid_file) + '.tmp'!r}, 'w') as fh:\n"
+        "    fh.write(str(os.getpid()))\n"
+        f"os.replace({str(pid_file) + '.tmp'!r}, {str(pid_file)!r})\n"
+        "sys.stdin.read()\n"
+    )
+    read = cli.read_campaign_file
+
+    def read_once_the_driver_runs(*args):
+        # The driver starts before the campaign is read.
+        for _ in range(1000):
+            if pid_file.exists():
+                return read(*args)
+            time.sleep(0.01)
+        pytest.fail("the driver did not start before the campaign was read")
+
+    monkeypatch.setattr(cli, "read_campaign_file", read_once_the_driver_runs)
+    code, out = call_with_timeout(
+        run_cli, capsys, "execute", "--campaign", str(path), "--alphabet", "a,b",
+        "--driver", shlex.join([sys.executable, "-c", script]),
+    )
+    assert code == 2 and "error:" in out.err
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
 
 
 @pytest.mark.parametrize(

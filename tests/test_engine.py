@@ -20,7 +20,13 @@ from simcamp.engine import (
     run_external,
     write_cost_file,
 )
-from simcamp.optimizer import Campaign, Command, campaign_lines, optimize_slice
+from simcamp.optimizer import (
+    Campaign,
+    Command,
+    campaign_lines,
+    optimize_slice,
+    parse_command,
+)
 from simcamp.traces import TraceFormatError
 from simcamp.tree import build_tree
 from util import AB, ABCD, call_with_timeout, ts
@@ -289,6 +295,27 @@ def test_echo_driver_answers_an_unterminated_last_line():
     replies = done.stdout.splitlines()
     assert replies[0] == "OK"
     assert replies[1].startswith("OUT ") and len(replies) == 2
+
+
+def test_echo_driver_answers_a_malformed_line_each_time():
+    lines = ["STORE 0", "RUN a 2", "RUN a 0", "OUT", "RUN a 0", "LOAD 0",
+             "RUN a 2", "RUN b 1", "OUT"]
+    done = call_with_timeout(
+        subprocess.run,
+        ECHO_DRIVER + ["--seed", "3", "--alphabet", "a,b"],
+        input="#q=1;slice=0\n" + "\n".join(lines) + "\n",
+        capture_output=True,
+        text=True,
+    )
+    with pytest.raises(TraceFormatError) as malformed:
+        parse_command("RUN a 0", AB)
+    good = [parse_command(x, AB) for x in lines if x != "RUN a 0"]
+    outs = execute(Campaign(good, 1.0, alphabet=AB), reference_model(AB, 3))
+    tokens = [f"OUT {o.token}" for o in outs.observations]
+    error = f"ERR {malformed.value}"
+    assert done.stdout.splitlines() == [
+        "OK", "OK", error, tokens[0], error, "OK", "OK", "OK", tokens[1]
+    ]
 
 
 def test_echo_driver_answers_a_lock_step_client():

@@ -368,7 +368,7 @@ def test_foreign_tree_still_replays_faithfully():
 
 
 def test_checkpoint_index_eviction_order():
-    index = CheckpointIndex(3)
+    index = CheckpointIndex(3, 10)
     index.note_store(0, 99)  # reserved slot: occupies capacity, never a victim
     index.note_store(5, 6)
     index.note_store(7, 6)
@@ -393,11 +393,11 @@ def test_checkpoint_index_eviction_order():
     assert index.victim() is None
     assert list(index.entries) == [0]
     with pytest.raises(ValueError):
-        CheckpointIndex(0)
+        CheckpointIndex(0, 10)
 
 
 def test_checkpoint_index_heap_stays_bounded_under_rekeys():
-    index = CheckpointIndex(5)
+    index = CheckpointIndex(5, 10)
     index.note_store(0, 0)
     for node_id in range(1, 5):
         index.note_store(node_id, node_id)
@@ -410,6 +410,16 @@ def test_checkpoint_index_heap_stays_bounded_under_rekeys():
         assert index.victim() == (node_id, index.entries[node_id][0])
         index.note_free(node_id)
     assert index.victim() is None
+
+
+@pytest.mark.parametrize("capacity", [None, 1, 5, 6])
+def test_a_budget_that_cannot_evict_keeps_no_heap(capacity):
+    index = CheckpointIndex(capacity, 5)
+    assert not index.evicts
+    for node_id in range(5):
+        index.note_store(node_id, 0)
+    assert index._heap == [] and index.victim() is None
+    assert CheckpointIndex(4, 5).evicts
 
 
 def test_random_corpora_reach_the_edge_bound():
@@ -543,6 +553,30 @@ def test_campaign_file_round_trip(tmp_path):
     assert back.quantum == campaign.quantum
     assert back.slice_id == 3
     assert back.peak_stored == 2
+
+
+# RUN and OUT lines repeat, some with other spacing; id lines do not.
+REPEATING_LINES = [
+    "STORE 0", "RUN a 2", "OUT", "LOAD 0", "RUN a 2", "RUN  a 2", "RUN b 1",
+    "OUT", "  OUT", "STORE 1", "RUN a 2", "OUT", "FREE 1", "FREE 0",
+]
+
+
+def test_a_campaign_file_parses_like_its_lines(tmp_path):
+    path = tmp_path / "campaign.txt"
+    path.write_text("#q=1;slice=0\n" + "\n".join(REPEATING_LINES) + "\n")
+    back = read_campaign_file(str(path), ABCD)
+    assert back.commands == [parse_command(x.strip(), ABCD) for x in REPEATING_LINES]
+    assert back.peak_stored == 2
+
+    bad = "RUN a 0"
+    with pytest.raises(TraceFormatError) as expected:
+        parse_command(bad, ABCD)
+    lines = REPEATING_LINES[:3] + [bad] + REPEATING_LINES[3:] + [bad]
+    path.write_text("#q=1;slice=0\n" + "\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError) as raised:
+        read_campaign_file(str(path), ABCD)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_parse_command_errors():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import simcamp
@@ -46,3 +48,18 @@ def test_benchmark_traced_names_are_bound():
         if not hasattr(simcamp.pipeline, name) and not hasattr(simcamp.cli, name)
     ]
     assert unbound == ["write_trace_file"]
+
+
+def test_the_echo_driver_imports_no_pipeline():
+    # The package resolves its exports on first use, so a driver process
+    # loads only the modules it runs.
+    code = (
+        "import sys, simcamp.echo_driver\n"
+        "print(sorted(m for m in ('simcamp.pipeline', 'simcamp.generator',"
+        " 'concurrent.futures') if m in sys.modules))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -72,10 +72,28 @@ def test_chain_for_walks_materialized_prefixes():
     assert [n.depth for n in tree.chain_for(sym("ab"))] == [0, 1]
 
 
+def assert_chains_recorded(tree, traces):
+    """The chain the build recorded for each of its traces is the one
+    ``chain_for`` walks."""
+    assert set(tree.chains) == {x.symbols for x in traces}
+    for x in traces:
+        assert tree.chains[x.symbols] == tuple(
+            n.node_id for n in tree.chain_for(x.symbols)
+        )
+
+
 def test_matches_pairwise_oracle_random():
     rng = random.Random(24601)
-    for _ in range(150):
-        _, traces = random_traces(rng, rng.randint(1, 40), rng.randint(2, 4), 6)
+    for i in range(150):
+        target = 1 if i % 10 == 0 else rng.randint(1, 40)
+        alphabet, traces = random_traces(rng, target, rng.randint(2, 4), 6)
+        # Some traces are proper prefixes of others.
+        present = {x.symbols for x in traces}
+        for x in list(traces):
+            cut = x.symbols[:rng.randint(1, len(x.symbols))]
+            if rng.random() < 0.3 and cut not in present:
+                present.add(cut)
+                traces.append(InputTrace(alphabet, cut))
         tree = build_tree(sorted(traces, key=lambda x: x.symbols))
         counts = shared_prefix_counts(traces)
         assert tree.shared_prefix_map() == counts
@@ -83,6 +101,7 @@ def test_matches_pairwise_oracle_random():
         root_shared = () in counts
         assert tree.capacity == len(counts) + (0 if root_shared else 1)
         assert list(tree.nodes) == list(range(tree.capacity))
+        assert_chains_recorded(tree, traces)
 
 
 @settings(max_examples=60, deadline=None)
@@ -100,3 +119,4 @@ def test_matches_pairwise_oracle_hypothesis(symbol_lists):
     tree = build_tree(sorted(traces, key=lambda x: x.symbols))
     assert tree.shared_prefix_map() == shared_prefix_counts(traces)
     assert list(tree.nodes) == list(range(tree.capacity))
+    assert_chains_recorded(tree, traces)
