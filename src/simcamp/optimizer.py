@@ -5,8 +5,13 @@ tree, emit the Load/Store/Free/Run/Out command sequence that replays every
 trace while holding at most ``capacity`` simulator states at once.  Each
 trace resumes from its deepest stored prefix; runs break at prefixes worth
 checkpointing; checkpoints are freed as soon as no remaining trace can
-reuse them, or, when memory is full, the one whose next use lies furthest
-ahead in the fixed verification order is evicted (Belady's rule).
+reuse them, or, when memory is full, the one whose effective next use lies
+furthest ahead in the fixed verification order is evicted.  A checkpoint's
+effective next use is the next trace that would load it: a trace whose
+chain holds it and no stored checkpoint below it.  This is Belady's rule
+with a use counted only where the checkpoint would be the load point.
+Belady's optimality argument does not carry over as stated, because a
+miss here costs more or less depending on which ancestors are stored.
 
 ``CheckpointIndex`` is the one record of which nodes hold a checkpoint,
 the reserved root included; the tree only knows prefixes and their
@@ -71,12 +76,16 @@ class CheckpointIndex:
 
     ``entries`` maps every stored node id, the reserved root included, to
     its (next use, store-sequence) key; membership in it is what "stored"
-    means.  A node's next use is the position, in the verification order,
-    of the next trace whose chain holds it.  The victim candidate is the
-    stored node used furthest in the future, ties broken toward the least
-    recently stored; with uniform recompute costs this is the optimal
-    offline rule (Belady, 1966).  The root occupies capacity but is never
-    a victim: its key never enters the lazy heap over (-next use, seq, id).
+    means.  ``optimize_slice`` keys a node by its effective next use: the
+    position, in the verification order, of the next trace that would load
+    it, whose chain holds it and no stored node below it.  The victim
+    candidate is the stored node used furthest in the future, ties broken
+    toward the least recently stored.  With uniform recompute costs this
+    would be the optimal offline rule (Belady, 1966); here a reload costs
+    the distance from the deepest stored ancestor, which depends on what
+    else is stored, so it is a heuristic.  The root occupies capacity but
+    is never a victim: its key never enters the lazy heap over (-next use,
+    seq, id).
 
     ``size`` is the number of nodes that could ever be stored.  Only a
     capacity strictly between 1, the root alone, and ``size`` can ever
@@ -174,29 +183,49 @@ def optimize_slice(
     stored = index.entries
     commands: list[Command] = []
     chain_ids = tree.chain_ids
+    n = len(ordered)
 
-    # Only an index that can evict needs next uses.  Otherwise every
-    # checkpoint is keyed 0, and equal keys never evict.
+    # Only an index that can evict needs keys.  Otherwise every checkpoint
+    # is keyed 0, and equal keys never evict.
     keyed = index.evicts
     if keyed:
         chains = [chain_ids(trace.symbols) for trace in ordered]
         uses = _next_use_table(chains, len(pending))
+        parent = [node.parent_id for node in tree.nodes.values()]
+        stored_ids = stored.keys()
 
-        def next_use(node_id: int, j: int) -> int:
+        def next_load(node_id: int, level: int, j: int) -> int:
+            # The first trace after ``j`` that would load the node: its
+            # chain holds the node, at index ``level`` as in every chain
+            # that holds it, and no stored node below it.
             positions = uses[node_id]
-            return positions[bisect_right(positions, j)]
-    else:
-
-        def next_use(node_id: int, j: int) -> int:
-            return 0
+            i = bisect_right(positions, j)
+            p = positions[i]
+            while p < n and not stored_ids.isdisjoint(chains[p][level + 1:]):
+                i += 1
+                p = positions[i]
+            return p
 
     def do_store(node_id: int, use: int) -> None:
         index.note_store(node_id, use)
         commands.append(Command("store", node_id))
 
     def do_free(node_id: int) -> None:
+        use = stored[node_id][0]
         index.note_free(node_id)
         commands.append(Command("free", node_id))
+        if keyed and use < n:
+            # The loads the node would have served fall to its nearest
+            # stored ancestor.  That moves a key only where a trace the
+            # tree was not built from ended the node's count early: a
+            # victim's stored ancestors below the root are keyed no later
+            # than it, and a count reaching zero on the slice's own tree
+            # leaves no later use.
+            up = parent[node_id]
+            while up is not None and up not in stored:
+                up = parent[up]
+            if up is not None and use < stored[up][0]:
+                index.rekey(up, use)
 
     def emit_runs(symbols: tuple[int, ...]) -> None:
         for symbol, group in groupby(symbols):
@@ -225,28 +254,49 @@ def optimize_slice(
         if j > 0:
             commands.append(Command("load", load_id))
 
+        # This trace was the next load of the deepest stored node on its
+        # whole chain: the load node, or on a tree built from other traces
+        # a node that a dead ancestor hides from the walk.  Its key moves
+        # to its next load, so every key names a later trace.
+        if keyed:
+            whole = chains[j]
+            level = k
+            for i in range(len(whole) - 1, len(chain) - 1, -1):
+                if whole[i] in stored:
+                    level = i
+                    break
+            if level:
+                index.rekey(whole[level], next_load(whole[level], level, j))
+
         # Availability sweep: every prefix of this trace on its chain,
         # itself included, has one fewer pending use; prefixes reaching
         # zero can never be reused, so their checkpoints are freed before
-        # the run scan.  A count already at zero belongs to a dead root or
-        # to a root that is not a shared prefix.
+        # the run scan.  The root is kept until the last trace, so that a
+        # tree built from other traces still has a prefix to resume from.
+        # A count already at zero belongs to a dead root or to a root that
+        # is not a shared prefix.
         for node_id in reversed(chain):
             if pending[node_id]:
                 pending[node_id] -= 1
-                if not pending[node_id] and node_id in stored:
+                if (
+                    not pending[node_id]
+                    and node_id in stored
+                    and (node_id != ROOT_ID or j == n - 1)
+                ):
                     do_free(node_id)
 
         # Run scan over the chain nodes below the load node, none of them
         # stored: each is stored if there is room, or at full capacity by
-        # evicting a victim whose next use is strictly later.  A deeper
-        # node is used no sooner than a shallower one, so the first node
-        # that loses ends the scan.  The trace's constant runs are cut
-        # where a node is stored.
+        # evicting a victim whose key is strictly later.  A candidate's
+        # key is never earlier than that of an unstored node above it, so
+        # the first node that loses ends the scan.  The trace's constant
+        # runs are cut where a node is stored.
         pos = depth[load_id]
-        for node_id in chain[k + 1:]:
+        for i in range(k + 1, len(chain)):
+            node_id = chain[i]
             if not pending[node_id]:
                 continue  # this trace was the node's last use
-            use = next_use(node_id, j)
+            use = next_load(node_id, i, j) if keyed else 0
             victim = None
             if capacity is not None and len(stored) >= capacity:
                 found = index.victim()
@@ -258,15 +308,18 @@ def optimize_slice(
             if victim is not None:
                 do_free(victim)
             do_store(node_id, use)
+            if keyed:
+                # The new checkpoint shadows its nearest stored ancestor
+                # on the one trace its key names, if that trace holds it.
+                up = i - 1
+                while up and chain[up] not in stored:
+                    up -= 1
+                if up:
+                    later = stored[chain[up]][0]
+                    if later < n and chains[later][i:i + 1] == (node_id,):
+                        index.rekey(chain[up], next_load(chain[up], up, later))
         emit_runs(s[pos:])
         commands.append(_OUT)
-
-        # The stored nodes at or above the load node were used by this
-        # trace; those stored below it were keyed when stored.  Unkeyed,
-        # every key stays 0.
-        if keyed:
-            for node_id in chain[1:k + 1]:
-                index.rekey(node_id, next_use(node_id, j))
 
     return Campaign(
         commands=commands,

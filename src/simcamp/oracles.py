@@ -8,11 +8,14 @@ in the test suite.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .optimizer import Campaign, Command
 from .traces import InputTrace
 
 EDGE_BUDGET_SYMBOLS = 10**5
 PAIRWISE_BUDGET_TRACES = 500
+OPTIMAL_BUDGET_PREFIXES = 12
 
 
 class OracleBudgetError(ValueError):
@@ -109,3 +112,52 @@ def naive_campaign(ordered: list[InputTrace], quantum: float, slice_id: int = 0)
         peak_stored=1,
         alphabet=ordered[0].alphabet,
     )
+
+
+def optimal_campaign_length(
+    ordered: list[InputTrace], sigma: int, budget: int = OPTIMAL_BUDGET_PREFIXES
+) -> int:
+    """Quanta of the shortest campaign that replays ``ordered`` in order
+    while holding at most ``sigma`` states, the initial state included and
+    held throughout, as ``CheckpointIndex`` holds the root.
+
+    An exact dynamic program over (j, S_j), where S_j is the set of shared
+    prefixes held after trace j.  Trace j resumes from the deepest prefix
+    of it in S_{j-1} (or the initial state) and costs its horizon minus
+    that prefix's length.  S_j is any subset of S_{j-1} plus the shared
+    prefixes trace j passes below that point, with at most ``sigma`` - 1
+    members; every free can come before every store, so that bounds the
+    peak.  A prefix with no later use is never worth holding, so only
+    prefixes with one are kept.  Shared prefixes suffice: a point inside a
+    tree edge serves exactly the traces the edge's lower end serves.
+    """
+    if sigma < 1:
+        raise ValueError("state capacity must be >= 1")
+    prefixes = shared_prefixes(ordered) - {()}
+    if len(prefixes) > budget:
+        raise OracleBudgetError(
+            f"{len(prefixes)} shared prefixes exceeds oracle budget {budget}"
+        )
+    last_use = {
+        p: max(j for j, t in enumerate(ordered) if t.symbols[: len(p)] == p)
+        for p in prefixes
+    }
+    best: dict[frozenset[tuple[int, ...]], int] = {frozenset(): 0}
+    for j, trace in enumerate(ordered):
+        s = trace.symbols
+        following: dict[frozenset[tuple[int, ...]], int] = {}
+        for held, cost in best.items():
+            resume = max((len(p) for p in held if s[: len(p)] == p), default=0)
+            cost += len(s) - resume
+            keep = [p for p in held if last_use[p] > j] + [
+                p
+                for p in prefixes
+                if len(p) > resume and s[: len(p)] == p and last_use[p] > j
+            ]
+            for size in range(min(len(keep), sigma - 1) + 1):
+                for subset in combinations(keep, size):
+                    key = frozenset(subset)
+                    if cost < following.get(key, cost + 1):
+                        following[key] = cost
+        best = following
+    return min(best.values())

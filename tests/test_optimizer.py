@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import simcamp.optimizer as optimizer
 from simcamp.engine import execute, reference_model
-from simcamp.oracles import edge_count, naive_campaign
+from simcamp.oracles import edge_count, naive_campaign, optimal_campaign_length
 from simcamp.optimizer import (
     Campaign,
     CheckpointIndex,
@@ -29,13 +29,17 @@ def tree_for(traces):
     return build_tree(sorted(traces, key=lambda x: x.symbols))
 
 
-def reference_next_use(prefixes, ordered, node_id, j):
-    """The position of the first trace after ``j`` in ``ordered`` whose
-    chain holds the node, found by a linear search; ``len(ordered)`` if
-    none does.  ``prefixes`` holds every node's prefix."""
+def reference_next_load(prefixes, ordered, stored, node_id, j):
+    """The position of the first trace after ``j`` in ``ordered`` that
+    would load the node: its chain holds the node and none of the
+    ``stored`` nodes below it.  Found by a linear search over the traces
+    and the stored prefixes; ``len(ordered)`` if no trace would.
+    ``prefixes`` holds every node's prefix."""
     prefix = prefixes[node_id]
+    below = [prefixes[nid] for nid in stored if len(prefixes[nid]) > len(prefix)]
     for p in range(j + 1, len(ordered)):
-        if ordered[p].symbols[:len(prefix)] == prefix:
+        s = ordered[p].symbols
+        if s[:len(prefix)] == prefix and not any(s[:len(b)] == b for b in below):
             return p
     return len(ordered)
 
@@ -43,10 +47,10 @@ def reference_next_use(prefixes, ordered, node_id, j):
 def reference_decision(capacity, stored, node, next_use):
     """The storage rule as a standalone function: ("skip" | "store" |
     "store_evicting", victim id).  ``stored`` maps each stored node id to
-    its (next use, store sequence).  Never for non-shared or already-stored
+    its (next load, store sequence).  Never for non-shared or already-stored
     prefixes.  With free capacity, always.  At full capacity, only by
-    evicting the stored node other than the root whose next use is
-    furthest (ties: the least recently stored), when that use is strictly
+    evicting the stored node other than the root whose next load is
+    furthest (ties: the least recently stored), when that load is strictly
     later than the candidate's ``next_use``."""
     if not node.is_shared_prefix or node.node_id in stored:
         return "skip", -1
@@ -62,28 +66,29 @@ def reference_decision(capacity, stored, node, next_use):
 
 def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
     """``optimize_slice`` with an earlier run scan, one step per symbol
-    and one ``reference_decision`` call per boundary, and with next uses
-    found by linear search and victims by a search of every stored node:
-    the reference whose campaigns the run-by-run scan must reproduce.
-    Pending uses are counted down in a dict; a node whose count reaches
-    zero joins ``dead``, and chain walks stop above a dead node other
-    than the root."""
+    and one ``reference_decision`` call per boundary, and with every key
+    found by ``reference_next_load`` at each decision and victims by a
+    search of every stored node: the reference whose campaigns the
+    run-by-run scan must reproduce.  Pending uses are counted down in a
+    dict; a node whose count reaches zero joins ``dead``, and chain walks
+    stop above a dead node other than the root.  The root is freed only
+    by the last trace."""
     if not ordered:
         raise ValueError("cannot optimize an empty slice")
     prefixes = {nid: tree.prefix_of(nid) for nid in tree.nodes}
     pending = {nid: node.pending for nid, node in tree.nodes.items()}
     dead = set()
-    stored = {}
+    stored = {}  # node id -> store sequence
     sequence = itertools.count(1)
     peak = 0
     commands = []
 
-    def next_use(node, j):
-        return reference_next_use(prefixes, ordered, node.node_id, j)
+    def next_load(node, j):
+        return reference_next_load(prefixes, ordered, stored, node.node_id, j)
 
-    def do_store(node, j):
+    def do_store(node):
         nonlocal peak
-        stored[node.node_id] = (next_use(node, j), next(sequence))
+        stored[node.node_id] = next(sequence)
         peak = max(peak, len(stored))
         commands.append(Command("store", node_id=node.node_id))
 
@@ -91,7 +96,7 @@ def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
         del stored[node.node_id]
         commands.append(Command("free", node_id=node.node_id))
 
-    do_store(tree.root, -1)
+    do_store(tree.root)
     for j, trace in enumerate(ordered):
         s = trace.symbols
         h = len(s)
@@ -108,14 +113,20 @@ def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
             if node.depth <= h and node.is_shared_prefix and node.node_id not in dead:
                 pending[node.node_id] -= 1
                 if pending[node.node_id] == 0:
-                    if node.node_id in stored:
+                    if node.node_id in stored and (
+                        node.node_id != ROOT_ID or j == len(ordered) - 1
+                    ):
                         do_free(node)
                     dead.add(node.node_id)
 
         def decide(boundary):
             if boundary is None or boundary.node_id in dead:
                 return "skip", -1
-            return reference_decision(capacity, stored, boundary, next_use(boundary, j))
+            keys = {
+                nid: (next_load(tree.nodes[nid], j), seq)
+                for nid, seq in stored.items()
+            }
+            return reference_decision(capacity, keys, boundary, next_load(boundary, j))
 
         while start < h:
             end = start
@@ -129,13 +140,10 @@ def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
             action, victim = decide(boundary)
             if action == "store_evicting":
                 do_free(tree.nodes[victim])
-                do_store(boundary, j)
+                do_store(boundary)
             elif action == "store":
-                do_store(boundary, j)
+                do_store(boundary)
         commands.append(Command("out"))
-        for node in chain:
-            if node.node_id in stored:
-                stored[node.node_id] = (next_use(node, j), stored[node.node_id][1])
     return Campaign(commands, quantum, slice_id, peak, ordered[0].alphabet)
 
 
@@ -269,6 +277,43 @@ def test_next_use_evicts_the_checkpoint_used_furthest_ahead():
     assert campaign.length_quanta == 10
 
 
+def test_a_checkpoint_no_later_trace_would_load_is_evicted():
+    # "abb" holds "a" on its chain, so "a" has a later use, but "abb" would
+    # load "ab", stored below it: "a"'s effective next use is never.  So
+    # "abbb" evicts "a" to store "abb", which "abb" then loads: 4 quanta,
+    # the optimum.  Keyed by every chain use, "a" stays and "abb" is not
+    # stored: 5 quanta.
+    ordered = ts("ab", "a", "abbb", "abb")
+    tree = tree_for(ordered)
+    assert [tree.prefix_of(i) for i in (1, 2, 3)] == [
+        t(x).symbols for x in ("a", "ab", "abb")
+    ]
+    campaign = optimize_slice(ordered, tree, 3, 1.0)
+    assert list(campaign_lines(campaign)) == [
+        "#q=1;slice=0",
+        "STORE 0",
+        "RUN a 1",
+        "STORE 1",
+        "RUN b 1",
+        "STORE 2",
+        "OUT",
+        "LOAD 1",
+        "OUT",
+        "LOAD 2",
+        "RUN b 1",
+        "FREE 1",
+        "STORE 3",
+        "RUN b 1",
+        "OUT",
+        "LOAD 3",
+        "FREE 3",
+        "FREE 2",
+        "OUT",
+    ]
+    assert campaign.length_quanta == 4 == optimal_campaign_length(ordered, 3)
+    assert campaign.peak_stored == 3
+
+
 def test_checkpoint_equal_to_a_trace_is_freed_after_its_last_use():
     # "ab" is stored while replaying "aba" and last used by trace "ab",
     # which frees it, so the unlimited campaign holds at most 3 states.
@@ -364,6 +409,42 @@ def test_foreign_tree_still_replays_faithfully():
     campaign = optimize_slice(ordered, tree_for(ts("aab", "aac")), 2, 1.0)
     result = execute(campaign, reference_model(ABCD, 0))
     assert result.executable
+    assert [o.symbols for o in result.observations] == [x.symbols for x in ordered]
+
+
+@pytest.mark.parametrize("sigma", [None, 1, 2])
+def test_a_foreign_tree_keeps_the_root_for_the_traces_after_its_own(sigma):
+    # The root of the tree of "aa" and "ba" is a shared prefix, counted by
+    # those two traces only; "ca" comes after both and resumes from it.
+    ordered = ts("aa", "ba", "ca")
+    campaign = optimize_slice(ordered, tree_for(ts("aa", "ba")), sigma, 1.0)
+    result = execute(campaign, reference_model(ABCD, 0))
+    assert result.executable
+    assert [o.symbols for o in result.observations] == [x.symbols for x in ordered]
+    assert campaign.length_quanta == 6
+
+
+@pytest.mark.parametrize("texts, members, sigma", [
+    # The foreign trace "b" uses up node "b"'s count, which reaches zero
+    # at "ba", just before "ba" is stored below it.  "baa" is "ba"'s next
+    # load, but its walk stops above the dead "b" and resumes from the
+    # root; "ba"'s key must still move past "baa".
+    (("abb", "bb", "b", "ba", "baa", "a", "ab"),
+     ("a", "ab", "abb", "ba", "baa", "bb"), 2),
+    # The foreign trace "ab" uses up node "ab"'s count, so its checkpoint
+    # is freed while "aba" still holds it; that load falls to "a", its
+    # nearest stored ancestor, whose key must move up to it.
+    (("a", "abb", "ab", "baa", "bb", "aba", "bab", "aaa", "b"),
+     ("a", "aaa", "aba", "abb", "b", "baa", "bab", "bb"), 3),
+])
+def test_keys_stay_exact_on_a_tree_built_from_other_traces(texts, members, sigma):
+    ordered = ts(*texts)
+    tree = tree_for(ts(*members))
+    campaign = optimize_slice(ordered, tree, sigma, 1.0)
+    reference = reference_optimize_slice(ordered, tree, sigma, 1.0)
+    assert campaign.commands == reference.commands
+    result = execute(campaign, reference_model(ABCD, 0))
+    assert result.executable and result.peak_memory <= sigma
     assert [o.symbols for o in result.observations] == [x.symbols for x in ordered]
 
 

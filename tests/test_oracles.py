@@ -7,6 +7,7 @@ from simcamp.oracles import (
     OracleBudgetError,
     edge_count,
     naive_campaign,
+    optimal_campaign_length,
     shared_prefix_counts,
     shared_prefixes,
 )
@@ -45,6 +46,32 @@ def test_budgets_guard_pathological_inputs():
         edge_count(ts("aab", "aac"), budget=3)
     with pytest.raises(OracleBudgetError):
         shared_prefixes(ts("aa", "ab", "ba"), budget=2)
+
+
+def test_optimal_campaign_length_examples():
+    # sigma=1 holds only the initial state: every trace replays in full.
+    ordered = ts("ab", "a", "abbb", "abb")
+    assert [optimal_campaign_length(ordered, s) for s in (1, 2, 3, 4)] == [
+        10, 5, 4, 4
+    ]
+    # Shared prefixes a, aa and b.  Three slots beside the root reach the
+    # edge count; with two, "b" is held from bb to ba and "a" from aab to
+    # aac, so aac replays its "a"; with one, "a" (or "aa") serves two of
+    # aab's neighbours and ba replays in full.
+    ordered = ts("bb", "aab", "ab", "aac", "ba")
+    assert [optimal_campaign_length(ordered, s) for s in (1, 2, 3, 4)] == [
+        12, 10, 9, 8
+    ]
+    assert edge_count(ordered) == 8
+    assert optimal_campaign_length(ts("aab"), 1) == 3
+
+
+def test_optimal_campaign_length_guards():
+    ordered = ts("aab", "aac", "ab", "b")
+    with pytest.raises(OracleBudgetError):
+        optimal_campaign_length(ordered, 2, budget=1)
+    with pytest.raises(ValueError):
+        optimal_campaign_length(ordered, 0)
 
 
 def test_naive_campaign_singleton():

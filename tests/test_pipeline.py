@@ -44,7 +44,9 @@ from util import ABCD, ts
 # The report.csv digests were re-recorded when the constant par_eff column
 # was dropped, and the sigma 2 slice 1 campaign and result when eviction
 # moved from the depth-gap rule to furthest next use (same length, other
-# victims).  Every campaign and result but the sigma 1 slice 0 campaign
+# victims); keying checkpoints by their effective next use (the next
+# trace that would load them) kept every sigma 2 output, at 21 quanta over
+# both slices.  Every campaign and result but the sigma 1 slice 0 campaign
 # was re-recorded when the availability sweep began to count a trace as a
 # use of its own prefix: ``corpus_file`` holds traces that are prefixes of
 # others ("aa" of "aab"), whose checkpoints are now freed after their last
@@ -193,7 +195,9 @@ SAMPLED_FILE_DIGESTS = {
 # evict and split runs at checkpoints, and sigma 1 stores nothing.  The
 # sigma 4 campaigns, results and report were re-recorded when eviction moved
 # from the depth-gap rule to furthest next use, which makes them longer:
-# 1,985 -> 2,095 quanta over both slices.
+# 1,985 -> 2,095 quanta over both slices, and again when the key became
+# the effective next use (the next trace that would load the checkpoint):
+# 2,095 -> 1,995 quanta.
 TIGHT_DIGESTS = {
     "1": {
         "campaigns/campaign_0.txt":
@@ -215,19 +219,19 @@ TIGHT_DIGESTS = {
     },
     "4": {
         "campaigns/campaign_0.txt":
-            "3146ee447830451cd8bbb6af499054c33d89193a1b218728dd6feb35b44e3191",
+            "3b419331d63403bb1ed36734a27765a457aeda3a0557bbe348a3c05532e82098",
         "campaigns/campaign_1.txt":
-            "4aac0e0a3d03f56e7d00f7d35593b8d3b1d92ff7702f6191cb76d8efdcaa069c",
+            "431e98d59ac766bdcead535c9fd45322fb17cfa1a6d4f7eb4569c20f0ef34c36",
         "results/result_0.json":
-            "770340ab5d391392d3be673b3a417e569355e2ce9126e1199436b4a1785b4052",
+            "f19f6c29c2f76c7f9ffda6cb1a21c30162b832ea50ee612e7f8c2b2e530c0ea0",
         "results/result_1.json":
-            "9503b9b3d0526323c841039e377d5e9090ed5891b5b25865fc869cb8c53a8692",
+            "167c727b1f829168b5eeaa91b3e0b5709f45fc5352e73f41d47003f3e074de27",
         "slices/slice_0.txt":
             "992e9062053b0347edaae1390b8672e8806b3123b5a84af94386d44366a0fda1",
         "slices/slice_1.txt":
             "c2a579be346549a6cec539d7e00abd7643f8c272895c43be8abc115fa5cb2744",
         "report.csv":
-            "d695f5cabce0d5b27bb31129b3804ba8ce02e759e1c47040b95fa2a76f6cadd1",
+            "c1c2ee131938b032d1ba897238e94622b6f6f2144a781e3060124c7af3156111",
         "progress.csv":
             "808db6f896a864ba4b0d12d54fa284c87f1da9c3213c65e00a16ef7294ace5f5",
     },
