@@ -1,9 +1,11 @@
 """Memory-bounded campaign generation.
 
-Given a slice in its verification order and the slice's shared-prefix
-tree, emit the Load/Store/Free/Run/Out command sequence that replays every
-trace while holding at most ``capacity`` simulator states at once.  Each
-trace resumes from its deepest stored prefix; runs break at prefixes worth
+Given a slice in its verification order and the shared-prefix tree built
+from that slice's own traces (a tree built from other traces raises
+``TreeInvariantError``), emit the Load/Store/Free/Run/Out command sequence
+that replays every trace while holding at most ``capacity`` simulator
+states at once.  Each trace resumes from its deepest stored prefix; runs
+break at prefixes worth
 checkpointing; checkpoints are freed as soon as no remaining trace can
 reuse them, or, when memory is full, the one whose effective next use lies
 furthest ahead in the fixed verification order is evicted.  A checkpoint's
@@ -165,33 +167,39 @@ def optimize_slice(
 ) -> Campaign:
     """Emit the campaign replaying ``ordered`` under the given state budget.
 
-    ``ordered`` may be any permutation of the trace set the tree was built
-    from.  The scan only reads ``tree``: each trace's chain comes as node
-    ids from the record ``build_tree`` made (``BranchTree.chain_ids``),
-    and pending uses, copied from the weights the build summed from that
-    record, are counted down in a list of the scan's own, indexed by node
-    id, beside a list of node depths.  So one built tree can feed any
-    number of calls.  ``capacity=None`` means unlimited storage (the
-    resulting peak is the least capacity that loses nothing).
+    ``ordered`` is a permutation of the traces ``tree`` was built from;
+    anything else raises ``TreeInvariantError``.  The scan only reads
+    ``tree``: each trace's chain comes as node ids from the record
+    ``build_tree`` made (``BranchTree.chains``), and pending uses, copied
+    from the weights the build summed from that record, are counted down
+    in a list of the scan's own, indexed by node id, beside a list of node
+    depths.  So one built tree can feed any number of calls.
+    ``capacity=None`` means unlimited storage (the resulting peak is the
+    least capacity that loses nothing).
     """
     if not ordered:
         raise ValueError("cannot optimize an empty slice")
+    try:
+        chains = [tree.chains[trace.symbols] for trace in ordered]
+    except KeyError:
+        chains = None
+    if chains is None or len(chains) != len(tree.chains):
+        raise TreeInvariantError(
+            "slice does not match its tree: the tree was built from other traces"
+        )
     # Node ids run densely from 0, the root, in insertion order.
     pending = [node.pending for node in tree.nodes.values()]
     depth = [node.depth for node in tree.nodes.values()]
     index = CheckpointIndex(capacity, len(pending))
     stored = index.entries
     commands: list[Command] = []
-    chain_ids = tree.chain_ids
     n = len(ordered)
 
     # Only an index that can evict needs keys.  Otherwise every checkpoint
     # is keyed 0, and equal keys never evict.
     keyed = index.evicts
     if keyed:
-        chains = [chain_ids(trace.symbols) for trace in ordered]
         uses = _next_use_table(chains, len(pending))
-        parent = [node.parent_id for node in tree.nodes.values()]
         stored_ids = stored.keys()
 
         def next_load(node_id: int, level: int, j: int) -> int:
@@ -211,21 +219,8 @@ def optimize_slice(
         commands.append(Command("store", node_id))
 
     def do_free(node_id: int) -> None:
-        use = stored[node_id][0]
         index.note_free(node_id)
         commands.append(Command("free", node_id))
-        if keyed and use < n:
-            # The loads the node would have served fall to its nearest
-            # stored ancestor.  That moves a key only where a trace the
-            # tree was not built from ended the node's count early: a
-            # victim's stored ancestors below the root are keyed no later
-            # than it, and a count reaching zero on the slice's own tree
-            # leaves no later use.
-            up = parent[node_id]
-            while up is not None and up not in stored:
-                up = parent[up]
-            if up is not None and use < stored[up][0]:
-                index.rekey(up, use)
 
     def emit_runs(symbols: tuple[int, ...]) -> None:
         for symbol, group in groupby(symbols):
@@ -236,66 +231,46 @@ def optimize_slice(
 
     for j, trace in enumerate(ordered):
         s = trace.symbols
-        # The chain ends above its first node below the root that no trace
-        # left needs: nothing at or below it can be reused.  The deepest
-        # stored node on it is the load node.  A stored node below the
-        # root always has pending uses.
-        chain = chains[j] if keyed else chain_ids(s)
-        k = -1
-        for i, node_id in enumerate(chain):
-            if node_id in stored:
-                k = i
-            elif i and not pending[node_id]:
-                chain = chain[:i]
-                break
-        if k < 0:
-            raise TreeInvariantError("no stored prefix to resume the trace from")
+        # The load node is the deepest stored node on the chain.  The root
+        # is stored until the last trace's sweep.
+        chain = chains[j]
+        k = len(chain) - 1
+        while chain[k] not in stored:
+            k -= 1
         load_id = chain[k]
         if j > 0:
             commands.append(Command("load", load_id))
 
-        # This trace was the next load of the deepest stored node on its
-        # whole chain: the load node, or on a tree built from other traces
-        # a node that a dead ancestor hides from the walk.  Its key moves
-        # to its next load, so every key names a later trace.
-        if keyed:
-            whole = chains[j]
-            level = k
-            for i in range(len(whole) - 1, len(chain) - 1, -1):
-                if whole[i] in stored:
-                    level = i
-                    break
-            if level:
-                index.rekey(whole[level], next_load(whole[level], level, j))
+        # This trace was the load node's next load; its key moves to the
+        # next one, so every key names a later trace.
+        if keyed and k:
+            index.rekey(load_id, next_load(load_id, k, j))
 
         # Availability sweep: every prefix of this trace on its chain,
         # itself included, has one fewer pending use; prefixes reaching
         # zero can never be reused, so their checkpoints are freed before
-        # the run scan.  The root is kept until the last trace, so that a
-        # tree built from other traces still has a prefix to resume from.
-        # A count already at zero belongs to a dead root or to a root that
-        # is not a shared prefix.
+        # the run scan.  A shared root reaches zero only at the last
+        # trace.  A count already at zero belongs to a root that is not a
+        # shared prefix.
         for node_id in reversed(chain):
             if pending[node_id]:
                 pending[node_id] -= 1
-                if (
-                    not pending[node_id]
-                    and node_id in stored
-                    and (node_id != ROOT_ID or j == n - 1)
-                ):
+                if not pending[node_id] and node_id in stored:
                     do_free(node_id)
 
         # Run scan over the chain nodes below the load node, none of them
         # stored: each is stored if there is room, or at full capacity by
         # evicting a victim whose key is strictly later.  A candidate's
         # key is never earlier than that of an unstored node above it, so
-        # the first node that loses ends the scan.  The trace's constant
-        # runs are cut where a node is stored.
+        # the first node that loses ends the scan.  A node's count is
+        # never above its parent's, so the first node this trace used up
+        # ends it too.  The trace's constant runs are cut where a node is
+        # stored.
         pos = depth[load_id]
         for i in range(k + 1, len(chain)):
             node_id = chain[i]
             if not pending[node_id]:
-                continue  # this trace was the node's last use
+                break  # this trace was the node's last use
             use = next_load(node_id, i, j) if keyed else 0
             victim = None
             if capacity is not None and len(stored) >= capacity:

@@ -359,6 +359,11 @@ def _run_slice_task(task: _SliceTask) -> dict:
 
     model = reference_model(corpus.alphabet, task.model_seed)
     result = execute(requested, model, progress=on_out)
+    if not result.executable:
+        raise PipelineStageError(
+            f"execute stage: slice {task.slice_id}: command "
+            f"{result.failing_index} failed: {result.error}"
+        )
     # A campaign that loads the wrong checkpoint still executes; only the
     # history each OUT replayed shows it.
     for i, obs in enumerate(result.observations):
@@ -367,6 +372,11 @@ def _run_slice_task(task: _SliceTask) -> dict:
                 f"execute stage: slice {task.slice_id}: OUT {i} does not "
                 f"replay trace {i} of the verification order"
             )
+    if len(result.observations) != n:
+        raise PipelineStageError(
+            f"execute stage: slice {task.slice_id}: "
+            f"{len(result.observations)} OUTs for {n} traces"
+        )
     write_json_atomic(
         {"slice": task.slice_id, "j": len(result.observations), "n": n},
         paths.progress,

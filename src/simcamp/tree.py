@@ -14,8 +14,9 @@ trace's deepest such prefix is the deeper of the two longest common
 prefixes it shares with its neighbours in sorted order, and the build
 meets both, so chains and weights come from that one record: a node's
 weight is the number of traces whose deepest node lies in its subtree.
-``chain_for``'s segment-matching walk serves only symbols the tree was
-not built from.
+A campaign is planned on its slice's own tree: the optimizer takes every
+chain from this record and rejects a slice whose traces are not the ones
+the tree was built from.
 
 The empty prefix is always materialized as reserved id 0, because the
 executor pre-stores the simulator's initial state under it.  It is flagged
@@ -34,7 +35,8 @@ ROOT_ID = 0
 
 
 class TreeInvariantError(ValueError):
-    """Structural invariant violated (typically: input not sorted/duplicate-free)."""
+    """Structural invariant violated: input not sorted or not duplicate-free,
+    or a slice planned on a tree built from other traces."""
 
 
 @dataclass(slots=True)
@@ -111,30 +113,6 @@ class BranchTree:
             parts.append(node.seg)
             node = self.nodes[node.parent_id]
         return tuple(s for seg in reversed(parts) for s in seg)
-
-    def chain_for(self, symbols: tuple[int, ...]) -> list[BranchNode]:
-        """Materialized nodes whose prefixes are prefixes of ``symbols``, root first."""
-        node = self.root
-        chain = [node]
-        h = len(symbols)
-        while node.depth < h:
-            child_id = node.child_by_symbol.get(symbols[node.depth])
-            if child_id is None:
-                break
-            child = self.nodes[child_id]
-            if child.depth > h or symbols[node.depth:child.depth] != child.seg:
-                break
-            chain.append(child)
-            node = child
-        return chain
-
-    def chain_ids(self, symbols: tuple[int, ...]) -> tuple[int, ...]:
-        """The node ids of ``chain_for(symbols)``: recorded at build for
-        the traces the tree was built from, walked for any others."""
-        chain = self.chains.get(symbols)
-        if chain is None:
-            chain = tuple(node.node_id for node in self.chain_for(symbols))
-        return chain
 
     def shared_nodes(self) -> Iterator[BranchNode]:
         return (n for n in self.nodes.values() if n.is_shared_prefix)

@@ -936,3 +936,39 @@ def test_an_out_that_replays_another_trace_fails_its_slice(tmp_path, monkeypatch
     ):
         run_pipeline(RunConfig(source=str(source), out_dir=str(out)))
     assert not (out / "results" / "result_0.json").exists()
+
+
+def drop_last_out(commands):
+    last = max(i for i, cmd in enumerate(commands) if cmd.op == "out")
+    del commands[last]
+
+
+def load_an_absent_id(commands):
+    first = next(i for i, cmd in enumerate(commands) if cmd.op == "load")
+    commands[first] = commands[first]._replace(node_id=999)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    # Every OUT present replays its trace, but the last one is missing.
+    (drop_last_out, r"slice 0: 15 OUTs for 16 traces"),
+    # The campaign stops at the LOAD, after the first OUT.
+    (load_an_absent_id, r"slice 0: command \d+ failed: .*999"),
+], ids=["dropped_last_out", "load_of_an_absent_id"])
+def test_a_campaign_that_misses_an_out_fails_its_slice(
+    tmp_path, monkeypatch, tamper, message
+):
+    plan = pipeline.optimize_slice
+
+    def tampered(*args):
+        campaign = plan(*args)
+        tamper(campaign.commands)
+        return campaign
+
+    monkeypatch.setattr(pipeline, "optimize_slice", tampered)
+    source = tmp_path / "binary.txt"
+    words = ["".join(w) for w in itertools.product("ab", repeat=4)]
+    write_trace_file(TraceCorpus(ABCD, 1.0, ts(*words)), str(source))
+    out = tmp_path / "run"
+    with pytest.raises(PipelineStageError, match=message):
+        run_pipeline(RunConfig(source=str(source), out_dir=str(out)))
+    assert not (out / "results" / "result_0.json").exists()

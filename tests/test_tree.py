@@ -63,23 +63,27 @@ def test_build_rejects_unsorted_and_duplicates():
 
 
 def test_chain_for_walks_materialized_prefixes():
-    tree = build_tree(sorted_ts("aab", "aac", "ab"))
-    chain = tree.chain_for(sym("aab"))
-    assert [n.depth for n in chain] == [0, 1, 2]
-    assert [tree.prefix_of(n.node_id) for n in chain] == [(), sym("a"), sym("aa")]
-    # diverging input stops at the deepest matching node
-    assert [n.depth for n in tree.chain_for(sym("b"))] == [0]
-    assert [n.depth for n in tree.chain_for(sym("ab"))] == [0, 1]
+    # The chain recorded for each trace holds its materialized prefixes,
+    # root first: "a" and "aa" are shared, "aab" itself is not.
+    tree = build_tree(sorted_ts("aab", "aac", "ab", "b"))
+    chain = tree.chains[sym("aab")]
+    assert [tree.nodes[i].depth for i in chain] == [0, 1, 2]
+    assert [tree.prefix_of(i) for i in chain] == [(), sym("a"), sym("aa")]
+    assert [tree.prefix_of(i) for i in tree.chains[sym("ab")]] == [(), sym("a")]
+    assert [tree.prefix_of(i) for i in tree.chains[sym("b")]] == [()]
 
 
 def assert_chains_recorded(tree, traces):
-    """The chain the build recorded for each of its traces is the one
-    ``chain_for`` walks."""
+    """The chain the build recorded for each of its traces holds the ids
+    of the nodes whose prefixes are prefixes of the trace, by depth."""
     assert set(tree.chains) == {x.symbols for x in traces}
+    prefixes = {nid: tree.prefix_of(nid) for nid in tree.nodes}
     for x in traces:
-        assert tree.chains[x.symbols] == tuple(
-            n.node_id for n in tree.chain_for(x.symbols)
+        expected = sorted(
+            (nid for nid, p in prefixes.items() if x.symbols[:len(p)] == p),
+            key=lambda nid: len(prefixes[nid]),
         )
+        assert tree.chains[x.symbols] == tuple(expected)
 
 
 def test_matches_pairwise_oracle_random():
