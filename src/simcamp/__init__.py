@@ -60,7 +60,7 @@ _EXPORTS = {
         "read_trace_file",
         "write_trace_file",
     ),
-    "tree": ("BranchNode", "BranchTree", "TreeInvariantError", "build_tree"),
+    "tree": ("BranchTree", "TreeInvariantError", "build_tree"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -21,7 +21,7 @@ import sys
 from typing import IO, Iterator, Sequence
 
 from .engine import Simulator, reference_model
-from .optimizer import REPEATING_OPS, Command, parse_command
+from .optimizer import Command, parse_lines
 from .traces import Alphabet, TraceFormatError
 
 
@@ -64,25 +64,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     alphabet = Alphabet(tuple(args.alphabet.split(",")))
     sim = Simulator(reference_model(alphabet, args.seed))
 
-    # Each distinct RUN or OUT line is parsed once.  Replies to a batch go
-    # out before the next read, which may block until the client has seen
-    # them.
+    # Replies to a batch go out before the next read, which may block
+    # until the client has seen them.
     repeats: dict[str, Command] = {}
+    replies: list[str] = []
+
+    def malformed(exc: TraceFormatError) -> None:
+        replies.append(f"ERR {exc}\n")
+
     for batch in _input_batches(sys.stdin):
-        replies = []
-        for raw in batch:
-            cmd = repeats.get(raw)
-            if cmd is None:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    cmd = parse_command(line, alphabet)
-                except TraceFormatError as exc:
-                    replies.append(f"ERR {exc}\n")
-                    continue
-                if cmd.op in REPEATING_OPS:
-                    repeats[raw] = cmd
+        for cmd in parse_lines(batch, alphabet, repeats, malformed):
             if not sim.step(cmd):
                 replies.append(f"ERR {sim.error}\n")
             elif cmd.op == "out":
@@ -91,6 +82,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 replies.append("OK\n")
         sys.stdout.write("".join(replies))
         sys.stdout.flush()
+        replies.clear()
     return 0
 
 

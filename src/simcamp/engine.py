@@ -160,7 +160,7 @@ class ExecutionResult:
 def _fold(
     campaign: Campaign,
     sim: Simulator,
-    progress: Callable[[int], None] | None = None,
+    progress: Callable[[Observation], None] | None = None,
 ) -> ExecutionResult:
     """Step ``sim`` over the campaign, stopping at the first erroring command."""
     failing_index: int | None = None
@@ -169,7 +169,7 @@ def _fold(
             failing_index = i
             break
         if cmd.op == "out" and progress is not None:
-            progress(len(sim.observations))
+            progress(sim.observations[-1])
     return ExecutionResult(
         observations=sim.observations,
         executable=failing_index is None,
@@ -183,12 +183,12 @@ def _fold(
 def execute(
     campaign: Campaign,
     model: SystemModel,
-    progress: Callable[[int], None] | None = None,
+    progress: Callable[[Observation], None] | None = None,
 ) -> ExecutionResult:
     """Run a campaign against an in-process model.
 
     Stops at the first erroring command; ``progress`` (if given) receives
-    the running count of completed Out commands.
+    each Out command's observation as it completes.
     """
     return _fold(campaign, Simulator(model), progress)
 
@@ -406,7 +406,7 @@ def start_driver(argv: Sequence[str]) -> subprocess.Popen:
 def run_external(
     campaign: Campaign,
     driver: Sequence[str] | subprocess.Popen,
-    progress: Callable[[int], None] | None = None,
+    progress: Callable[[Observation], None] | None = None,
 ) -> ExecutionResult:
     """Execute a campaign through an external driver subprocess.
 
@@ -419,8 +419,8 @@ def run_external(
     checkpoint map, so observations carry their traces whatever model the
     driver wraps, and it checks every reply: a driver that accepts a
     command the shadow rejects, replies in the wrong shape or stops
-    replying raises ``DriverProtocolError``.  ``progress`` counts only Out
-    replies that have arrived.
+    replying raises ``DriverProtocolError``.  ``progress`` receives only
+    Out replies that have arrived.
     """
     proc = driver if isinstance(driver, subprocess.Popen) else start_driver(driver)
     assert proc.stdin is not None and proc.stdout is not None

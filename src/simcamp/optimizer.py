@@ -5,19 +5,19 @@ from that slice's own traces (a tree built from other traces raises
 ``TreeInvariantError``), emit the Load/Store/Free/Run/Out command sequence
 that replays every trace while holding at most ``capacity`` simulator
 states at once.  Each trace resumes from its deepest stored prefix; runs
-break at prefixes worth
-checkpointing; checkpoints are freed as soon as no remaining trace can
-reuse them, or, when memory is full, the one whose effective next use lies
-furthest ahead in the fixed verification order is evicted.  A checkpoint's
-effective next use is the next trace that would load it: a trace whose
-chain holds it and no stored checkpoint below it.  This is Belady's rule
-with a use counted only where the checkpoint would be the load point.
-Belady's optimality argument does not carry over as stated, because a
-miss here costs more or less depending on which ancestors are stored.
+break at prefixes worth checkpointing; checkpoints are freed as soon as no
+remaining trace can reuse them, or, when memory is full, the one whose
+effective next use lies furthest ahead in the fixed verification order is
+evicted.  A checkpoint's effective next use is the next trace that would
+load it: a trace whose chain holds it and no stored checkpoint below it.
+This is Belady's rule with a use counted only where the checkpoint would
+be the load point.  Belady's optimality argument does not carry over as
+stated, because a miss here costs more or less depending on which
+ancestors are stored.
 
 ``CheckpointIndex`` is the one record of which nodes hold a checkpoint,
-the reserved root included; the tree only knows prefixes and their
-pending uses.  The storage rule lives in one place, the run scan of
+the reserved root included; the tree only knows prefix depths, chains
+and pending uses.  The storage rule lives in one place, the run scan of
 ``optimize_slice``: its work per trace is per checkpoint candidate and
 per run, not per symbol.  Storage is decided once for each tree node on
 the trace's chain below its load point, and the trace's constant runs
@@ -31,7 +31,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby, islice
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .traces import (
     Alphabet,
@@ -169,11 +169,10 @@ def optimize_slice(
 
     ``ordered`` is a permutation of the traces ``tree`` was built from;
     anything else raises ``TreeInvariantError``.  The scan only reads
-    ``tree``: each trace's chain comes as node ids from the record
-    ``build_tree`` made (``BranchTree.chains``), and pending uses, copied
-    from the weights the build summed from that record, are counted down
-    in a list of the scan's own, indexed by node id, beside a list of node
-    depths.  So one built tree can feed any number of calls.
+    ``tree``: each trace's chain comes as node ids from ``tree.chains``,
+    node depths from ``tree.depth``, and pending uses, copied from
+    ``tree.pending``, are counted down in a list of the scan's own,
+    indexed by node id.  So one built tree can feed any number of calls.
     ``capacity=None`` means unlimited storage (the resulting peak is the
     least capacity that loses nothing).
     """
@@ -187,9 +186,9 @@ def optimize_slice(
         raise TreeInvariantError(
             "slice does not match its tree: the tree was built from other traces"
         )
-    # Node ids run densely from 0, the root, in insertion order.
-    pending = [node.pending for node in tree.nodes.values()]
-    depth = [node.depth for node in tree.nodes.values()]
+    # The scan counts pending uses down in its own copy of the weights.
+    pending = list(tree.pending)
+    depth = tree.depth
     index = CheckpointIndex(capacity, len(pending))
     stored = index.entries
     commands: list[Command] = []
@@ -319,7 +318,7 @@ _LINES_PER_WRITE = 4096
 
 # The ops whose lines repeat through a campaign; a reader parses each
 # distinct line of these once.  Id lines are all distinct.
-REPEATING_OPS = frozenset(("run", "out"))
+_REPEATING_OPS = frozenset(("run", "out"))
 
 _ID_OPS = {"LOAD": "load", "STORE": "store", "FREE": "free"}
 
@@ -391,6 +390,37 @@ def parse_command(line: str, alphabet: Alphabet) -> Command:
     raise TraceFormatError(f"malformed campaign command: {line!r}")
 
 
+def parse_lines(
+    raws: Iterable[str],
+    alphabet: Alphabet,
+    repeats: dict[str, Command],
+    on_error: Callable[[TraceFormatError], None] | None = None,
+) -> Iterator[Command]:
+    """The commands on raw campaign lines, blank and ``#`` lines skipped.
+
+    Each distinct RUN or OUT line is parsed once: ``repeats`` keeps their
+    commands, keyed by the raw line, from one call to the next.  A
+    malformed line raises ``TraceFormatError``, or, given ``on_error``, is
+    passed to it and skipped.
+    """
+    for raw in raws:
+        cmd = repeats.get(raw)
+        if cmd is None:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                cmd = parse_command(line, alphabet)
+            except TraceFormatError as exc:
+                if on_error is None:
+                    raise
+                on_error(exc)
+                continue
+            if cmd.op in _REPEATING_OPS:
+                repeats[raw] = cmd
+        yield cmd
+
+
 def write_campaign_file(campaign: Campaign, path: str) -> None:
     with atomic_text_file(path) as fh:
         fh.writelines(campaign_chunks(campaign))
@@ -403,26 +433,16 @@ def read_campaign_file(path: str, alphabet: Alphabet) -> Campaign:
         if not header:
             raise TraceFormatError("empty campaign file")
         quantum, slice_id = parse_campaign_header(header)
-        commands = []
-        repeats: dict[str, Command] = {}
-        live = peak = 0
-        for raw in fh:
-            cmd = repeats.get(raw)
-            if cmd is None:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                cmd = parse_command(line, alphabet)
-                if cmd.op in REPEATING_OPS:
-                    repeats[raw] = cmd
-            commands.append(cmd)
-            op = cmd.op
-            if op == "store":
-                live += 1
-                if live > peak:
-                    peak = live
-            elif op == "free":
-                live -= 1
+        commands = list(parse_lines(fh, alphabet, {}))
+    live = peak = 0
+    for cmd in commands:
+        op = cmd.op
+        if op == "store":
+            live += 1
+            if live > peak:
+                peak = live
+        elif op == "free":
+            live -= 1
     return Campaign(
         commands=commands,
         quantum=quantum,

@@ -54,6 +54,7 @@ from typing import NamedTuple, Sequence
 
 from .engine import (
     CostModel,
+    Observation,
     estimate_seconds_from_counts,
     execute,
     read_cost_file,
@@ -207,29 +208,29 @@ def _materialize_source(
     """The sorted, sampled corpus the slices are cut from: for a trace
     file, its trace lines; for a constraint spec, the spec and the sampled
     indices of its traces, which the slice tasks extract."""
+    spec: ConstraintSpec | None = None
     if _is_constraint_file(config.source):
         spec = read_constraint_file(config.source)
+        alphabet, quantum = spec.alphabet, config.quantum
         total = GeneratorTable(spec).count()
-        if total == 0:
-            raise PipelineStageError("source stage: constraint spec accepts no traces")
-        indices = sample_indices(total, config.fraction, config.seed)
-        if not indices:
-            raise PipelineStageError("source stage: sampled zero traces")
-        return spec.alphabet, config.quantum, spec, indices
-
-    sorted_path = os.path.join(config.out_dir, "sorted.txt")
-    if not os.path.exists(sorted_path):
-        external_sort(
-            config.source, sorted_path, config.sort_budget, dedupe=config.dedupe
-        )
-    # external_sort has checked every line, so the slices copy them as they are.
-    alphabet, quantum, lines = read_trace_lines(sorted_path)
-    if not lines:
+    else:
+        sorted_path = os.path.join(config.out_dir, "sorted.txt")
+        if not os.path.exists(sorted_path):
+            external_sort(
+                config.source, sorted_path, config.sort_budget, dedupe=config.dedupe
+            )
+        # external_sort has checked every line, so the slices copy them as
+        # they are.
+        alphabet, quantum, lines = read_trace_lines(sorted_path)
+        total = len(lines)
+    if total == 0:
         raise PipelineStageError("source stage: empty corpus")
-    if config.fraction < 1.0:
-        keep = sample_indices(len(lines), config.fraction, config.seed)
-        lines = [lines[j] for j in keep]
-    return alphabet, quantum, None, lines
+    keep = sample_indices(total, config.fraction, config.seed)
+    if not keep:
+        raise PipelineStageError("source stage: sampled zero traces")
+    if spec is not None:
+        return alphabet, quantum, spec, keep
+    return alphabet, quantum, None, [lines[j] for j in keep]
 
 
 class _SlicePaths(NamedTuple):
@@ -289,10 +290,11 @@ def slice_corpus(task: _SliceTask) -> TraceCorpus:
 def plan_slice(
     corpus: TraceCorpus, order_mode: str, order_seed: int, sigma: str
 ) -> tuple[list[InputTrace], BranchTree, int | None]:
-    """A slice's verification order, tree (built once, from the sorted
-    traces) and ``sigma`` resolved against the tree's capacity."""
+    """A slice's verification order, tree (built once, from the slice's
+    traces in any order) and ``sigma`` resolved against the tree's
+    capacity."""
     ordered = order_slice(corpus.traces, order_mode, order_seed)
-    tree = build_tree(sorted(corpus.traces, key=lambda t: t.symbols))
+    tree = build_tree(corpus.traces)
     return ordered, tree, resolve_sigma(sigma, tree.capacity)
 
 
@@ -315,7 +317,7 @@ def _baseline_summary(ordered: Sequence[InputTrace], tree: BranchTree) -> dict:
         "load": n - 1,
         "run": sum(sum(1 for _ in groupby(t.symbols)) for t in ordered),
         "out": n,
-        "free": int(tree.root.is_shared_prefix),
+        "free": int(tree.root_shared),
     }
     return {
         "length_q": sum(len(t.symbols) for t in ordered),
@@ -348,8 +350,19 @@ def _run_slice_task(task: _SliceTask) -> dict:
     last_write = monotonic()
     write_json_atomic({"slice": task.slice_id, "j": 0, "n": n}, paths.progress)
 
-    def on_out(done: int) -> None:
-        nonlocal last_write
+    done = 0
+
+    def on_out(obs: Observation) -> None:
+        # A campaign that loads the wrong checkpoint still executes; only
+        # the history each OUT replayed shows it.  So an OUT is counted as
+        # progress only once it has replayed its trace.
+        nonlocal done, last_write
+        if done >= n or obs.symbols != ordered[done].symbols:
+            raise PipelineStageError(
+                f"execute stage: slice {task.slice_id}: OUT {done} does not "
+                f"replay trace {done} of the verification order"
+            )
+        done += 1
         now = monotonic()
         if now - last_write >= PROGRESS_INTERVAL_S:
             write_json_atomic(
@@ -364,14 +377,6 @@ def _run_slice_task(task: _SliceTask) -> dict:
             f"execute stage: slice {task.slice_id}: command "
             f"{result.failing_index} failed: {result.error}"
         )
-    # A campaign that loads the wrong checkpoint still executes; only the
-    # history each OUT replayed shows it.
-    for i, obs in enumerate(result.observations):
-        if i >= n or obs.symbols != ordered[i].symbols:
-            raise PipelineStageError(
-                f"execute stage: slice {task.slice_id}: OUT {i} does not "
-                f"replay trace {i} of the verification order"
-            )
     if len(result.observations) != n:
         raise PipelineStageError(
             f"execute stage: slice {task.slice_id}: "

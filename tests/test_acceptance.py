@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
-from util import random_traces
+from util import random_traces, shared_prefix_map
 
 from simcamp.engine import CostModel, execute, reference_model
 from simcamp.generator import ConstraintSpec, Dfa, GeneratorTable, satisfies
@@ -193,7 +193,7 @@ def test_criterion_4_tree_matches_pairwise_prefix_oracle():
         _, traces = random_traces(rng, size, alphabet_size=k, max_horizon=h)
         tree = build_tree(sorted(traces, key=lambda t: t.symbols))
         # Same node set and the same per-node trace counts.
-        assert tree.shared_prefix_map() == shared_prefix_counts(traces)
+        assert shared_prefix_map(tree) == shared_prefix_counts(traces)
     assert time.perf_counter() - start < 30.0
 
 

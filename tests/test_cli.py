@@ -167,6 +167,18 @@ def test_errors_exit_with_code_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_optimize_names_a_duplicate_trace(tmp_path, capsys):
+    # The slice is planned in any order; a trace given twice is named.
+    src = tmp_path / "slice.txt"
+    write_trace_file(TraceCorpus(ABCD, 1.0, ts("ab", "aa", "ab")), str(src))
+    code, out = run_cli(
+        capsys, "optimize", "--slice", str(src), "--out", str(tmp_path / "c.txt")
+    )
+    assert code == 2
+    assert out.err == "error: duplicate trace a,b\n"
+    assert not (tmp_path / "c.txt").exists()
+
+
 @pytest.mark.parametrize("campaign", ["malformed", "missing"])
 def test_a_campaign_that_fails_to_load_stops_its_driver(
     tmp_path, capsys, monkeypatch, campaign

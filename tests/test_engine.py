@@ -126,7 +126,7 @@ def test_execute_counts_and_progress():
     seen = []
     result = execute(campaign, reference_model(ABCD, 9), progress=seen.append)
     assert result.executable
-    assert seen == [1, 2]
+    assert seen == result.observations
     assert result.length_quanta == 4
     assert result.peak_memory == 2
     assert [o.symbols for o in result.observations] == [x.symbols for x in traces]

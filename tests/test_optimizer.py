@@ -22,7 +22,7 @@ from simcamp.optimizer import (
 from simcamp.slicing import order_slice
 from simcamp.traces import Alphabet, InputTrace, TraceFormatError
 from simcamp.tree import ROOT_ID, TreeInvariantError, build_tree
-from util import ABCD, random_traces, t, ts
+from util import ABCD, node_prefixes, random_traces, t, ts
 
 
 def tree_for(traces):
@@ -44,15 +44,15 @@ def reference_next_load(prefixes, ordered, stored, node_id, j):
     return len(ordered)
 
 
-def reference_decision(capacity, stored, node, next_use):
+def reference_decision(capacity, stored, node_id, shared, next_use):
     """The storage rule as a standalone function: ("skip" | "store" |
     "store_evicting", victim id).  ``stored`` maps each stored node id to
-    its (next load, store sequence).  Never for non-shared or already-stored
-    prefixes.  With free capacity, always.  At full capacity, only by
-    evicting the stored node other than the root whose next load is
-    furthest (ties: the least recently stored), when that load is strictly
-    later than the candidate's ``next_use``."""
-    if not node.is_shared_prefix or node.node_id in stored:
+    its (next load, store sequence).  Never for non-``shared`` or
+    already-stored prefixes.  With free capacity, always.  At full
+    capacity, only by evicting the stored node other than the root whose
+    next load is furthest (ties: the least recently stored), when that
+    load is strictly later than the candidate's ``next_use``."""
+    if not shared or node_id in stored:
         return "skip", -1
     if capacity is None or len(stored) < capacity:
         return "store", -1
@@ -64,14 +64,14 @@ def reference_decision(capacity, stored, node, next_use):
     return "skip", -1
 
 
-def reference_chain(tree, prefixes, symbols):
-    """The nodes whose prefixes are prefixes of ``symbols``, root first,
-    found by comparing ``symbols`` with every node's prefix in
+def reference_chain(prefixes, symbols):
+    """The ids of the nodes whose prefixes are prefixes of ``symbols``,
+    root first, found by comparing ``symbols`` with every node's prefix in
     ``prefixes``."""
     return sorted(
-        (tree.nodes[nid] for nid, prefix in prefixes.items()
+        (nid for nid, prefix in prefixes.items()
          if symbols[:len(prefix)] == prefix),
-        key=lambda node: node.depth,
+        key=lambda nid: len(prefixes[nid]),
     )
 
 
@@ -86,58 +86,56 @@ def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
     by the last trace."""
     if not ordered:
         raise ValueError("cannot optimize an empty slice")
-    prefixes = {nid: tree.prefix_of(nid) for nid in tree.nodes}
-    pending = {nid: node.pending for nid, node in tree.nodes.items()}
+    prefixes = node_prefixes(tree)
+    shared = {nid for nid in prefixes if nid != ROOT_ID or tree.root_shared}
+    pending = dict(enumerate(tree.pending))
     dead = set()
     stored = {}  # node id -> store sequence
     sequence = itertools.count(1)
     peak = 0
     commands = []
 
-    def next_load(node, j):
-        return reference_next_load(prefixes, ordered, stored, node.node_id, j)
+    def next_load(node_id, j):
+        return reference_next_load(prefixes, ordered, stored, node_id, j)
 
-    def do_store(node):
+    def do_store(node_id):
         nonlocal peak
-        stored[node.node_id] = next(sequence)
+        stored[node_id] = next(sequence)
         peak = max(peak, len(stored))
-        commands.append(Command("store", node_id=node.node_id))
+        commands.append(Command("store", node_id=node_id))
 
-    def do_free(node):
-        del stored[node.node_id]
-        commands.append(Command("free", node_id=node.node_id))
+    def do_free(node_id):
+        del stored[node_id]
+        commands.append(Command("free", node_id=node_id))
 
-    do_store(tree.root)
+    do_store(ROOT_ID)
     for j, trace in enumerate(ordered):
         s = trace.symbols
         h = len(s)
         chain = list(itertools.takewhile(
-            lambda n: n.node_id == ROOT_ID or n.node_id not in dead,
-            reference_chain(tree, prefixes, s),
+            lambda nid: nid == ROOT_ID or nid not in dead,
+            reference_chain(prefixes, s),
         ))
-        load_node = next(n for n in reversed(chain) if n.node_id in stored)
+        load_id = next(nid for nid in reversed(chain) if nid in stored)
         if j > 0:
-            commands.append(Command("load", node_id=load_node.node_id))
-        start = load_node.depth
-        by_depth = {n.depth: n for n in chain}
-        for node in reversed(chain):
-            if node.depth <= h and node.is_shared_prefix and node.node_id not in dead:
-                pending[node.node_id] -= 1
-                if pending[node.node_id] == 0:
-                    if node.node_id in stored and (
-                        node.node_id != ROOT_ID or j == len(ordered) - 1
-                    ):
-                        do_free(node)
-                    dead.add(node.node_id)
+            commands.append(Command("load", node_id=load_id))
+        start = len(prefixes[load_id])
+        by_depth = {len(prefixes[nid]): nid for nid in chain}
+        for nid in reversed(chain):
+            if len(prefixes[nid]) <= h and nid in shared and nid not in dead:
+                pending[nid] -= 1
+                if pending[nid] == 0:
+                    if nid in stored and (nid != ROOT_ID or j == len(ordered) - 1):
+                        do_free(nid)
+                    dead.add(nid)
 
         def decide(boundary):
-            if boundary is None or boundary.node_id in dead:
+            if boundary is None or boundary in dead:
                 return "skip", -1
-            keys = {
-                nid: (next_load(tree.nodes[nid], j), seq)
-                for nid, seq in stored.items()
-            }
-            return reference_decision(capacity, keys, boundary, next_load(boundary, j))
+            keys = {nid: (next_load(nid, j), seq) for nid, seq in stored.items()}
+            return reference_decision(
+                capacity, keys, boundary, boundary in shared, next_load(boundary, j)
+            )
 
         while start < h:
             end = start
@@ -150,7 +148,7 @@ def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
             boundary = by_depth.get(start)
             action, victim = decide(boundary)
             if action == "store_evicting":
-                do_free(tree.nodes[victim])
+                do_free(victim)
                 do_store(boundary)
             elif action == "store":
                 do_store(boundary)
@@ -296,7 +294,7 @@ def test_a_checkpoint_no_later_trace_would_load_is_evicted():
     # stored: 5 quanta.
     ordered = ts("ab", "a", "abbb", "abb")
     tree = tree_for(ordered)
-    assert [tree.prefix_of(i) for i in (1, 2, 3)] == [
+    assert [node_prefixes(tree)[i] for i in (1, 2, 3)] == [
         t(x).symbols for x in ("a", "ab", "abb")
     ]
     campaign = optimize_slice(ordered, tree, 3, 1.0)
@@ -382,17 +380,12 @@ def test_rejects_empty_slice():
 
 
 def tree_snapshot(tree):
-    return {
-        node_id: (
-            node.parent_id,
-            node.seg,
-            node.depth,
-            node.pending,
-            node.is_shared_prefix,
-            dict(node.child_by_symbol),
-        )
-        for node_id, node in tree.nodes.items()
-    }
+    return (
+        list(tree.depth),
+        list(tree.pending),
+        dict(tree.chains),
+        tree.root_shared,
+    )
 
 
 def test_optimize_slice_leaves_its_tree_unchanged():
@@ -579,7 +572,7 @@ def test_every_checkpoint_but_an_unshared_root_is_freed(traces, order_seed):
     for capacity in (None, 1, 2, 3, tree.capacity):
         counts = optimize_slice(ordered, tree, capacity, 1.0).command_counts()
         left = counts.get("store", 0) - counts.get("free", 0)
-        assert left == (0 if tree.root.is_shared_prefix else 1)
+        assert left == (0 if tree.root_shared else 1)
 
 
 def test_campaign_file_round_trip(tmp_path):

@@ -587,10 +587,10 @@ def test_progress_is_written_at_start_end_and_once_per_interval(
     execute, write = pipeline.execute, pipeline.write_json_atomic
 
     def counting_execute(campaign, model, progress):
-        def count(done):
+        def count(obs):
             nonlocal executed
-            executed = done
-            progress(done)
+            executed += 1
+            progress(obs)
 
         return execute(campaign, model, progress=count)
 
@@ -972,3 +972,47 @@ def test_a_campaign_that_misses_an_out_fails_its_slice(
     with pytest.raises(PipelineStageError, match=message):
         run_pipeline(RunConfig(source=str(source), out_dir=str(out)))
     assert not (out / "results" / "result_0.json").exists()
+
+
+def test_progress_counts_only_outs_that_replayed_their_traces(
+    tmp_path, monkeypatch
+):
+    # The RUN before the sixth OUT replays the other symbol: that OUT
+    # executes, but replays another history.  Progress, written at every
+    # OUT, must stop at the five OUTs checked before it.
+    monkeypatch.setattr(pipeline, "PROGRESS_INTERVAL_S", 0)
+    plan = pipeline.optimize_slice
+
+    def flip_a_run(*args):
+        campaign = plan(*args)
+        outs = [i for i, cmd in enumerate(campaign.commands) if cmd.op == "out"]
+        run = max(i for i in range(outs[4], outs[5])
+                  if campaign.commands[i].op == "run")
+        cmd = campaign.commands[run]
+        campaign.commands[run] = cmd._replace(symbol=1 - cmd.symbol)
+        return campaign
+
+    monkeypatch.setattr(pipeline, "optimize_slice", flip_a_run)
+    source = tmp_path / "binary.txt"
+    words = ["".join(w) for w in itertools.product("ab", repeat=4)]
+    write_trace_file(TraceCorpus(ABCD, 1.0, ts(*words)), str(source))
+    out = tmp_path / "run"
+    with pytest.raises(
+        PipelineStageError, match=r"slice 0: OUT 5 does not replay trace 5"
+    ):
+        run_pipeline(RunConfig(source=str(source), out_dir=str(out)))
+    assert read_progress(str(out)) == [(0, 5, 16)]
+    assert overall_omission_bound(str(out)) == 1 - 5 / 16
+
+
+@pytest.mark.parametrize("source, fraction", [
+    (lambda tmp_path: corpus_file(tmp_path), 0.01),
+    (spec_file, 0.01),
+], ids=["trace_file", "constraint_spec"])
+def test_a_sample_of_zero_traces_fails_the_source_stage(
+    tmp_path, source, fraction
+):
+    config = RunConfig(source=source(tmp_path), out_dir=str(tmp_path / "run"),
+                       fraction=fraction)
+    with pytest.raises(PipelineStageError, match="^source stage: sampled zero traces$"):
+        run_pipeline(config)

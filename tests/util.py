@@ -1,4 +1,5 @@
-"""Shared test helpers: compact trace literals, random corpora, timeouts."""
+"""Shared test helpers: compact trace literals, random corpora, the
+prefixes of a branch tree's nodes, timeouts."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import threading
 import pytest
 
 from simcamp.traces import Alphabet, InputTrace
+from simcamp.tree import ROOT_ID
 
 ABCD = Alphabet.of("a", "b", "c", "d")
 AB = Alphabet.of("a", "b")
@@ -41,6 +43,26 @@ def random_traces(
             if len(out) == target:
                 break
     return alphabet, out
+
+
+def node_prefixes(tree) -> dict[int, tuple[int, ...]]:
+    """Every node's prefix, by node id: a node at index i of a trace's
+    chain holds the trace's first ``tree.depth[node]`` symbols."""
+    prefixes = {}
+    for symbols, chain in tree.chains.items():
+        for node_id in chain:
+            prefix = symbols[:tree.depth[node_id]]
+            assert prefixes.setdefault(node_id, prefix) == prefix
+    return prefixes
+
+
+def shared_prefix_map(tree) -> dict[tuple[int, ...], int]:
+    """{prefix: pending count} over the tree's shared-prefix nodes."""
+    return {
+        prefix: tree.pending[node_id]
+        for node_id, prefix in node_prefixes(tree).items()
+        if node_id != ROOT_ID or tree.root_shared
+    }
 
 
 def call_with_timeout(fn, *args, seconds: float = 30.0, **kwargs):
