@@ -20,12 +20,10 @@ _EXPORTS = {
         "ReferenceModel",
         "Simulator",
         "SystemModel",
-        "estimate_seconds",
         "execute",
         "read_cost_file",
         "reference_model",
         "run_external",
-        "write_cost_file",
     ),
     "generator": (
         "ConstraintSpec",
@@ -33,12 +31,10 @@ _EXPORTS = {
         "GeneratorTable",
         "read_constraint_file",
         "sample_indices",
-        "satisfies",
-        "write_constraint_file",
     ),
     "metrics": (
         "completion_time",
-        "inflation_table",
+        "estimate_seconds",
         "memory_efficiency",
         "omission_probability",
         "speedup",
@@ -58,7 +54,6 @@ _EXPORTS = {
         "TraceCorpus",
         "TraceFormatError",
         "read_trace_file",
-        "write_trace_file",
     ),
     "tree": ("BranchTree", "TreeInvariantError", "build_tree"),
 }

@@ -1,4 +1,5 @@
-"""Campaign execution: the simulator state machine and cost estimation.
+"""Campaign execution: the simulator state machine, the external driver
+protocol, and the per-command cost model the report prices campaigns by.
 
 A simulator holds a model state, the input history that produced it, and
 a bounded map of checkpointed (state, history) pairs keyed by node id.
@@ -15,11 +16,11 @@ from __future__ import annotations
 import math
 import subprocess
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import IO, Callable, NamedTuple, Sequence
 
 from .optimizer import Campaign, Command, campaign_chunks
-from .traces import Alphabet, TraceFormatError, format_number
+from .traces import Alphabet, TraceFormatError
 
 _MASK64 = (1 << 64) - 1
 
@@ -197,44 +198,31 @@ def execute(
 # Cost model
 #
 #   file format (whitespace-separated key=value pairs):
-#     load=<s> store=<s> free=<s> out=<s> run_per_q=<s> f=<x>
+#     load=<s> store=<s> free=<s> out=<s> run_per_q=<s>
 # ---------------------------------------------------------------------------
 
 
-# The per-command costs; a cost file must give all five, and ``f`` is optional.
+# The per-command costs; a cost file must give all five.
 _COSTS = ("load", "store", "free", "out", "run_per_q")
 
 
 @dataclass(frozen=True, slots=True)
 class CostModel:
-    """Per-command wall-clock costs in seconds; ``f`` inflates Load+Store.
-
-    Every cost must be finite and >= 0, and ``f`` finite and >= 1 (NaN is
-    neither): an infinite ``f`` times a zero cost is NaN.
-    """
+    """Per-command wall-clock costs in seconds, each finite and >= 0 (NaN
+    is neither).  The report inflates Load and Store by each factor of its
+    f grid."""
 
     load: float
     store: float
     free: float = 0.0
     out: float = 0.0
     run_per_q: float = 1.0
-    f: float = 1.0
 
     def __post_init__(self) -> None:
         for key in _COSTS:
             value = getattr(self, key)
             if not 0 <= value < math.inf:
                 raise ValueError(f"cost {key} must be finite and >= 0, not {value:g}")
-        if not 1 <= self.f < math.inf:
-            raise ValueError(
-                f"inflation factor f must be >= 1 and finite, not {self.f:g}"
-            )
-
-    def with_inflation(self, f: float) -> "CostModel":
-        return CostModel(self.load, self.store, self.free, self.out, self.run_per_q, f)
-
-
-_COST_KEYS = frozenset(f.name for f in fields(CostModel))
 
 
 def parse_cost_model(text: str) -> CostModel:
@@ -246,7 +234,7 @@ def parse_cost_model(text: str) -> CostModel:
             key, eq, raw = token.partition("=")
             if not eq:
                 raise TraceFormatError(f"malformed cost entry {token!r}")
-            if key not in _COST_KEYS:
+            if key not in _COSTS:
                 raise TraceFormatError(f"unknown cost key {key!r}")
             if key in values:
                 raise TraceFormatError(f"repeated cost key {key!r}")
@@ -266,36 +254,6 @@ def parse_cost_model(text: str) -> CostModel:
 def read_cost_file(path: str) -> CostModel:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_cost_model(fh.read())
-
-
-def format_cost_model(cost: CostModel) -> str:
-    return " ".join(
-        f"{f.name}={format_number(getattr(cost, f.name))}" for f in fields(CostModel)
-    )
-
-
-def write_cost_file(cost: CostModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_cost_model(cost) + "\n")
-
-
-def estimate_seconds_from_counts(
-    counts: dict[str, int], length_quanta: int, cost: CostModel
-) -> float:
-    """Estimated wall-clock seconds; Load and Store are inflated by ``f``."""
-    return (
-        length_quanta * cost.run_per_q
-        + counts.get("load", 0) * cost.load * cost.f
-        + counts.get("store", 0) * cost.store * cost.f
-        + counts.get("free", 0) * cost.free
-        + counts.get("out", 0) * cost.out
-    )
-
-
-def estimate_seconds(campaign: Campaign, cost: CostModel) -> float:
-    return estimate_seconds_from_counts(
-        campaign.command_counts(), campaign.length_quanta, cost
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -67,11 +67,6 @@ class ConstraintSpec:
                 raise ValueError("monitor transitions must cover the whole alphabet")
 
 
-def satisfies(spec: ConstraintSpec, trace: InputTrace) -> bool:
-    """Whether every monitor accepts the trace (replayed symbol by symbol)."""
-    return all(dfa.accepts(trace.symbols) for dfa in spec.monitors)
-
-
 State = tuple[int, ...]  # one state per monitor: a product-automaton state
 
 
@@ -290,23 +285,3 @@ def parse_constraint_spec(lines: Sequence[str]) -> ConstraintSpec:
             raise TraceFormatError("monitor has transitions from out-of-range states")
         monitors.append(Dfa(num_states, start, accepting, tuple(step_rows)))
     return ConstraintSpec(alphabet, horizon, tuple(monitors))
-
-
-def format_constraint_spec(spec: ConstraintSpec) -> str:
-    out = [
-        f"alphabet={','.join(spec.alphabet.tokens)}",
-        f"horizon={spec.horizon}",
-    ]
-    for dfa in spec.monitors:
-        out.append(f"states={dfa.num_states}")
-        out.append(f"start={dfa.start}")
-        out.append("accept=" + ",".join(str(s) for s in sorted(dfa.accepting)))
-        for s in range(dfa.num_states):
-            for u in range(len(spec.alphabet)):
-                out.append(f"{s} {spec.alphabet.tokens[u]} -> {dfa.step[s][u]}")
-    return "\n".join(out) + "\n"
-
-
-def write_constraint_file(spec: ConstraintSpec, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_constraint_spec(spec))

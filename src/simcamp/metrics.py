@@ -1,16 +1,22 @@
-"""Campaign measurements: completion time, speedups, efficiency, omission.
+"""Campaign measurements: completion time, speedups, efficiency, omission,
+and the report rows and CSV files made from them.
 
-All ratios are pure arithmetic over collected statistics, so tests can
-feed exact Fractions through them; nothing here rounds or coerces.
+The report is computed on one path: ``estimate_seconds`` prices a
+campaign summary (its length and command counts) under a cost model with
+Load and Store inflated by a factor f, and ``report_rows`` turns the
+per-slice summaries of one or more runs into rows over an f grid.  The
+ratios are pure arithmetic over collected statistics, so tests can feed
+exact Fractions through them; nothing here rounds or coerces.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from typing import Iterable, Sequence
 
-from .engine import CostModel, estimate_seconds
-from .optimizer import Campaign
+from .engine import CostModel
+from .traces import atomic_text_file
 
 REPORT_COLUMNS = [
     "N", "D", "sigma", "seed", "f",
@@ -56,34 +62,89 @@ def omission_probability(progress: Sequence[tuple[int, int]]) -> float:
     return min(1.0, max(0.0, 1.0 - worst))
 
 
-def inflation_table(
-    optimized: Sequence[Campaign],
-    baseline: Sequence[Campaign],
+def estimate_seconds(summary: dict, cost: CostModel, f: float) -> float:
+    """Estimated wall-clock seconds of a campaign from its summary (its
+    ``length_q`` and command ``counts``); Load and Store are inflated by
+    ``f``."""
+    counts = summary["counts"]
+    return (
+        summary["length_q"] * cost.run_per_q
+        + counts.get("load", 0) * cost.load * f
+        + counts.get("store", 0) * cost.store * f
+        + counts.get("free", 0) * cost.free
+        + counts.get("out", 0) * cost.out
+    )
+
+
+_KINDS = ("requested", "baseline", "unlimited")
+
+
+def report_rows(
+    runs: Sequence[tuple[dict, Sequence[dict]]],
     cost: CostModel,
     f_grid: Sequence[float],
-) -> list[tuple[float, float]]:
-    """Speedup per checkpoint-cost inflation factor.
+) -> list[dict]:
+    """The report rows of one or more runs, each a run's config and its
+    per-slice results.
 
-    Each f scales the Load and Store costs while Run cost stays fixed;
-    the returned speedups compare completion times of the same two
-    campaign sets under the inflated cost model.
+    A result holds the ``requested``, ``baseline`` (sigma=1) and
+    ``unlimited`` campaign summaries of its slice.  Each run gets one row
+    per f and campaign kind; with several runs (e.g. the same study at
+    different master seeds), seed="mean" rows follow, grouped by (N, D,
+    sigma, f).
     """
-    rows = []
     for f in f_grid:
-        inflated = cost.with_inflation(f)
-        base_time = completion_time(
-            estimate_seconds(c, inflated) for c in baseline
-        )
-        opt_time = completion_time(
-            estimate_seconds(c, inflated) for c in optimized
-        )
-        rows.append((f, speedup(base_time, opt_time)))
+        # An infinite f times a zero cost would make an estimate NaN.
+        if not 1 <= f < math.inf:
+            raise ValueError(
+                f"inflation factor f must be >= 1 and finite, not {f:g}"
+            )
+    rows: list[dict] = []
+    for config, results in runs:
+        sigma_label = {
+            "requested": str(config["sigma"]),
+            "baseline": "1",
+            "unlimited": "unlimited",
+        }
+        for f in f_grid:
+            times = {
+                kind: completion_time(
+                    estimate_seconds(r[kind], cost, f) for r in results
+                )
+                for kind in _KINDS
+            }
+            for kind in _KINDS:
+                t = times[kind]
+                rows.append(
+                    {
+                        "N": config["n_total"],
+                        "D": config["slices"],
+                        "sigma": sigma_label[kind],
+                        "seed": config["seed"],
+                        "f": f,
+                        "length_q": max(r[kind]["length_q"] for r in results),
+                        "peak_mem": max(r[kind]["peak_stored"] for r in results),
+                        "est_seconds": t,
+                        "speedup": speedup(times["baseline"], t),
+                        "mem_eff": memory_efficiency(times["unlimited"], t),
+                    }
+                )
+    if len(runs) > 1:
+        groups: dict[tuple, list[dict]] = {}
+        for row in rows:
+            key = (row["N"], row["D"], row["sigma"], row["f"])
+            groups.setdefault(key, []).append(row)
+        for (n, d, sigma, f), group in groups.items():
+            row = {"N": n, "D": d, "sigma": sigma, "seed": "mean", "f": f}
+            for key in REPORT_COLUMNS[5:]:
+                row[key] = sum(r[key] for r in group) / len(group)
+            rows.append(row)
     return rows
 
 
 def write_report_csv(rows: Iterable[dict], path: str) -> None:
     """Rows keyed by (N, D, sigma, seed, f); seed "mean" marks averages."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_text_file(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
         writer.writeheader()
         for row in rows:
@@ -92,7 +153,7 @@ def write_report_csv(rows: Iterable[dict], path: str) -> None:
 
 def write_progress_csv(rows: Iterable[dict], path: str) -> None:
     """Per-slice verification progress; op_bound is that slice's 1 - j/n."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_text_file(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=PROGRESS_COLUMNS)
         writer.writeheader()
         for row in rows:

@@ -28,10 +28,10 @@ The stages, in order:
 ``plan_slice`` turns a slice's traces into their order, tree and state
 budget, for the pipeline's slice task and for ``simcamp optimize`` alike.
 
-Every file but the two CSV reports is written to a temporary name and
-moved into place, so none is ever seen partly written.  ``config.json``
-is written before anything else and holds the run's fingerprint: the
-configuration fields that shape the outputs and a hash of the source.
+Every file is written to a temporary name and moved into place, so none
+is ever seen partly written.  ``config.json`` is written before anything
+else and holds the run's fingerprint: the configuration fields that shape
+the outputs and a hash of the source.
 A rerun into the same directory with another fingerprint is refused,
 because it would reuse files made under the old one.  A master seed
 derives per-slice seeds by stable hashing, so changing the slice count
@@ -55,7 +55,6 @@ from typing import NamedTuple, Sequence
 from .engine import (
     CostModel,
     Observation,
-    estimate_seconds_from_counts,
     execute,
     read_cost_file,
     reference_model,
@@ -68,10 +67,8 @@ from .generator import (
     sample_indices,
 )
 from .metrics import (
-    completion_time,
-    memory_efficiency,
     omission_probability,
-    speedup,
+    report_rows,
     write_progress_csv,
     write_report_csv,
 )
@@ -517,14 +514,14 @@ def run_pipeline(
                     f"slice stage failed for slice {task.slice_id}: {exc}"
                 ) from exc
 
-    report_rows, progress_rows = analyze_runs([out], cost, f_grid)
-    write_report_csv(report_rows, os.path.join(out, "report.csv"))
-    write_progress_csv(progress_rows, os.path.join(out, "progress.csv"))
+    report, progress = analyze_runs([out], cost, f_grid)
+    write_report_csv(report, os.path.join(out, "report.csv"))
+    write_progress_csv(progress, os.path.join(out, "progress.csv"))
     return {
         "out_dir": out,
         "slices": config.slices,
         "traces": sum(t.size for t in tasks),
-        "report_rows": len(report_rows),
+        "report_rows": len(report),
     }
 
 
@@ -540,60 +537,6 @@ def _load_run(run_dir: str) -> tuple[dict, list[dict]]:
         with open(path, "r", encoding="utf-8") as fh:
             results.append(json.load(fh))
     return config, results
-
-
-def _rows_for_run(
-    run_dir: str, cost: CostModel, f_grid: Sequence[float]
-) -> list[dict]:
-    config, results = _load_run(run_dir)
-    n_total = config["n_total"]
-    slices = config["slices"]
-    seed = config["seed"]
-
-    def times(kind: str, f: float) -> float:
-        inflated = cost.with_inflation(f)
-        return completion_time(
-            estimate_seconds_from_counts(
-                r[kind]["counts"], r[kind]["length_q"], inflated
-            )
-            for r in results
-        )
-
-    length_of = {
-        kind: max(r[kind]["length_q"] for r in results)
-        for kind in ("requested", "baseline", "unlimited")
-    }
-    peak_of = {
-        kind: max(r[kind]["peak_stored"] for r in results)
-        for kind in ("requested", "baseline", "unlimited")
-    }
-    sigma_label = {
-        "requested": str(config["sigma"]),
-        "baseline": "1",
-        "unlimited": "unlimited",
-    }
-
-    rows = []
-    for f in f_grid:
-        base_time = times("baseline", f)
-        full_time = times("unlimited", f)
-        for kind in ("requested", "baseline", "unlimited"):
-            t = times(kind, f)
-            rows.append(
-                {
-                    "N": n_total,
-                    "D": slices,
-                    "sigma": sigma_label[kind],
-                    "seed": seed,
-                    "f": f,
-                    "length_q": length_of[kind],
-                    "peak_mem": peak_of[kind],
-                    "est_seconds": t,
-                    "speedup": speedup(base_time, t),
-                    "mem_eff": memory_efficiency(full_time, t),
-                }
-            )
-    return rows
 
 
 def read_progress(run_dir: str) -> list[tuple[int, int, int]]:
@@ -641,43 +584,10 @@ def analyze_runs(
     cost: CostModel = DEFAULT_COSTS,
     f_grid: Sequence[float] = DEFAULT_F_GRID,
 ) -> tuple[list[dict], list[dict]]:
-    """Report and progress rows for one or more pipeline output directories.
-
-    With several directories (e.g. the same study at different master
-    seeds), per-seed rows are followed by seed="mean" aggregates grouped
-    by (N, D, sigma, f).
-    """
-    report_rows: list[dict] = []
-    for run_dir in run_dirs:
-        report_rows.extend(_rows_for_run(run_dir, cost, f_grid))
-    if len(run_dirs) > 1:
-        groups: dict[tuple, list[dict]] = {}
-        for row in report_rows:
-            groups.setdefault(
-                (row["N"], row["D"], row["sigma"], row["f"]), []
-            ).append(row)
-        for (n, d, sigma, f), rows in groups.items():
-            def mean(key: str, rows: list[dict] = rows) -> float:
-                return sum(r[key] for r in rows) / len(rows)
-
-            report_rows.append(
-                {
-                    "N": n,
-                    "D": d,
-                    "sigma": sigma,
-                    "seed": "mean",
-                    "f": f,
-                    "length_q": mean("length_q"),
-                    "peak_mem": mean("peak_mem"),
-                    "est_seconds": mean("est_seconds"),
-                    "speedup": mean("speedup"),
-                    "mem_eff": mean("mem_eff"),
-                }
-            )
-    progress_rows: list[dict] = []
-    for run_dir in run_dirs:
-        progress_rows.extend(_progress_rows(run_dir))
-    return report_rows, progress_rows
+    """Report and progress rows for one or more pipeline output directories;
+    ``metrics.report_rows`` computes the report rows."""
+    report = report_rows([_load_run(d) for d in run_dirs], cost, f_grid)
+    return report, [row for d in run_dirs for row in _progress_rows(d)]
 
 
 def overall_omission_bound(run_dir: str) -> float:

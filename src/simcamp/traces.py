@@ -308,13 +308,3 @@ def write_trace_lines(
         fh.write(format_trace_header(alphabet, quantum) + "\n")
         for line in lines:
             fh.write(line + "\n")
-
-
-def write_trace_file(corpus: TraceCorpus, path: str) -> None:
-    alphabet = corpus.alphabet
-    write_trace_lines(
-        path,
-        alphabet,
-        corpus.quantum,
-        (alphabet.format_line(t.symbols) for t in corpus.traces),
-    )

@@ -20,8 +20,8 @@ import pytest
 from util import random_traces, shared_prefix_map
 
 from simcamp.engine import CostModel, execute, reference_model
-from simcamp.generator import ConstraintSpec, Dfa, GeneratorTable, satisfies
-from simcamp.metrics import inflation_table, omission_probability
+from simcamp.generator import ConstraintSpec, Dfa, GeneratorTable
+from simcamp.metrics import omission_probability, report_rows
 from simcamp.oracles import (
     edge_count,
     naive_campaign,
@@ -29,6 +29,7 @@ from simcamp.oracles import (
     shared_prefix_counts,
 )
 from simcamp.optimizer import Campaign, optimize_slice
+from simcamp.pipeline import _campaign_summary
 from simcamp.slicing import order_slice
 from simcamp.traces import Alphabet, InputTrace
 from simcamp.tree import BranchTree, build_tree
@@ -349,10 +350,16 @@ def test_criterion_7_speedup_decays_with_checkpoint_cost(corpus, full_campaigns)
     chain_curve = [chain_speedup(f) for f in f_grid]
     assert all(a >= b for a, b in zip(chain_curve, chain_curve[1:]))
 
-    # The float-based table agrees with the exact fractions.
-    table = inflation_table(
-        [chain_opt], [chain_naive], CostModel(load=0.25, store=0.25), f_grid
-    )
+    # The report's float arithmetic over the campaigns' summaries agrees
+    # with the exact fractions.
+    config = {"n_total": len(chain), "slices": 1, "seed": 0, "sigma": "capacity"}
+    result = {
+        "requested": _campaign_summary(chain_opt),
+        "baseline": _campaign_summary(chain_naive),
+        "unlimited": _campaign_summary(chain_opt),
+    }
+    rows = report_rows([(config, [result])], CostModel(load=0.25, store=0.25), f_grid)
+    table = [(r["f"], r["speedup"]) for r in rows if r["sigma"] == "capacity"]
     assert [f for f, _ in table] == list(f_grid)
     for (_, observed), exact in zip(table, chain_curve):
         assert abs(observed - float(exact)) < 1e-9
@@ -408,6 +415,7 @@ def test_criterion_9_generator_matches_brute_force():
         assert count == len(brute)
         extracted = [table.get(i) for i in range(count)]
         assert [t.symbols for t in extracted] == brute
-        assert all(satisfies(spec, t) for t in extracted)
+        for t in extracted:
+            assert all(d.accepts(t.symbols) for d in monitors)
         nontrivial += bool(count)
     assert nontrivial >= 10

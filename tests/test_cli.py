@@ -10,8 +10,9 @@ import pytest
 
 import simcamp.cli as cli
 from simcamp.cli import main
-from simcamp.traces import TraceCorpus, write_trace_file
-from util import ABCD, call_with_timeout, ts
+from simcamp.engine import parse_cost_model
+from simcamp.traces import TraceCorpus, TraceFormatError
+from util import ABCD, call_with_timeout, ts, write_trace_file
 
 
 def corpus_file(tmp_path):
@@ -137,6 +138,24 @@ def test_f_grid_must_be_nonempty_and_at_least_one(tmp_path, capsys, grid, named)
         assert exit_info.value.code == 2
         assert named in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_a_cost_file_that_names_f_fails_loudly(tmp_path, capsys):
+    # Inflation comes only from --f-grid, so an f in a cost file is an
+    # error rather than a value the report would ignore.
+    text = "load=1 store=1 free=0 out=0 run_per_q=1 f=5"
+    with pytest.raises(TraceFormatError, match="unknown cost key 'f'"):
+        parse_cost_model(text)
+    out_dir = str(tmp_path / "run")
+    code, _ = run_cli(
+        capsys, "pipeline", "--in", corpus_file(tmp_path), "--out-dir", out_dir
+    )
+    assert code == 0
+    costs = tmp_path / "costs.txt"
+    costs.write_text(text + "\n")
+    code, out = run_cli(capsys, "analyze", out_dir, "--costs", str(costs))
+    assert code == 2
+    assert "unknown cost key 'f'" in out.err
 
 
 def test_slice_command(tmp_path, capsys):

@@ -11,15 +11,13 @@ from simcamp.engine import (
     CostModel,
     DriverProtocolError,
     Simulator,
-    estimate_seconds,
     execute,
-    format_cost_model,
     parse_cost_model,
     read_cost_file,
     reference_model,
     run_external,
-    write_cost_file,
 )
+from simcamp.metrics import estimate_seconds
 from simcamp.optimizer import (
     Campaign,
     Command,
@@ -27,6 +25,7 @@ from simcamp.optimizer import (
     optimize_slice,
     parse_command,
 )
+from simcamp.pipeline import _campaign_summary
 from simcamp.traces import TraceFormatError
 from simcamp.tree import build_tree
 from util import AB, ABCD, call_with_timeout, ts
@@ -135,17 +134,17 @@ def test_execute_counts_and_progress():
 
 
 def test_cost_model_round_trip(tmp_path):
-    cost = CostModel(load=0.5, store=0.25, free=0.1, out=0.0, run_per_q=2.0, f=3.0)
-    text = format_cost_model(cost)
+    cost = CostModel(load=0.5, store=0.25, free=0.1, out=0.0, run_per_q=2.0)
+    text = "load=0.5 store=0.25 free=0.1 out=0 run_per_q=2"
     assert parse_cost_model(text) == cost
     path = tmp_path / "costs.txt"
-    write_cost_file(cost, str(path))
+    path.write_text(text + "\n")
     assert read_cost_file(str(path)) == cost
 
 
 def test_cost_model_parsing():
     cost = parse_cost_model("load=1 store=2 free=0 out=0 run_per_q=1 # trailing")
-    assert cost.f == 1.0
+    assert cost == CostModel(1, 2, 0, 0, 1)
     with pytest.raises(Exception):
         parse_cost_model("load=1 store=2")
     with pytest.raises(Exception):
@@ -155,7 +154,8 @@ def test_cost_model_parsing():
 def test_cost_model_comment_runs_to_the_end_of_its_line():
     entries = "load=1 store=1 free=0 out=0 run_per_q=1"
     assert parse_cost_model("# unit costs\n" + entries) == CostModel(1, 1, 0, 0, 1)
-    assert parse_cost_model(entries + " # c\nf=5").f == 5.0
+    split = "load=1 store=1 free=0 # c\nout=0 run_per_q=1"
+    assert parse_cost_model(split) == CostModel(1, 1, 0, 0, 1)
 
 
 def test_cost_model_rejects_unknown_and_repeated_keys():
@@ -168,28 +168,25 @@ def test_cost_model_rejects_unknown_and_repeated_keys():
 
 def test_cost_model_rejects_unusable_costs():
     with pytest.raises(TraceFormatError, match="cost load must be finite and >= 0"):
-        parse_cost_model("load=-1 store=nan free=0 out=0 run_per_q=inf f=0.5")
+        parse_cost_model("load=-1 store=nan free=0 out=0 run_per_q=inf")
     entries = {"load": "1", "store": "1", "free": "0", "out": "0", "run_per_q": "1"}
     for key, bad in [("load", "-1"), ("store", "nan"), ("free", "inf"),
-                     ("out", "-inf"), ("run_per_q", "inf"), ("f", "0.5"),
-                     ("f", "nan")]:
+                     ("out", "-inf"), ("run_per_q", "inf")]:
         text = " ".join(f"{k}={v}" for k, v in {**entries, key: bad}.items())
         with pytest.raises(TraceFormatError, match=rf"\b{key} must be"):
             parse_cost_model(text)
-    with pytest.raises(ValueError, match="inflation factor f must be >= 1"):
-        CostModel(1, 1).with_inflation(0.5)
-    # An infinite f times a zero cost would make every estimate NaN.
-    with pytest.raises(TraceFormatError, match="f must be >= 1 and finite, not inf"):
-        parse_cost_model("load=0 store=0 free=0 out=0 run_per_q=1 f=inf")
+    with pytest.raises(ValueError, match="cost load must be finite and >= 0"):
+        CostModel(-1, 1)
 
 
 def test_inflation_scales_only_load_and_store():
     campaign, _ = campaign_for(["aab", "aac"], sigma=2)
+    summary = _campaign_summary(campaign)
     cost = CostModel(load=1.0, store=1.0, free=10.0, out=100.0, run_per_q=1.0)
-    base = estimate_seconds(campaign, cost)
+    base = estimate_seconds(summary, cost, 1.0)
     # 4 run quanta + 1 load + 2 stores + 1 free*10 + 2 outs*100
     assert base == 4 + 3 + 10 + 200
-    doubled = estimate_seconds(campaign, cost.with_inflation(2.0))
+    doubled = estimate_seconds(summary, cost, 2.0)
     assert doubled - base == 3  # only the load/store seconds doubled
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,15 +11,16 @@ from simcamp.metrics import (
     PROGRESS_COLUMNS,
     REPORT_COLUMNS,
     completion_time,
-    inflation_table,
     memory_efficiency,
     omission_probability,
+    report_rows,
     speedup,
     write_progress_csv,
     write_report_csv,
 )
 from simcamp.optimizer import optimize_slice
 from simcamp.oracles import naive_campaign
+from simcamp.pipeline import _campaign_summary
 from simcamp.tree import build_tree
 from util import ts
 
@@ -64,18 +66,25 @@ def test_speedup_is_exact_with_fractions():
 
 def test_inflation_table():
     ordered = ts("aab", "aac")
-    optimized = optimize_slice(
-        ordered, build_tree(sorted(ordered, key=lambda t: t.symbols)), None, 1.0
+    optimized = _campaign_summary(
+        optimize_slice(ordered, build_tree(ordered), None, 1.0)
     )
-    baseline = naive_campaign(ordered, 1.0)
+    config = {"n_total": 2, "slices": 1, "seed": 0, "sigma": "capacity"}
+    result = {
+        "requested": optimized,
+        "baseline": _campaign_summary(naive_campaign(ordered, 1.0)),
+        "unlimited": optimized,
+    }
     cost = CostModel(load=0.25, store=0.25, free=0.0, out=0.0, run_per_q=1.0)
-    table = inflation_table([optimized], [baseline], cost, (1.0, 10.0, 100.0))
-    fs = [f for f, _ in table]
-    ups = [s for _, s in table]
-    assert fs == [1.0, 10.0, 100.0]
+    rows = report_rows([(config, [result])], cost, (1.0, 10.0, 100.0))
+    requested = [r for r in rows if r["sigma"] == "capacity"]
+    assert [r["f"] for r in requested] == [1.0, 10.0, 100.0]
+    ups = [r["speedup"] for r in requested]
     assert ups == sorted(ups, reverse=True)
-    with pytest.raises(ValueError):
-        inflation_table([optimized], [baseline], cost, (0.5,))
+    # An infinite f times a zero cost would make an estimate NaN.
+    for bad in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="f must be >= 1 and finite"):
+            report_rows([(config, [result])], cost, (bad,))
 
 
 def test_report_csv_columns(tmp_path):
@@ -101,3 +110,23 @@ def test_progress_csv_columns(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["slice", "j", "n", "op_bound"]
     assert rows[1] == ["0", "5", "10", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "write, columns",
+    [(write_report_csv, REPORT_COLUMNS), (write_progress_csv, PROGRESS_COLUMNS)],
+)
+def test_a_failed_csv_write_keeps_the_previous_file(tmp_path, write, columns):
+    path = tmp_path / "out.csv"
+    row = dict.fromkeys(columns, 1)
+    write([row, row], str(path))
+    before = path.read_bytes()
+
+    def rows():
+        yield row
+        raise RuntimeError("analysis failed")
+
+    with pytest.raises(RuntimeError, match="analysis failed"):
+        write(rows(), str(path))
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no temp litter

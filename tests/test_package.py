@@ -3,6 +3,8 @@ from __future__ import annotations
 import importlib.util
 import subprocess
 import sys
+import tokenize
+from collections import Counter
 from pathlib import Path
 
 import simcamp
@@ -24,6 +26,26 @@ def test_star_import_binds_exactly_the_exported_names():
 
 def test_export_list_is_sorted_and_duplicate_free():
     assert simcamp.__all__ == sorted(set(simcamp.__all__))
+
+
+def test_every_exported_name_has_a_use():
+    # A name appears once where it is defined, so an export needs a second
+    # NAME token in the package or the benchmark to have a use; a string
+    # such as a traced name in perfbench/child.py is no use.
+    root = Path(__file__).resolve().parents[1]
+    paths = [
+        p for p in sorted((root / "src" / "simcamp").glob("*.py"))
+        if p.name != "__init__.py"
+    ] + sorted((root / "perfbench").glob("*.py"))
+    names: Counter = Counter()
+    for path in paths:
+        with tokenize.open(path) as fh:
+            names.update(
+                tok.string
+                for tok in tokenize.generate_tokens(fh.readline)
+                if tok.type == tokenize.NAME
+            )
+    assert [name for name in simcamp.__all__ if names[name] < 2] == []
 
 
 def test_readme_library_use_example_runs(capsys):

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from simcamp.cli import main
-from simcamp.engine import CostModel
+from simcamp.engine import CostModel, parse_cost_model
 from simcamp.generator import GeneratorTable
-from simcamp.metrics import REPORT_COLUMNS
+from simcamp.metrics import REPORT_COLUMNS, write_progress_csv, write_report_csv
 import simcamp.optimizer as optimizer
 import simcamp.pipeline as pipeline
 from simcamp.optimizer import read_campaign_file
@@ -35,9 +35,9 @@ from simcamp.pipeline import (
     write_json_atomic,
 )
 from simcamp.slicing import order_slice
-from simcamp.traces import InputTrace, TraceCorpus, read_trace_file, write_trace_file
+from simcamp.traces import InputTrace, TraceCorpus, read_trace_file
 from simcamp.tree import build_tree
-from util import ABCD, ts
+from util import ABCD, ts, write_trace_file
 
 # SHA-256 of every pipeline output on ``corpus_file`` with two slices and
 # seed 3.  A change meant to keep outputs must reproduce them byte for byte.
@@ -238,6 +238,20 @@ TIGHT_DIGESTS = {
 }
 
 
+# SHA-256 of report.csv and progress.csv for two ``corpus_file`` runs
+# (seeds 1 and 2, two slices) analyzed together with every cost nonzero and
+# the f-grid 1, 10, 100: the digests above all use zero checkpoint costs at
+# f=1, where est_seconds is length_q, so only these cover the inflation
+# arithmetic and the seed="mean" rows.
+REPORT_COSTS = "load=0.25 store=0.5 free=0.125 out=0.0625 run_per_q=2"
+REPORT_DIGESTS = {
+    "report.csv":
+        "b3be737c8b13f1110eeca59480b33fdb63263690c64ccf12924efb30e453c8fa",
+    "progress.csv":
+        "20204dd44b26b8fc7289a7ab5d1f19b1cdcb282486019c9ef9c5c4fa235921bc",
+}
+
+
 def corpus_file(tmp_path, name="corpus.txt"):
     path = tmp_path / name
     texts = ["aab", "aac", "ab", "b", "ba", "bb", "aa", "c", "cd", "dd",
@@ -404,6 +418,8 @@ def test_analyze_many_runs_appends_mean_rows(tmp_path):
     assert len(progress) == 4
     for row in means:
         assert row["N"] == 12 and row["D"] == 2
+    with pytest.raises(ValueError, match="inflation factor f must be >= 1"):
+        analyze_runs(dirs, CostModel(0.1, 0.1), (0.5,))
 
 
 @pytest.mark.parametrize("sigma", ["capacity", "4"])
@@ -493,6 +509,23 @@ def test_spec_outputs_are_byte_identical_to_recorded_digests(tmp_path, fraction)
     assert output_digests(out, ("slices", "campaigns", "results")) == (
         SPEC_DIGESTS[fraction]
     )
+
+
+def test_costed_report_is_byte_identical_to_recorded_digests(tmp_path):
+    src = corpus_file(tmp_path)
+    dirs = []
+    for seed in (1, 2):
+        out = tmp_path / f"run{seed}"
+        run_pipeline(RunConfig(source=src, out_dir=str(out), slices=2, seed=seed))
+        dirs.append(str(out))
+    cost = parse_cost_model(REPORT_COSTS)
+    report_rows, progress_rows = analyze_runs(dirs, cost, (1.0, 10.0, 100.0))
+    write_report_csv(report_rows, str(tmp_path / "report.csv"))
+    write_progress_csv(progress_rows, str(tmp_path / "progress.csv"))
+    assert {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in REPORT_DIGESTS
+    } == REPORT_DIGESTS
 
 
 def tight_file(tmp_path, count=40, horizon=60, grid=12):

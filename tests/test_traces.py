@@ -5,7 +5,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from simcamp.engine import CostModel, read_cost_file, write_cost_file
+from simcamp.engine import CostModel, read_cost_file
 from simcamp.optimizer import (
     parse_campaign_header,
     parse_command,
@@ -20,13 +20,13 @@ from simcamp.traces import (
     InputTrace,
     TraceCorpus,
     TraceFormatError,
+    format_number,
     format_trace_header,
     parse_trace_header,
     read_trace_file,
     read_trace_lines,
-    write_trace_file,
 )
-from util import AB, ABCD, t, ts
+from util import AB, ABCD, t, ts, write_trace_file
 
 
 def test_alphabet_rejects_bad_tokens():
@@ -245,10 +245,12 @@ def test_a_quantum_or_cost_reads_back_equal(tmp_path, value):
     path = str(tmp_path / "campaign.txt")
     write_campaign_file(naive_campaign(traces, value), path)
     assert read_campaign_file(path, ABCD).quantum == value
-    cost = CostModel(value, value, value, value, value, f=1 + value)
-    path = str(tmp_path / "costs.txt")
-    write_cost_file(cost, path)
-    assert read_cost_file(path) == cost
+    path = tmp_path / "costs.txt"
+    path.write_text(
+        " ".join(f"{key}={format_number(value)}"
+                 for key in ("load", "store", "free", "out", "run_per_q"))
+    )
+    assert read_cost_file(str(path)) == CostModel(value, value, value, value, value)
 
 
 # One-character ASCII tokens in an order unlike ASCII order: the byte path.

@@ -1,5 +1,5 @@
-"""Shared test helpers: compact trace literals, random corpora, the
-prefixes of a branch tree's nodes, timeouts."""
+"""Shared test helpers: compact trace literals, trace files, random
+corpora, the prefixes of a branch tree's nodes, timeouts."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from simcamp.traces import Alphabet, InputTrace
+from simcamp.traces import Alphabet, InputTrace, TraceCorpus, write_trace_lines
 from simcamp.tree import ROOT_ID
 
 ABCD = Alphabet.of("a", "b", "c", "d")
@@ -22,6 +22,16 @@ def t(text: str, alphabet: Alphabet = ABCD) -> InputTrace:
 
 def ts(*texts: str, alphabet: Alphabet = ABCD) -> list[InputTrace]:
     return [t(x, alphabet) for x in texts]
+
+
+def write_trace_file(corpus: TraceCorpus, path: str) -> None:
+    alphabet = corpus.alphabet
+    write_trace_lines(
+        path,
+        alphabet,
+        corpus.quantum,
+        (alphabet.format_line(t.symbols) for t in corpus.traces),
+    )
 
 
 def random_traces(
