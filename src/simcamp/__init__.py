@@ -41,7 +41,6 @@ _EXPORTS = {
     ),
     "optimizer": (
         "Campaign",
-        "Command",
         "optimize_slice",
         "read_campaign_file",
         "write_campaign_file",

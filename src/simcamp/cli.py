@@ -32,7 +32,7 @@ from .engine import (
 from .generator import GeneratorTable, read_constraint_file
 from .metrics import write_progress_csv, write_report_csv
 from .optimizer import (
-    campaign_lines,
+    campaign_chunks,
     optimize_slice,
     read_campaign_file,
     write_campaign_file,
@@ -130,7 +130,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             "sigma": sigma,
             "length_q": campaign.length_quanta,
             "peak_stored": campaign.peak_stored,
-            "commands": len(campaign.commands),
+            "commands": len(campaign.lines),
         }
     )
     return 0
@@ -175,8 +175,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             tokens = corpus.alphabet.format_line(prefix)
             print(f"{tokens or '-'} {counts[prefix]}")
     else:
-        for line in campaign_lines(naive_campaign(corpus.traces, corpus.quantum)):
-            print(line)
+        naive = naive_campaign(corpus.traces, corpus.quantum)
+        sys.stdout.writelines(campaign_chunks(naive))
     return 0
 
 

@@ -7,10 +7,13 @@ end to end:
     python -m simcamp.echo_driver --seed 7 --alphabet a,b
 
 Header/comment lines receive no reply; every command line receives one of
-``OK``, ``OUT <token>``, or ``ERR <message>``.  Replies are buffered and
-flushed before each read of input that may block, so a client that
-streams commands gets its replies in batches, and a client that waits for
-each reply before sending the next command still gets it.
+``OK``, ``OUT <token>``, or ``ERR <message>``.  A canonical line, as a
+campaign file holds it, is stepped as it is; any other line is first
+canonicalised by ``parse_command``, or answered with its error.  Replies
+are buffered and flushed before each read of input that may block, so a
+client that streams commands gets its replies in batches, and a client
+that waits for each reply before sending the next command still gets it.
+Observations are dropped once their batch is answered.
 """
 
 from __future__ import annotations
@@ -21,19 +24,17 @@ import sys
 from typing import IO, Iterator, Sequence
 
 from .engine import Simulator, reference_model
-from .optimizer import Command, parse_lines
+from .optimizer import canonical_patterns, parse_command
 from .traces import Alphabet, TraceFormatError
 
 
 _READ_SIZE = 1 << 16
 
 
-def _input_batches(stdin: IO[str]) -> Iterator[list[str]]:
-    """The lines of ``stdin`` in batches, as they arrive.
-
-    Each batch holds the lines completed by one read; a last line without
-    a newline comes as a batch of its own at the end of input.
-    """
+def _input_batches(stdin: IO[str]) -> Iterator[str]:
+    """The text of ``stdin`` in batches of newline-ended lines, as they
+    arrive: the lines completed by one read, then any last line without a
+    newline, with one added."""
     fd = stdin.fileno()
     pending = b""
     while chunk := os.read(fd, _READ_SIZE):
@@ -43,9 +44,9 @@ def _input_batches(stdin: IO[str]) -> Iterator[list[str]]:
         if end:
             # A newline byte ends a character in every encoding the
             # protocol allows, so the completed lines decode as one text.
-            yield data[:end - 1].decode(stdin.encoding, stdin.errors).split("\n")
+            yield data[:end].decode(stdin.encoding, stdin.errors)
     if pending:
-        yield [pending.decode(stdin.encoding, stdin.errors)]
+        yield pending.decode(stdin.encoding, stdin.errors) + "\n"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -66,23 +67,31 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     # Replies to a batch go out before the next read, which may block
     # until the client has seen them.
-    repeats: dict[str, Command] = {}
+    one_line, misfit = canonical_patterns(alphabet)
     replies: list[str] = []
-
-    def malformed(exc: TraceFormatError) -> None:
-        replies.append(f"ERR {exc}\n")
-
-    for batch in _input_batches(sys.stdin):
-        for cmd in parse_lines(batch, alphabet, repeats, malformed):
-            if not sim.step(cmd):
+    for text in _input_batches(sys.stdin):
+        lines = text[:-1].split("\n")
+        canonical = misfit.search("\n" + text) is None
+        for line in lines:
+            if not canonical and not one_line.fullmatch(line):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    line = parse_command(line, alphabet)
+                except TraceFormatError as exc:
+                    replies.append(f"ERR {exc}\n")
+                    continue
+            if not sim.step(line):
                 replies.append(f"ERR {sim.error}\n")
-            elif cmd.op == "out":
+            elif line == "OUT":
                 replies.append(f"OUT {sim.observations[-1].token}\n")
             else:
                 replies.append("OK\n")
         sys.stdout.write("".join(replies))
         sys.stdout.flush()
         replies.clear()
+        sim.observations.clear()
     return 0
 
 

@@ -3,12 +3,13 @@ protocol, and the per-command cost model the report prices campaigns by.
 
 A simulator holds a model state, the input history that produced it, and
 a bounded map of checkpointed (state, history) pairs keyed by node id.
-Executing a campaign folds its commands over that machine; Load of an
-absent id, Store of a present id, or Free of an absent id puts the
-machine into an absorbing error state.  There is one fold, ``_fold``, for
-both backends: ``execute`` folds over a simulator wrapping an in-process
-model, and ``run_external`` folds over a shadow simulator that checks each
-reply of an external driver against its own step.
+Executing a campaign folds its canonical lines over that machine, one
+line per step; Load of an absent id, Store of a present id, or Free of an
+absent id puts the machine into an absorbing error state.  There is one
+fold, ``_fold``, for both backends: ``execute`` folds over a simulator
+wrapping an in-process model, and ``run_external`` streams the same lines
+to an external driver and folds over a shadow simulator that checks each
+reply against its own step.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import threading
 from dataclasses import dataclass
 from typing import IO, Callable, NamedTuple, Sequence
 
-from .optimizer import Campaign, Command, campaign_chunks
+from .optimizer import Campaign, campaign_chunks
 from .traces import Alphabet, TraceFormatError
 
 _MASK64 = (1 << 64) - 1
@@ -110,41 +111,47 @@ class Simulator:
         self.peak_memory = 0
         self.length_quanta = 0
         self.observations: list[Observation] = []
+        # Each distinct RUN line's symbol, length and history increment.
+        self._runs: dict[str, tuple[int, int, tuple[int, ...]]] = {}
 
     def _fail(self, message: str) -> bool:
         self.error = message
         return False
 
-    def step(self, cmd: Command) -> bool:
-        """Apply one command; returns False if the machine is (now) in error."""
+    def step(self, line: str) -> bool:
+        """Apply one canonical line; False if the machine is (now) in error."""
         if self.error is not None:
             return False
-        op = cmd.op
-        if op == "run":
-            self.state = self.model.transition(self.state, cmd.symbol, cmd.quanta)
-            self.history = self.history + (cmd.symbol,) * cmd.quanta
-            self.length_quanta += cmd.quanta
-        elif op == "store":
-            if cmd.node_id in self.memory:
-                return self._fail(f"store of already-present id {cmd.node_id}")
-            self.memory[cmd.node_id] = (self.state, self.history)
-            if len(self.memory) > self.peak_memory:
-                self.peak_memory = len(self.memory)
-        elif op == "load":
-            entry = self.memory.get(cmd.node_id)
-            if entry is None:
-                return self._fail(f"load of absent id {cmd.node_id}")
-            self.state, self.history = entry
-        elif op == "free":
-            if cmd.node_id not in self.memory:
-                return self._fail(f"free of absent id {cmd.node_id}")
-            del self.memory[cmd.node_id]
-        elif op == "out":
+        op = line[0]
+        if op == "R":
+            run = self._runs.get(line)
+            if run is None:
+                _, token, k = line.split(" ")
+                symbol, quanta = self.model.alphabet.index(token), int(k)
+                run = self._runs[line] = (symbol, quanta, (symbol,) * quanta)
+            self.state = self.model.transition(self.state, run[0], run[1])
+            self.history += run[2]
+            self.length_quanta += run[1]
+        elif op == "O":
             self.observations.append(
                 Observation(self.model.observe(self.state), self.history)
             )
-        else:
-            return self._fail(f"unknown command op {op!r}")
+        elif op not in "LSF":
+            return self._fail(f"unknown command {line!r}")
+        elif op == "S":
+            node_id = int(line[6:])
+            if node_id in self.memory:
+                return self._fail(f"store of already-present id {node_id}")
+            self.memory[node_id] = (self.state, self.history)
+            if len(self.memory) > self.peak_memory:
+                self.peak_memory = len(self.memory)
+        elif op == "L":
+            entry = self.memory.get(int(line[5:]))
+            if entry is None:
+                return self._fail(f"load of absent id {line[5:]}")
+            self.state, self.history = entry
+        elif self.memory.pop(int(line[5:]), None) is None:
+            return self._fail(f"free of absent id {line[5:]}")
         return True
 
 
@@ -165,19 +172,15 @@ def _fold(
 ) -> ExecutionResult:
     """Step ``sim`` over the campaign, stopping at the first erroring command."""
     failing_index: int | None = None
-    for i, cmd in enumerate(campaign.commands):
-        if not sim.step(cmd):
+    for i, line in enumerate(campaign.lines):
+        if not sim.step(line):
             failing_index = i
             break
-        if cmd.op == "out" and progress is not None:
+        if progress is not None and line == "OUT":
             progress(sim.observations[-1])
     return ExecutionResult(
-        observations=sim.observations,
-        executable=failing_index is None,
-        failing_index=failing_index,
-        error=sim.error,
-        length_quanta=sim.length_quanta,
-        peak_memory=sim.peak_memory,
+        sim.observations, failing_index is None, failing_index, sim.error,
+        sim.length_quanta, sim.peak_memory,
     )
 
 
@@ -260,8 +263,9 @@ def read_cost_file(path: str) -> CostModel:
 # External driver protocol
 #
 # The engine writes every campaign file line (header included) to the
-# driver's stdin.  Header/comment lines get no reply.  Every other line
-# gets exactly one reply line, in order:  OK | OUT <token> | ERR <message>
+# driver's stdin, as it is in the file.  Header/comment lines get no
+# reply.  Every other line gets exactly one reply line, in order:
+#   OK | OUT <token> | ERR <message>
 #
 # Because replies come in command order, the engine streams the whole
 # campaign from a writer thread while it reads replies, instead of
@@ -276,9 +280,11 @@ class _OutputClosed(Exception):
     """The driver's output ended before every command had its reply."""
 
 
+@dataclass
 class _DriverModel(SystemModel):
     """A model with no state: an external driver owns the real one."""
 
+    alphabet: Alphabet
     initial_state = None
 
     def transition(self, state: object, symbol: int, quanta: int) -> object:
@@ -297,30 +303,31 @@ class _DriverShadow(Simulator):
     command too; on Out, the driver's token replaces the shadow's.
     """
 
-    def __init__(self, replies: IO[str]) -> None:
-        super().__init__(_DriverModel())
+    def __init__(self, replies: IO[str], alphabet: Alphabet) -> None:
+        super().__init__(_DriverModel(alphabet))
         self._replies = replies
 
-    def step(self, cmd: Command) -> bool:
+    def step(self, line: str) -> bool:
         if self.error is not None:
             return False
         reply = self._replies.readline()
+        out = line == "OUT"
         # The common reply, a terminated OK to a command that is no Out,
         # needs none of the checks below.
-        if reply != "OK\n" or cmd.op == "out":
+        if reply != "OK\n" or out:
             if not reply:
                 raise _OutputClosed
             reply = reply.rstrip("\n")
             if reply.startswith("ERR"):
                 return self._fail(reply[3:].strip() or "driver error")
-            if cmd.op == "out":
+            if out:
                 if not reply.startswith("OUT "):
                     raise DriverProtocolError(f"expected OUT reply, got {reply!r}")
             elif reply != "OK":
                 raise DriverProtocolError(f"expected OK reply, got {reply!r}")
-        if not super().step(cmd):
+        if not super().step(line):
             raise DriverProtocolError(f"driver accepted a {self.error}")
-        if cmd.op == "out":
+        if out:
             self.observations[-1] = Observation(reply[4:], self.history)
         return True
 
@@ -331,7 +338,7 @@ def _write_campaign(
     stop: threading.Event,
     failure: list[Exception],
 ) -> None:
-    """Writer thread: stream the campaign file lines into the driver.
+    """Writer thread: stream the campaign file text into the driver.
 
     Writes a few thousand lines at a time until the campaign ends or
     ``stop`` is set, then closes ``stdin`` so the driver sees the end of
@@ -392,7 +399,7 @@ def run_external(
     )
     writer.start()
     try:
-        return _fold(campaign, _DriverShadow(proc.stdout), progress)
+        return _fold(campaign, _DriverShadow(proc.stdout, campaign.alphabet), progress)
     except _OutputClosed:
         pass
     finally:

@@ -22,16 +22,22 @@ and pending uses.  The storage rule lives in one place, the run scan of
 per run, not per symbol.  Storage is decided once for each tree node on
 the trace's chain below its load point, and the trace's constant runs
 (from ``itertools.groupby``) are cut only where a node is stored.
+
+A campaign is its canonical protocol lines, which the scan emits once,
+keeping the summary as it goes; the file, the driver and the engine's
+fold use that text as it is.
 """
 
 from __future__ import annotations
 
 import heapq
+import re
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby, islice
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from functools import lru_cache
+from itertools import accumulate, compress, groupby
+from typing import Iterator, Sequence
 
 from .traces import (
     Alphabet,
@@ -44,33 +50,38 @@ from .traces import (
 from .tree import ROOT_ID, BranchTree, TreeInvariantError
 
 
-class Command(NamedTuple):
-    """One campaign step; unused fields keep their defaults."""
-
-    op: str  # load | store | free | run | out
-    node_id: int = -1
-    symbol: int = -1
-    quanta: int = 0
-
-
-_OUT = Command("out")
-
-
 @dataclass(slots=True)
 class Campaign:
-    commands: list[Command]
+    """A campaign's canonical lines (``LOAD <id>``, ``STORE <id>``, ``FREE
+    <id>``, ``RUN <token> <k>``, ``OUT``; no newlines) and their summary:
+    the sum of the RUN lengths, the lines of each op that occurs and the
+    most ids stored at once."""
+
+    lines: list[str]
     quantum: float
-    slice_id: int = 0
-    peak_stored: int = 0
-    alphabet: Alphabet | None = None
+    alphabet: Alphabet
+    slice_id: int
+    length_quanta: int
+    counts: dict[str, int]
+    peak_stored: int
 
-    @property
-    def length_quanta(self) -> int:
-        """Total simulated quanta: the sum of all Run lengths."""
-        return sum(c.quanta for c in self.commands if c.op == "run")
+    @classmethod
+    def from_lines(
+        cls, lines: list[str], quantum: float, alphabet: Alphabet, slice_id: int = 0
+    ) -> "Campaign":
+        """The campaign of canonical ``lines``, its summary counted anew."""
+        ops = "".join([line[0] for line in lines])  # each op's first letter
+        runs = Counter(compress(lines, ops.encode("ascii").translate(_IS_RUN)))
+        length = sum(int(line.rpartition(" ")[2]) * n for line, n in runs.items())
+        counts = {op: k for op in _OPS if (k := ops.count(op[0].upper()))}
+        # The peak is the largest running sum of +1 per STORE, -1 per FREE.
+        steps = ops.replace("R", "").replace("O", "").replace("L", "")
+        peak = max(accumulate(map({"S": 1, "F": -1}.__getitem__, steps), initial=0))
+        return cls(lines, quantum, alphabet, slice_id, length, counts, peak)
 
-    def command_counts(self) -> dict[str, int]:
-        return dict(Counter(c.op for c in self.commands))
+
+_OPS = ("store", "load", "free", "run", "out")
+_IS_RUN = bytes(op == ord("R") for op in range(256))
 
 
 class CheckpointIndex:
@@ -191,8 +202,12 @@ def optimize_slice(
     depth = tree.depth
     index = CheckpointIndex(capacity, len(pending))
     stored = index.entries
-    commands: list[Command] = []
+    alphabet = ordered[0].alphabet
+    tokens = alphabet.tokens
+    lines: list[str] = []
+    emit = lines.append
     n = len(ordered)
+    length = stores = 0
 
     # Only an index that can evict needs keys.  Otherwise every checkpoint
     # is keyed 0, and equal keys never evict.
@@ -214,16 +229,18 @@ def optimize_slice(
             return p
 
     def do_store(node_id: int, use: int) -> None:
+        nonlocal stores
         index.note_store(node_id, use)
-        commands.append(Command("store", node_id))
+        emit(f"STORE {node_id}")
+        stores += 1
 
     def do_free(node_id: int) -> None:
         index.note_free(node_id)
-        commands.append(Command("free", node_id))
+        emit(f"FREE {node_id}")
 
     def emit_runs(symbols: tuple[int, ...]) -> None:
         for symbol, group in groupby(symbols):
-            commands.append(Command("run", -1, symbol, len(list(group))))
+            emit(f"RUN {tokens[symbol]} {len(list(group))}")
 
     # The campaign begins by checkpointing the initial state under id 0.
     do_store(ROOT_ID, 0)
@@ -238,7 +255,8 @@ def optimize_slice(
             k -= 1
         load_id = chain[k]
         if j > 0:
-            commands.append(Command("load", load_id))
+            emit(f"LOAD {load_id}")
+        length += len(s) - depth[load_id]
 
         # This trace was the load node's next load; its key moves to the
         # next one, so every key names a later trace.
@@ -293,15 +311,14 @@ def optimize_slice(
                     if later < n and chains[later][i:i + 1] == (node_id,):
                         index.rekey(chain[up], next_load(chain[up], up, later))
         emit_runs(s[pos:])
-        commands.append(_OUT)
+        emit("OUT")
 
-    return Campaign(
-        commands=commands,
-        quantum=quantum,
-        slice_id=slice_id,
-        peak_stored=index.peak,
-        alphabet=ordered[0].alphabet,
-    )
+    # Every FREE removed a stored id; every other line is a RUN.
+    frees = stores - len(stored)
+    runs = len(lines) - stores - frees - (2 * n - 1)
+    counts = dict(store=stores, load=n - 1, free=frees, run=runs, out=n)
+    counts = {op: k for op, k in counts.items() if k}
+    return Campaign(lines, quantum, alphabet, slice_id, length, counts, index.peak)
 
 
 # ---------------------------------------------------------------------------
@@ -316,38 +333,29 @@ def optimize_slice(
 # Lines per write when a campaign goes to a file or to a driver.
 _LINES_PER_WRITE = 4096
 
-# The ops whose lines repeat through a campaign; a reader parses each
-# distinct line of these once.  Id lines are all distinct.
-_REPEATING_OPS = frozenset(("run", "out"))
 
-_ID_OPS = {"LOAD": "load", "STORE": "store", "FREE": "free"}
-
-
-def campaign_lines(campaign: Campaign) -> Iterator[str]:
-    """The campaign's file/protocol lines, header first."""
-    yield f"#q={format_number(campaign.quantum)};slice={campaign.slice_id}"
-    for cmd in campaign.commands:
-        yield format_command(cmd, campaign.alphabet)
+@lru_cache(maxsize=8)
+def canonical_patterns(alphabet: Alphabet) -> tuple[re.Pattern, re.Pattern]:
+    """Two patterns over ``alphabet``: a canonical line, which is its own
+    ``parse_command``; and a newline not followed by a canonical line and
+    a newline.  Unlike a match of a repeated group, the search keeps no
+    state from one line to the next."""
+    tokens = "|".join(map(re.escape, alphabet.tokens))
+    # Longer numbers go to ``parse_command``, whose int() may refuse them.
+    line = (
+        f"(?:RUN (?:{tokens}) [1-9][0-9]{{0,17}}|OUT"
+        "|(?:LOAD|STORE|FREE) (?:0|-?[1-9][0-9]{0,17}))"
+    )
+    return re.compile(line), re.compile(f"\\n(?!{line}\\n|\\Z)")
 
 
 def campaign_chunks(campaign: Campaign) -> Iterator[str]:
-    """``campaign_lines`` as newline-terminated text, a few thousand
-    lines to a chunk, for writing."""
-    lines = campaign_lines(campaign)
-    while chunk := list(islice(lines, _LINES_PER_WRITE)):
-        yield "\n".join(chunk) + "\n"
-
-
-def format_command(cmd: Command, alphabet: Alphabet | None) -> str:
-    if cmd.op == "run":
-        if alphabet is None:
-            raise ValueError("cannot format Run commands without an alphabet")
-        return f"RUN {alphabet.tokens[cmd.symbol]} {cmd.quanta}"
-    if cmd.op == "out":
-        return "OUT"
-    if cmd.op in ("load", "store", "free"):
-        return f"{cmd.op.upper()} {cmd.node_id}"
-    raise ValueError(f"unknown command op {cmd.op!r}")
+    """The campaign's file text: the header line, then chunks of a few
+    thousand newline-ended lines."""
+    yield f"#q={format_number(campaign.quantum)};slice={campaign.slice_id}\n"
+    lines = campaign.lines
+    for start in range(0, len(lines), _LINES_PER_WRITE):
+        yield "\n".join(lines[start:start + _LINES_PER_WRITE]) + "\n"
 
 
 def parse_campaign_header(line: str) -> tuple[float, int]:
@@ -369,56 +377,26 @@ def parse_campaign_header(line: str) -> tuple[float, int]:
     return quantum, slice_id
 
 
-def parse_command(line: str, alphabet: Alphabet) -> Command:
+def parse_command(line: str, alphabet: Alphabet) -> str:
+    """The canonical form of one command line, or ``TraceFormatError``."""
     parts = line.split()
     try:
         if len(parts) == 2:
-            op = _ID_OPS.get(parts[0])
-            if op is not None:
-                return Command(op, int(parts[1]))
+            if parts[0] in ("LOAD", "STORE", "FREE"):
+                return f"{parts[0]} {int(parts[1])}"
         elif parts[0] == "OUT" and len(parts) == 1:
-            return _OUT
+            return "OUT"
         elif parts[0] == "RUN" and len(parts) == 3:
             quanta = int(parts[2])
             if quanta < 1:
                 raise ValueError
-            return Command("run", -1, alphabet.index(parts[1]), quanta)
+            alphabet.index(parts[1])
+            return f"RUN {parts[1]} {quanta}"
     except TraceFormatError as exc:
         raise TraceFormatError(f"malformed campaign command: {line!r} ({exc})") from exc
     except (ValueError, IndexError) as exc:
         raise TraceFormatError(f"malformed campaign command: {line!r}") from exc
     raise TraceFormatError(f"malformed campaign command: {line!r}")
-
-
-def parse_lines(
-    raws: Iterable[str],
-    alphabet: Alphabet,
-    repeats: dict[str, Command],
-    on_error: Callable[[TraceFormatError], None] | None = None,
-) -> Iterator[Command]:
-    """The commands on raw campaign lines, blank and ``#`` lines skipped.
-
-    Each distinct RUN or OUT line is parsed once: ``repeats`` keeps their
-    commands, keyed by the raw line, from one call to the next.  A
-    malformed line raises ``TraceFormatError``, or, given ``on_error``, is
-    passed to it and skipped.
-    """
-    for raw in raws:
-        cmd = repeats.get(raw)
-        if cmd is None:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                cmd = parse_command(line, alphabet)
-            except TraceFormatError as exc:
-                if on_error is None:
-                    raise
-                on_error(exc)
-                continue
-            if cmd.op in _REPEATING_OPS:
-                repeats[raw] = cmd
-        yield cmd
 
 
 def write_campaign_file(campaign: Campaign, path: str) -> None:
@@ -427,26 +405,23 @@ def write_campaign_file(campaign: Campaign, path: str) -> None:
 
 
 def read_campaign_file(path: str, alphabet: Alphabet) -> Campaign:
-    """Read a campaign file; each distinct RUN or OUT line is parsed once."""
+    """Read a campaign file: canonical lines as they are, any other body
+    canonicalised line by line, blank and ``#`` lines skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise TraceFormatError("empty campaign file")
-        quantum, slice_id = parse_campaign_header(header)
-        commands = list(parse_lines(fh, alphabet, {}))
-    live = peak = 0
-    for cmd in commands:
-        op = cmd.op
-        if op == "store":
-            live += 1
-            if live > peak:
-                peak = live
-        elif op == "free":
-            live -= 1
-    return Campaign(
-        commands=commands,
-        quantum=quantum,
-        slice_id=slice_id,
-        peak_stored=peak,
-        alphabet=alphabet,
-    )
+        text = fh.read()
+    if not text:
+        raise TraceFormatError("empty campaign file")
+    lines = text.split("\n")
+    header = lines.pop(0)
+    quantum, slice_id = parse_campaign_header(header)
+    # The search starts at the newline that ends the header.
+    if canonical_patterns(alphabet)[1].search(text, len(header)) is None:
+        del lines[-1:]  # the empty text after the last newline, if any
+    else:
+        lines = [
+            parse_command(line, alphabet)
+            for line in map(str.strip, lines)
+            if line and not line.startswith("#")
+        ]
+    del text  # the lines hold it now
+    return Campaign.from_lines(lines, quantum, alphabet, slice_id)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .optimizer import Campaign, Command
+from .optimizer import Campaign
 from .traces import InputTrace
 
 EDGE_BUDGET_SYMBOLS = 10**5
@@ -93,25 +93,20 @@ def naive_campaign(ordered: list[InputTrace], quantum: float, slice_id: int = 0)
     """
     if not ordered:
         raise ValueError("naive_campaign needs a non-empty slice")
-    commands: list[Command] = [Command("store", node_id=0)]
+    alphabet = ordered[0].alphabet
+    lines = ["STORE 0"]
     for trace in ordered:
-        commands.append(Command("load", node_id=0))
+        lines.append("LOAD 0")
         start = 0
         symbols = trace.symbols
         while start < len(symbols):
             end = start
             while end + 1 < len(symbols) and symbols[end + 1] == symbols[start]:
                 end += 1
-            commands.append(Command("run", symbol=symbols[start], quanta=end - start + 1))
+            lines.append(f"RUN {alphabet.tokens[symbols[start]]} {end - start + 1}")
             start = end + 1
-        commands.append(Command("out"))
-    return Campaign(
-        commands=commands,
-        quantum=quantum,
-        slice_id=slice_id,
-        peak_stored=1,
-        alphabet=ordered[0].alphabet,
-    )
+        lines.append("OUT")
+    return Campaign.from_lines(lines, quantum, alphabet, slice_id)
 
 
 def optimal_campaign_length(

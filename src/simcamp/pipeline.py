@@ -299,7 +299,7 @@ def _campaign_summary(campaign) -> dict:
     return {
         "length_q": campaign.length_quanta,
         "peak_stored": campaign.peak_stored,
-        "counts": campaign.command_counts(),
+        "counts": campaign.counts,
     }
 
 
@@ -312,7 +312,9 @@ def _baseline_summary(ordered: Sequence[InputTrace], tree: BranchTree) -> dict:
     counts = {
         "store": 1,
         "load": n - 1,
-        "run": sum(sum(1 for _ in groupby(t.symbols)) for t in ordered),
+        # A list of the groups, not a generator over them: faster on both
+        # short traces of many runs and long traces of few.
+        "run": sum(len([*groupby(t.symbols)]) for t in ordered),
         "out": n,
         "free": int(tree.root_shared),
     }

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-import tempfile
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -286,10 +285,12 @@ def atomic_text_file(path: str) -> Iterator[TextIO]:
 
     The text goes to a temporary file beside ``path``, which ``os.replace``
     moves into place on success and which is removed on any failure, so
-    ``path`` never holds a partly written file.
+    ``path`` never holds a partly written file.  The temporary file is
+    created as ``open`` would create ``path``, so the umask sets its mode.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh

@@ -310,7 +310,7 @@ def test_criterion_7_speedup_decays_with_checkpoint_cost(corpus, full_campaigns)
     f_grid = (1, 10, 50, 100)
 
     def checkpoint_cost(campaign: Campaign) -> Fraction:
-        counts = campaign.command_counts()
+        counts = campaign.counts
         return unit * (counts.get("load", 0) + counts.get("store", 0))
 
     for case, campaign in zip(cases, campaigns):

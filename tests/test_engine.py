@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import threading
 
 import pytest
 
+from simcamp import echo_driver
 from simcamp.engine import (
     CostModel,
     DriverProtocolError,
@@ -20,8 +22,7 @@ from simcamp.engine import (
 from simcamp.metrics import estimate_seconds
 from simcamp.optimizer import (
     Campaign,
-    Command,
-    campaign_lines,
+    campaign_chunks,
     optimize_slice,
     parse_command,
 )
@@ -88,28 +89,30 @@ def test_fail_predicate_prefixes_outputs():
 
 def test_history_follows_runs_and_loads():
     sim = Simulator(reference_model(AB, 1))
-    assert sim.step(Command("store", node_id=0))
-    assert sim.step(Command("run", symbol=0, quanta=2))
-    assert sim.step(Command("store", node_id=1))
-    assert sim.step(Command("run", symbol=1, quanta=1))
+    assert sim.step("STORE 0")
+    assert sim.step("RUN a 2")
+    assert sim.step("STORE 1")
+    assert sim.step("RUN b 1")
     assert sim.history == (0, 0, 1)
-    assert sim.step(Command("load", node_id=1))
+    assert sim.step("LOAD 1")
     assert sim.history == (0, 0)
     assert sim.length_quanta == 3
     assert sim.peak_memory == 2
+    # A line of no known op is an error, not another op's step.
+    assert not sim.step("JUMP 1")
+    assert sim.error == "unknown command 'JUMP 1'"
 
 
 @pytest.mark.parametrize(
     "commands,message",
     [
-        ([Command("load", node_id=9)], "load of absent id 9"),
-        ([Command("store", node_id=0), Command("store", node_id=0)],
-         "store of already-present id 0"),
-        ([Command("free", node_id=4)], "free of absent id 4"),
+        (["LOAD 9"], "load of absent id 9"),
+        (["STORE 0", "STORE 0"], "store of already-present id 0"),
+        (["FREE 4"], "free of absent id 4"),
     ],
 )
 def test_errors_are_absorbing(commands, message):
-    campaign = Campaign(list(commands) + [Command("out")], 1.0, alphabet=AB)
+    campaign = Campaign.from_lines(commands + ["OUT"], 1.0, AB)
     result = execute(campaign, reference_model(AB, 0))
     assert not result.executable
     assert result.failing_index == len(commands) - 1
@@ -192,12 +195,9 @@ def test_inflation_scales_only_load_and_store():
 
 def test_external_driver_matches_in_process():
     campaign, _ = campaign_for(["aab", "aac", "ab", "b"], sigma=3, quantum=0.5)
-    cut = len(campaign.commands) // 2
-    erroring = Campaign(
-        campaign.commands[:cut] + [Command("free", node_id=99)]
-        + campaign.commands[cut:],
-        0.5,
-        alphabet=ABCD,
+    cut = len(campaign.lines) // 2
+    erroring = Campaign.from_lines(
+        campaign.lines[:cut] + ["FREE 99"] + campaign.lines[cut:], 0.5, ABCD
     )
     for case in (campaign, erroring):
         local = execute(case, reference_model(ABCD, 11))
@@ -215,11 +215,7 @@ def test_external_driver_matches_in_process():
 
 
 def test_external_driver_reports_errors():
-    campaign = Campaign(
-        [Command("store", node_id=0), Command("load", node_id=7), Command("out")],
-        1.0,
-        alphabet=AB,
-    )
+    campaign = Campaign.from_lines(["STORE 0", "LOAD 7", "OUT"], 1.0, AB)
     result = external(campaign, ECHO_DRIVER + ["--seed", "0", "--alphabet", "a,b"])
     assert not result.executable
     assert result.failing_index == 1
@@ -241,8 +237,7 @@ def test_protocol_violations_are_detected():
 
 # A campaign far larger than a pipe buffer, so that a driver which stops
 # reading leaves the engine's writer with unwritten lines.
-LONG = Campaign([Command("run", symbol=0, quanta=1), Command("out")] * 20_000,
-                1.0, alphabet=AB)
+LONG = Campaign.from_lines(["RUN a 1", "OUT"] * 20_000, 1.0, AB)
 
 FIRST_COMMAND_THEN = (
     "import sys\n"
@@ -307,7 +302,7 @@ def test_echo_driver_answers_a_malformed_line_each_time():
     with pytest.raises(TraceFormatError) as malformed:
         parse_command("RUN a 0", AB)
     good = [parse_command(x, AB) for x in lines if x != "RUN a 0"]
-    outs = execute(Campaign(good, 1.0, alphabet=AB), reference_model(AB, 3))
+    outs = execute(Campaign.from_lines(good, 1.0, AB), reference_model(AB, 3))
     tokens = [f"OUT {o.token}" for o in outs.observations]
     error = f"ERR {malformed.value}"
     assert done.stdout.splitlines() == [
@@ -318,7 +313,7 @@ def test_echo_driver_answers_a_malformed_line_each_time():
 def test_echo_driver_answers_a_lock_step_client():
     campaign, _ = campaign_for(["aab", "aac", "ab", "b"], sigma=2)
     expected = execute(campaign, reference_model(ABCD, 5))
-    header, *commands = campaign_lines(campaign)
+    header, commands = next(campaign_chunks(campaign)), campaign.lines
 
     # With PYTHONUNBUFFERED set, every write would reach the client at
     # once and hide a driver that flushes only at the end of its input.
@@ -329,7 +324,7 @@ def test_echo_driver_answers_a_lock_step_client():
             ECHO_DRIVER + ["--seed", "5", "--alphabet", "a,b,c,d"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
         )
-        proc.stdin.write(header + "\n")
+        proc.stdin.write(header)
         replies = []
         for line in commands:
             proc.stdin.write(line + "\n")
@@ -348,10 +343,42 @@ def test_echo_driver_answers_a_lock_step_client():
 
 
 def test_a_campaign_that_cannot_be_written_raises_the_writer_error():
-    campaign = Campaign(
-        [Command("store", node_id=0), Command("run", symbol=0, quanta=1)], 1.0
-    )
+    # A lone surrogate has no UTF-8 form, so the writer thread fails on
+    # the first chunk of lines, after the header.
+    campaign = Campaign.from_lines(["STORE 0", "RUN \udcff 1"], 1.0, AB)
     threads = threading.active_count()
-    with pytest.raises(ValueError, match="without an alphabet"):
+    with pytest.raises(UnicodeEncodeError):
         external(campaign, ECHO_DRIVER + ["--alphabet", "a,b"])
     assert threading.active_count() == threads
+
+
+def test_echo_driver_keeps_no_observation_past_its_batch(tmp_path, monkeypatch):
+    sims = []
+
+    class Recording(Simulator):
+        """Records the most observations it ever held."""
+
+        def __init__(self, model):
+            super().__init__(model)
+            self.most = 0
+            sims.append(self)
+
+        def step(self, line):
+            ok = super().step(line)
+            self.most = max(self.most, len(self.observations))
+            return ok
+
+    monkeypatch.setattr(echo_driver, "Simulator", Recording)
+    trace = "LOAD 0\nRUN a 1\nOUT\n"
+    path = tmp_path / "campaign.txt"
+    path.write_text("#q=1;slice=0\nSTORE 0\n" + trace * 30_000)
+    replies = io.StringIO()
+    with open(path) as stdin:
+        monkeypatch.setattr(sys, "stdin", stdin)
+        monkeypatch.setattr(sys, "stdout", replies)
+        assert echo_driver.main(["--alphabet", "a,b"]) == 0
+    (sim,) = sims
+    assert replies.getvalue().count("OUT ") == 30_000
+    # One read holds at most this many traces' OUTs.
+    assert 0 < sim.most <= echo_driver._READ_SIZE // len(trace) + 1
+    assert sim.observations == []

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +14,6 @@ from simcamp.oracles import edge_count, naive_campaign, optimal_campaign_length
 from simcamp.optimizer import (
     Campaign,
     CheckpointIndex,
-    Command,
-    campaign_lines,
     optimize_slice,
     parse_command,
     read_campaign_file,
@@ -93,7 +93,8 @@ def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
     stored = {}  # node id -> store sequence
     sequence = itertools.count(1)
     peak = 0
-    commands = []
+    tokens = ordered[0].alphabet.tokens
+    lines = []
 
     def next_load(node_id, j):
         return reference_next_load(prefixes, ordered, stored, node_id, j)
@@ -102,11 +103,11 @@ def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
         nonlocal peak
         stored[node_id] = next(sequence)
         peak = max(peak, len(stored))
-        commands.append(Command("store", node_id=node_id))
+        lines.append(f"STORE {node_id}")
 
     def do_free(node_id):
         del stored[node_id]
-        commands.append(Command("free", node_id=node_id))
+        lines.append(f"FREE {node_id}")
 
     do_store(ROOT_ID)
     for j, trace in enumerate(ordered):
@@ -118,7 +119,7 @@ def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
         ))
         load_id = next(nid for nid in reversed(chain) if nid in stored)
         if j > 0:
-            commands.append(Command("load", node_id=load_id))
+            lines.append(f"LOAD {load_id}")
         start = len(prefixes[load_id])
         by_depth = {len(prefixes[nid]): nid for nid in chain}
         for nid in reversed(chain):
@@ -143,7 +144,7 @@ def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
                 if decide(by_depth.get(end + 1))[0] != "skip":
                     break
                 end += 1
-            commands.append(Command("run", symbol=s[start], quanta=end - start + 1))
+            lines.append(f"RUN {tokens[s[start]]} {end - start + 1}")
             start = end + 1
             boundary = by_depth.get(start)
             action, victim = decide(boundary)
@@ -152,15 +153,16 @@ def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
                 do_store(boundary)
             elif action == "store":
                 do_store(boundary)
-        commands.append(Command("out"))
-    return Campaign(commands, quantum, slice_id, peak, ordered[0].alphabet)
+        lines.append("OUT")
+    campaign = Campaign.from_lines(lines, quantum, ordered[0].alphabet, slice_id)
+    assert campaign.peak_stored == peak
+    return campaign
 
 
 def test_two_trace_campaign_with_reuse():
     ordered = ts("aab", "aac")
     campaign = optimize_slice(ordered, tree_for(ordered), 2, 0.5)
-    assert list(campaign_lines(campaign)) == [
-        "#q=0.5;slice=0",
+    assert campaign.lines == [
         "STORE 0",
         "RUN a 2",
         "STORE 1",
@@ -178,8 +180,7 @@ def test_two_trace_campaign_with_reuse():
 def test_two_trace_campaign_at_minimum_memory():
     ordered = ts("aab", "aac")
     campaign = optimize_slice(ordered, tree_for(ordered), 1, 0.5)
-    assert list(campaign_lines(campaign)) == [
-        "#q=0.5;slice=0",
+    assert campaign.lines == [
         "STORE 0",
         "RUN a 2",
         "RUN b 1",
@@ -196,8 +197,7 @@ def test_two_trace_campaign_at_minimum_memory():
 def test_full_trace_checkpoint_reused():
     ordered = ts("aaa", "aab")
     campaign = optimize_slice(ordered, tree_for(ordered), None, 1.0)
-    assert list(campaign_lines(campaign)) == [
-        "#q=1;slice=0",
+    assert campaign.lines == [
         "STORE 0",
         "RUN a 2",
         "STORE 1",
@@ -214,8 +214,7 @@ def test_full_trace_checkpoint_reused():
 def test_singleton_campaign():
     ordered = ts("aab")
     campaign = optimize_slice(ordered, tree_for(ordered), 4, 1.0)
-    assert list(campaign_lines(campaign)) == [
-        "#q=1;slice=0",
+    assert campaign.lines == [
         "STORE 0",
         "RUN a 2",
         "RUN b 1",
@@ -229,8 +228,7 @@ def test_trace_equal_to_stored_prefix():
     # prefix, so "aab" is the checkpoint's last use and frees it once loaded.
     ordered = ts("aa", "aab")
     campaign = optimize_slice(ordered, tree_for(ordered), None, 1.0)
-    assert list(campaign_lines(campaign)) == [
-        "#q=1;slice=0",
+    assert campaign.lines == [
         "STORE 0",
         "RUN a 2",
         "STORE 1",
@@ -253,8 +251,7 @@ def test_next_use_evicts_the_checkpoint_used_furthest_ahead():
     # free it, and "bb" would find a free slot.
     ordered = ts("aba", "ab", "bb", "aa", "bbba", "abb")
     campaign = optimize_slice(ordered, tree_for(ordered), 3, 1.0)
-    assert list(campaign_lines(campaign)) == [
-        "#q=1;slice=0",
+    assert campaign.lines == [
         "STORE 0",
         "RUN a 1",
         "STORE 1",
@@ -298,8 +295,7 @@ def test_a_checkpoint_no_later_trace_would_load_is_evicted():
         t(x).symbols for x in ("a", "ab", "abb")
     ]
     campaign = optimize_slice(ordered, tree, 3, 1.0)
-    assert list(campaign_lines(campaign)) == [
-        "#q=1;slice=0",
+    assert campaign.lines == [
         "STORE 0",
         "RUN a 1",
         "STORE 1",
@@ -330,8 +326,7 @@ def test_checkpoint_equal_to_a_trace_is_freed_after_its_last_use():
     campaign = optimize_slice(ordered, tree_for(ordered), None, 1.0)
     assert campaign.peak_stored == 3
     assert campaign.length_quanta == 8
-    lines = list(campaign_lines(campaign))
-    assert lines[8:11] == ["LOAD 2", "FREE 2", "OUT"]
+    assert campaign.lines[7:10] == ["LOAD 2", "FREE 2", "OUT"]
 
 
 def test_budgets_that_cannot_bind_build_no_next_use_table(monkeypatch):
@@ -396,7 +391,7 @@ def test_optimize_slice_leaves_its_tree_unchanged():
         first = optimize_slice(ordered, tree, sigma, 1.0)
         assert tree_snapshot(tree) == before
         again = optimize_slice(ordered, tree, sigma, 1.0)
-        assert again.commands == first.commands
+        assert again == first
 
 
 @pytest.mark.parametrize("members", [
@@ -522,8 +517,7 @@ def test_budget_at_least_unlimited_peak_reproduces_unlimited(
     unlimited = optimize_slice(ordered, tree, None, 1.0)
     sigma = unlimited.peak_stored + extra
     bounded = optimize_slice(ordered, tree, sigma, 1.0)
-    assert bounded.commands == unlimited.commands
-    assert bounded.peak_stored == unlimited.peak_stored
+    assert bounded == unlimited
 
 
 @st.composite
@@ -557,8 +551,7 @@ def test_run_scan_matches_the_per_symbol_scan(traces, capacity, order_seed):
 
     campaign = optimize_slice(ordered, tree, capacity, 1.0)
     reference = reference_optimize_slice(ordered, tree, capacity, 1.0)
-    assert campaign.commands == reference.commands
-    assert campaign.peak_stored == reference.peak_stored
+    assert campaign == reference
 
 
 @settings(max_examples=150, deadline=None)
@@ -570,7 +563,7 @@ def test_every_checkpoint_but_an_unshared_root_is_freed(traces, order_seed):
     ordered = order_slice(traces, "random", seed=order_seed)
     tree = tree_for(traces)
     for capacity in (None, 1, 2, 3, tree.capacity):
-        counts = optimize_slice(ordered, tree, capacity, 1.0).command_counts()
+        counts = optimize_slice(ordered, tree, capacity, 1.0).counts
         left = counts.get("store", 0) - counts.get("free", 0)
         assert left == (0 if tree.root_shared else 1)
 
@@ -581,14 +574,12 @@ def test_campaign_file_round_trip(tmp_path):
     path = tmp_path / "campaign.txt"
     write_campaign_file(campaign, str(path))
     back = read_campaign_file(str(path), ABCD)
-    assert back.commands == campaign.commands
-    assert back.quantum == campaign.quantum
-    assert back.slice_id == 3
-    assert back.peak_stored == 2
+    assert back == campaign
+    assert (back.quantum, back.slice_id, back.peak_stored) == (0.5, 3, 2)
 
 
-# RUN and OUT lines repeat, some with other spacing; id lines do not.
-REPEATING_LINES = [
+# Canonical lines, and some with other spacing.
+SPACED_LINES = [
     "STORE 0", "RUN a 2", "OUT", "LOAD 0", "RUN a 2", "RUN  a 2", "RUN b 1",
     "OUT", "  OUT", "STORE 1", "RUN a 2", "OUT", "FREE 1", "FREE 0",
 ]
@@ -596,19 +587,28 @@ REPEATING_LINES = [
 
 def test_a_campaign_file_parses_like_its_lines(tmp_path):
     path = tmp_path / "campaign.txt"
-    path.write_text("#q=1;slice=0\n" + "\n".join(REPEATING_LINES) + "\n")
+    path.write_text("#q=1;slice=0\n" + "\n".join(SPACED_LINES) + "\n")
     back = read_campaign_file(str(path), ABCD)
-    assert back.commands == [parse_command(x.strip(), ABCD) for x in REPEATING_LINES]
+    assert back.lines == [parse_command(x.strip(), ABCD) for x in SPACED_LINES]
+    assert back.lines == [" ".join(x.split()) for x in SPACED_LINES]
     assert back.peak_stored == 2
 
     bad = "RUN a 0"
     with pytest.raises(TraceFormatError) as expected:
         parse_command(bad, ABCD)
-    lines = REPEATING_LINES[:3] + [bad] + REPEATING_LINES[3:] + [bad]
+    lines = SPACED_LINES[:3] + [bad] + SPACED_LINES[3:] + [bad]
     path.write_text("#q=1;slice=0\n" + "\n".join(lines) + "\n")
     with pytest.raises(TraceFormatError) as raised:
         read_campaign_file(str(path), ABCD)
     assert str(raised.value) == str(expected.value)
+
+
+def test_a_number_int_refuses_is_malformed_in_a_file(tmp_path):
+    path = tmp_path / "campaign.txt"
+    for line in ("LOAD " + "1" * 5000, "RUN a " + "1" * 5000):
+        path.write_text(f"#q=1;slice=0\nSTORE 0\n{line}\nOUT\n")
+        with pytest.raises(TraceFormatError, match="malformed campaign command"):
+            read_campaign_file(str(path), ABCD)
 
 
 def test_parse_command_errors():
@@ -617,7 +617,47 @@ def test_parse_command_errors():
             parse_command(bad, ABCD)
 
 
-def test_campaign_lines_need_alphabet_for_runs():
-    campaign = Campaign([Command("run", symbol=0, quanta=1)], 1.0)
-    with pytest.raises(ValueError):
-        list(campaign_lines(campaign))
+
+def recount(lines):
+    """(length in quanta, lines per op, peak stored), counted line by line."""
+    length = live = peak = 0
+    counts = {}
+    for line in lines:
+        op, *args = line.split(" ")
+        counts[op.lower()] = counts.get(op.lower(), 0) + 1
+        if op == "RUN":
+            length += int(args[1])
+        elif op == "STORE":
+            live += 1
+            peak = max(peak, live)
+        elif op == "FREE":
+            live -= 1
+    return length, counts, peak
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    run_slices(),
+    st.sampled_from([None, 1, 2, "half", "capacity"]),
+    st.integers(0, 1 << 20),
+    st.sampled_from([("a", "b", "c"), ("x1", "RUN", "a.b")]),
+)
+def test_the_recorded_summary_is_a_recount_of_the_lines(
+    traces, budget, order_seed, tokens
+):
+    # The scan keeps the summary as it emits; reading the written file
+    # back recounts it from the lines.  Both must agree with a recount.
+    alphabet = Alphabet(tokens)
+    traces = [InputTrace(alphabet, x.symbols) for x in traces]
+    ordered = order_slice(traces, "random", seed=order_seed)
+    tree = build_tree(traces)
+    capacity = {"half": max(1, tree.capacity // 2), "capacity": tree.capacity}
+    campaign = optimize_slice(
+        ordered, tree, capacity.get(budget, budget), 0.5, slice_id=2
+    )
+    summary = (campaign.length_quanta, campaign.counts, campaign.peak_stored)
+    assert summary == recount(campaign.lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "campaign.txt")
+        write_campaign_file(campaign, path)
+        assert read_campaign_file(path, alphabet) == campaign

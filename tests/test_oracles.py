@@ -11,7 +11,6 @@ from simcamp.oracles import (
     shared_prefix_counts,
     shared_prefixes,
 )
-from simcamp.optimizer import campaign_lines
 from util import ABCD, t, ts
 
 
@@ -76,8 +75,7 @@ def test_optimal_campaign_length_guards():
 
 def test_naive_campaign_singleton():
     campaign = naive_campaign(ts("ab"), 1.0)
-    assert list(campaign_lines(campaign)) == [
-        "#q=1;slice=0",
+    assert campaign.lines == [
         "STORE 0",
         "LOAD 0",
         "RUN a 1",
@@ -88,8 +86,7 @@ def test_naive_campaign_singleton():
 
 def test_naive_campaign_two_traces():
     campaign = naive_campaign(ts("aab", "aac"), 0.5)
-    assert list(campaign_lines(campaign)) == [
-        "#q=0.5;slice=0",
+    assert campaign.lines == [
         "STORE 0",
         "LOAD 0",
         "RUN a 2",

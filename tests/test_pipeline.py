@@ -678,16 +678,13 @@ def test_a_crash_mid_campaign_write_leaves_no_campaign_file(tmp_path, monkeypatc
     src = corpus_file(tmp_path)
     out = tmp_path / "run"
     config = RunConfig(source=src, out_dir=str(out), slices=2, seed=3)
-    format_command = optimizer.format_command
-    calls = []
+    chunks = optimizer.campaign_chunks
 
-    def crash_on_fifth_command(cmd, alphabet):
-        calls.append(cmd)
-        if len(calls) == 5:
-            raise OSError("disk full")
-        return format_command(cmd, alphabet)
+    def crash_after_the_header(campaign):
+        yield next(chunks(campaign))
+        raise OSError("disk full")
 
-    monkeypatch.setattr(optimizer, "format_command", crash_on_fifth_command)
+    monkeypatch.setattr(optimizer, "campaign_chunks", crash_after_the_header)
     with pytest.raises(PipelineStageError, match="slice 0: disk full"):
         run_pipeline(config)
     monkeypatch.undo()
@@ -948,15 +945,16 @@ def test_an_out_that_replays_another_trace_fails_its_slice(tmp_path, monkeypatch
     def swap_one_load(*args):
         campaign = plan(*args)
         stored = set()
-        for i, cmd in enumerate(campaign.commands):
-            others = stored - {cmd.node_id}
-            if cmd.op == "load" and others:
-                campaign.commands[i] = cmd._replace(node_id=min(others))
+        for i, line in enumerate(campaign.lines):
+            op, _, arg = line.partition(" ")
+            others = stored - {arg}
+            if op == "LOAD" and others:
+                campaign.lines[i] = f"LOAD {min(others)}"
                 return campaign
-            if cmd.op == "store":
-                stored.add(cmd.node_id)
-            elif cmd.op == "free":
-                stored.discard(cmd.node_id)
+            if op == "STORE":
+                stored.add(arg)
+            elif op == "FREE":
+                stored.discard(arg)
         raise AssertionError("no LOAD with another stored id")
 
     monkeypatch.setattr(pipeline, "optimize_slice", swap_one_load)
@@ -971,14 +969,14 @@ def test_an_out_that_replays_another_trace_fails_its_slice(tmp_path, monkeypatch
     assert not (out / "results" / "result_0.json").exists()
 
 
-def drop_last_out(commands):
-    last = max(i for i, cmd in enumerate(commands) if cmd.op == "out")
-    del commands[last]
+def drop_last_out(lines):
+    last = max(i for i, line in enumerate(lines) if line == "OUT")
+    del lines[last]
 
 
-def load_an_absent_id(commands):
-    first = next(i for i, cmd in enumerate(commands) if cmd.op == "load")
-    commands[first] = commands[first]._replace(node_id=999)
+def load_an_absent_id(lines):
+    first = next(i for i, line in enumerate(lines) if line.startswith("LOAD "))
+    lines[first] = "LOAD 999"
 
 
 @pytest.mark.parametrize("tamper, message", [
@@ -994,7 +992,7 @@ def test_a_campaign_that_misses_an_out_fails_its_slice(
 
     def tampered(*args):
         campaign = plan(*args)
-        tamper(campaign.commands)
+        tamper(campaign.lines)
         return campaign
 
     monkeypatch.setattr(pipeline, "optimize_slice", tampered)
@@ -1018,11 +1016,11 @@ def test_progress_counts_only_outs_that_replayed_their_traces(
 
     def flip_a_run(*args):
         campaign = plan(*args)
-        outs = [i for i, cmd in enumerate(campaign.commands) if cmd.op == "out"]
-        run = max(i for i in range(outs[4], outs[5])
-                  if campaign.commands[i].op == "run")
-        cmd = campaign.commands[run]
-        campaign.commands[run] = cmd._replace(symbol=1 - cmd.symbol)
+        lines = campaign.lines
+        outs = [i for i, line in enumerate(lines) if line == "OUT"]
+        run = max(i for i in range(outs[4], outs[5]) if lines[i].startswith("RUN "))
+        _, token, quanta = lines[run].split()
+        lines[run] = f"RUN {'b' if token == 'a' else 'a'} {quanta}"
         return campaign
 
     monkeypatch.setattr(pipeline, "optimize_slice", flip_a_run)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import os
 import pickle
+import stat
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +22,7 @@ from simcamp.traces import (
     InputTrace,
     TraceCorpus,
     TraceFormatError,
+    atomic_text_file,
     format_number,
     format_trace_header,
     parse_trace_header,
@@ -288,3 +291,17 @@ def test_one_character_tokens_never_take_the_token_path(tmp_path, monkeypatch):
     assert [",".join(x.tokens()) for x in back.traces] == ["c,c", "a,c", "a,c,b", "b"]
     assert calls == []
     assert CBA.sort_key("a,c,b") == (bytes([1, 0, 2]), 3)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_text_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    path = tmp_path / "out.txt"
+    previous = os.umask(umask)
+    try:
+        with atomic_text_file(str(path)) as fh:
+            fh.write("x\n")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(os.stat(path).st_mode) == mode
+    assert path.read_text() == "x\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
