@@ -15,13 +15,11 @@ import importlib
 # loads only what that submodule imports.
 _EXPORTS = {
     "engine": (
-        "CostModel",
         "ExecutionResult",
         "ReferenceModel",
         "Simulator",
         "SystemModel",
         "execute",
-        "read_cost_file",
         "reference_model",
         "run_external",
     ),
@@ -33,10 +31,12 @@ _EXPORTS = {
         "sample_indices",
     ),
     "metrics": (
+        "CostModel",
         "completion_time",
         "estimate_seconds",
         "memory_efficiency",
         "omission_probability",
+        "read_cost_file",
         "speedup",
     ),
     "optimizer": (

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import shlex
 import sys
@@ -30,7 +29,7 @@ from .engine import (
     start_driver,
 )
 from .generator import GeneratorTable, read_constraint_file
-from .metrics import write_progress_csv, write_report_csv
+from .metrics import DEFAULT_COSTS, DEFAULT_F_GRID, check_f_grid, read_cost_file
 from .optimizer import (
     campaign_chunks,
     optimize_slice,
@@ -42,13 +41,12 @@ from .pipeline import (
     SIGMA_CHOICES_DOC,
     PipelineStageError,
     RunConfig,
-    analyze_runs,
     overall_omission_bound,
     plan_slice,
     prepare_slices,
-    read_cost_or_default,
     run_pipeline,
     slice_corpus,
+    write_reports,
 )
 from .slicing import ORDER_MODES, external_sort
 from .traces import Alphabet, TraceFormatError, read_trace_file
@@ -57,12 +55,9 @@ from .traces import Alphabet, TraceFormatError, read_trace_file
 def _parse_f_grid(text: str) -> list[float]:
     try:
         grid = [float(x) for x in text.split(",") if x]
+        check_f_grid(grid)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad f grid {text!r}") from exc
-    if not grid or not all(1 <= f < math.inf for f in grid):
-        raise argparse.ArgumentTypeError(
-            f"f grid {text!r} must list one or more factors, each finite and >= 1"
-        )
+        raise argparse.ArgumentTypeError(f"bad f grid {text!r}: {exc}") from exc
     return grid
 
 
@@ -184,23 +179,20 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     config = _run_config(
         args, sigma=args.sigma, workers=args.workers, model_seed=args.model_seed
     )
-    summary = run_pipeline(config, read_cost_or_default(args.costs), args.f_grid)
+    cost = DEFAULT_COSTS if args.costs is None else read_cost_file(args.costs)
+    summary = run_pipeline(config, cost, args.f_grid)
     _print_json(summary)
     return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    cost = read_cost_or_default(args.costs)
-    report_rows, progress_rows = analyze_runs(args.run_dirs, cost, args.f_grid)
+    cost = DEFAULT_COSTS if args.costs is None else read_cost_file(args.costs)
     out = args.out or os.path.join(args.run_dirs[0], "report.csv")
     progress_out = args.progress_out or os.path.join(
         args.run_dirs[0], "progress.csv"
     )
-    write_report_csv(report_rows, out)
-    write_progress_csv(progress_rows, progress_out)
-    _print_json(
-        {"report": out, "rows": len(report_rows), "progress": progress_out}
-    )
+    rows = write_reports(args.run_dirs, cost, args.f_grid, out, progress_out)
+    _print_json({"report": out, "rows": rows, "progress": progress_out})
     return 0
 
 
@@ -274,14 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", default="capacity", help=SIGMA_CHOICES_DOC)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--costs", help="cost model file")
-    p.add_argument("--f-grid", type=_parse_f_grid, default=[1.0])
+    p.add_argument("--f-grid", type=_parse_f_grid, default=DEFAULT_F_GRID)
     p.add_argument("--model-seed", type=int, default=None)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("analyze", help="write report.csv/progress.csv for runs")
     p.add_argument("run_dirs", nargs="+", help="pipeline output directories")
     p.add_argument("--costs", help="cost model file")
-    p.add_argument("--f-grid", type=_parse_f_grid, default=[1.0])
+    p.add_argument("--f-grid", type=_parse_f_grid, default=DEFAULT_F_GRID)
     p.add_argument("--out", help="report csv path (default: first run dir)")
     p.add_argument("--progress-out", help="progress csv path")
     p.set_defaults(func=cmd_analyze)

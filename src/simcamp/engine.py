@@ -1,5 +1,5 @@
-"""Campaign execution: the simulator state machine, the external driver
-protocol, and the per-command cost model the report prices campaigns by.
+"""Campaign execution: the simulator state machine and the external
+driver protocol.
 
 A simulator holds a model state, the input history that produced it, and
 a bounded map of checkpointed (state, history) pairs keyed by node id.
@@ -14,14 +14,13 @@ reply against its own step.
 
 from __future__ import annotations
 
-import math
 import subprocess
 import threading
 from dataclasses import dataclass
 from typing import IO, Callable, NamedTuple, Sequence
 
 from .optimizer import Campaign, campaign_chunks
-from .traces import Alphabet, TraceFormatError
+from .traces import Alphabet
 
 _MASK64 = (1 << 64) - 1
 
@@ -56,19 +55,11 @@ class ReferenceModel(SystemModel):
 
     Each quantum folds the current state with a per-symbol key through the
     splitmix64 finalizer, so distinct input histories yield distinct
-    digests with overwhelming probability.  ``fail_when`` (a predicate on
-    the hex digest) lets tests plant failing scenarios: outputs become
-    ``FAIL:<digest>`` / ``PASS:<digest>``.
+    digests with overwhelming probability.
     """
 
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        seed: int,
-        fail_when: Callable[[str], bool] | None = None,
-    ) -> None:
+    def __init__(self, alphabet: Alphabet, seed: int) -> None:
         self.alphabet = alphabet
-        self.fail_when = fail_when
         self.initial_state = _mix64(seed & _MASK64)
         self._symbol_keys = [
             _mix64((seed + 0x9E3779B97F4A7C15 * (i + 1)) & _MASK64)
@@ -82,16 +73,11 @@ class ReferenceModel(SystemModel):
         return state
 
     def observe(self, state: int) -> str:
-        digest = f"{state:016x}"
-        if self.fail_when is None:
-            return digest
-        return f"FAIL:{digest}" if self.fail_when(digest) else f"PASS:{digest}"
+        return f"{state:016x}"
 
 
-def reference_model(
-    alphabet: Alphabet, seed: int, fail_when: Callable[[str], bool] | None = None
-) -> ReferenceModel:
-    return ReferenceModel(alphabet, seed, fail_when)
+def reference_model(alphabet: Alphabet, seed: int) -> ReferenceModel:
+    return ReferenceModel(alphabet, seed)
 
 
 class Observation(NamedTuple):
@@ -198,68 +184,6 @@ def execute(
 
 
 # ---------------------------------------------------------------------------
-# Cost model
-#
-#   file format (whitespace-separated key=value pairs):
-#     load=<s> store=<s> free=<s> out=<s> run_per_q=<s>
-# ---------------------------------------------------------------------------
-
-
-# The per-command costs; a cost file must give all five.
-_COSTS = ("load", "store", "free", "out", "run_per_q")
-
-
-@dataclass(frozen=True, slots=True)
-class CostModel:
-    """Per-command wall-clock costs in seconds, each finite and >= 0 (NaN
-    is neither).  The report inflates Load and Store by each factor of its
-    f grid."""
-
-    load: float
-    store: float
-    free: float = 0.0
-    out: float = 0.0
-    run_per_q: float = 1.0
-
-    def __post_init__(self) -> None:
-        for key in _COSTS:
-            value = getattr(self, key)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"cost {key} must be finite and >= 0, not {value:g}")
-
-
-def parse_cost_model(text: str) -> CostModel:
-    """Parse ``key=value`` cost entries, where ``#`` starts a comment that
-    runs to the end of its line; unknown or repeated keys are errors."""
-    values: dict[str, float] = {}
-    for line in text.splitlines():
-        for token in line.partition("#")[0].split():
-            key, eq, raw = token.partition("=")
-            if not eq:
-                raise TraceFormatError(f"malformed cost entry {token!r}")
-            if key not in _COSTS:
-                raise TraceFormatError(f"unknown cost key {key!r}")
-            if key in values:
-                raise TraceFormatError(f"repeated cost key {key!r}")
-            try:
-                values[key] = float(raw)
-            except ValueError as exc:
-                raise TraceFormatError(f"malformed cost entry {token!r}") from exc
-    missing = set(_COSTS) - values.keys()
-    if missing:
-        raise TraceFormatError(f"cost model missing keys: {sorted(missing)}")
-    try:
-        return CostModel(**values)
-    except ValueError as exc:
-        raise TraceFormatError(f"cost model: {exc}") from None
-
-
-def read_cost_file(path: str) -> CostModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_cost_model(fh.read())
-
-
-# ---------------------------------------------------------------------------
 # External driver protocol
 #
 # The engine writes every campaign file line (header included) to the
@@ -297,10 +221,11 @@ class _DriverModel(SystemModel):
 class _DriverShadow(Simulator):
     """A simulator that checks each driver reply against its own step.
 
-    Each step reads the next reply.  ``ERR`` puts the shadow into its
-    error state with the driver's message.  Otherwise the reply must have
-    the shape the command calls for, and the shadow must accept the
-    command too; on Out, the driver's token replaces the shadow's.
+    Each step reads the next reply.  ``ERR``, alone or followed by a space
+    and a message, puts the shadow into its error state with the driver's
+    message.  Otherwise the reply must have the shape the command calls
+    for, and the shadow must accept the command too; on Out, the driver's
+    token replaces the shadow's.
     """
 
     def __init__(self, replies: IO[str], alphabet: Alphabet) -> None:
@@ -318,8 +243,8 @@ class _DriverShadow(Simulator):
             if not reply:
                 raise _OutputClosed
             reply = reply.rstrip("\n")
-            if reply.startswith("ERR"):
-                return self._fail(reply[3:].strip() or "driver error")
+            if reply == "ERR" or reply.startswith("ERR "):
+                return self._fail(reply[4:].strip() or "driver error")
             if out:
                 if not reply.startswith("OUT "):
                     raise DriverProtocolError(f"expected OUT reply, got {reply!r}")
@@ -369,9 +294,7 @@ def start_driver(argv: Sequence[str]) -> subprocess.Popen:
 
 
 def run_external(
-    campaign: Campaign,
-    driver: Sequence[str] | subprocess.Popen,
-    progress: Callable[[Observation], None] | None = None,
+    campaign: Campaign, driver: Sequence[str] | subprocess.Popen
 ) -> ExecutionResult:
     """Execute a campaign through an external driver subprocess.
 
@@ -384,8 +307,7 @@ def run_external(
     checkpoint map, so observations carry their traces whatever model the
     driver wraps, and it checks every reply: a driver that accepts a
     command the shadow rejects, replies in the wrong shape or stops
-    replying raises ``DriverProtocolError``.  ``progress`` receives only
-    Out replies that have arrived.
+    replying raises ``DriverProtocolError``.
     """
     proc = driver if isinstance(driver, subprocess.Popen) else start_driver(driver)
     assert proc.stdin is not None and proc.stdout is not None
@@ -399,7 +321,7 @@ def run_external(
     )
     writer.start()
     try:
-        return _fold(campaign, _DriverShadow(proc.stdout, campaign.alphabet), progress)
+        return _fold(campaign, _DriverShadow(proc.stdout, campaign.alphabet))
     except _OutputClosed:
         pass
     finally:

@@ -1,10 +1,11 @@
-"""Campaign measurements: completion time, speedups, efficiency, omission,
-and the report rows and CSV files made from them.
+"""Campaign measurements: the cost model, completion time, speedups,
+efficiency, omission, and the report rows and CSV files made from them.
 
 The report is computed on one path: ``estimate_seconds`` prices a
-campaign summary (its length and command counts) under a cost model with
-Load and Store inflated by a factor f, and ``report_rows`` turns the
-per-slice summaries of one or more runs into rows over an f grid.  The
+campaign summary (its length and command counts) under a ``CostModel``
+with Load and Store inflated by a factor f, and ``report_rows`` turns the
+per-slice summaries of one or more runs into rows over an f grid, which
+``check_f_grid`` checks for the report and the command line alike.  The
 ratios are pure arithmetic over collected statistics, so tests can feed
 exact Fractions through them; nothing here rounds or coerces.
 """
@@ -13,10 +14,10 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .engine import CostModel
-from .traces import atomic_text_file
+from .traces import TraceFormatError, atomic_text_file
 
 REPORT_COLUMNS = [
     "N", "D", "sigma", "seed", "f",
@@ -25,6 +26,86 @@ REPORT_COLUMNS = [
 ]
 
 PROGRESS_COLUMNS = ["slice", "j", "n", "op_bound"]
+
+
+# ---------------------------------------------------------------------------
+# Cost model
+#
+#   file format (whitespace-separated key=value pairs):
+#     load=<s> store=<s> free=<s> out=<s> run_per_q=<s>
+# ---------------------------------------------------------------------------
+
+
+# The per-command costs; a cost file must give all five.
+_COSTS = ("load", "store", "free", "out", "run_per_q")
+
+
+@dataclass(frozen=True, slots=True)
+class CostModel:
+    """Per-command wall-clock costs in seconds, each finite and >= 0 (NaN
+    is neither).  The report inflates Load and Store by each factor of its
+    f grid."""
+
+    load: float
+    store: float
+    free: float = 0.0
+    out: float = 0.0
+    run_per_q: float = 1.0
+
+    def __post_init__(self) -> None:
+        for key in _COSTS:
+            value = getattr(self, key)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"cost {key} must be finite and >= 0, not {value:g}")
+
+
+def parse_cost_model(text: str) -> CostModel:
+    """Parse ``key=value`` cost entries, where ``#`` starts a comment that
+    runs to the end of its line; unknown or repeated keys are errors."""
+    values: dict[str, float] = {}
+    for line in text.splitlines():
+        for token in line.partition("#")[0].split():
+            key, eq, raw = token.partition("=")
+            if not eq:
+                raise TraceFormatError(f"malformed cost entry {token!r}")
+            if key not in _COSTS:
+                raise TraceFormatError(f"unknown cost key {key!r}")
+            if key in values:
+                raise TraceFormatError(f"repeated cost key {key!r}")
+            try:
+                values[key] = float(raw)
+            except ValueError as exc:
+                raise TraceFormatError(f"malformed cost entry {token!r}") from exc
+    missing = set(_COSTS) - values.keys()
+    if missing:
+        raise TraceFormatError(f"cost model missing keys: {sorted(missing)}")
+    try:
+        return CostModel(**values)
+    except ValueError as exc:
+        raise TraceFormatError(f"cost model: {exc}") from None
+
+
+def read_cost_file(path: str) -> CostModel:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_cost_model(fh.read())
+
+
+# Without a cost file a campaign costs its simulated quanta, so the report
+# compares lengths; without an f grid, Load and Store are not inflated.
+DEFAULT_COSTS = CostModel(load=0.0, store=0.0, free=0.0, out=0.0, run_per_q=1.0)
+DEFAULT_F_GRID = (1.0,)
+
+
+def check_f_grid(f_grid: Sequence[float]) -> None:
+    """Refuse an empty f grid, or a factor that is below 1 or not finite:
+    an infinite f times a zero cost would make an estimate NaN."""
+    if not f_grid:
+        raise ValueError("the f grid names no inflation factor")
+    for f in f_grid:
+        if not 1 <= f < math.inf:
+            raise ValueError(
+                f"inflation factor f must be >= 1 and finite, not {f:g}"
+            )
 
 
 def completion_time(per_slice_seconds: Iterable[float]) -> float:
@@ -93,12 +174,7 @@ def report_rows(
     different master seeds), seed="mean" rows follow, grouped by (N, D,
     sigma, f).
     """
-    for f in f_grid:
-        # An infinite f times a zero cost would make an estimate NaN.
-        if not 1 <= f < math.inf:
-            raise ValueError(
-                f"inflation factor f must be >= 1 and finite, not {f:g}"
-            )
+    check_f_grid(f_grid)
     rows: list[dict] = []
     for config, results in runs:
         sigma_label = {
@@ -142,19 +218,10 @@ def report_rows(
     return rows
 
 
-def write_report_csv(rows: Iterable[dict], path: str) -> None:
-    """Rows keyed by (N, D, sigma, seed, f); seed "mean" marks averages."""
+def write_csv(rows: Iterable[dict], path: str, columns: Sequence[str]) -> None:
+    """Write ``rows`` under a header of ``columns``, all or nothing: a
+    failure part way keeps the file that was there."""
     with atomic_text_file(path) as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
-def write_progress_csv(rows: Iterable[dict], path: str) -> None:
-    """Per-slice verification progress; op_bound is that slice's 1 - j/n."""
-    with atomic_text_file(path) as fh:
-        writer = csv.DictWriter(fh, fieldnames=PROGRESS_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

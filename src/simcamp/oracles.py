@@ -84,7 +84,7 @@ def shared_prefix_counts(
     }
 
 
-def naive_campaign(ordered: list[InputTrace], quantum: float, slice_id: int = 0) -> Campaign:
+def naive_campaign(ordered: list[InputTrace], quantum: float) -> Campaign:
     """Baseline schedule: store only the initial state, replay each trace in full.
 
     Emits Store(0) once, then per trace Load(0), maximal constant-symbol
@@ -106,7 +106,7 @@ def naive_campaign(ordered: list[InputTrace], quantum: float, slice_id: int = 0)
             lines.append(f"RUN {alphabet.tokens[symbols[start]]} {end - start + 1}")
             start = end + 1
         lines.append("OUT")
-    return Campaign.from_lines(lines, quantum, alphabet, slice_id)
+    return Campaign.from_lines(lines, quantum, alphabet)
 
 
 def optimal_campaign_length(

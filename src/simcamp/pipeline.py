@@ -23,7 +23,8 @@ The stages, in order:
    slice and writes its slice file, or reads the slice file already
    there), plan it with ``plan_slice``, write the campaign, execute it on
    the reference model and write the result.
-3. ``analyze_runs``: ``report.csv`` and ``progress.csv``.
+3. ``write_reports``: ``report.csv`` and ``progress.csv`` from
+   ``analyze_runs``, priced by ``metrics`` under a cost model and f grid.
 
 ``plan_slice`` turns a slice's traces into their order, tree and state
 budget, for the pipeline's slice task and for ``simcamp optimize`` alike.
@@ -52,13 +53,7 @@ from itertools import groupby
 from time import monotonic
 from typing import NamedTuple, Sequence
 
-from .engine import (
-    CostModel,
-    Observation,
-    execute,
-    read_cost_file,
-    reference_model,
-)
+from .engine import Observation, execute, reference_model
 from .generator import (
     ConstraintSpec,
     GeneratorTable,
@@ -67,10 +62,14 @@ from .generator import (
     sample_indices,
 )
 from .metrics import (
+    DEFAULT_COSTS,
+    DEFAULT_F_GRID,
+    PROGRESS_COLUMNS,
+    REPORT_COLUMNS,
+    CostModel,
     omission_probability,
     report_rows,
-    write_progress_csv,
-    write_report_csv,
+    write_csv,
 )
 from .optimizer import optimize_slice, write_campaign_file
 from .slicing import external_sort, order_slice, slice_ranges
@@ -85,9 +84,6 @@ from .traces import (
     write_trace_lines,
 )
 from .tree import BranchTree, build_tree
-
-DEFAULT_COSTS = CostModel(load=0.0, store=0.0, free=0.0, out=0.0, run_per_q=1.0)
-DEFAULT_F_GRID = (1.0,)
 
 SIGMA_CHOICES_DOC = "a positive integer, 'capacity', or 'unlimited'"
 
@@ -194,9 +190,17 @@ def _claim_out_dir(config: RunConfig, fingerprint: dict) -> None:
 
 
 def _is_constraint_file(path: str) -> bool:
+    """Classify the source as its readers would: a trace file has its
+    ``#alphabet=`` header on line 1, and a spec's first line that is
+    neither blank nor a ``#`` comment starts with ``alphabet=``."""
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-    return first.startswith("alphabet=")
+        for number, line in enumerate(fh):
+            line = line.strip()
+            if number == 0 and line.startswith("#alphabet="):
+                return False
+            if line and not line.startswith("#"):
+                return line.startswith("alphabet=")
+    return False
 
 
 def _materialize_source(
@@ -516,14 +520,15 @@ def run_pipeline(
                     f"slice stage failed for slice {task.slice_id}: {exc}"
                 ) from exc
 
-    report, progress = analyze_runs([out], cost, f_grid)
-    write_report_csv(report, os.path.join(out, "report.csv"))
-    write_progress_csv(progress, os.path.join(out, "progress.csv"))
+    rows = write_reports(
+        [out], cost, f_grid,
+        os.path.join(out, "report.csv"), os.path.join(out, "progress.csv"),
+    )
     return {
         "out_dir": out,
         "slices": config.slices,
         "traces": sum(t.size for t in tasks),
-        "report_rows": len(report),
+        "report_rows": rows,
     }
 
 
@@ -592,14 +597,21 @@ def analyze_runs(
     return report, [row for d in run_dirs for row in _progress_rows(d)]
 
 
+def write_reports(
+    run_dirs: Sequence[str], cost: CostModel, f_grid: Sequence[float],
+    report_path: str, progress_path: str,
+) -> int:
+    """The analyze stage: write the report and progress CSV files of one or
+    more runs; returns the number of report rows."""
+    report, progress = analyze_runs(run_dirs, cost, f_grid)
+    write_csv(report, report_path, REPORT_COLUMNS)
+    write_csv(progress, progress_path, PROGRESS_COLUMNS)
+    return len(report)
+
+
 def overall_omission_bound(run_dir: str) -> float:
     """The any-time omission bound from the run's current progress files."""
     return omission_probability(
         [(done, size) for _slice, done, size in read_progress(run_dir)]
     )
 
-
-def read_cost_or_default(path: str | None) -> CostModel:
-    if path is None:
-        return DEFAULT_COSTS
-    return read_cost_file(path)

@@ -19,9 +19,9 @@ from typing import NamedTuple
 import pytest
 from util import random_traces, shared_prefix_map
 
-from simcamp.engine import CostModel, execute, reference_model
+from simcamp.engine import execute, reference_model
 from simcamp.generator import ConstraintSpec, Dfa, GeneratorTable
-from simcamp.metrics import omission_probability, report_rows
+from simcamp.metrics import CostModel, omission_probability, report_rows
 from simcamp.oracles import (
     edge_count,
     naive_campaign,

@@ -10,7 +10,7 @@ import pytest
 
 import simcamp.cli as cli
 from simcamp.cli import main
-from simcamp.engine import parse_cost_model
+from simcamp.metrics import parse_cost_model
 from simcamp.traces import TraceCorpus, TraceFormatError
 from util import ABCD, call_with_timeout, ts, write_trace_file
 

@@ -10,16 +10,18 @@ import pytest
 
 from simcamp import echo_driver
 from simcamp.engine import (
-    CostModel,
     DriverProtocolError,
     Simulator,
     execute,
-    parse_cost_model,
-    read_cost_file,
     reference_model,
     run_external,
 )
-from simcamp.metrics import estimate_seconds
+from simcamp.metrics import (
+    CostModel,
+    estimate_seconds,
+    parse_cost_model,
+    read_cost_file,
+)
 from simcamp.optimizer import (
     Campaign,
     campaign_chunks,
@@ -79,12 +81,6 @@ def test_transition_is_a_semigroup_action():
     assert m.transition(m.transition(s, 0, 2), 1, 1) == m.transition(
         m.transition(s, 0, 2), 1, 1
     )
-
-
-def test_fail_predicate_prefixes_outputs():
-    m = reference_model(AB, 5, fail_when=lambda digest: digest[0] in "0123456789")
-    out = m.observe(m.initial_state)
-    assert out.startswith(("FAIL:", "PASS:"))
 
 
 def test_history_follows_runs_and_loads():
@@ -229,9 +225,20 @@ def test_protocol_violations_are_detected():
         (lying_driver({"OUT": "OK"}), "expected OUT reply, got 'OK'"),
         (lying_driver({"OUT": "OUT x", "RUN": "OUT x"}),
          "expected OK reply, got 'OUT x'"),
+        # Only ERR alone or ERR and a message is an error reply.
+        (lying_driver({"RUN": "ERRATIC"}), "expected OK reply, got 'ERRATIC'"),
     ):
         with pytest.raises(DriverProtocolError, match=message):
             external(campaign, argv)
+
+
+def test_a_bare_err_reply_is_a_driver_error():
+    campaign, _ = campaign_for(["ab"], sigma=1)
+    for reply, error in (("ERR", "driver error"), ("ERR  no state", "no state")):
+        result = external(campaign, lying_driver({"RUN": reply}))
+        assert not result.executable
+        assert result.failing_index == 1
+        assert result.error == error
 
 
 

@@ -6,17 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from simcamp.engine import CostModel
 from simcamp.metrics import (
     PROGRESS_COLUMNS,
     REPORT_COLUMNS,
+    CostModel,
     completion_time,
     memory_efficiency,
     omission_probability,
     report_rows,
     speedup,
-    write_progress_csv,
-    write_report_csv,
+    write_csv,
 )
 from simcamp.optimizer import optimize_slice
 from simcamp.oracles import naive_campaign
@@ -89,9 +88,10 @@ def test_inflation_table():
 
 def test_report_csv_columns(tmp_path):
     path = tmp_path / "report.csv"
-    write_report_csv(
+    write_csv(
         [dict(zip(REPORT_COLUMNS, [10, 2, "4", 0, 1.0, 30, 4, 30.0, 1.5, 0.9]))],
         str(path),
+        REPORT_COLUMNS,
     )
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -103,8 +103,8 @@ def test_report_csv_columns(tmp_path):
 
 def test_progress_csv_columns(tmp_path):
     path = tmp_path / "progress.csv"
-    write_progress_csv(
-        [dict(zip(PROGRESS_COLUMNS, [0, 5, 10, 0.5]))], str(path)
+    write_csv(
+        [dict(zip(PROGRESS_COLUMNS, [0, 5, 10, 0.5]))], str(path), PROGRESS_COLUMNS
     )
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -113,13 +113,12 @@ def test_progress_csv_columns(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "write, columns",
-    [(write_report_csv, REPORT_COLUMNS), (write_progress_csv, PROGRESS_COLUMNS)],
+    "columns", [REPORT_COLUMNS, PROGRESS_COLUMNS], ids=["report", "progress"]
 )
-def test_a_failed_csv_write_keeps_the_previous_file(tmp_path, write, columns):
+def test_a_failed_csv_write_keeps_the_previous_file(tmp_path, columns):
     path = tmp_path / "out.csv"
     row = dict.fromkeys(columns, 1)
-    write([row, row], str(path))
+    write_csv([row, row], str(path), columns)
     before = path.read_bytes()
 
     def rows():
@@ -127,6 +126,6 @@ def test_a_failed_csv_write_keeps_the_previous_file(tmp_path, write, columns):
         raise RuntimeError("analysis failed")
 
     with pytest.raises(RuntimeError, match="analysis failed"):
-        write(rows(), str(path))
+        write_csv(rows(), str(path), columns)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]  # no temp litter

@@ -72,16 +72,28 @@ def test_benchmark_traced_names_are_bound():
     assert unbound == ["write_trace_file"]
 
 
-def test_the_echo_driver_imports_no_pipeline():
-    # The package resolves its exports on first use, so a driver process
-    # loads only the modules it runs.
+def loaded_by_import(module, candidates):
+    """Which of ``candidates`` a fresh interpreter loads to import ``module``."""
     code = (
-        "import sys, simcamp.echo_driver\n"
-        "print(sorted(m for m in ('simcamp.pipeline', 'simcamp.generator',"
-        " 'concurrent.futures') if m in sys.modules))\n"
+        f"import sys, {module}\n"
+        f"print(sorted(m for m in {tuple(candidates)!r} if m in sys.modules))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_the_echo_driver_imports_no_pipeline():
+    # The package resolves its exports on first use, so a driver process
+    # loads only the modules it runs.
+    candidates = ("simcamp.pipeline", "simcamp.generator", "concurrent.futures")
+    assert loaded_by_import("simcamp.echo_driver", candidates) == "[]"
+
+
+def test_the_report_imports_no_execution():
+    # Pricing a campaign needs its summary and a cost model, not the
+    # engine, the planner or a subprocess.
+    candidates = ("simcamp.engine", "simcamp.optimizer", "simcamp.tree", "subprocess")
+    assert loaded_by_import("simcamp.metrics", candidates) == "[]"

@@ -12,9 +12,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from simcamp.cli import main
-from simcamp.engine import CostModel, parse_cost_model
 from simcamp.generator import GeneratorTable
-from simcamp.metrics import REPORT_COLUMNS, write_progress_csv, write_report_csv
+from simcamp.metrics import (
+    PROGRESS_COLUMNS,
+    REPORT_COLUMNS,
+    CostModel,
+    parse_cost_model,
+    read_cost_file,
+    write_csv,
+)
 import simcamp.optimizer as optimizer
 import simcamp.pipeline as pipeline
 from simcamp.optimizer import read_campaign_file
@@ -27,7 +33,6 @@ from simcamp.pipeline import (
     analyze_runs,
     overall_omission_bound,
     prepare_slices,
-    read_cost_or_default,
     read_progress,
     resolve_sigma,
     run_pipeline,
@@ -431,7 +436,7 @@ def test_report_speedup_decays_with_checkpoint_cost(tmp_path, sigma):
     config = RunConfig(
         source=tight_file(tmp_path), out_dir=str(out), slices=2, sigma=sigma
     )
-    run_pipeline(config, read_cost_or_default(str(costs)), (1.0, 10.0, 100.0))
+    run_pipeline(config, read_cost_file(str(costs)), (1.0, 10.0, 100.0))
     with open(out / "report.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     curves: dict[str, list[tuple[float, float]]] = {}
@@ -478,6 +483,22 @@ def test_too_many_slices_is_a_stage_error(tmp_path):
         prepare_slices(RunConfig(source=src, out_dir=str(tmp_path / "x"), slices=40))
 
 
+@pytest.mark.parametrize("lead", ["# no two b in a row\n", "\n"])
+def test_a_spec_may_open_with_a_comment_or_a_blank_line(tmp_path, lead):
+    # The spec reader skips blank and comment lines, so the pipeline must
+    # not take such a spec for a trace file.
+    bare = spec_file(tmp_path)
+    led = tmp_path / "led.txt"
+    with open(bare, encoding="utf-8") as fh:
+        led.write_text(lead + fh.read())
+    digests = []
+    for name, source in (("bare", bare), ("led", str(led))):
+        out = tmp_path / name
+        run_pipeline(RunConfig(source=source, out_dir=str(out), slices=2, seed=3))
+        digests.append(output_digests(out, ("slices", "campaigns", "results")))
+    assert digests[1] == digests[0]
+
+
 def output_digests(run_dir, subdirs=("campaigns", "results")):
     names = sorted(
         f"{sub}/{name}"
@@ -520,8 +541,8 @@ def test_costed_report_is_byte_identical_to_recorded_digests(tmp_path):
         dirs.append(str(out))
     cost = parse_cost_model(REPORT_COSTS)
     report_rows, progress_rows = analyze_runs(dirs, cost, (1.0, 10.0, 100.0))
-    write_report_csv(report_rows, str(tmp_path / "report.csv"))
-    write_progress_csv(progress_rows, str(tmp_path / "progress.csv"))
+    write_csv(report_rows, str(tmp_path / "report.csv"), REPORT_COLUMNS)
+    write_csv(progress_rows, str(tmp_path / "progress.csv"), PROGRESS_COLUMNS)
     assert {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in REPORT_DIGESTS

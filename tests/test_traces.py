@@ -7,7 +7,7 @@ import stat
 import pytest
 from hypothesis import given, strategies as st
 
-from simcamp.engine import CostModel, read_cost_file
+from simcamp.metrics import CostModel, read_cost_file
 from simcamp.optimizer import (
     parse_campaign_header,
     parse_command,
