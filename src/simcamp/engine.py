@@ -24,6 +24,9 @@ from .traces import Alphabet
 
 _MASK64 = (1 << 64) - 1
 
+# Seconds a driver has after its campaign to close its output and exit.
+DRIVER_EXIT_GRACE_S = 60.0
+
 
 def _mix64(value: int) -> int:
     """splitmix64 finalizer: a cheap, well-scrambled 64-bit permutation."""
@@ -193,7 +196,8 @@ def execute(
 #
 # Because replies come in command order, the engine streams the whole
 # campaign from a writer thread while it reads replies, instead of
-# waiting for each reply before sending the next command.
+# waiting for each reply before sending the next command.  After the last
+# reply the driver writes nothing more; it closes its output and exits.
 # ---------------------------------------------------------------------------
 
 class DriverProtocolError(RuntimeError):
@@ -293,23 +297,21 @@ def start_driver(argv: Sequence[str]) -> subprocess.Popen:
     )
 
 
-def run_external(
-    campaign: Campaign, driver: Sequence[str] | subprocess.Popen
-) -> ExecutionResult:
+def run_external(campaign: Campaign, proc: subprocess.Popen) -> ExecutionResult:
     """Execute a campaign through an external driver subprocess.
 
-    ``driver`` is the driver's command line, or a driver ``start_driver``
-    started and nothing has talked to yet, so that it can start up while
-    the campaign loads; either way this call reaps it.  A writer thread
-    streams the campaign to the driver while this thread reads the
-    replies.  The same fold as ``execute`` runs over a shadow simulator
-    whose model holds no state.  The shadow keeps the input history and
-    checkpoint map, so observations carry their traces whatever model the
-    driver wraps, and it checks every reply: a driver that accepts a
-    command the shadow rejects, replies in the wrong shape or stops
-    replying raises ``DriverProtocolError``.
+    ``proc`` is a driver ``start_driver`` started and nothing has talked
+    to yet, so that it can start up while the campaign loads; this call
+    reaps it.  A writer thread streams the campaign to the driver while
+    this thread reads the replies, and the fold of ``execute`` runs over a
+    shadow simulator whose model holds no state.  The shadow keeps the
+    input history and checkpoint map, so observations carry their traces
+    whatever model the driver wraps, and it checks every reply: a driver
+    that accepts a command the shadow rejects, replies in the wrong shape
+    or not in UTF-8, stops replying or replies past the end of a campaign
+    it did not fail raises ``DriverProtocolError``.  A driver still running
+    ``DRIVER_EXIT_GRACE_S`` after its campaign is killed; the result stands.
     """
-    proc = driver if isinstance(driver, subprocess.Popen) else start_driver(driver)
     assert proc.stdin is not None and proc.stdout is not None
     stop = threading.Event()
     failure: list[Exception] = []
@@ -320,24 +322,39 @@ def run_external(
         daemon=True,
     )
     writer.start()
+    timer = threading.Timer(DRIVER_EXIT_GRACE_S, proc.kill)
+    result, extra = None, 0
     try:
-        return _fold(campaign, _DriverShadow(proc.stdout, campaign.alphabet))
+        result = _fold(campaign, _DriverShadow(proc.stdout, campaign.alphabet))
     except _OutputClosed:
         pass
+    except UnicodeDecodeError as exc:
+        raise DriverProtocolError(f"driver reply is not UTF-8: {exc}") from None
     finally:
         # Stop writing after the current chunk, and drain the driver's
-        # output so that neither the writer nor the driver stays blocked.
+        # output so that neither the writer nor the driver stays blocked;
+        # the grace's kill, at once after an undecodable line, ends both.
         stop.set()
-        proc.stdout.read()
-        writer.join()
-        proc.stdout.close()
+        timer.start()
         try:
-            proc.wait(timeout=60)
-        except subprocess.TimeoutExpired:
+            for _ in proc.stdout:
+                extra += 1
+        except UnicodeDecodeError:
+            extra += 1
             proc.kill()
+        finally:
+            writer.join()
+            proc.stdout.close()
             proc.wait()
-    if failure:
-        raise failure[0]
-    raise DriverProtocolError(
-        f"driver closed its output mid-campaign (exit status {proc.returncode})"
-    )
+            timer.cancel()
+            timer.join()
+    if result is None:
+        if failure:
+            raise failure[0]
+        raise DriverProtocolError(
+            f"driver closed its output mid-campaign (exit status {proc.returncode})"
+        )
+    # After an ERR the driver may still be answering later commands.
+    if extra and result.error is None:
+        raise DriverProtocolError(f"driver sent {extra} reply lines after the last command")
+    return result

@@ -5,8 +5,9 @@ from that slice's own traces (a tree built from other traces raises
 ``TreeInvariantError``), emit the Load/Store/Free/Run/Out command sequence
 that replays every trace while holding at most ``capacity`` simulator
 states at once.  Each trace resumes from its deepest stored prefix; runs
-break at prefixes worth checkpointing; checkpoints are freed as soon as no
-remaining trace can reuse them, or, when memory is full, the one whose
+break at prefixes worth checkpointing; a checkpoint is freed after its
+last use, the last trace in the verification order whose chain holds it,
+or, when memory is full, the one whose
 effective next use lies furthest ahead in the fixed verification order is
 evicted.  A checkpoint's effective next use is the next trace that would
 load it: a trace whose chain holds it and no stored checkpoint below it.
@@ -16,15 +17,17 @@ stated, because a miss here costs more or less depending on which
 ancestors are stored.
 
 ``CheckpointIndex`` is the one record of which nodes hold a checkpoint,
-the reserved root included; the tree only knows prefix depths, chains
-and pending uses.  The storage rule lives in one place, the run scan of
+the reserved root included; the tree only knows prefix depths and
+chains, and the scan derives each node's last use from the ordered
+chains.  The storage rule lives in one place, the run scan of
 ``optimize_slice``: its work per trace is per checkpoint candidate and
 per run, not per symbol.  Storage is decided once for each tree node on
 the trace's chain below its load point, and the trace's constant runs
 (from ``itertools.groupby``) are cut only where a node is stored.
 
-A campaign is its canonical protocol lines, which the scan emits once,
-keeping the summary as it goes; the file, the driver and the engine's
+A campaign is its canonical protocol lines, which the scan emits once;
+its summary is counted from those lines by ``Campaign.from_lines``, as
+for a campaign read from a file.  The file, the driver and the engine's
 fold use that text as it is.
 """
 
@@ -110,7 +113,6 @@ class CheckpointIndex:
             raise ValueError("state capacity must be >= 1")
         self.capacity = capacity
         self.evicts = capacity is not None and 1 < capacity < size
-        self.peak = 0
         self.entries: dict[int, tuple[int, int]] = {}
         self._heap: list[tuple[int, int, int]] = []
         self._seq = 0
@@ -120,8 +122,6 @@ class CheckpointIndex:
         self.entries[node_id] = (next_use, self._seq)
         if self.evicts and node_id != ROOT_ID:
             self._push(node_id, next_use, self._seq)
-        if len(self.entries) > self.peak:
-            self.peak = len(self.entries)
 
     def note_free(self, node_id: int) -> None:
         del self.entries[node_id]
@@ -180,12 +180,10 @@ def optimize_slice(
 
     ``ordered`` is a permutation of the traces ``tree`` was built from;
     anything else raises ``TreeInvariantError``.  The scan only reads
-    ``tree``: each trace's chain comes as node ids from ``tree.chains``,
-    node depths from ``tree.depth``, and pending uses, copied from
-    ``tree.pending``, are counted down in a list of the scan's own,
-    indexed by node id.  So one built tree can feed any number of calls.
-    ``capacity=None`` means unlimited storage (the resulting peak is the
-    least capacity that loses nothing).
+    ``tree``: each trace's chain comes as node ids from ``tree.chains``
+    and node depths from ``tree.depth``, so one built tree can feed any
+    number of calls.  ``capacity=None`` means unlimited storage (the
+    resulting peak is the least capacity that loses nothing).
     """
     if not ordered:
         raise ValueError("cannot optimize an empty slice")
@@ -197,23 +195,31 @@ def optimize_slice(
         raise TreeInvariantError(
             "slice does not match its tree: the tree was built from other traces"
         )
-    # The scan counts pending uses down in its own copy of the weights.
-    pending = list(tree.pending)
     depth = tree.depth
-    index = CheckpointIndex(capacity, len(pending))
+    n = len(ordered)
+    # Each node's last use: the position of the last chain that holds it
+    # (a walk back from the last chain stops at a node a later chain holds,
+    # with its ancestors), or past the end for a root that is not shared.
+    last_use = [-1] * len(depth)
+    for j in range(n - 1, -1, -1):
+        for node_id in reversed(chains[j]):
+            if last_use[node_id] >= 0:
+                break
+            last_use[node_id] = j
+    if not tree.root_shared:
+        last_use[ROOT_ID] = n
+    index = CheckpointIndex(capacity, len(depth))
     stored = index.entries
     alphabet = ordered[0].alphabet
     tokens = alphabet.tokens
     lines: list[str] = []
     emit = lines.append
-    n = len(ordered)
-    length = stores = 0
 
     # Only an index that can evict needs keys.  Otherwise every checkpoint
     # is keyed 0, and equal keys never evict.
     keyed = index.evicts
     if keyed:
-        uses = _next_use_table(chains, len(pending))
+        uses = _next_use_table(chains, len(depth))
         stored_ids = stored.keys()
 
         def next_load(node_id: int, level: int, j: int) -> int:
@@ -229,10 +235,8 @@ def optimize_slice(
             return p
 
     def do_store(node_id: int, use: int) -> None:
-        nonlocal stores
         index.note_store(node_id, use)
         emit(f"STORE {node_id}")
-        stores += 1
 
     def do_free(node_id: int) -> None:
         index.note_free(node_id)
@@ -256,38 +260,32 @@ def optimize_slice(
         load_id = chain[k]
         if j > 0:
             emit(f"LOAD {load_id}")
-        length += len(s) - depth[load_id]
 
         # This trace was the load node's next load; its key moves to the
         # next one, so every key names a later trace.
         if keyed and k:
             index.rekey(load_id, next_load(load_id, k, j))
 
-        # Availability sweep: every prefix of this trace on its chain,
-        # itself included, has one fewer pending use; prefixes reaching
-        # zero can never be reused, so their checkpoints are freed before
-        # the run scan.  A shared root reaches zero only at the last
-        # trace.  A count already at zero belongs to a root that is not a
-        # shared prefix.
+        # Availability sweep: a stored prefix on this trace's chain whose
+        # last use is this trace can never be reused, so its checkpoint is
+        # freed before the run scan.  An unshared root is never freed.
         for node_id in reversed(chain):
-            if pending[node_id]:
-                pending[node_id] -= 1
-                if not pending[node_id] and node_id in stored:
-                    do_free(node_id)
+            if last_use[node_id] == j and node_id in stored:
+                do_free(node_id)
 
         # Run scan over the chain nodes below the load node, none of them
         # stored: each is stored if there is room, or at full capacity by
         # evicting a victim whose key is strictly later.  A candidate's
         # key is never earlier than that of an unstored node above it, so
-        # the first node that loses ends the scan.  A node's count is
-        # never above its parent's, so the first node this trace used up
-        # ends it too.  The trace's constant runs are cut where a node is
-        # stored.
+        # the first node that loses ends the scan.  A node's last use is
+        # never after its parent's, so the first node whose last use is
+        # this trace ends it too.  The trace's constant runs are cut where
+        # a node is stored.
         pos = depth[load_id]
         for i in range(k + 1, len(chain)):
             node_id = chain[i]
-            if not pending[node_id]:
-                break  # this trace was the node's last use
+            if last_use[node_id] == j:
+                break
             use = next_load(node_id, i, j) if keyed else 0
             victim = None
             if capacity is not None and len(stored) >= capacity:
@@ -313,12 +311,7 @@ def optimize_slice(
         emit_runs(s[pos:])
         emit("OUT")
 
-    # Every FREE removed a stored id; every other line is a RUN.
-    frees = stores - len(stored)
-    runs = len(lines) - stores - frees - (2 * n - 1)
-    counts = dict(store=stores, load=n - 1, free=frees, run=runs, out=n)
-    counts = {op: k for op, k in counts.items() if k}
-    return Campaign(lines, quantum, alphabet, slice_id, length, counts, index.peak)
+    return Campaign.from_lines(lines, quantum, alphabet, slice_id)
 
 
 # ---------------------------------------------------------------------------

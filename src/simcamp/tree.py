@@ -2,29 +2,26 @@
 
 The tree holds one node per *shared prefix* of a slice: a prefix that is
 the longest common prefix of at least one pair of distinct traces.  It is
-the record the campaign optimizer reads, as lists indexed by node id:
-each node's ``depth`` (its prefix length) and ``pending`` weight (the
-number of traces extending its prefix, which the optimizer counts down in
-a copy to decide when a checkpoint can never be reused), plus each
-trace's ``chain``: the root-first ids of the materialized prefixes of the
-trace.  Nothing changes the record once ``build_tree`` returns.  Which
-nodes hold a checkpoint is not recorded here: the optimizer's
-``CheckpointIndex`` owns that.
+the slice's structure and nothing else: each node's ``depth`` (its prefix
+length), as a list indexed by node id, and each trace's ``chain``: the
+root-first ids of the materialized prefixes of the trace.  Nothing changes
+the record once ``build_tree`` returns, and it holds no planner state:
+which nodes hold a checkpoint, and when a checkpoint is used for the last
+time, the optimizer derives for itself.
 
 ``build_tree`` is the one-stack-pass construction of the LCP-interval
 tree over sorted strings (Abouelhoda, Kurtz & Ohlebusch, J. Discrete
 Algorithms 2004).  A trace's deepest materialized prefix is the deeper of
 the two longest common prefixes it shares with its neighbours in sorted
-order, and the pass meets both, so chains and weights come from that one
-record: a node's weight is the number of traces whose deepest node lies
-in its subtree.  A campaign is planned on its slice's own tree: the
-optimizer takes every chain from this record and rejects a slice whose
-traces are not the ones the tree was built from.
+order, and the pass meets both, so every chain comes from that one
+record.  A campaign is planned on its slice's own tree: the optimizer
+takes every chain from this record and rejects a slice whose traces are
+not the ones the tree was built from.
 
 The empty prefix is always materialized as reserved id 0, because the
 executor pre-stores the simulator's initial state under it.  It is a
 shared prefix (``root_shared``) only when it genuinely is one (some pair
-of traces has an empty longest common prefix); otherwise its weight is 0.
+of traces has an empty longest common prefix).
 """
 
 from __future__ import annotations
@@ -62,7 +59,6 @@ class BranchTree:
     """
 
     depth: list[int]
-    pending: list[int]
     # Root-first node ids of each built trace's chain, keyed by its
     # symbols; traces that end at the same node share one tuple.
     chains: dict[tuple[int, ...], tuple[int, ...]]
@@ -85,9 +81,8 @@ def build_tree(traces: Sequence[InputTrace]) -> BranchTree:
     nodes, or gets a new node inserted above the last node popped off that
     stack, which is reparented under it.  Each trace's deepest node is the
     deeper of its common-prefix nodes with its two neighbours.  Once the
-    shape is final, nodes taken by depth give every node's root-first path
-    (each trace's chain is its deepest node's path), and taken deepest
-    first they sum each node's weight into its parent.
+    shape is final, nodes taken by depth give every node's root-first path,
+    and each trace's chain is its deepest node's path.
 
     Raises TreeInvariantError on a duplicated trace.
     """
@@ -133,13 +128,7 @@ def build_tree(traces: Sequence[InputTrace]) -> BranchTree:
     paths: list[tuple[int, ...]] = [(ROOT_ID,)] * len(depth)
     for node in by_depth:
         paths[node] = paths[parent[node]] + (node,)
-    weight = [0] * len(depth)
-    chains = {}
-    for trace, node in zip(ordered, deepest):
-        chains[trace.symbols] = paths[node]
-        weight[node] += 1
-    for node in reversed(by_depth):
-        weight[parent[node]] += weight[node]
-    if not root_shared:
-        weight[ROOT_ID] = 0
-    return BranchTree(depth, weight, chains, root_shared)
+    chains = {
+        trace.symbols: paths[node] for trace, node in zip(ordered, deepest)
+    }
+    return BranchTree(depth, chains, root_shared)

@@ -8,13 +8,14 @@ import threading
 
 import pytest
 
-from simcamp import echo_driver
+from simcamp import echo_driver, engine
 from simcamp.engine import (
     DriverProtocolError,
     Simulator,
     execute,
     reference_model,
     run_external,
+    start_driver,
 )
 from simcamp.metrics import (
     CostModel,
@@ -36,23 +37,32 @@ from util import AB, ABCD, call_with_timeout, ts
 ECHO_DRIVER = [sys.executable, "-m", "simcamp.echo_driver"]
 
 
-def external(campaign, argv):
-    """``run_external``, failing the test instead of hanging on a stuck driver."""
-    return call_with_timeout(run_external, campaign, argv)
+def external(campaign, argv, seconds=30.0):
+    """``run_external``, failing the test instead of hanging on a stuck
+    driver; the driver never outlives the call."""
+    proc = start_driver(argv)
+    try:
+        return call_with_timeout(run_external, campaign, proc, seconds=seconds)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
 
 
 def script_driver(script):
     return [sys.executable, "-c", script]
 
 
-def lying_driver(replies):
-    """A driver that answers ``replies[<first word>]`` (default OK) to every line."""
+def lying_driver(replies, then=""):
+    """A driver that answers ``replies[<first word>]`` (default OK) to every
+    line, then runs the code ``then`` at the end of its input."""
     script = (
-        "import sys\n"
+        "import sys, time\n"
         f"replies = {replies!r}\n"
         "for line in sys.stdin:\n"
         "    if not line.startswith('#'):\n"
         "        print(replies.get(line.split()[0], 'OK'), flush=True)\n"
+        f"{then}\n"
     )
     return script_driver(script)
 
@@ -240,6 +250,55 @@ def test_a_bare_err_reply_is_a_driver_error():
         assert result.failing_index == 1
         assert result.error == error
 
+
+def test_a_driver_that_outlives_its_campaign_is_killed(monkeypatch):
+    # The driver answers every command, then sleeps with its output open;
+    # the shadow's result stands once the grace has run out.
+    monkeypatch.setattr(engine, "DRIVER_EXIT_GRACE_S", 0.2, raising=False)
+    campaign, traces = campaign_for(["ab", "b"])
+    threads = threading.active_count()
+    result = external(
+        campaign, lying_driver({"OUT": "OUT x"}, then="time.sleep(20)"), seconds=10
+    )
+    assert result.executable
+    assert [o.symbols for o in result.observations] == [x.symbols for x in traces]
+    assert threading.active_count() == threads
+
+
+def test_replies_past_the_last_command_are_a_protocol_error():
+    campaign, _ = campaign_for(["ab", "b"])
+    with pytest.raises(DriverProtocolError, match="sent 2 reply lines after"):
+        external(
+            campaign,
+            lying_driver({"OUT": "OUT x"}, then="print('OK\\nOUT bogus', flush=True)"),
+        )
+
+
+NOT_UTF8 = "sys.stdout.buffer.write(b'\\xff\\n'); sys.stdout.flush()"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        script_driver(f"import sys\nfor line in sys.stdin:\n    {NOT_UTF8}\n"),
+        lying_driver({"OUT": "OUT x"}, then=NOT_UTF8),
+    ],
+    ids=["every-reply", "after-the-last"],
+)
+def test_a_reply_that_is_not_utf8_is_a_protocol_error(argv):
+    # The call reaps its driver and leaves no thread behind.
+    campaign, _ = campaign_for(["ab", "b"])
+    threads = threading.active_count()
+    proc = start_driver(argv)
+    try:
+        with pytest.raises(DriverProtocolError):
+            call_with_timeout(run_external, campaign, proc, seconds=10)
+        assert proc.returncode is not None
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert threading.active_count() == threads
 
 
 # A campaign far larger than a pipe buffer, so that a driver which stops

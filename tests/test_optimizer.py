@@ -4,6 +4,7 @@ import itertools
 import os
 import random
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,15 +81,21 @@ def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
     and one ``reference_decision`` call per boundary, and with every key
     found by ``reference_next_load`` at each decision and victims by a
     search of every stored node: the reference whose campaigns the
-    run-by-run scan must reproduce.  Pending uses are counted down in a
-    dict; a node whose count reaches zero joins ``dead``, and chain walks
-    stop above a dead node other than the root.  The root is freed only
-    by the last trace."""
+    run-by-run scan must reproduce.  Each shared node's pending uses, the
+    traces whose ``reference_chain`` holds it, are counted down in a
+    Counter; a node whose count reaches zero joins ``dead``, and chain
+    walks stop above a dead node other than the root.  The root is freed
+    only by the last trace."""
     if not ordered:
         raise ValueError("cannot optimize an empty slice")
     prefixes = node_prefixes(tree)
     shared = {nid for nid in prefixes if nid != ROOT_ID or tree.root_shared}
-    pending = dict(enumerate(tree.pending))
+    pending = Counter(
+        nid
+        for trace in ordered
+        for nid in reference_chain(prefixes, trace.symbols)
+        if nid in shared
+    )
     dead = set()
     stored = {}  # node id -> store sequence
     sequence = itertools.count(1)
@@ -377,7 +384,6 @@ def test_rejects_empty_slice():
 def tree_snapshot(tree):
     return (
         list(tree.depth),
-        list(tree.pending),
         dict(tree.chains),
         tree.root_shared,
     )
@@ -412,7 +418,7 @@ def test_checkpoint_index_eviction_order():
     index.note_store(5, 6)
     index.note_store(7, 6)
     index.note_store(9, 4)
-    assert len(index.entries) == 4 and index.peak == 4
+    assert len(index.entries) == 4
     # the furthest next use is the victim; equal next uses tie-break
     # toward the least recently stored
     assert index.victim() == (5, 6)
@@ -552,6 +558,37 @@ def test_run_scan_matches_the_per_symbol_scan(traces, capacity, order_seed):
     campaign = optimize_slice(ordered, tree, capacity, 1.0)
     reference = reference_optimize_slice(ordered, tree, capacity, 1.0)
     assert campaign == reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_slices(), st.integers(0, 1 << 20))
+def test_a_checkpoint_is_freed_in_the_sweep_of_its_last_use(traces, order_seed):
+    # A trace's segment runs from its LOAD (the first trace's from the
+    # start) to its OUT.  A FREE before the segment's first RUN is the
+    # availability sweep's; any later one is an eviction, just before the
+    # STORE it makes room for.
+    ordered = order_slice(traces, "random", seed=order_seed)
+    tree = tree_for(traces)
+    prefixes = node_prefixes(tree)
+    last = {}
+    for j, trace in enumerate(ordered):
+        for nid in reference_chain(prefixes, trace.symbols):
+            last[nid] = j
+    for capacity in (1, 2, tree.capacity, None):
+        lines = optimize_slice(ordered, tree, capacity, 1.0).lines
+        j, ran = 0, False
+        for i, line in enumerate(lines):
+            op, _, arg = line.partition(" ")
+            if op == "OUT":
+                j, ran = j + 1, False
+            elif op == "RUN":
+                ran = True
+            elif op == "FREE" and not ran:
+                assert last[int(arg)] == j
+            elif op == "FREE":
+                assert lines[i + 1].startswith("STORE ")
+            elif op == "STORE" and i > 0:
+                assert last[int(arg)] != j
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 from simcamp.oracles import shared_prefix_counts, shared_prefixes
 from simcamp.traces import Alphabet, InputTrace
 from simcamp.tree import TreeInvariantError, build_tree
-from util import node_prefixes, random_traces, shared_prefix_map, t, ts
+from util import (
+    chain_counts,
+    node_prefixes,
+    random_traces,
+    shared_prefix_map,
+    t,
+    ts,
+)
 
 
 def sym(text: str) -> tuple[int, ...]:
@@ -75,7 +82,6 @@ def assert_chains_recorded(tree, traces):
     assert set(tree.chains) == {x.symbols for x in traces}
     prefixes = node_prefixes(tree)
     assert sorted(prefixes) == list(range(tree.capacity))
-    assert len(tree.pending) == tree.capacity
     for x in traces:
         expected = sorted(
             (nid for nid, p in prefixes.items() if x.symbols[:len(p)] == p),
@@ -142,6 +148,9 @@ def test_nested_prefixes_longer_than_the_recursion_limit():
     assert tree.capacity == horizon
     chain = tree.chains[(0,) * horizon]
     assert [tree.depth[i] for i in chain] == list(range(horizon))
-    assert [tree.pending[i] for i in chain] == [0] + list(range(horizon, 1, -1))
+    # Every trace's chain holds the root; the node at depth d is held by
+    # the chains of the traces at least d long.
+    held = chain_counts(tree)
+    assert [held[i] for i in chain] == [horizon] + list(range(horizon, 1, -1))
     # Every shorter trace is a node, the last on its own chain.
     assert all(tree.chains[(0,) * h] == chain[:h + 1] for h in range(1, horizon))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import threading
+from collections import Counter
 
 import pytest
 
@@ -66,10 +67,17 @@ def node_prefixes(tree) -> dict[int, tuple[int, ...]]:
     return prefixes
 
 
+def chain_counts(tree) -> Counter:
+    """{node id: the number of traces whose chain holds the node}."""
+    return Counter(node_id for chain in tree.chains.values() for node_id in chain)
+
+
 def shared_prefix_map(tree) -> dict[tuple[int, ...], int]:
-    """{prefix: pending count} over the tree's shared-prefix nodes."""
+    """{prefix: the number of traces whose chain holds its node} over the
+    tree's shared-prefix nodes."""
+    held = chain_counts(tree)
     return {
-        prefix: tree.pending[node_id]
+        prefix: held[node_id]
         for node_id, prefix in node_prefixes(tree).items()
         if node_id != ROOT_ID or tree.root_shared
     }
