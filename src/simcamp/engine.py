@@ -85,7 +85,7 @@ def reference_model(alphabet: Alphabet, seed: int) -> ReferenceModel:
 
 class Observation(NamedTuple):
     token: str
-    symbols: tuple[int, ...]
+    symbols: bytes
 
 
 class Simulator:
@@ -94,14 +94,14 @@ class Simulator:
     def __init__(self, model: SystemModel) -> None:
         self.model = model
         self.state = model.initial_state
-        self.history: tuple[int, ...] = ()
-        self.memory: dict[int, tuple[object, tuple[int, ...]]] = {}
+        self.history = b""
+        self.memory: dict[int, tuple[object, bytes]] = {}
         self.error: str | None = None
         self.peak_memory = 0
         self.length_quanta = 0
         self.observations: list[Observation] = []
         # Each distinct RUN line's symbol, length and history increment.
-        self._runs: dict[str, tuple[int, int, tuple[int, ...]]] = {}
+        self._runs: dict[str, tuple[int, int, bytes]] = {}
 
     def _fail(self, message: str) -> bool:
         self.error = message
@@ -117,7 +117,7 @@ class Simulator:
             if run is None:
                 _, token, k = line.split(" ")
                 symbol, quanta = self.model.alphabet.index(token), int(k)
-                run = self._runs[line] = (symbol, quanta, (symbol,) * quanta)
+                run = self._runs[line] = (symbol, quanta, bytes((symbol,)) * quanta)
             self.state = self.model.transition(self.state, run[0], run[1])
             self.history += run[2]
             self.length_quanta += run[1]

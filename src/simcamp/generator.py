@@ -46,12 +46,6 @@ class Dfa:
             if any(not (0 <= t < self.num_states) for t in row):
                 raise ValueError("monitor transition target out of range")
 
-    def accepts(self, symbols: Sequence[int]) -> bool:
-        state = self.start
-        for u in symbols:
-            state = self.step[state][u]
-        return state in self.accepting
-
 
 @dataclass(frozen=True, slots=True)
 class ConstraintSpec:
@@ -180,7 +174,7 @@ class GeneratorTable:
                 states[depth] = state
                 lo[depth] = first
                 hi[depth] = first + below
-            yield InputTrace._unchecked(alphabet, tuple(symbols))
+            yield InputTrace._unchecked(alphabet, bytes(symbols))
 
 
 def check_fraction(fraction: float) -> None:

@@ -242,7 +242,7 @@ def optimize_slice(
         index.note_free(node_id)
         emit(f"FREE {node_id}")
 
-    def emit_runs(symbols: tuple[int, ...]) -> None:
+    def emit_runs(symbols: bytes) -> None:
         for symbol, group in groupby(symbols):
             emit(f"RUN {tokens[symbol]} {len(list(group))}")
 

@@ -1,15 +1,16 @@
 """Slow-but-obviously-correct reference computations.
 
-These are deliberately independent of the production tree/optimizer code:
-they work directly on symbol tuples with brute-force definitions, and are
-used to cross-check the fast implementations and to freeze expected values
-in the test suite.
+These are deliberately independent of the production tree/optimizer and
+generator code: they work directly on a trace's symbols, one byte each,
+with brute-force definitions, and are used to cross-check the fast
+implementations and to freeze expected values in the test suite.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+from .generator import Dfa
 from .optimizer import Campaign
 from .traces import InputTrace
 
@@ -31,7 +32,7 @@ def edge_count(traces: list[InputTrace], budget: int = EDGE_BUDGET_SYMBOLS) -> i
     total = sum(t.horizon for t in traces)
     if total > budget:
         raise OracleBudgetError(f"{total} trace-symbols exceeds oracle budget {budget}")
-    seen: set[tuple[int, ...]] = set()
+    seen: set[bytes] = set()
     for t in traces:
         s = t.symbols
         for d in range(1, len(s) + 1):
@@ -39,7 +40,7 @@ def edge_count(traces: list[InputTrace], budget: int = EDGE_BUDGET_SYMBOLS) -> i
     return len(seen)
 
 
-def _lcp_len(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+def _lcp_len(a: bytes, b: bytes) -> int:
     """Length of the longest common prefix, via binary search on slice equality."""
     lo, hi = 0, min(len(a), len(b))
     while lo < hi:
@@ -53,17 +54,17 @@ def _lcp_len(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 def shared_prefixes(
     traces: list[InputTrace], budget: int = PAIRWISE_BUDGET_TRACES
-) -> set[tuple[int, ...]]:
+) -> set[bytes]:
     """All pairwise longest-common-prefixes of distinct traces.
 
     Quadratic and simple: every unordered pair of distinct traces
-    contributes its longest common prefix (possibly the empty tuple).
+    contributes its longest common prefix (possibly empty).
     A singleton set has no pairs, hence no shared prefixes.
     """
     if len(traces) > budget:
         raise OracleBudgetError(f"{len(traces)} traces exceeds oracle budget {budget}")
     symbol_lists = [t.symbols for t in traces]
-    prefixes: set[tuple[int, ...]] = set()
+    prefixes: set[bytes] = set()
     for i in range(len(symbol_lists)):
         a = symbol_lists[i]
         for j in range(i + 1, len(symbol_lists)):
@@ -75,13 +76,21 @@ def shared_prefixes(
 
 def shared_prefix_counts(
     traces: list[InputTrace], budget: int = PAIRWISE_BUDGET_TRACES
-) -> dict[tuple[int, ...], int]:
+) -> dict[bytes, int]:
     """Shared prefixes with, for each, the number of traces it is a prefix of."""
     symbol_lists = [t.symbols for t in traces]
     return {
         p: sum(1 for s in symbol_lists if s[: len(p)] == p)
         for p in shared_prefixes(traces, budget)
     }
+
+
+def dfa_accepts(dfa: Dfa, symbols: bytes) -> bool:
+    """Whether ``dfa`` accepts ``symbols``, stepped one symbol at a time."""
+    state = dfa.start
+    for u in symbols:
+        state = dfa.step[state][u]
+    return state in dfa.accepting
 
 
 def naive_campaign(ordered: list[InputTrace], quantum: float) -> Campaign:
@@ -128,7 +137,7 @@ def optimal_campaign_length(
     """
     if sigma < 1:
         raise ValueError("state capacity must be >= 1")
-    prefixes = shared_prefixes(ordered) - {()}
+    prefixes = shared_prefixes(ordered) - {b""}
     if len(prefixes) > budget:
         raise OracleBudgetError(
             f"{len(prefixes)} shared prefixes exceeds oracle budget {budget}"
@@ -137,10 +146,10 @@ def optimal_campaign_length(
         p: max(j for j, t in enumerate(ordered) if t.symbols[: len(p)] == p)
         for p in prefixes
     }
-    best: dict[frozenset[tuple[int, ...]], int] = {frozenset(): 0}
+    best: dict[frozenset[bytes], int] = {frozenset(): 0}
     for j, trace in enumerate(ordered):
         s = trace.symbols
-        following: dict[frozenset[tuple[int, ...]], int] = {}
+        following: dict[frozenset[bytes], int] = {}
         for held, cost in best.items():
             resume = max((len(p) for p in held if s[: len(p)] == p), default=0)
             cost += len(s) - resume

@@ -45,9 +45,11 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import glob
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import asdict, dataclass
 from itertools import groupby
 from time import monotonic
@@ -74,6 +76,7 @@ from .metrics import (
 from .optimizer import optimize_slice, write_campaign_file
 from .slicing import external_sort, order_slice, slice_ranges
 from .traces import (
+    TEMP_PREFIX,
     Alphabet,
     InputTrace,
     TraceCorpus,
@@ -431,6 +434,12 @@ def prepare_slices(config: RunConfig) -> list[_SliceTask]:
     except OSError as exc:
         raise PipelineStageError(f"source stage failed: {exc}") from exc
     _claim_out_dir(config, fingerprint)
+    # Remove what a killed run left under temporary names: one run
+    # directory serves one run at a time, so no live writer owns them.
+    for sub in ("", "slices", "campaigns", "results"):
+        pattern = os.path.join(glob.escape(out), sub, TEMP_PREFIX + "*")
+        for path in glob.glob(pattern):
+            (shutil.rmtree if os.path.isdir(path) else os.remove)(path)
 
     try:
         alphabet, quantum, spec, items = _materialize_source(config)

@@ -7,12 +7,10 @@ File-sourced corpora are sorted with a classic run-generation + k-way
 merge so memory stays bounded regardless of corpus size.
 
 The sort parses each trace once.  A run is a file of binary records,
-each a sort key and the input's own line.  The key is the alphabet's
-(``Alphabet.sort_key``): one byte per symbol when every token is one
-ASCII character, else each symbol as a 4-byte big-endian integer.  Both
-encodings preserve order: comparing keys as bytes compares traces in
-alphabet order, a proper prefix first.  The merge orders records by key
-and copies each kept line verbatim.
+each a sort key and the input's own line.  The key is the trace's
+symbols, one byte each (``Alphabet.parse_line``), and comparing keys as
+bytes compares traces in alphabet order, a proper prefix first.  The
+merge orders records by key and copies each kept line verbatim.
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ import tempfile
 from typing import Iterable, Iterator, Sequence
 
 from .traces import (
+    TEMP_PREFIX,
     Alphabet,
     InputTrace,
     _body_lines,
@@ -107,13 +106,13 @@ def _run_files(
                 fh.write(_FRAME.pack(len(key), len(line)) + key + line)
         paths.append(path)
 
-    sort_key = alphabet.sort_key
+    parse_line = alphabet.parse_line
     run: list[tuple[bytes, bytes]] = []
     used = 0
     for line in lines:
-        key, count = sort_key(line)
+        key = parse_line(line)
         run.append((key, line.encode("utf-8")))
-        used += count
+        used += len(key)
         if used >= budget_symbols:
             flush(run)
             run = []
@@ -144,11 +143,10 @@ def external_sort(
     Runs take traces until their symbols reach ``budget_symbols``; each
     is sorted and written as ``(key, line)`` records to a private
     temporary directory beside ``out_path``, which is removed when the
-    sort ends, failed or not.  Each line is parsed once, into its
-    ``Alphabet.sort_key``, when its run is built; a line that does not
-    parse is a TraceFormatError.  Over one-character ASCII tokens the key
-    is the line's symbols one byte each, else 4 big-endian bytes each;
-    both compare as bytes in alphabet order, a proper prefix first.  The
+    sort ends, failed or not.  Each line is parsed once, into its symbols,
+    when its run is built; a line that does not parse is a
+    TraceFormatError.  The symbols, one byte each, are the record's key,
+    which compares as bytes in alphabet order, a proper prefix first.  The
     merge orders records by key and writes each kept line as the input had
     it, stripped, so the output is the input's lines in alphabet order.
     ``out_path`` is replaced only once the output is complete.
@@ -161,7 +159,7 @@ def external_sort(
         raise ValueError("memory budget must be >= 1 symbol")
     traces_in = traces_out = duplicates = 0
     out_dir = os.path.dirname(os.path.abspath(out_path))
-    with tempfile.TemporaryDirectory(dir=out_dir) as tmp_dir:
+    with tempfile.TemporaryDirectory(prefix=TEMP_PREFIX, dir=out_dir) as tmp_dir:
         with open(in_path, "r", encoding="utf-8") as fh:
             alphabet, quantum = parse_trace_header(fh.readline())
             runs = _run_files(_body_lines(fh), tmp_dir, alphabet, budget_symbols)

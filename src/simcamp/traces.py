@@ -3,16 +3,15 @@
 A scenario is a finite sequence of symbols drawn from a finite ordered
 alphabet.  Interpreted against a time quantum q, the sequence is a
 piecewise-constant input function: symbol i is held on [i*q, (i+1)*q).
-Symbols are stored as integer indices into the alphabet; tokens appear
-only at I/O boundaries.
+A trace's symbols are ``bytes``, one alphabet index per byte, so an
+alphabet has at most ``MAX_SYMBOLS`` tokens, and bytes order is alphabet
+order, a proper prefix first.  Tokens appear only at I/O boundaries.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import sys
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, TextIO
@@ -23,7 +22,12 @@ _TOKEN_FORBIDDEN = set(",;#")
 # one-character ASCII tokens has at most 128 symbols, so a translated
 # line holds a symbol >= the alphabet size exactly when it holds this.
 _NOT_A_SYMBOL = b"\xff"
-_SWAP_TO_BIG_ENDIAN = sys.byteorder == "little"
+
+# The most tokens an alphabet can have: a symbol is one byte.
+MAX_SYMBOLS = 256
+
+# The name prefix of every temporary file or directory beside an output.
+TEMP_PREFIX = "simcamp-tmp-"
 
 
 class TraceFormatError(ValueError):
@@ -54,6 +58,9 @@ class Alphabet:
     def __post_init__(self) -> None:
         if not self.tokens:
             raise ValueError("alphabet must not be empty")
+        if len(self.tokens) > MAX_SYMBOLS:
+            raise ValueError(f"alphabet has {len(self.tokens)} tokens; "
+                             f"at most {MAX_SYMBOLS} are supported")
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("alphabet tokens must be distinct")
         for tok in self.tokens:
@@ -83,10 +90,10 @@ class Alphabet:
         except KeyError:
             raise TraceFormatError(f"unknown symbol token {token!r}") from None
 
-    def parse(self, tokens: Iterable[str]) -> tuple[int, ...]:
+    def parse(self, tokens: Iterable[str]) -> bytes:
         """The symbols of ``tokens``; an unknown token is a TraceFormatError."""
         try:
-            return tuple(map(self._table.__getitem__, tokens))
+            return bytes(map(self._table.__getitem__, tokens))
         except KeyError as exc:
             raise TraceFormatError(f"unknown symbol token {exc.args[0]!r}") from None
 
@@ -108,29 +115,9 @@ class Alphabet:
             return None
         return symbols
 
-    def parse_line(self, line: str) -> tuple[int, ...]:
+    def parse_line(self, line: str) -> bytes:
         """The symbols of one stripped trace line."""
-        symbols = self._byte_symbols(line)
-        if symbols is not None:
-            return tuple(symbols)
-        return self.parse(line.split(","))
-
-    def sort_key(self, line: str) -> tuple[bytes, int]:
-        """A stripped trace line's sort key and its number of symbols.
-
-        Comparing two keys of this alphabet as bytes compares the traces
-        in alphabet order, a proper prefix first.  Over one-character
-        ASCII tokens a key is one byte per symbol; otherwise it holds the
-        symbols as 4-byte big-endian unsigned integers, for alphabets of
-        any size.  A line that does not parse is a TraceFormatError.
-        """
-        symbols = self._byte_symbols(line)
-        if symbols is not None:
-            return symbols, len(symbols)
-        key = array("I", self.parse(line.split(",")))
-        if _SWAP_TO_BIG_ENDIAN:
-            key.byteswap()
-        return key.tobytes(), len(key)
+        return self._byte_symbols(line) or self.parse(line.split(","))
 
     def render(self, symbols: Iterable[int]) -> list[str]:
         """The tokens of ``symbols``."""
@@ -144,19 +131,21 @@ class Alphabet:
 
 @dataclass(frozen=True, slots=True)
 class InputTrace:
-    """One scenario: symbol indices over ``alphabet``; horizon = len(symbols)."""
+    """One scenario: symbol indices over ``alphabet`` as ``bytes`` (the
+    checked constructor converts any sequence); horizon = len(symbols)."""
 
     alphabet: Alphabet
-    symbols: tuple[int, ...]
+    symbols: bytes
 
     def __post_init__(self) -> None:
         if not self.symbols:
             raise ValueError("trace horizon must be >= 1")
         if min(self.symbols) < 0 or max(self.symbols) >= len(self.alphabet):
             raise ValueError("trace symbol index out of alphabet range")
+        object.__setattr__(self, "symbols", bytes(self.symbols))
 
     @classmethod
-    def _unchecked(cls, alphabet: Alphabet, symbols: tuple[int, ...]) -> "InputTrace":
+    def _unchecked(cls, alphabet: Alphabet, symbols: bytes) -> "InputTrace":
         """A trace the codec or the generator made over ``alphabet``,
         without ``__post_init__``'s checks: such symbols are non-empty
         and in range by construction, and taking ``min`` and ``max`` of a
@@ -235,7 +224,7 @@ def parse_trace_header(line: str) -> tuple[Alphabet, float]:
     try:
         alphabet = Alphabet(tuple(tokens))
     except ValueError as exc:
-        raise TraceFormatError(f"malformed trace header: {line!r}") from exc
+        raise TraceFormatError(f"malformed trace header: {exc}") from None
     return alphabet, quantum
 
 
@@ -289,7 +278,7 @@ def atomic_text_file(path: str) -> Iterator[TextIO]:
     created as ``open`` would create ``path``, so the umask sets its mode.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+    tmp = os.path.join(directory, f"{TEMP_PREFIX}{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -39,12 +39,12 @@ class TreeInvariantError(ValueError):
     planned on a tree built from other traces."""
 
 
-def _lcp_len(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+def _lcp_len(a: bytes, b: bytes) -> int:
+    # The highest set bit of the XOR of the common-length prefixes lies in
+    # the first byte at which they differ.
     n = min(len(a), len(b))
-    for i in range(n):
-        if a[i] != b[i]:
-            return i
-    return n
+    x = int.from_bytes(a[:n], "big") ^ int.from_bytes(b[:n], "big")
+    return n - (x.bit_length() + 7) // 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,7 +61,7 @@ class BranchTree:
     depth: list[int]
     # Root-first node ids of each built trace's chain, keyed by its
     # symbols; traces that end at the same node share one tuple.
-    chains: dict[tuple[int, ...], tuple[int, ...]]
+    chains: dict[bytes, tuple[int, ...]]
     root_shared: bool
 
     @property
@@ -92,7 +92,7 @@ def build_tree(traces: Sequence[InputTrace]) -> BranchTree:
     root_shared = False
     spine = [ROOT_ID]
     deepest: list[int] = []
-    last: tuple[int, ...] | None = None
+    last: bytes | None = None
     for trace in ordered:
         cur = trace.symbols
         if last is None:

@@ -23,6 +23,7 @@ from simcamp.engine import execute, reference_model
 from simcamp.generator import ConstraintSpec, Dfa, GeneratorTable
 from simcamp.metrics import CostModel, omission_probability, report_rows
 from simcamp.oracles import (
+    dfa_accepts,
     edge_count,
     naive_campaign,
     optimal_campaign_length,
@@ -409,13 +410,13 @@ def test_criterion_9_generator_matches_brute_force():
         assert count <= 10_000
         brute = [
             word
-            for word in itertools.product(range(k), repeat=h)
-            if all(d.accepts(word) for d in monitors)
+            for word in map(bytes, itertools.product(range(k), repeat=h))
+            if all(dfa_accepts(d, word) for d in monitors)
         ]
         assert count == len(brute)
         extracted = [table.get(i) for i in range(count)]
         assert [t.symbols for t in extracted] == brute
         for t in extracted:
-            assert all(d.accepts(t.symbols) for d in monitors)
+            assert all(dfa_accepts(d, t.symbols) for d in monitors)
         nontrivial += bool(count)
     assert nontrivial >= 10

@@ -186,6 +186,22 @@ def test_errors_exit_with_code_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_execute_refuses_an_alphabet_of_more_than_256_tokens(tmp_path, capsys):
+    campaign = tmp_path / "c.txt"
+    campaign.write_text("#q=1;slice=0\nSTORE 0\nRUN t0 1\nOUT\n")
+    tokens = [f"t{i}" for i in range(257)]
+    code, out = run_cli(
+        capsys, "execute", "--campaign", str(campaign), "--alphabet", ",".join(tokens)
+    )
+    assert code == 2
+    assert out.err == "error: alphabet has 257 tokens; at most 256 are supported\n"
+    code, out = run_cli(
+        capsys, "execute", "--campaign", str(campaign),
+        "--alphabet", ",".join(tokens[:256]),
+    )
+    assert code == 0 and json.loads(out.out)["outs"] == 1
+
+
 def test_optimize_names_a_duplicate_trace(tmp_path, capsys):
     # The slice is planned in any order; a trace given twice is named.
     src = tmp_path / "slice.txt"

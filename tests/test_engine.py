@@ -99,9 +99,9 @@ def test_history_follows_runs_and_loads():
     assert sim.step("RUN a 2")
     assert sim.step("STORE 1")
     assert sim.step("RUN b 1")
-    assert sim.history == (0, 0, 1)
+    assert sim.history == b"\x00\x00\x01"
     assert sim.step("LOAD 1")
-    assert sim.history == (0, 0)
+    assert sim.history == b"\x00\x00"
     assert sim.length_quanta == 3
     assert sim.peak_memory == 2
     # A line of no known op is an error, not another op's step.

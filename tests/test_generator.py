@@ -14,7 +14,8 @@ from simcamp.generator import (
     read_constraint_file,
     sample_indices,
 )
-from simcamp.traces import Alphabet, TraceFormatError
+from simcamp.oracles import dfa_accepts
+from simcamp.traces import MAX_SYMBOLS, Alphabet, TraceFormatError
 
 AB01 = Alphabet.of("0", "1")
 
@@ -27,11 +28,13 @@ def test_no_consecutive_ones_horizon_two():
     spec = ConstraintSpec(AB01, 2, (NO_11,))
     table = GeneratorTable(spec)
     assert table.count() == 3
-    assert [table.get(j).symbols for j in range(3)] == [(0, 0), (0, 1), (1, 0)]
+    assert [table.get(j).symbols for j in range(3)] == [
+        b"\x00\x00", b"\x00\x01", b"\x01\x00"
+    ]
     with pytest.raises(IndexError, match=r"index 3 out of range \[0, 3\)"):
         table.get(3)
     assert GeneratorTable(spec).count() == 3
-    assert GeneratorTable(spec).get(2).symbols == (1, 0)
+    assert GeneratorTable(spec).get(2).symbols == b"\x01\x00"
 
 
 def test_unconstrained_spec_counts_all_words():
@@ -40,7 +43,7 @@ def test_unconstrained_spec_counts_all_words():
     assert table.count() == 8
     # plain mixed-radix enumeration in lexicographic order
     assert [table.get(j).symbols for j in range(8)] == [
-        tuple(w) for w in itertools.product((0, 1), repeat=3)
+        bytes(w) for w in itertools.product((0, 1), repeat=3)
     ]
 
 
@@ -72,8 +75,8 @@ def test_random_specs_match_brute_force():
         table = GeneratorTable(spec)
         brute = [
             w
-            for w in itertools.product(range(k), repeat=h)
-            if all(m.accepts(w) for m in monitors)
+            for w in map(bytes, itertools.product(range(k), repeat=h))
+            if all(dfa_accepts(m, w) for m in monitors)
         ]
         assert table.count() == len(brute)
         assert [table.get(j).symbols for j in range(len(brute))] == brute
@@ -101,8 +104,8 @@ def test_extract_matches_brute_force(spec, data):
     k = len(spec.alphabet)
     brute = [
         w
-        for w in itertools.product(range(k), repeat=spec.horizon)
-        if all(m.accepts(w) for m in spec.monitors)
+        for w in map(bytes, itertools.product(range(k), repeat=spec.horizon))
+        if all(dfa_accepts(m, w) for m in spec.monitors)
     ]
     table = GeneratorTable(spec)
     assert table.count() == len(brute)
@@ -182,3 +185,9 @@ def test_parse_errors():
             ["alphabet=0,1", "horizon=2", "states=1", "start=0", "accept=0",
              "0 0 -> 0", "0 1 -> 0", "0 1 -> 0"]  # duplicate
         )
+
+
+def test_a_spec_of_more_than_256_tokens_is_refused():
+    tokens = ",".join(f"t{i}" for i in range(MAX_SYMBOLS + 1))
+    with pytest.raises(ValueError, match="257 tokens; at most 256"):
+        parse_constraint_spec([f"alphabet={tokens}", "horizon=1"])

@@ -72,9 +72,9 @@ def test_read_campaign_file_canonicalises_every_accepted_form(tmp_path):
         False, 13, "load of absent id -1"
     )
     assert [(o.token, o.symbols) for o in result.observations] == [
-        ("7e873df6fcf51a21", (0, 0, 0, 1, 1)),
-        ("90003c67a24a0a13", (0, 0, 0, 1, 1, 0, 0, 0)),
-        ("19100d822f221f67", (0, 0, 0, 1)),
+        ("7e873df6fcf51a21", bytes([0, 0, 0, 1, 1])),
+        ("90003c67a24a0a13", bytes([0, 0, 0, 1, 1, 0, 0, 0])),
+        ("19100d822f221f67", bytes([0, 0, 0, 1])),
     ]
 
 

@@ -14,20 +14,20 @@ from simcamp.oracles import (
 from util import ABCD, t, ts
 
 
-def sym(text: str) -> tuple[int, ...]:
+def sym(text: str) -> bytes:
     return t(text).symbols
 
 
 def test_shared_prefixes_examples():
     assert shared_prefixes(ts("aab", "aac")) == {sym("aa")}
-    assert shared_prefixes(ts("aa", "ab", "ba")) == {(), sym("a")}
+    assert shared_prefixes(ts("aa", "ab", "ba")) == {b"", sym("a")}
     assert shared_prefixes(ts("aab")) == set()
     assert shared_prefixes(ts("aa", "aab")) == {sym("aa")}
-    assert shared_prefixes(ts("aa", "ab", "ac", "b")) == {(), sym("a")}
+    assert shared_prefixes(ts("aa", "ab", "ac", "b")) == {b"", sym("a")}
 
 
 def test_shared_prefix_counts():
-    assert shared_prefix_counts(ts("aa", "ab", "ba")) == {(): 3, sym("a"): 2}
+    assert shared_prefix_counts(ts("aa", "ab", "ba")) == {b"": 3, sym("a"): 2}
     assert shared_prefix_counts(ts("aab", "aac")) == {sym("aa"): 2}
     assert shared_prefix_counts(ts("aa", "aab")) == {sym("aa"): 2}
 

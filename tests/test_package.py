@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import subprocess
 import sys
 import tokenize
@@ -70,6 +71,20 @@ def test_benchmark_traced_names_are_bound():
         if not hasattr(simcamp.pipeline, name) and not hasattr(simcamp.cli, name)
     ]
     assert unbound == ["write_trace_file"]
+
+
+def test_the_benchmark_passes_its_gate_in_traced_mode():
+    # The gate reads each trace's symbols, each observation's symbols and
+    # the reference model, so a change to those fails here first.
+    run = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    done = subprocess.run(
+        [sys.executable, str(run), "--workload", "driver_replay", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    last = json.loads(done.stdout.splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0), done.stderr[-2000:]
 
 
 def loaded_by_import(module, candidates):

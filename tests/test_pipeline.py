@@ -7,6 +7,8 @@ import json
 import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,7 +25,7 @@ from simcamp.metrics import (
 )
 import simcamp.optimizer as optimizer
 import simcamp.pipeline as pipeline
-from simcamp.optimizer import read_campaign_file
+from simcamp.optimizer import optimize_slice, read_campaign_file, write_campaign_file
 from simcamp.pipeline import (
     PipelineStageError,
     RunConfig,
@@ -32,6 +34,7 @@ from simcamp.pipeline import (
     _run_slice_task,
     analyze_runs,
     overall_omission_bound,
+    plan_slice,
     prepare_slices,
     read_progress,
     resolve_sigma,
@@ -39,8 +42,15 @@ from simcamp.pipeline import (
     slice_seed,
     write_json_atomic,
 )
-from simcamp.slicing import order_slice
-from simcamp.traces import InputTrace, TraceCorpus, read_trace_file
+from simcamp.slicing import order_slice, slice_ranges
+from simcamp.traces import (
+    MAX_SYMBOLS,
+    Alphabet,
+    InputTrace,
+    TraceCorpus,
+    read_trace_file,
+    write_trace_lines,
+)
 from simcamp.tree import build_tree
 from util import ABCD, ts, write_trace_file
 
@@ -1068,3 +1078,91 @@ def test_a_sample_of_zero_traces_fails_the_source_stage(
                        fraction=fraction)
     with pytest.raises(PipelineStageError, match="^source stage: sampled zero traces$"):
         run_pipeline(config)
+
+
+def test_a_256_token_alphabet_runs_like_an_in_memory_sort(tmp_path):
+    # Multi-character tokens in an order unlike string order, and traces
+    # that use the lowest and highest symbols and prefixes of each other.
+    rng = random.Random(256)
+    tokens = [f"s{i}" for i in range(MAX_SYMBOLS)]
+    rng.shuffle(tokens)
+    alphabet = Alphabet(tuple(tokens))
+    traces = set()
+    while len(traces) < 60:
+        trace = tuple(
+            rng.choice((0, 1, 254, 255, rng.randrange(MAX_SYMBOLS)))
+            for _ in range(rng.randint(1, 5))
+        )
+        traces.update({trace, trace[:rng.randint(1, len(trace))]})
+    source = str(tmp_path / "wide.txt")
+    write_trace_lines(source, alphabet, 0.5, map(alphabet.format_line, traces))
+    out = tmp_path / "run"
+    run_pipeline(RunConfig(source=source, out_dir=str(out), slices=3, seed=2,
+                           sigma="4", sort_budget=25))
+
+    # Tuples of symbol indices compare in alphabet order.
+    in_memory = [InputTrace(alphabet, x) for x in sorted(traces)]
+    assert (out / "sorted.txt").read_text().splitlines()[1:] == [
+        alphabet.format_line(x.symbols) for x in in_memory
+    ]
+    for i, (start, stop) in enumerate(slice_ranges(len(in_memory), 3)):
+        corpus = TraceCorpus(alphabet, 0.5, in_memory[start:stop])
+        assert read_trace_file(str(out / "slices" / f"slice_{i}.txt")) == corpus
+        ordered, tree, sigma = plan_slice(corpus, "random", slice_seed(2, i), "4")
+        campaign = tmp_path / f"campaign_{i}.txt"
+        write_campaign_file(optimize_slice(ordered, tree, sigma, 0.5, i), str(campaign))
+        assert (out / "campaigns" / campaign.name).read_bytes() == campaign.read_bytes()
+        with open(out / "results" / f"result_{i}.json") as fh:
+            execution = json.load(fh)["execution"]
+        assert execution["executable"] and execution["outs"] == stop - start
+
+
+# Runs a pipeline on a small sort budget, killing the process just before
+# it moves the file named by its first argument into place.
+KILL_BEFORE_RENAME = """
+import os, sys
+from simcamp.pipeline import RunConfig, run_pipeline
+
+target, source, out = sys.argv[1:]
+replace = os.replace
+
+def replace_or_die(src, dst):
+    if os.path.basename(dst) == target:
+        os._exit(137)
+    replace(src, dst)
+
+os.replace = replace_or_die
+run_pipeline(RunConfig(source=source, out_dir=out, slices=2, seed=3, sort_budget=8))
+"""
+
+
+def run_dir_files(run_dir):
+    """Every path under ``run_dir`` with a file's bytes or None for a
+    directory; config.json, which names the directory, is left out."""
+    return {
+        str(path.relative_to(run_dir)): path.read_bytes() if path.is_file() else None
+        for path in sorted(run_dir.rglob("*"))
+        if path.name != "config.json"
+    }
+
+
+@pytest.mark.parametrize(
+    "target", ["sorted.txt", "slice_1.txt", "campaign_1.txt", "result_0.json"]
+)
+def test_a_rerun_removes_what_a_killed_run_left(tmp_path, target):
+    # A kill at the sort's rename leaves its run directory and the
+    # sorted file's temporary; the others leave one temporary each.
+    src = corpus_file(tmp_path)
+    clean, out = tmp_path / "clean", tmp_path / "run"
+    run_pipeline(RunConfig(source=src, out_dir=str(clean), slices=2, seed=3,
+                           sort_budget=8))
+    killed = subprocess.run(
+        [sys.executable, "-c", KILL_BEFORE_RENAME, target, src, str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert killed.returncode == 137, killed.stderr
+    assert set(run_dir_files(out)) - set(run_dir_files(clean))
+
+    run_pipeline(RunConfig(source=src, out_dir=str(out), slices=2, seed=3,
+                           sort_budget=8))
+    assert run_dir_files(out) == run_dir_files(clean)

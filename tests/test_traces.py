@@ -17,6 +17,7 @@ from simcamp.optimizer import (
 from simcamp.oracles import naive_campaign
 from simcamp.slicing import external_sort
 from simcamp.traces import (
+    MAX_SYMBOLS,
     Alphabet,
     AlphabetMismatchError,
     InputTrace,
@@ -43,6 +44,17 @@ def test_alphabet_rejects_bad_tokens():
         Alphabet.of("x y")
     with pytest.raises(ValueError):
         Alphabet.of("")
+
+
+def test_an_alphabet_holds_at_most_256_tokens(tmp_path):
+    tokens = tuple(f"t{i}" for i in range(MAX_SYMBOLS + 1))
+    assert len(Alphabet(tokens[:MAX_SYMBOLS])) == 256
+    with pytest.raises(ValueError, match="257 tokens; at most 256"):
+        Alphabet(tokens)
+    path = tmp_path / "wide.txt"
+    path.write_text(f"#alphabet={','.join(tokens)};q=1\nt0\n")
+    with pytest.raises(TraceFormatError, match="257 tokens; at most 256"):
+        read_trace_file(str(path))
 
 
 def test_alphabet_index():
@@ -73,7 +85,9 @@ def test_trace_validation():
     tr = t("aab")
     assert tr.horizon == 3
     assert tr.tokens() == ("a", "a", "b")
-    assert InputTrace(AB, AB.parse(["b", "a"])).symbols == (1, 0)
+    assert InputTrace(AB, AB.parse(["b", "a"])).symbols == b"\x01\x00"
+    # The checked constructor stores any sequence of indices as bytes.
+    assert InputTrace(AB, (1, 0)).symbols == b"\x01\x00"
 
 
 def test_corpus_sorted_flag_checked():
@@ -126,7 +140,7 @@ def test_both_readers_skip_comments_and_blanks(tmp_path):
     path.write_text("#alphabet=a,b;q=0.5\n\na,b\n# note\nb,b\n\n")
     corpus = read_trace_file(str(path))
     assert (corpus.alphabet, corpus.quantum) == (AB, 0.5)
-    assert [x.symbols for x in corpus.traces] == [(0, 1), (1, 1)]
+    assert [x.symbols for x in corpus.traces] == [b"\x00\x01", b"\x01\x01"]
     alphabet, quantum, lines = read_trace_lines(str(path))
     assert (alphabet, quantum) == (AB, 0.5)
     assert lines == ["a,b", "b,b"]
@@ -174,12 +188,12 @@ def test_round_trip_preserves_symbols(symbol_lists):
         back = read_trace_file(path)
     finally:
         os.unlink(path)
-    assert [x.symbols for x in back.traces] == [tuple(s) for s in symbol_lists]
+    assert [x.symbols for x in back.traces] == [bytes(s) for s in symbol_lists]
 
 
 # The per-token definitions the alphabet codec replaced, as its reference.
 def per_token_parse(alphabet, tokens):
-    return tuple(alphabet.tokens.index(tok) for tok in tokens)
+    return bytes(alphabet.tokens.index(tok) for tok in tokens)
 
 
 def per_token_format(alphabet, symbols):
@@ -194,7 +208,7 @@ def per_token_format(alphabet, symbols):
 )
 def test_codec_matches_per_token_definitions(tokens, data):
     alphabet = Alphabet(tuple(tokens))
-    symbols = tuple(
+    symbols = bytes(
         data.draw(st.lists(st.integers(0, len(tokens) - 1), min_size=1, max_size=12))
     )
     line = per_token_format(alphabet, symbols)
@@ -217,8 +231,8 @@ def test_codec_matches_per_token_definitions(tokens, data):
 
 def test_codec_follows_alphabet_order_not_string_order():
     alphabet = Alphabet.of("b", "aa", "a")
-    assert alphabet.parse_line("a,aa,b") == (2, 1, 0)
-    assert alphabet.format_line((2, 1, 0)) == "a,aa,b"
+    assert alphabet.parse_line("a,aa,b") == bytes([2, 1, 0])
+    assert alphabet.format_line(bytes([2, 1, 0])) == "a,aa,b"
 
 
 @pytest.mark.parametrize("row, token", [("a,zz", "zz"), ("a,,b", "")])
@@ -269,9 +283,7 @@ def test_a_malformed_line_gets_the_token_paths_error(line):
         CBA.parse(line.split(","))
     with pytest.raises(TraceFormatError) as parsed:
         CBA.parse_line(line)
-    with pytest.raises(TraceFormatError) as keyed:
-        CBA.sort_key(line)
-    assert str(parsed.value) == str(keyed.value) == str(token_path.value)
+    assert str(parsed.value) == str(token_path.value)
 
 
 def test_one_character_tokens_never_take_the_token_path(tmp_path, monkeypatch):
@@ -290,7 +302,7 @@ def test_one_character_tokens_never_take_the_token_path(tmp_path, monkeypatch):
     back = read_trace_file(str(dst))
     assert [",".join(x.tokens()) for x in back.traces] == ["c,c", "a,c", "a,c,b", "b"]
     assert calls == []
-    assert CBA.sort_key("a,c,b") == (bytes([1, 0, 2]), 3)
+    assert CBA.parse_line("a,c,b") == bytes([1, 0, 2])
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])

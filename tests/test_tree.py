@@ -19,13 +19,13 @@ from util import (
 )
 
 
-def sym(text: str) -> tuple[int, ...]:
+def sym(text: str) -> bytes:
     return t(text).symbols
 
 
 def test_worked_examples():
     tree = build_tree(ts("aa", "ab", "ba"))
-    assert shared_prefix_map(tree) == {(): 3, sym("a"): 2}
+    assert shared_prefix_map(tree) == {b"": 3, sym("a"): 2}
     assert tree.capacity == 2  # root doubles as the shared empty prefix
 
     tree = build_tree(ts("aab", "aac"))
@@ -33,7 +33,7 @@ def test_worked_examples():
     assert tree.capacity == 2  # root is materialized but not shared
 
     tree = build_tree(ts("aa", "ab", "ac", "b"))
-    assert shared_prefix_map(tree) == {(): 4, sym("a"): 3}
+    assert shared_prefix_map(tree) == {b"": 4, sym("a"): 3}
 
     tree = build_tree(ts("aab", "aac", "ab", "ba", "bb"))
     assert tree.shared_prefix_count == 4  # "", "a", "aa" and "b"
@@ -70,9 +70,9 @@ def test_chains_walk_materialized_prefixes():
     chain = tree.chains[sym("aab")]
     assert [tree.depth[i] for i in chain] == [0, 1, 2]
     prefixes = node_prefixes(tree)
-    assert [prefixes[i] for i in chain] == [(), sym("a"), sym("aa")]
-    assert [prefixes[i] for i in tree.chains[sym("ab")]] == [(), sym("a")]
-    assert [prefixes[i] for i in tree.chains[sym("b")]] == [()]
+    assert [prefixes[i] for i in chain] == [b"", sym("a"), sym("aa")]
+    assert [prefixes[i] for i in tree.chains[sym("ab")]] == [b"", sym("a")]
+    assert [prefixes[i] for i in tree.chains[sym("b")]] == [b""]
 
 
 def assert_chains_recorded(tree, traces):
@@ -106,7 +106,7 @@ def test_matches_pairwise_oracle_random():
         counts = shared_prefix_counts(traces)
         assert shared_prefix_map(tree) == counts
         assert set(counts) == shared_prefixes(traces)
-        assert tree.root_shared == (() in counts)
+        assert tree.root_shared == (b"" in counts)
         assert tree.shared_prefix_count == len(counts)
         assert tree.capacity == len(counts) + (0 if tree.root_shared else 1)
         assert_chains_recorded(tree, traces)
@@ -146,11 +146,11 @@ def test_nested_prefixes_longer_than_the_recursion_limit():
     tree = build_tree(traces[::-1])
     assert not tree.root_shared
     assert tree.capacity == horizon
-    chain = tree.chains[(0,) * horizon]
+    chain = tree.chains[b"\x00" * horizon]
     assert [tree.depth[i] for i in chain] == list(range(horizon))
     # Every trace's chain holds the root; the node at depth d is held by
     # the chains of the traces at least d long.
     held = chain_counts(tree)
     assert [held[i] for i in chain] == [horizon] + list(range(horizon, 1, -1))
     # Every shorter trace is a node, the last on its own chain.
-    assert all(tree.chains[(0,) * h] == chain[:h + 1] for h in range(1, horizon))
+    assert all(tree.chains[b"\x00" * h] == chain[:h + 1] for h in range(1, horizon))

@@ -43,11 +43,11 @@ def random_traces(
 ) -> tuple[Alphabet, list[InputTrace]]:
     """Up to ``target`` distinct random traces (fewer if the space is small)."""
     alphabet = Alphabet(tuple("abcd"[:alphabet_size]))
-    seen: set[tuple[int, ...]] = set()
+    seen: set[bytes] = set()
     out: list[InputTrace] = []
     for _ in range(6 * target):
         h = rng.randint(1, max_horizon)
-        s = tuple(rng.randrange(alphabet_size) for _ in range(h))
+        s = bytes(rng.randrange(alphabet_size) for _ in range(h))
         if s not in seen:
             seen.add(s)
             out.append(InputTrace(alphabet, s))
@@ -56,7 +56,7 @@ def random_traces(
     return alphabet, out
 
 
-def node_prefixes(tree) -> dict[int, tuple[int, ...]]:
+def node_prefixes(tree) -> dict[int, bytes]:
     """Every node's prefix, by node id: a node at index i of a trace's
     chain holds the trace's first ``tree.depth[node]`` symbols."""
     prefixes = {}
@@ -72,7 +72,7 @@ def chain_counts(tree) -> Counter:
     return Counter(node_id for chain in tree.chains.values() for node_id in chain)
 
 
-def shared_prefix_map(tree) -> dict[tuple[int, ...], int]:
+def shared_prefix_map(tree) -> dict[bytes, int]:
     """{prefix: the number of traces whose chain holds its node} over the
     tree's shared-prefix nodes."""
     held = chain_counts(tree)
