@@ -134,9 +134,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_execute(args: argparse.Namespace) -> int:
     alphabet = Alphabet(tuple(args.alphabet.split(",")))
     if args.driver:
-        # The driver starts up while the campaign loads; a campaign that
-        # fails to load stops it.
-        driver = start_driver(shlex.split(args.driver))
+        # The driver reads the campaign file while the engine loads it; a
+        # campaign that fails to load stops the driver.
+        driver = start_driver(shlex.split(args.driver), args.campaign)
         try:
             campaign = read_campaign_file(args.campaign, alphabet)
         except BaseException:

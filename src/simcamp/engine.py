@@ -7,19 +7,21 @@ Executing a campaign folds its canonical lines over that machine, one
 line per step; Load of an absent id, Store of a present id, or Free of an
 absent id puts the machine into an absorbing error state.  There is one
 fold, ``_fold``, for both backends: ``execute`` folds over a simulator
-wrapping an in-process model, and ``run_external`` streams the same lines
-to an external driver and folds over a shadow simulator that checks each
-reply against its own step.
+wrapping an in-process model, and ``run_external`` folds over a shadow
+simulator that checks each reply of an external driver, which reads the
+campaign file itself, against its own step.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 import subprocess
 import threading
 from dataclasses import dataclass
 from typing import IO, Callable, NamedTuple, Sequence
 
-from .optimizer import Campaign, campaign_chunks
+from .optimizer import Campaign
 from .traces import Alphabet
 
 _MASK64 = (1 << 64) - 1
@@ -189,15 +191,15 @@ def execute(
 # ---------------------------------------------------------------------------
 # External driver protocol
 #
-# The engine writes every campaign file line (header included) to the
-# driver's stdin, as it is in the file.  Header/comment lines get no
-# reply.  Every other line gets exactly one reply line, in order:
+# The campaign file is the driver's stdin, which the driver reads as it
+# is written: the header, blank and comment lines and tolerant forms
+# included.  Blank and ``#`` lines get no reply.  Every other line gets
+# exactly one reply line, in order:
 #   OK | OUT <token> | ERR <message>
 #
-# Because replies come in command order, the engine streams the whole
-# campaign from a writer thread while it reads replies, instead of
-# waiting for each reply before sending the next command.  After the last
-# reply the driver writes nothing more; it closes its output and exits.
+# The engine only reads the replies.  After the last reply the driver
+# writes nothing more; it closes its output and exits.  A campaign that
+# stops short, at an ERR or a protocol error, ends the driver at once.
 # ---------------------------------------------------------------------------
 
 class DriverProtocolError(RuntimeError):
@@ -237,8 +239,6 @@ class _DriverShadow(Simulator):
         self._replies = replies
 
     def step(self, line: str) -> bool:
-        if self.error is not None:
-            return False
         reply = self._replies.readline()
         out = line == "OUT"
         # The common reply, a terminated OK to a command that is no Out,
@@ -261,80 +261,50 @@ class _DriverShadow(Simulator):
         return True
 
 
-def _write_campaign(
-    stdin: IO[str],
-    campaign: Campaign,
-    stop: threading.Event,
-    failure: list[Exception],
-) -> None:
-    """Writer thread: stream the campaign file text into the driver.
-
-    Writes a few thousand lines at a time until the campaign ends or
-    ``stop`` is set, then closes ``stdin`` so the driver sees the end of
-    its input.  A driver that has closed its input ends the thread
-    quietly; any other failure goes into ``failure`` for the reader.
-    """
-    try:
-        for chunk in campaign_chunks(campaign):
-            if stop.is_set():
-                break
-            stdin.write(chunk)
-    except BrokenPipeError:
-        pass
-    except Exception as exc:
-        failure.append(exc)
-    finally:
-        try:
-            stdin.close()
-        except BrokenPipeError:
-            pass
-
-
-def start_driver(argv: Sequence[str]) -> subprocess.Popen:
-    """Start an external driver, its stdin and stdout piped as text."""
-    return subprocess.Popen(
-        list(argv), stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
-    )
+def start_driver(argv: Sequence[str], campaign_path: str) -> subprocess.Popen:
+    """Start a driver whose stdin is the campaign file, opened read-only,
+    and whose stdout is a text pipe.  The driver and the engine each read
+    the file, so it must be a regular file: they would split a pipe."""
+    if not stat.S_ISREG(os.stat(campaign_path).st_mode):
+        raise ValueError(f"campaign file must be a regular file: {campaign_path}")
+    with open(campaign_path, "rb") as campaign:
+        return subprocess.Popen(
+            list(argv), stdin=campaign, stdout=subprocess.PIPE, text=True
+        )
 
 
 def run_external(campaign: Campaign, proc: subprocess.Popen) -> ExecutionResult:
     """Execute a campaign through an external driver subprocess.
 
-    ``proc`` is a driver ``start_driver`` started and nothing has talked
-    to yet, so that it can start up while the campaign loads; this call
-    reaps it.  A writer thread streams the campaign to the driver while
-    this thread reads the replies, and the fold of ``execute`` runs over a
-    shadow simulator whose model holds no state.  The shadow keeps the
+    ``proc`` is a driver ``start_driver`` started on the campaign's file
+    and nothing has read from yet, so that it can start up while the
+    campaign loads; this call reaps it.  The fold of ``execute`` runs over
+    a shadow simulator whose model holds no state.  The shadow keeps the
     input history and checkpoint map, so observations carry their traces
     whatever model the driver wraps, and it checks every reply: a driver
     that accepts a command the shadow rejects, replies in the wrong shape
     or not in UTF-8, stops replying or replies past the end of a campaign
-    it did not fail raises ``DriverProtocolError``.  A driver still running
-    ``DRIVER_EXIT_GRACE_S`` after its campaign is killed; the result stands.
+    it did not fail raises ``DriverProtocolError``.  A campaign that stops
+    short, at an ``ERR`` or a protocol error, kills the driver at once; a
+    driver still running ``DRIVER_EXIT_GRACE_S`` after a completed
+    campaign is killed, and the result stands.
     """
-    assert proc.stdin is not None and proc.stdout is not None
-    stop = threading.Event()
-    failure: list[Exception] = []
-    writer = threading.Thread(
-        target=_write_campaign,
-        args=(proc.stdin, campaign, stop, failure),
-        name="simcamp-driver-writer",
-        daemon=True,
-    )
-    writer.start()
+    assert proc.stdout is not None
     timer = threading.Timer(DRIVER_EXIT_GRACE_S, proc.kill)
-    result, extra = None, 0
+    result, extra, stopped_short = None, 0, True
     try:
         result = _fold(campaign, _DriverShadow(proc.stdout, campaign.alphabet))
+        stopped_short = not result.executable
     except _OutputClosed:
-        pass
+        stopped_short = False
     except UnicodeDecodeError as exc:
         raise DriverProtocolError(f"driver reply is not UTF-8: {exc}") from None
     finally:
-        # Stop writing after the current chunk, and drain the driver's
-        # output so that neither the writer nor the driver stays blocked;
-        # the grace's kill, at once after an undecodable line, ends both.
-        stop.set()
+        # Nothing but a kill stops a driver from reading on through its
+        # file.  A driver that closed its output is left to exit, so that
+        # the error names its own exit status.
+        if stopped_short:
+            proc.kill()
         timer.start()
         try:
             for _ in proc.stdout:
@@ -343,18 +313,15 @@ def run_external(campaign: Campaign, proc: subprocess.Popen) -> ExecutionResult:
             extra += 1
             proc.kill()
         finally:
-            writer.join()
             proc.stdout.close()
             proc.wait()
             timer.cancel()
             timer.join()
     if result is None:
-        if failure:
-            raise failure[0]
         raise DriverProtocolError(
             f"driver closed its output mid-campaign (exit status {proc.returncode})"
         )
-    # After an ERR the driver may still be answering later commands.
+    # After an ERR the driver may have answered later commands before its kill.
     if extra and result.error is None:
         raise DriverProtocolError(f"driver sent {extra} reply lines after the last command")
     return result

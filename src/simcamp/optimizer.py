@@ -111,7 +111,6 @@ class CheckpointIndex:
     def __init__(self, capacity: int | None, size: int) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("state capacity must be >= 1")
-        self.capacity = capacity
         self.evicts = capacity is not None and 1 < capacity < size
         self.entries: dict[int, tuple[int, int]] = {}
         self._heap: list[tuple[int, int, int]] = []
@@ -323,7 +322,7 @@ def optimize_slice(
 # ---------------------------------------------------------------------------
 
 
-# Lines per write when a campaign goes to a file or to a driver.
+# Lines per write when a campaign goes to a file or to `oracle naive`'s stdout.
 _LINES_PER_WRITE = 4096
 
 

@@ -12,6 +12,7 @@ import simcamp.cli as cli
 from simcamp.cli import main
 from simcamp.metrics import parse_cost_model
 from simcamp.traces import TraceCorpus, TraceFormatError
+from test_line_protocol import ACCEPTED_LINES
 from util import ABCD, call_with_timeout, ts, write_trace_file
 
 
@@ -214,13 +215,17 @@ def test_optimize_names_a_duplicate_trace(tmp_path, capsys):
     assert not (tmp_path / "c.txt").exists()
 
 
-@pytest.mark.parametrize("campaign", ["malformed", "missing"])
+@pytest.mark.parametrize("campaign", ["malformed", "missing", "fifo"])
 def test_a_campaign_that_fails_to_load_stops_its_driver(
     tmp_path, capsys, monkeypatch, campaign
 ):
     path = tmp_path / "campaign.txt"
     if campaign == "malformed":
         path.write_text("#q=1;slice=0\nSTORE 0\nRUN a 0\n")
+    elif campaign == "fifo":
+        # Opening a FIFO with no writer would block, and a pipe would be
+        # split between the driver and the engine.
+        os.mkfifo(path)
     pid_file = tmp_path / "driver.pid"
     script = (
         "import os, sys\n"
@@ -245,8 +250,29 @@ def test_a_campaign_that_fails_to_load_stops_its_driver(
         "--driver", shlex.join([sys.executable, "-c", script]),
     )
     assert code == 2 and "error:" in out.err
-    with pytest.raises(ProcessLookupError):
-        os.kill(int(pid_file.read_text()), 0)
+    if campaign == "malformed":
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid_file.read_text()), 0)
+    else:
+        # The driver reads the file, so a file it cannot read starts none.
+        assert not pid_file.exists()
+    if campaign == "fifo":
+        assert out.err == f"error: campaign file must be a regular file: {path}\n"
+
+
+def test_a_driver_reads_a_hand_written_campaign_as_written(tmp_path, capsys):
+    # A comment, blank lines and tolerant forms reach the driver as they
+    # are; the replies agree with the engine's canonical lines.
+    path = tmp_path / "campaign.txt"
+    path.write_text("#q=0.5;slice=3\n" + "\n".join(ACCEPTED_LINES[:-1]) + "\n")
+    argv = ["execute", "--campaign", str(path), "--alphabet", "a,b"]
+    in_process = run_cli(capsys, *argv, "--model-seed", "7")
+    driven = call_with_timeout(
+        run_cli, capsys, *argv,
+        "--driver", f"{sys.executable} -m simcamp.echo_driver --seed 7 --alphabet a,b",
+    )
+    assert driven == in_process
+    assert in_process[0] == 0 and json.loads(in_process[1].out)["outs"] == 3
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import io
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 import threading
 
 import pytest
@@ -28,6 +30,7 @@ from simcamp.optimizer import (
     campaign_chunks,
     optimize_slice,
     parse_command,
+    write_campaign_file,
 )
 from simcamp.pipeline import _campaign_summary
 from simcamp.traces import TraceFormatError
@@ -37,10 +40,19 @@ from util import AB, ABCD, call_with_timeout, ts
 ECHO_DRIVER = [sys.executable, "-m", "simcamp.echo_driver"]
 
 
+def start_on(campaign, argv):
+    """``start_driver`` on the campaign written to a temporary file, which
+    the driver holds open once it has started."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "campaign.txt")
+        write_campaign_file(campaign, path)
+        return start_driver(argv, path)
+
+
 def external(campaign, argv, seconds=30.0):
     """``run_external``, failing the test instead of hanging on a stuck
     driver; the driver never outlives the call."""
-    proc = start_driver(argv)
+    proc = start_on(campaign, argv)
     try:
         return call_with_timeout(run_external, campaign, proc, seconds=seconds)
     finally:
@@ -289,7 +301,7 @@ def test_a_reply_that_is_not_utf8_is_a_protocol_error(argv):
     # The call reaps its driver and leaves no thread behind.
     campaign, _ = campaign_for(["ab", "b"])
     threads = threading.active_count()
-    proc = start_driver(argv)
+    proc = start_on(campaign, argv)
     try:
         with pytest.raises(DriverProtocolError):
             call_with_timeout(run_external, campaign, proc, seconds=10)
@@ -301,8 +313,31 @@ def test_a_reply_that_is_not_utf8_is_a_protocol_error(argv):
     assert threading.active_count() == threads
 
 
-# A campaign far larger than a pipe buffer, so that a driver which stops
-# reading leaves the engine's writer with unwritten lines.
+@pytest.mark.parametrize("reply", ["ERR boom", "BOGUS"])
+def test_a_campaign_that_stops_short_kills_its_driver_at_once(reply):
+    # The driver answers every line, then sleeps with its output open.  Its
+    # first reply stops the campaign, and the call kills it there instead
+    # of waiting out its sleep or the grace.
+    campaign, _ = campaign_for(["ab", "b"])
+    threads = threading.active_count()
+    proc = start_on(campaign, lying_driver({"RUN": reply}, then="time.sleep(20)"))
+    try:
+        if reply == "BOGUS":
+            with pytest.raises(DriverProtocolError, match="got 'BOGUS'"):
+                call_with_timeout(run_external, campaign, proc, seconds=10)
+        else:
+            result = call_with_timeout(run_external, campaign, proc, seconds=10)
+            assert (result.failing_index, result.error) == (1, "boom")
+        assert proc.returncode == -signal.SIGKILL
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert threading.active_count() == threads
+
+
+# A campaign far longer than a driver's first read, so that a driver which
+# stops early leaves most of its file unanswered.
 LONG = Campaign.from_lines(["RUN a 1", "OUT"] * 20_000, 1.0, AB)
 
 FIRST_COMMAND_THEN = (
@@ -406,16 +441,6 @@ def test_echo_driver_answers_a_lock_step_client():
     outs = [r[4:] for r in replies if r.startswith("OUT ")]
     assert outs == [o.token for o in expected.observations]
     assert all(r == "OK" for r in replies if not r.startswith("OUT "))
-
-
-def test_a_campaign_that_cannot_be_written_raises_the_writer_error():
-    # A lone surrogate has no UTF-8 form, so the writer thread fails on
-    # the first chunk of lines, after the header.
-    campaign = Campaign.from_lines(["STORE 0", "RUN \udcff 1"], 1.0, AB)
-    threads = threading.active_count()
-    with pytest.raises(UnicodeEncodeError):
-        external(campaign, ECHO_DRIVER + ["--alphabet", "a,b"])
-    assert threading.active_count() == threads
 
 
 def test_echo_driver_keeps_no_observation_past_its_batch(tmp_path, monkeypatch):

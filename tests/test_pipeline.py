@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 
@@ -45,6 +46,7 @@ from simcamp.pipeline import (
 from simcamp.slicing import order_slice, slice_ranges
 from simcamp.traces import (
     MAX_SYMBOLS,
+    TEMP_PREFIX,
     Alphabet,
     InputTrace,
     TraceCorpus,
@@ -1166,3 +1168,90 @@ def test_a_rerun_removes_what_a_killed_run_left(tmp_path, target):
     run_pipeline(RunConfig(source=src, out_dir=str(out), slices=2, seed=3,
                            sort_budget=8))
     assert run_dir_files(out) == run_dir_files(clean)
+
+
+def sweep_file(tmp_path):
+    """60 distinct random traces over a,b,c of horizon 4-12, unsorted."""
+    rng = random.Random(29)
+    texts = {}
+    while len(texts) < 60:
+        texts["".join(rng.choice("abc") for _ in range(rng.randint(4, 12)))] = None
+    abc = Alphabet.of("a", "b", "c")
+    path = tmp_path / "sweep.txt"
+    write_trace_file(TraceCorpus(abc, 1.0, ts(*texts, alphabet=abc)), str(path))
+    return str(path)
+
+
+def sweep_run(source, out):
+    # A sort budget of 200 symbols cuts the file source into several runs.
+    run_pipeline(RunConfig(source=source, out_dir=str(out), slices=3, sigma="4",
+                           seed=5, sort_budget=200))
+
+
+def crash_at_rename(k, after, source, out):
+    """The exit status of a forked child that runs ``sweep_run`` and dies
+    just before, or just after, its k-th rename."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            renames = itertools.count(1)
+            replace = os.replace
+
+            def replace_or_die(src, dst):
+                nth = next(renames)
+                if nth == k and not after:
+                    os._exit(137)
+                replace(src, dst)
+                if nth == k:
+                    os._exit(137)
+
+            os.replace = replace_or_die
+            sweep_run(source, out)
+            status = 0
+        finally:
+            os._exit(status)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+@pytest.mark.parametrize("source", ["file", "spec"])
+def test_a_crash_at_every_rename_resumes_to_the_same_bytes(
+    tmp_path, monkeypatch, source
+):
+    # Every file of a run appears by a rename, so dying before or after
+    # each one covers every crash state the pipeline can leave.  Only the
+    # start and end progress writes happen, so every run renames alike.
+    monkeypatch.setattr(pipeline, "PROGRESS_INTERVAL_S", 1e9)
+    src = sweep_file(tmp_path) if source == "file" else spec_file(tmp_path)
+    out, clean = tmp_path / "run", tmp_path / "clean"
+    renames = 0
+    replace = os.replace
+
+    def counting(src, dst):
+        nonlocal renames
+        renames += 1
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", counting)
+    sweep_run(src, out)
+    monkeypatch.setattr(os, "replace", replace)
+    out.rename(clean)
+    expected = run_dir_files(clean)
+    # Each child reaches its rename, and no child reaches one more.
+    assert crash_at_rename(renames + 1, False, src, out) == 0
+    shutil.rmtree(out)
+
+    for k, after in itertools.product(range(1, renames + 1), (False, True)):
+        assert crash_at_rename(k, after, src, out) == 137, (k, after)
+        # Progress never runs ahead of the campaign it counts.
+        for path in (out / "results").glob("progress_*.json"):
+            slice_id = path.stem.split("_")[1]
+            assert (out / "campaigns" / f"campaign_{slice_id}.txt").exists()
+            progress = json.loads(path.read_text())
+            assert progress["j"] <= progress["n"]
+
+        sweep_run(src, out)
+        assert run_dir_files(out) == expected, (k, after)
+        assert (out / "config.json").read_bytes() == (clean / "config.json").read_bytes()
+        assert not [p for p in out.rglob("*") if p.name.startswith(TEMP_PREFIX)]
+        shutil.rmtree(out)
