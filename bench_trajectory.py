@@ -18,6 +18,12 @@ per run:
 * the run's ``correct`` and ``failed`` gate results, ``git_sha``,
   ``python``, ``cpu_count`` and ``loadavg_at_start``.
 
+perfbench's ``git_sha`` is ``HEAD`` whatever the working tree holds, so
+the file also records, once at the start, ``git_sha`` (``HEAD``) and
+``tree_clean``: whether ``git status --porcelain --untracked-files=no``
+was empty, that is, whether the runs measured ``HEAD`` itself.  Both are
+null outside a git checkout.
+
 Only the standard library is used.  The exit status is 1 if any run is
 not correct or perfbench fails, else 0.
 """
@@ -35,6 +41,16 @@ ROOT = os.path.dirname(os.path.abspath(__file__))
 SEEDS = (1, 7919)
 # The order in which perfbench's sample ``quality`` holds these metrics.
 QUALITY = ("length_q", "speedup", "mem_eff")
+
+
+def _git(*args: str) -> str | None:
+    """The output of a git command at the repository root, or None."""
+    try:
+        done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                              text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return done.stdout
 
 
 def _spread(values: list[float]) -> dict:
@@ -94,6 +110,12 @@ def main(argv: list[str] | None = None) -> int:
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
+    head = _git("rev-parse", "HEAD")
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    checkout = {
+        "git_sha": None if head is None else head.strip(),
+        "tree_clean": None if status is None else status == "",
+    }
     runs, ok = [], True
     for workload in (w["name"] for w in benchmark["workloads"]):
         for seed in SEEDS:
@@ -119,8 +141,8 @@ def main(argv: list[str] | None = None) -> int:
 
     out = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(out, "w", encoding="utf-8") as fh:
-        json.dump({"pr": args.pr, "seconds": args.seconds, "runs": runs}, fh,
-                  indent=1, sort_keys=True)
+        json.dump({"pr": args.pr, "seconds": args.seconds, **checkout, "runs": runs},
+                  fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"bench_trajectory: wrote {out}; every run correct: {ok}", file=sys.stderr)
     return 0 if ok else 1

@@ -49,12 +49,13 @@ _EXPORTS = {
     "slicing": ("external_sort", "order_slice", "slice_ranges"),
     "traces": (
         "Alphabet",
+        "DuplicateTraceError",
         "InputTrace",
         "TraceCorpus",
         "TraceFormatError",
         "read_trace_file",
     ),
-    "tree": ("BranchTree", "TreeInvariantError", "build_tree"),
+    "tree": ("BranchTree", "build_tree"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

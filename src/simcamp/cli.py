@@ -111,15 +111,13 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     corpus = read_trace_file(args.slice)
-    ordered, tree, sigma = plan_slice(corpus, args.order, args.seed, args.sigma)
-    campaign = optimize_slice(
-        ordered, tree, sigma, corpus.quantum, slice_id=args.slice_id
-    )
+    tree, sigma = plan_slice(corpus, args.order, args.seed, args.sigma)
+    campaign = optimize_slice(tree, sigma, corpus.quantum, slice_id=args.slice_id)
     write_campaign_file(campaign, args.out)
     _print_json(
         {
             "out": args.out,
-            "traces": len(ordered),
+            "traces": len(tree.traces),
             "capacity": tree.capacity,
             "shared_prefixes": tree.shared_prefix_count,
             "sigma": sigma,

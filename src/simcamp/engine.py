@@ -149,11 +149,14 @@ class Simulator:
 @dataclass(slots=True)
 class ExecutionResult:
     observations: list[Observation]
-    executable: bool
     failing_index: int | None
     error: str | None
     length_quanta: int
     peak_memory: int
+
+    @property
+    def executable(self) -> bool:
+        return self.failing_index is None
 
 
 def _fold(
@@ -170,8 +173,8 @@ def _fold(
         if progress is not None and line == "OUT":
             progress(sim.observations[-1])
     return ExecutionResult(
-        sim.observations, failing_index is None, failing_index, sim.error,
-        sim.length_quanta, sim.peak_memory,
+        sim.observations, failing_index, sim.error, sim.length_quanta,
+        sim.peak_memory,
     )
 
 

@@ -1,24 +1,23 @@
 """Memory-bounded campaign generation.
 
-Given a slice in its verification order and the shared-prefix tree built
-from that slice's own traces (a tree built from other traces raises
-``TreeInvariantError``), emit the Load/Store/Free/Run/Out command sequence
-that replays every trace while holding at most ``capacity`` simulator
-states at once.  Each trace resumes from its deepest stored prefix; runs
-break at prefixes worth checkpointing; a checkpoint is freed after its
-last use, the last trace in the verification order whose chain holds it,
-or, when memory is full, the one whose
-effective next use lies furthest ahead in the fixed verification order is
-evicted.  A checkpoint's effective next use is the next trace that would
-load it: a trace whose chain holds it and no stored checkpoint below it.
-This is Belady's rule with a use counted only where the checkpoint would
-be the load point.  Belady's optimality argument does not carry over as
-stated, because a miss here costs more or less depending on which
-ancestors are stored.
+Given the shared-prefix tree of a slice, built from the slice in its
+verification order, emit the Load/Store/Free/Run/Out command sequence
+that replays every trace in that order while holding at most
+``capacity`` simulator states at once.  Each trace resumes from its
+deepest stored prefix; runs break at prefixes worth checkpointing; a
+checkpoint is freed after its last use, the last trace in the
+verification order whose chain holds it, or, when memory is full, the
+one whose effective next use lies furthest ahead in the verification
+order is evicted.  A checkpoint's effective next use is the next trace
+that would load it: a trace whose chain holds it and no stored
+checkpoint below it.  This is Belady's rule with a use counted only
+where the checkpoint would be the load point.  Belady's optimality
+argument does not carry over as stated, because a miss here costs more
+or less depending on which ancestors are stored.
 
 ``CheckpointIndex`` is the one record of which nodes hold a checkpoint,
-the reserved root included; the tree only knows prefix depths and
-chains, and the scan derives each node's last use from the ordered
+the reserved root included; the tree only knows the order, prefix
+depths and chains, and the scan derives each node's last use from the
 chains.  The storage rule lives in one place, the run scan of
 ``optimize_slice``: its work per trace is per checkpoint candidate and
 per run, not per symbol.  Storage is decided once for each tree node on
@@ -44,13 +43,12 @@ from typing import Iterator, Sequence
 
 from .traces import (
     Alphabet,
-    InputTrace,
     TraceFormatError,
     atomic_text_file,
     check_quantum,
     format_number,
 )
-from .tree import ROOT_ID, BranchTree, TreeInvariantError
+from .tree import ROOT_ID, BranchTree
 
 
 @dataclass(slots=True)
@@ -169,32 +167,19 @@ def _next_use_table(chains: Sequence[tuple[int, ...]], size: int) -> list[list[i
 
 
 def optimize_slice(
-    ordered: Sequence[InputTrace],
-    tree: BranchTree,
-    capacity: int | None,
-    quantum: float,
-    slice_id: int = 0,
+    tree: BranchTree, capacity: int | None, quantum: float, slice_id: int = 0
 ) -> Campaign:
-    """Emit the campaign replaying ``ordered`` under the given state budget.
+    """Emit the campaign replaying ``tree.traces``, in that order, under the
+    given state budget.
 
-    ``ordered`` is a permutation of the traces ``tree`` was built from;
-    anything else raises ``TreeInvariantError``.  The scan only reads
-    ``tree``: each trace's chain comes as node ids from ``tree.chains``
-    and node depths from ``tree.depth``, so one built tree can feed any
-    number of calls.  ``capacity=None`` means unlimited storage (the
-    resulting peak is the least capacity that loses nothing).
+    The scan only reads ``tree``: the traces, each trace's chain of node
+    ids and the node depths, so one built tree can feed any number of
+    calls.  ``capacity=None`` means unlimited storage (the resulting peak
+    is the least capacity that loses nothing).
     """
+    ordered, chains, depth = tree.traces, tree.chains, tree.depth
     if not ordered:
         raise ValueError("cannot optimize an empty slice")
-    try:
-        chains = [tree.chains[trace.symbols] for trace in ordered]
-    except KeyError:
-        chains = None
-    if chains is None or len(chains) != len(tree.chains):
-        raise TreeInvariantError(
-            "slice does not match its tree: the tree was built from other traces"
-        )
-    depth = tree.depth
     n = len(ordered)
     # Each node's last use: the position of the last chain that holds it
     # (a walk back from the last chain stops at a node a later chain holds,

@@ -26,8 +26,9 @@ The stages, in order:
 3. ``write_reports``: ``report.csv`` and ``progress.csv`` from
    ``analyze_runs``, priced by ``metrics`` under a cost model and f grid.
 
-``plan_slice`` turns a slice's traces into their order, tree and state
-budget, for the pipeline's slice task and for ``simcamp optimize`` alike.
+``plan_slice`` turns a slice's traces into their tree, built from the
+slice's verification order, and a state budget, for the pipeline's slice
+task and for ``simcamp optimize`` alike.
 
 Every file is written to a temporary name and moved into place, so none
 is ever seen partly written.  ``config.json`` is written before anything
@@ -78,7 +79,6 @@ from .slicing import external_sort, order_slice, slice_ranges
 from .traces import (
     TEMP_PREFIX,
     Alphabet,
-    InputTrace,
     TraceCorpus,
     atomic_text_file,
     check_quantum,
@@ -151,6 +151,26 @@ def write_json_atomic(obj: object, path: str) -> None:
         fh.write("\n")
 
 
+def _read_json_object(
+    path: str, stage: str, keys: Sequence[str], text: str | None = None
+) -> dict:
+    """The JSON object in run-directory file ``path`` (or in ``text``, one
+    of its lines), holding each of ``keys``.  Anything else, such as a file
+    simcamp did not write, is a PipelineStageError naming stage and path."""
+    try:
+        if text is None:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise PipelineStageError(f"{stage} stage: {path}: not JSON: {exc}") from None
+    if not isinstance(obj, dict) or not obj.keys() >= set(keys):
+        raise PipelineStageError(
+            f"{stage} stage: {path}: not a JSON object with keys {', '.join(keys)}"
+        )
+    return obj
+
+
 # RunConfig fields that change no output: where the source and outputs
 # live (the source's content is hashed instead), the worker count, and the
 # external sort's memory budget.
@@ -181,8 +201,7 @@ def _claim_out_dir(config: RunConfig, fingerprint: dict) -> None:
     if not os.path.exists(path):
         write_json_atomic({"fingerprint": fingerprint, **asdict(config)}, path)
         return
-    with open(path, "r", encoding="utf-8") as fh:
-        previous = json.load(fh).get("fingerprint", {})
+    previous = _read_json_object(path, "resume", ("fingerprint",))["fingerprint"]
     for key, value in fingerprint.items():
         if previous.get(key) != value:
             raise PipelineStageError(
@@ -293,13 +312,11 @@ def slice_corpus(task: _SliceTask) -> TraceCorpus:
 
 def plan_slice(
     corpus: TraceCorpus, order_mode: str, order_seed: int, sigma: str
-) -> tuple[list[InputTrace], BranchTree, int | None]:
-    """A slice's verification order, tree (built once, from the slice's
-    traces in any order) and ``sigma`` resolved against the tree's
-    capacity."""
-    ordered = order_slice(corpus.traces, order_mode, order_seed)
-    tree = build_tree(corpus.traces)
-    return ordered, tree, resolve_sigma(sigma, tree.capacity)
+) -> tuple[BranchTree, int | None]:
+    """A slice's tree, built once from the slice in its verification order,
+    and ``sigma`` resolved against the tree's capacity."""
+    tree = build_tree(order_slice(corpus.traces, order_mode, order_seed))
+    return tree, resolve_sigma(sigma, tree.capacity)
 
 
 def _campaign_summary(campaign) -> dict:
@@ -310,11 +327,12 @@ def _campaign_summary(campaign) -> dict:
     }
 
 
-def _baseline_summary(ordered: Sequence[InputTrace], tree: BranchTree) -> dict:
+def _baseline_summary(tree: BranchTree) -> dict:
     """``_campaign_summary`` of the sigma=1 campaign, counted instead of
     planned: the root is stored once, every trace after the first loads
     it and replays all of its constant runs, and the root is freed after
     its last use only when it is a shared prefix."""
+    ordered = tree.traces
     n = len(ordered)
     counts = {
         "store": 1,
@@ -335,20 +353,17 @@ def _baseline_summary(ordered: Sequence[InputTrace], tree: BranchTree) -> dict:
 def _run_slice_task(task: _SliceTask) -> dict:
     paths = task.paths
     corpus = slice_corpus(task)
-    ordered, tree, resolved = plan_slice(
-        corpus, task.order_mode, task.order_seed, task.sigma
-    )
+    tree, resolved = plan_slice(corpus, task.order_mode, task.order_seed, task.sigma)
+    ordered = tree.traces
 
     # Optimizing at any budget of at least the unlimited peak never meets
     # a full checkpoint index, so it reproduces the unlimited campaign.
-    unlimited = optimize_slice(ordered, tree, None, corpus.quantum, task.slice_id)
+    unlimited = optimize_slice(tree, None, corpus.quantum, task.slice_id)
     unlimited_summary = _campaign_summary(unlimited)
     if resolved is None or resolved >= unlimited.peak_stored:
         requested, requested_summary = unlimited, unlimited_summary
     else:
-        requested = optimize_slice(
-            ordered, tree, resolved, corpus.quantum, task.slice_id
-        )
+        requested = optimize_slice(tree, resolved, corpus.quantum, task.slice_id)
         requested_summary = _campaign_summary(requested)
     write_campaign_file(requested, paths.campaign)
 
@@ -403,7 +418,7 @@ def _run_slice_task(task: _SliceTask) -> dict:
         "sigma_requested": task.sigma,
         "sigma_resolved": resolved,
         "requested": requested_summary,
-        "baseline": _baseline_summary(ordered, tree),
+        "baseline": _baseline_summary(tree),
         "unlimited": unlimited_summary,
         "execution": {
             "executable": result.executable,
@@ -494,10 +509,10 @@ def prepare_slices(config: RunConfig) -> list[_SliceTask]:
 def _has_result(task: _SliceTask) -> bool:
     """Whether the slice has a readable result covering its manifest size."""
     try:
-        with open(task.paths.result, "r", encoding="utf-8") as fh:
-            return json.load(fh).get("n") == task.size
-    except (OSError, ValueError):
+        result = _read_json_object(task.paths.result, "resume", ("n",))
+    except (OSError, PipelineStageError):
         return False
+    return result["n"] == task.size
 
 
 def run_pipeline(
@@ -542,16 +557,18 @@ def run_pipeline(
 
 
 def _load_run(run_dir: str) -> tuple[dict, list[dict]]:
-    config_path = os.path.join(run_dir, "config.json")
-    with open(config_path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+    config = _read_json_object(
+        os.path.join(run_dir, "config.json"), "analyze",
+        ("n_total", "seed", "sigma", "slices"),
+    )
     results = []
     for i in range(config["slices"]):
         path = _slice_paths(run_dir, i).result
         if not os.path.exists(path):
             raise PipelineStageError(f"analyze stage: missing result for slice {i}")
-        with open(path, "r", encoding="utf-8") as fh:
-            results.append(json.load(fh))
+        results.append(
+            _read_json_object(path, "analyze", ("baseline", "requested", "unlimited"))
+        )
     return config, results
 
 
@@ -564,8 +581,13 @@ def read_progress(run_dir: str) -> list[tuple[int, int, int]]:
     manifest_path = os.path.join(run_dir, "manifest.jsonl")
     if not os.path.exists(manifest_path):
         raise PipelineStageError(f"no manifest under {run_dir}")
+    sizes = {}
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        sizes = {entry["slice"]: entry["size"] for entry in map(json.loads, fh)}
+        for line in fh:
+            entry = _read_json_object(
+                manifest_path, "progress", ("slice", "size"), line
+            )
+            sizes[entry["slice"]] = entry["size"]
     if not sizes:
         raise PipelineStageError(f"empty manifest under {run_dir}")
     entries = []
@@ -573,8 +595,7 @@ def read_progress(run_dir: str) -> list[tuple[int, int, int]]:
         path = _slice_paths(run_dir, slice_id).progress
         done = 0
         if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+            data = _read_json_object(path, "progress", ("j", "n"))
             if data["n"] == size:
                 done = data["j"]
         entries.append((slice_id, done, size))
@@ -582,17 +603,11 @@ def read_progress(run_dir: str) -> list[tuple[int, int, int]]:
 
 
 def _progress_rows(run_dir: str) -> list[dict]:
-    rows = []
-    for slice_id, done, size in read_progress(run_dir):
-        rows.append(
-            {
-                "slice": slice_id,
-                "j": done,
-                "n": size,
-                "op_bound": omission_probability([(done, size)]),
-            }
-        )
-    return rows
+    return [
+        {"slice": slice_id, "j": done, "n": size,
+         "op_bound": omission_probability([(done, size)])}
+        for slice_id, done, size in read_progress(run_dir)
+    ]
 
 
 def analyze_runs(

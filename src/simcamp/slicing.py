@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Sequence
 from .traces import (
     TEMP_PREFIX,
     Alphabet,
+    DuplicateTraceError,
     InputTrace,
     _body_lines,
     atomic_text_file,
@@ -33,10 +34,6 @@ from .traces import (
 )
 
 ORDER_MODES = ("lex", "random", "given")
-
-
-class DuplicateTraceError(ValueError):
-    """The corpus contains duplicate traces and deduplication is off."""
 
 
 def slice_ranges(n: int, slices: int) -> list[tuple[int, int]]:

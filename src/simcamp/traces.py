@@ -38,6 +38,11 @@ class AlphabetMismatchError(ValueError):
     """Operands drawn from different alphabets."""
 
 
+class DuplicateTraceError(ValueError):
+    """A trace occurs twice where each must be distinct: in a corpus sorted
+    without deduplication, or in a slice."""
+
+
 @dataclass(frozen=True, slots=True)
 class Alphabet:
     """Finite ordered input domain: the order of ``tokens`` is the total order.

@@ -2,21 +2,21 @@
 
 The tree holds one node per *shared prefix* of a slice: a prefix that is
 the longest common prefix of at least one pair of distinct traces.  It is
-the slice's structure and nothing else: each node's ``depth`` (its prefix
-length), as a list indexed by node id, and each trace's ``chain``: the
-root-first ids of the materialized prefixes of the trace.  Nothing changes
-the record once ``build_tree`` returns, and it holds no planner state:
-which nodes hold a checkpoint, and when a checkpoint is used for the last
-time, the optimizer derives for itself.
+the slice in its verification order, with the slice's structure and
+nothing else: each node's ``depth`` (its prefix length), as a list indexed
+by node id, and each trace's ``chain``: the root-first ids of the
+materialized prefixes of the trace, in the order's positions.  Nothing
+changes the record once ``build_tree`` returns, and it holds no planner
+state: which nodes hold a checkpoint, and when a checkpoint is used for
+the last time, the optimizer derives for itself.
 
 ``build_tree`` is the one-stack-pass construction of the LCP-interval
 tree over sorted strings (Abouelhoda, Kurtz & Ohlebusch, J. Discrete
 Algorithms 2004).  A trace's deepest materialized prefix is the deeper of
 the two longest common prefixes it shares with its neighbours in sorted
 order, and the pass meets both, so every chain comes from that one
-record.  A campaign is planned on its slice's own tree: the optimizer
-takes every chain from this record and rejects a slice whose traces are
-not the ones the tree was built from.
+record.  The pass visits the order sorted, so node ids depend only on
+the slice's traces, not on their order.
 
 The empty prefix is always materialized as reserved id 0, because the
 executor pre-stores the simulator's initial state under it.  It is a
@@ -29,14 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .traces import InputTrace
+from .traces import DuplicateTraceError, InputTrace
 
 ROOT_ID = 0
-
-
-class TreeInvariantError(ValueError):
-    """Structural invariant violated: a duplicated trace, or a slice
-    planned on a tree built from other traces."""
 
 
 def _lcp_len(a: bytes, b: bytes) -> int:
@@ -49,7 +44,8 @@ def _lcp_len(a: bytes, b: bytes) -> int:
 
 @dataclass(frozen=True, slots=True)
 class BranchTree:
-    """Shared-prefix tree for one slice, fixed once built.
+    """Shared-prefix tree for one slice in its verification order, fixed
+    once built.
 
     Node ids run densely from 0 (the root) to ``capacity`` - 1.
     ``capacity`` is the number of materialized checkpoint slots (shared
@@ -58,10 +54,12 @@ class BranchTree:
     always enough to never discard a reusable checkpoint.
     """
 
+    # The slice in its verification order.
+    traces: tuple[InputTrace, ...]
     depth: list[int]
-    # Root-first node ids of each built trace's chain, keyed by its
-    # symbols; traces that end at the same node share one tuple.
-    chains: dict[bytes, tuple[int, ...]]
+    # Root-first node ids of each trace's chain: ``chains[j]`` is
+    # ``traces[j]``'s.  Traces that end at the same node share one tuple.
+    chains: list[tuple[int, ...]]
     root_shared: bool
 
     @property
@@ -74,7 +72,8 @@ class BranchTree:
 
 
 def build_tree(traces: Sequence[InputTrace]) -> BranchTree:
-    """The tree of ``traces``, in any order, from one pass over them sorted.
+    """The tree of the slice ``traces``, in its verification order, from
+    one pass over the traces sorted.
 
     For each trace after the first, the longest common prefix with the
     previous trace either is a node on the stack of the previous trace's
@@ -84,51 +83,46 @@ def build_tree(traces: Sequence[InputTrace]) -> BranchTree:
     shape is final, nodes taken by depth give every node's root-first path,
     and each trace's chain is its deepest node's path.
 
-    Raises TreeInvariantError on a duplicated trace.
+    Raises DuplicateTraceError on a duplicated trace.
     """
-    ordered = sorted(traces, key=lambda trace: trace.symbols)
+    keys = [trace.symbols for trace in traces]
+    by_symbols = sorted(range(len(keys)), key=keys.__getitem__)
     depth = [0]
     parent = [ROOT_ID]  # the build's own record; the root's entry is unused
     root_shared = False
     spine = [ROOT_ID]
-    deepest: list[int] = []
-    last: bytes | None = None
-    for trace in ordered:
-        cur = trace.symbols
-        if last is None:
-            deepest.append(ROOT_ID)
+    # Each trace's deepest node, by position in the order.
+    deepest = [ROOT_ID] * len(keys)
+    for prev, j in zip(by_symbols, by_symbols[1:]):
+        cur, last = keys[j], keys[prev]
+        if cur == last:
+            raise DuplicateTraceError(
+                f"duplicate trace {traces[j].alphabet.format_line(cur)}"
+            )
+        d = _lcp_len(cur, last)
+        popped = None
+        while depth[spine[-1]] > d:
+            popped = spine.pop()
+        node = spine[-1]
+        if depth[node] == d:
+            # Only the reserved root can be materialized but not shared.
+            if node == ROOT_ID:
+                root_shared = True
         else:
-            if cur == last:
-                raise TreeInvariantError(
-                    f"duplicate trace {trace.alphabet.format_line(cur)}"
-                )
-            d = _lcp_len(cur, last)
-            popped = None
-            while depth[spine[-1]] > d:
-                popped = spine.pop()
-            node = spine[-1]
-            if depth[node] == d:
-                # Only the reserved root can be materialized but not shared.
-                if node == ROOT_ID:
-                    root_shared = True
-            else:
-                parent.append(node)
-                node = len(depth)
-                depth.append(d)
-                if popped is not None:
-                    parent[popped] = node
-                spine.append(node)
-            if d > depth[deepest[-1]]:
-                deepest[-1] = node
-            deepest.append(node)
-        last = cur
+            parent.append(node)
+            node = len(depth)
+            depth.append(d)
+            if popped is not None:
+                parent[popped] = node
+            spine.append(node)
+        if d > depth[deepest[prev]]:
+            deepest[prev] = node
+        deepest[j] = node
 
     # Every node but the root, parents before children.
     by_depth = sorted(range(1, len(depth)), key=depth.__getitem__)
     paths: list[tuple[int, ...]] = [(ROOT_ID,)] * len(depth)
     for node in by_depth:
         paths[node] = paths[parent[node]] + (node,)
-    chains = {
-        trace.symbols: paths[node] for trace, node in zip(ordered, deepest)
-    }
-    return BranchTree(depth, chains, root_shared)
+    chains = [paths[node] for node in deepest]
+    return BranchTree(tuple(traces), depth, chains, root_shared)

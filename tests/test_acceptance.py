@@ -111,7 +111,7 @@ def corpus() -> tuple[list[Case], float]:
         raw.append((alphabet, traces, rng.choice(QUANTA)))
 
     start = time.perf_counter()
-    trees = [build_tree(sorted(tr, key=lambda t: t.symbols)) for _, tr, _ in raw]
+    trees = [build_tree(tr) for _, tr, _ in raw]
     build_seconds = time.perf_counter() - start
     cases = [
         Case(a, tr, q, tree, edge_count(tr), sum(t.horizon for t in tr))
@@ -126,8 +126,7 @@ def full_campaigns(corpus) -> tuple[list[Campaign], float]:
     cases, _ = corpus
     start = time.perf_counter()
     campaigns = [
-        optimize_slice(c.ordered, c.tree, c.tree.capacity, c.quantum)
-        for c in cases
+        optimize_slice(c.tree, c.tree.capacity, c.quantum) for c in cases
     ]
     return campaigns, time.perf_counter() - start
 
@@ -168,9 +167,7 @@ def test_criterion_3_memory_budget_is_respected(corpus):
         grid = sorted({1, 2, *budgets.values(), cap})
         lengths: dict[int, int] = {}
         for sigma in grid:
-            campaign = optimize_slice(
-                case.ordered, case.tree, sigma, case.quantum
-            )
+            campaign = optimize_slice(case.tree, sigma, case.quantum)
             result = execute(campaign, reference_model(case.alphabet, seed=i))
             assert result.executable, result.error
             assert result.peak_memory <= sigma
@@ -193,7 +190,7 @@ def test_criterion_4_tree_matches_pairwise_prefix_oracle():
         k = rng.randint(2, 4)
         h = rng.randint(3, 16)
         _, traces = random_traces(rng, size, alphabet_size=k, max_horizon=h)
-        tree = build_tree(sorted(traces, key=lambda t: t.symbols))
+        tree = build_tree(traces)
         # Same node set and the same per-node trace counts.
         assert shared_prefix_map(tree) == shared_prefix_counts(traces)
     assert time.perf_counter() - start < 30.0
@@ -204,7 +201,7 @@ def test_criterion_5_complete_binary_corpus_speedup():
     traces = [InputTrace(alphabet, s) for s in itertools.product((0, 1), repeat=16)]
     start = time.perf_counter()
     tree = build_tree(traces)
-    campaign = optimize_slice(traces, tree, tree.capacity, 1.0)
+    campaign = optimize_slice(tree, tree.capacity, 1.0)
     result = execute(campaign, reference_model(alphabet, seed=5))
     elapsed = time.perf_counter() - start
 
@@ -224,17 +221,18 @@ def test_criterion_6_efficiency_survives_halved_memory(corpus):
     seeds = range(5)
     pcts = (0.10, 0.25, 0.50, 0.75, 1.00)
 
-    # Pass 1: per (slice, seed) random order, the unlimited-storage run gives
-    # the shortest length and its peak; the largest peak over the corpus is
-    # the least per-simulator budget under which every slice stays shortest.
-    orders: dict[tuple[int, int], list[InputTrace]] = {}
+    # Pass 1: per (slice, seed) random order, and its tree, the
+    # unlimited-storage run gives the shortest length and its peak; the
+    # largest peak over the corpus is the least per-simulator budget under
+    # which every slice stays shortest.
+    trees: dict[tuple[int, int], BranchTree] = {}
     peaks: dict[tuple[int, int], int] = {}
     for si, case in enumerate(cases):
         for seed in seeds:
             order = list(case.ordered)
             random.Random(seed * 7919 + si).shuffle(order)
-            orders[si, seed] = order
-            unlimited = optimize_slice(order, case.tree, None, case.quantum)
+            trees[si, seed] = tree = build_tree(order)
+            unlimited = optimize_slice(tree, None, case.quantum)
             assert unlimited.length_quanta == case.optimal_quanta
             assert unlimited.peak_stored <= case.tree.capacity
             peaks[si, seed] = unlimited.peak_stored
@@ -258,7 +256,7 @@ def test_criterion_6_efficiency_survives_halved_memory(corpus):
                 else:
                     if sigma not in cache:
                         cache[sigma] = optimize_slice(
-                            orders[si, seed], case.tree, sigma, case.quantum
+                            trees[si, seed], sigma, case.quantum
                         ).length_quanta
                     eff = case.optimal_quanta / cache[sigma]
                 sums[p] += eff
@@ -290,10 +288,10 @@ def test_small_slice_campaigns_are_never_shorter_than_the_optimum():
             max_horizon=rng.randint(1, 8),
         )
         ordered = order_slice(traces, "random", seed=rng.randrange(1 << 20))
-        tree = build_tree(sorted(traces, key=lambda t: t.symbols))
-        peak = optimize_slice(ordered, tree, None, 1.0).peak_stored
+        tree = build_tree(ordered)
+        peak = optimize_slice(tree, None, 1.0).peak_stored
         for sigma in range(1, tree.capacity + 1):
-            length = optimize_slice(ordered, tree, sigma, 1.0).length_quanta
+            length = optimize_slice(tree, sigma, 1.0).length_quanta
             best = optimal_campaign_length(ordered, sigma)
             assert length >= best
             if sigma >= peak:
@@ -334,7 +332,7 @@ def test_criterion_7_speedup_decays_with_checkpoint_cost(corpus, full_campaigns)
     chain_alphabet = Alphabet.of("a")
     chain = [InputTrace(chain_alphabet, (0,) * n) for n in range(1, 15)]
     chain_tree = build_tree(chain)
-    chain_opt = optimize_slice(chain, chain_tree, chain_tree.capacity, 1.0)
+    chain_opt = optimize_slice(chain_tree, chain_tree.capacity, 1.0)
     chain_naive = naive_campaign(chain, 1.0)
     assert chain_opt.length_quanta == 14
     assert chain_naive.length_quanta == 105

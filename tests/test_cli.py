@@ -125,6 +125,56 @@ def test_pipeline_analyze_progress(tmp_path, capsys):
     assert json.loads(out.out)["rows"] == 6
 
 
+# A run-directory file simcamp did not write, and the command that then
+# reads it.  Each fails its stage by name with exit 2, never with a
+# traceback, except a result file that is not a result: the rerun
+# recomputes it.
+FOREIGN_RUN_FILES = {
+    "config_not_an_object": ("config.json", "[]\n", "pipeline", "resume"),
+    "config_not_json": ("config.json", '{"fingerprint":\n', "pipeline", "resume"),
+    "result_not_an_object": ("results/result_0.json", "[1]\n", "pipeline", None),
+    "result_not_an_object_analyzed": (
+        "results/result_0.json", "[1]\n", "analyze", "analyze"
+    ),
+    "result_without_summaries": (
+        "results/result_0.json", '{"n": 3}\n', "analyze", "analyze"
+    ),
+    "manifest_line_not_json": ("manifest.jsonl", None, "progress", "progress"),
+    "progress_without_counts": (
+        "results/progress_0.json", '{"slice": 0}\n', "progress", "progress"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREIGN_RUN_FILES))
+def test_a_foreign_run_file_fails_its_stage_by_name(tmp_path, capsys, case):
+    name, text, command, stage = FOREIGN_RUN_FILES[case]
+    src = tmp_path / "corpus.txt"
+    write_trace_file(TraceCorpus(ABCD, 1.0, ts("aa", "ab", "b")), str(src))
+    out_dir = str(tmp_path / "run")
+    pipeline = ("pipeline", "--in", str(src), "--out-dir", out_dir)
+    assert run_cli(capsys, *pipeline)[0] == 0
+    path = os.path.join(out_dir, name)
+    with open(path) as fh:
+        written = fh.read()
+    with open(path, "w") as fh:
+        fh.write(written + "garbage\n" if text is None else text)
+    argv = {
+        "pipeline": pipeline,
+        "analyze": ("analyze", out_dir),
+        "progress": ("progress", "--dir", out_dir),
+    }[command]
+    code, out = run_cli(capsys, *argv)
+    assert "Traceback" not in out.err
+    if stage is None:
+        assert code == 0
+        with open(path) as fh:
+            assert fh.read() == written
+    else:
+        assert code == 2
+        assert out.err.startswith(f"error: {stage} stage: {path}: ")
+
+
 @pytest.mark.parametrize(
     "grid, named",
     [("", "''"), ("0.5,-1", "0.5"), ("1,-1", "-1"), ("1,inf", "'1,inf'")],

@@ -81,8 +81,7 @@ def lying_driver(replies, then=""):
 
 def campaign_for(texts, sigma=None, quantum=1.0):
     traces = ts(*texts)
-    tree = build_tree(sorted(traces, key=lambda x: x.symbols))
-    return optimize_slice(traces, tree, sigma, quantum), traces
+    return optimize_slice(build_tree(traces), sigma, quantum), traces
 
 
 def test_reference_model_is_deterministic():

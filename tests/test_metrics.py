@@ -40,8 +40,9 @@ def test_speedup_and_efficiencies():
 def test_memory_efficiency_two_trace_example():
     # run-only costs: the sigma=1 replay of the pair costs 6 quanta vs 4
     ordered = ts("aab", "aac")
-    best = optimize_slice(ordered, build_tree(sorted(ordered, key=lambda t: t.symbols)), None, 1.0)
-    tight = optimize_slice(ordered, build_tree(sorted(ordered, key=lambda t: t.symbols)), 1, 1.0)
+    tree = build_tree(ordered)
+    best = optimize_slice(tree, None, 1.0)
+    tight = optimize_slice(tree, 1, 1.0)
     eff = memory_efficiency(best.length_quanta, tight.length_quanta)
     assert eff == pytest.approx(4 / 6)
 
@@ -65,9 +66,7 @@ def test_speedup_is_exact_with_fractions():
 
 def test_inflation_table():
     ordered = ts("aab", "aac")
-    optimized = _campaign_summary(
-        optimize_slice(ordered, build_tree(ordered), None, 1.0)
-    )
+    optimized = _campaign_summary(optimize_slice(build_tree(ordered), None, 1.0))
     config = {"n_total": 2, "slices": 1, "seed": 0, "sigma": "capacity"}
     result = {
         "requested": optimized,

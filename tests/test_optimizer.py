@@ -22,12 +22,8 @@ from simcamp.optimizer import (
 )
 from simcamp.slicing import order_slice
 from simcamp.traces import Alphabet, InputTrace, TraceFormatError
-from simcamp.tree import ROOT_ID, TreeInvariantError, build_tree
+from simcamp.tree import ROOT_ID, build_tree
 from util import ABCD, node_prefixes, random_traces, t, ts
-
-
-def tree_for(traces):
-    return build_tree(sorted(traces, key=lambda x: x.symbols))
 
 
 def reference_next_load(prefixes, ordered, stored, node_id, j):
@@ -76,7 +72,7 @@ def reference_chain(prefixes, symbols):
     )
 
 
-def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
+def reference_optimize_slice(tree, capacity, quantum, slice_id=0):
     """``optimize_slice`` with an earlier run scan, one step per symbol
     and one ``reference_decision`` call per boundary, and with every key
     found by ``reference_next_load`` at each decision and victims by a
@@ -86,6 +82,7 @@ def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
     Counter; a node whose count reaches zero joins ``dead``, and chain
     walks stop above a dead node other than the root.  The root is freed
     only by the last trace."""
+    ordered = tree.traces
     if not ordered:
         raise ValueError("cannot optimize an empty slice")
     prefixes = node_prefixes(tree)
@@ -168,7 +165,7 @@ def reference_optimize_slice(ordered, tree, capacity, quantum, slice_id=0):
 
 def test_two_trace_campaign_with_reuse():
     ordered = ts("aab", "aac")
-    campaign = optimize_slice(ordered, tree_for(ordered), 2, 0.5)
+    campaign = optimize_slice(build_tree(ordered), 2, 0.5)
     assert campaign.lines == [
         "STORE 0",
         "RUN a 2",
@@ -186,7 +183,7 @@ def test_two_trace_campaign_with_reuse():
 
 def test_two_trace_campaign_at_minimum_memory():
     ordered = ts("aab", "aac")
-    campaign = optimize_slice(ordered, tree_for(ordered), 1, 0.5)
+    campaign = optimize_slice(build_tree(ordered), 1, 0.5)
     assert campaign.lines == [
         "STORE 0",
         "RUN a 2",
@@ -203,7 +200,7 @@ def test_two_trace_campaign_at_minimum_memory():
 
 def test_full_trace_checkpoint_reused():
     ordered = ts("aaa", "aab")
-    campaign = optimize_slice(ordered, tree_for(ordered), None, 1.0)
+    campaign = optimize_slice(build_tree(ordered), None, 1.0)
     assert campaign.lines == [
         "STORE 0",
         "RUN a 2",
@@ -220,7 +217,7 @@ def test_full_trace_checkpoint_reused():
 
 def test_singleton_campaign():
     ordered = ts("aab")
-    campaign = optimize_slice(ordered, tree_for(ordered), 4, 1.0)
+    campaign = optimize_slice(build_tree(ordered), 4, 1.0)
     assert campaign.lines == [
         "STORE 0",
         "RUN a 2",
@@ -234,7 +231,7 @@ def test_trace_equal_to_stored_prefix():
     # depth.  The availability sweep counts trace "aa" as a use of its own
     # prefix, so "aab" is the checkpoint's last use and frees it once loaded.
     ordered = ts("aa", "aab")
-    campaign = optimize_slice(ordered, tree_for(ordered), None, 1.0)
+    campaign = optimize_slice(build_tree(ordered), None, 1.0)
     assert campaign.lines == [
         "STORE 0",
         "RUN a 2",
@@ -257,7 +254,7 @@ def test_next_use_evicts_the_checkpoint_used_furthest_ahead():
     # counts a trace as a use of its own prefix, trace "ab" would otherwise
     # free it, and "bb" would find a free slot.
     ordered = ts("aba", "ab", "bb", "aa", "bbba", "abb")
-    campaign = optimize_slice(ordered, tree_for(ordered), 3, 1.0)
+    campaign = optimize_slice(build_tree(ordered), 3, 1.0)
     assert campaign.lines == [
         "STORE 0",
         "RUN a 1",
@@ -297,11 +294,11 @@ def test_a_checkpoint_no_later_trace_would_load_is_evicted():
     # the optimum.  Keyed by every chain use, "a" stays and "abb" is not
     # stored: 5 quanta.
     ordered = ts("ab", "a", "abbb", "abb")
-    tree = tree_for(ordered)
+    tree = build_tree(ordered)
     assert [node_prefixes(tree)[i] for i in (1, 2, 3)] == [
         t(x).symbols for x in ("a", "ab", "abb")
     ]
-    campaign = optimize_slice(ordered, tree, 3, 1.0)
+    campaign = optimize_slice(tree, 3, 1.0)
     assert campaign.lines == [
         "STORE 0",
         "RUN a 1",
@@ -330,7 +327,7 @@ def test_checkpoint_equal_to_a_trace_is_freed_after_its_last_use():
     # "ab" is stored while replaying "aba" and last used by trace "ab",
     # which frees it, so the unlimited campaign holds at most 3 states.
     ordered = ts("aba", "ab", "bb", "aa", "bbba")
-    campaign = optimize_slice(ordered, tree_for(ordered), None, 1.0)
+    campaign = optimize_slice(build_tree(ordered), None, 1.0)
     assert campaign.peak_stored == 3
     assert campaign.length_quanta == 8
     assert campaign.lines[7:10] == ["LOAD 2", "FREE 2", "OUT"]
@@ -349,11 +346,11 @@ def test_budgets_that_cannot_bind_build_no_next_use_table(monkeypatch):
 
     monkeypatch.setattr(optimizer, "_next_use_table", spy)
     ordered = ts("aba", "ab", "bb", "aa", "bbba")
-    tree = tree_for(ordered)
+    tree = build_tree(ordered)
     for sigma in (None, 1, tree.capacity, tree.capacity + 1):
-        optimize_slice(ordered, tree, sigma, 1.0)
+        optimize_slice(tree, sigma, 1.0)
     assert calls == []
-    optimize_slice(ordered, tree, tree.capacity - 1, 1.0)
+    optimize_slice(tree, tree.capacity - 1, 1.0)
     assert calls == [len(ordered)]
 
 
@@ -368,48 +365,37 @@ def test_budgets_that_cannot_bind_rekey_nothing(monkeypatch):
 
     monkeypatch.setattr(CheckpointIndex, "rekey", spy)
     ordered = ts("aba", "ab", "bb", "aa", "bbba", "abab", "bbb")
-    tree = tree_for(ordered)
+    tree = build_tree(ordered)
     for sigma in (None, tree.capacity):
-        optimize_slice(ordered, tree, sigma, 1.0)
+        optimize_slice(tree, sigma, 1.0)
     assert calls == []
-    optimize_slice(ordered, tree, tree.capacity - 1, 1.0)
+    optimize_slice(tree, tree.capacity - 1, 1.0)
     assert calls
 
 
 def test_rejects_empty_slice():
     with pytest.raises(ValueError):
-        optimize_slice([], build_tree([]), 1, 1.0)
+        optimize_slice(build_tree([]), 1, 1.0)
 
 
 def tree_snapshot(tree):
     return (
+        tree.traces,
         list(tree.depth),
-        dict(tree.chains),
+        list(tree.chains),
         tree.root_shared,
     )
 
 
 def test_optimize_slice_leaves_its_tree_unchanged():
     ordered = ts("aab", "aac", "ab", "ba", "bb", "bba")
-    tree = tree_for(ordered)
+    tree = build_tree(ordered)
     before = tree_snapshot(tree)
     for sigma in (None, 1, 2, tree.capacity - 1):
-        first = optimize_slice(ordered, tree, sigma, 1.0)
+        first = optimize_slice(tree, sigma, 1.0)
         assert tree_snapshot(tree) == before
-        again = optimize_slice(ordered, tree, sigma, 1.0)
+        again = optimize_slice(tree, sigma, 1.0)
         assert again == first
-
-
-@pytest.mark.parametrize("members", [
-    ("aab", "aac", "ab", "bb"),  # "ba" is not in the tree
-    ("aab", "aac", "ab"),  # the tree of a subset
-    ("aab", "aac", "ab", "ba", "bb"),  # the tree of a superset
-])
-@pytest.mark.parametrize("sigma", [None, 1, 2])
-def test_a_slice_is_planned_only_on_its_own_tree(members, sigma):
-    ordered = ts("ab", "aac", "ba", "aab")
-    with pytest.raises(TreeInvariantError, match="slice does not match its tree"):
-        optimize_slice(ordered, tree_for(ts(*members)), sigma, 1.0)
 
 
 def test_checkpoint_index_eviction_order():
@@ -472,8 +458,8 @@ def test_random_corpora_reach_the_edge_bound():
     for _ in range(40):
         _, traces = random_traces(rng, rng.randint(2, 60), rng.randint(2, 4), 7)
         ordered = order_slice(traces, "random", seed=rng.randrange(1 << 20))
-        tree = tree_for(traces)
-        campaign = optimize_slice(ordered, tree, tree.capacity, 1.0)
+        tree = build_tree(ordered)
+        campaign = optimize_slice(tree, tree.capacity, 1.0)
         assert campaign.length_quanta == edge_count(traces)
         result = execute(campaign, reference_model(traces[0].alphabet, 1))
         assert result.executable
@@ -488,11 +474,11 @@ def test_memory_bound_holds_under_pressure():
     for _ in range(30):
         _, traces = random_traces(rng, rng.randint(2, 50), 2, 8)
         ordered = order_slice(traces, "random", seed=rng.randrange(1 << 20))
-        tree = tree_for(traces)
+        tree = build_tree(ordered)
         naive_len = naive_campaign(ordered, 1.0).length_quanta
         lengths = {}
         for sigma in (1, 2, max(1, tree.capacity // 2), tree.capacity):
-            campaign = optimize_slice(ordered, tree, sigma, 1.0)
+            campaign = optimize_slice(tree, sigma, 1.0)
             result = execute(campaign, reference_model(traces[0].alphabet, 0))
             assert result.executable
             assert result.peak_memory <= sigma
@@ -519,10 +505,10 @@ def test_budget_at_least_unlimited_peak_reproduces_unlimited(
     alphabet = Alphabet.of("a", "b", "c")
     traces = [InputTrace(alphabet, tuple(s)) for s in symbol_lists]
     ordered = order_slice(traces, "random", seed=order_seed)
-    tree = tree_for(traces)
-    unlimited = optimize_slice(ordered, tree, None, 1.0)
+    tree = build_tree(ordered)
+    unlimited = optimize_slice(tree, None, 1.0)
     sigma = unlimited.peak_stored + extra
-    bounded = optimize_slice(ordered, tree, sigma, 1.0)
+    bounded = optimize_slice(tree, sigma, 1.0)
     assert bounded == unlimited
 
 
@@ -549,14 +535,14 @@ def run_slices(draw):
 )
 def test_run_scan_matches_the_per_symbol_scan(traces, capacity, order_seed):
     ordered = order_slice(traces, "random", seed=order_seed)
-    tree = build_tree(traces)
+    tree = build_tree(ordered)
     if capacity == "half":
         capacity = max(1, tree.capacity // 2)
     elif capacity == "capacity-1":
         capacity = max(1, tree.capacity - 1)
 
-    campaign = optimize_slice(ordered, tree, capacity, 1.0)
-    reference = reference_optimize_slice(ordered, tree, capacity, 1.0)
+    campaign = optimize_slice(tree, capacity, 1.0)
+    reference = reference_optimize_slice(tree, capacity, 1.0)
     assert campaign == reference
 
 
@@ -568,14 +554,14 @@ def test_a_checkpoint_is_freed_in_the_sweep_of_its_last_use(traces, order_seed):
     # availability sweep's; any later one is an eviction, just before the
     # STORE it makes room for.
     ordered = order_slice(traces, "random", seed=order_seed)
-    tree = tree_for(traces)
+    tree = build_tree(ordered)
     prefixes = node_prefixes(tree)
     last = {}
     for j, trace in enumerate(ordered):
         for nid in reference_chain(prefixes, trace.symbols):
             last[nid] = j
     for capacity in (1, 2, tree.capacity, None):
-        lines = optimize_slice(ordered, tree, capacity, 1.0).lines
+        lines = optimize_slice(tree, capacity, 1.0).lines
         j, ran = 0, False
         for i, line in enumerate(lines):
             op, _, arg = line.partition(" ")
@@ -598,16 +584,16 @@ def test_every_checkpoint_but_an_unshared_root_is_freed(traces, order_seed):
     # prefix is a proper prefix of the traces using it or one of them.
     # Only the root outlives the campaign, when it is not a shared prefix.
     ordered = order_slice(traces, "random", seed=order_seed)
-    tree = tree_for(traces)
+    tree = build_tree(ordered)
     for capacity in (None, 1, 2, 3, tree.capacity):
-        counts = optimize_slice(ordered, tree, capacity, 1.0).counts
+        counts = optimize_slice(tree, capacity, 1.0).counts
         left = counts.get("store", 0) - counts.get("free", 0)
         assert left == (0 if tree.root_shared else 1)
 
 
 def test_campaign_file_round_trip(tmp_path):
     ordered = ts("aab", "aac")
-    campaign = optimize_slice(ordered, tree_for(ordered), 2, 0.5, slice_id=3)
+    campaign = optimize_slice(build_tree(ordered), 2, 0.5, slice_id=3)
     path = tmp_path / "campaign.txt"
     write_campaign_file(campaign, str(path))
     back = read_campaign_file(str(path), ABCD)
@@ -687,11 +673,9 @@ def test_the_recorded_summary_is_a_recount_of_the_lines(
     alphabet = Alphabet(tokens)
     traces = [InputTrace(alphabet, x.symbols) for x in traces]
     ordered = order_slice(traces, "random", seed=order_seed)
-    tree = build_tree(traces)
+    tree = build_tree(ordered)
     capacity = {"half": max(1, tree.capacity // 2), "capacity": tree.capacity}
-    campaign = optimize_slice(
-        ordered, tree, capacity.get(budget, budget), 0.5, slice_id=2
-    )
+    campaign = optimize_slice(tree, capacity.get(budget, budget), 0.5, slice_id=2)
     summary = (campaign.length_quanta, campaign.counts, campaign.peak_stored)
     assert summary == recount(campaign.lines)
     with tempfile.TemporaryDirectory() as tmp:

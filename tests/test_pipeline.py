@@ -939,10 +939,9 @@ def test_counted_baseline_equals_the_planned_sigma_1_campaign(
     symbol_lists, order_seed
 ):
     traces = [InputTrace(ABCD, s) for s in symbol_lists]
-    ordered = order_slice(traces, "random", seed=order_seed)
-    tree = build_tree(traces)
-    planned = optimizer.optimize_slice(ordered, tree, 1, 0.5)
-    assert _baseline_summary(ordered, tree) == _campaign_summary(planned)
+    tree = build_tree(order_slice(traces, "random", seed=order_seed))
+    planned = optimizer.optimize_slice(tree, 1, 0.5)
+    assert _baseline_summary(tree) == _campaign_summary(planned)
 
 
 @pytest.mark.parametrize(
@@ -959,9 +958,9 @@ def test_a_slice_task_plans_only_the_campaigns_it_writes(
     calls = []
     plan = pipeline.optimize_slice
 
-    def spy(ordered, tree, capacity, *args):
+    def spy(tree, capacity, *args):
         calls.append(capacity)
-        return plan(ordered, tree, capacity, *args)
+        return plan(tree, capacity, *args)
 
     monkeypatch.setattr(pipeline, "optimize_slice", spy)
     out = tmp_path / "run"
@@ -1110,9 +1109,9 @@ def test_a_256_token_alphabet_runs_like_an_in_memory_sort(tmp_path):
     for i, (start, stop) in enumerate(slice_ranges(len(in_memory), 3)):
         corpus = TraceCorpus(alphabet, 0.5, in_memory[start:stop])
         assert read_trace_file(str(out / "slices" / f"slice_{i}.txt")) == corpus
-        ordered, tree, sigma = plan_slice(corpus, "random", slice_seed(2, i), "4")
+        tree, sigma = plan_slice(corpus, "random", slice_seed(2, i), "4")
         campaign = tmp_path / f"campaign_{i}.txt"
-        write_campaign_file(optimize_slice(ordered, tree, sigma, 0.5, i), str(campaign))
+        write_campaign_file(optimize_slice(tree, sigma, 0.5, i), str(campaign))
         assert (out / "campaigns" / campaign.name).read_bytes() == campaign.read_bytes()
         with open(out / "results" / f"result_{i}.json") as fh:
             execution = json.load(fh)["execution"]

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simcamp.oracles import shared_prefix_counts, shared_prefixes
-from simcamp.traces import Alphabet, InputTrace
-from simcamp.tree import TreeInvariantError, build_tree
+from simcamp.traces import Alphabet, DuplicateTraceError, InputTrace
+from simcamp.tree import build_tree
 from util import (
     chain_counts,
     node_prefixes,
@@ -21,6 +21,11 @@ from util import (
 
 def sym(text: str) -> bytes:
     return t(text).symbols
+
+
+def chains_by_symbols(tree) -> dict[bytes, tuple[int, ...]]:
+    """{a trace's symbols: its chain} over the tree's traces."""
+    return dict(zip((x.symbols for x in tree.traces), tree.chains))
 
 
 def test_worked_examples():
@@ -55,11 +60,11 @@ def test_insertion_reparents_deeper_node():
     assert shared_prefix_map(tree) == {sym("a"): 3, sym("aa"): 2}
     # "aa" took id 1 when it was found, and "a", id 2, is its parent.
     assert tree.depth == [0, 2, 1]
-    assert tree.chains[sym("aab")] == (0, 2, 1)
+    assert chains_by_symbols(tree)[sym("aab")] == (0, 2, 1)
 
 
 def test_build_rejects_a_duplicate_trace():
-    with pytest.raises(TreeInvariantError, match="^duplicate trace a,b$"):
+    with pytest.raises(DuplicateTraceError, match="^duplicate trace a,b$"):
         build_tree(ts("ab", "aa", "ab"))
 
 
@@ -67,19 +72,21 @@ def test_chains_walk_materialized_prefixes():
     # The chain recorded for each trace holds its materialized prefixes,
     # root first: "a" and "aa" are shared, "aab" itself is not.
     tree = build_tree(ts("aab", "aac", "ab", "b"))
-    chain = tree.chains[sym("aab")]
+    chains = chains_by_symbols(tree)
+    chain = chains[sym("aab")]
     assert [tree.depth[i] for i in chain] == [0, 1, 2]
     prefixes = node_prefixes(tree)
     assert [prefixes[i] for i in chain] == [b"", sym("a"), sym("aa")]
-    assert [prefixes[i] for i in tree.chains[sym("ab")]] == [b"", sym("a")]
-    assert [prefixes[i] for i in tree.chains[sym("b")]] == [b""]
+    assert [prefixes[i] for i in chains[sym("ab")]] == [b"", sym("a")]
+    assert [prefixes[i] for i in chains[sym("b")]] == [b""]
 
 
 def assert_chains_recorded(tree, traces):
     """Node ids run densely from 0, and the chain the build recorded for
     each of its traces holds the ids of the nodes whose prefixes are
     prefixes of the trace, by depth."""
-    assert set(tree.chains) == {x.symbols for x in traces}
+    chains = chains_by_symbols(tree)
+    assert set(chains) == {x.symbols for x in traces}
     prefixes = node_prefixes(tree)
     assert sorted(prefixes) == list(range(tree.capacity))
     for x in traces:
@@ -87,7 +94,17 @@ def assert_chains_recorded(tree, traces):
             (nid for nid, p in prefixes.items() if x.symbols[:len(p)] == p),
             key=lambda nid: len(prefixes[nid]),
         )
-        assert tree.chains[x.symbols] == tuple(expected)
+        assert chains[x.symbols] == tuple(expected)
+
+
+def assert_same_structure(shuffled, tree):
+    """A tree built from another order of the same traces: the same nodes,
+    and each trace's chain, in the order it was built from."""
+    assert shuffled.depth == tree.depth
+    assert shuffled.root_shared == tree.root_shared
+    chains = chains_by_symbols(tree)
+    assert shuffled.chains == [chains[x.symbols] for x in shuffled.traces]
+    assert len(shuffled.traces) == len(tree.traces)
 
 
 def test_matches_pairwise_oracle_random():
@@ -112,7 +129,7 @@ def test_matches_pairwise_oracle_random():
         assert_chains_recorded(tree, traces)
         # The build sorts its input itself.
         rng.shuffle(traces)
-        assert build_tree(traces) == tree
+        assert_same_structure(build_tree(traces), tree)
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,7 +150,7 @@ def test_matches_pairwise_oracle_hypothesis(symbol_lists, rng):
     assert_chains_recorded(tree, traces)
     # The build sorts its input itself.
     rng.shuffle(traces)
-    assert build_tree(traces) == tree
+    assert_same_structure(build_tree(traces), tree)
 
 
 def test_nested_prefixes_longer_than_the_recursion_limit():
@@ -146,11 +163,20 @@ def test_nested_prefixes_longer_than_the_recursion_limit():
     tree = build_tree(traces[::-1])
     assert not tree.root_shared
     assert tree.capacity == horizon
-    chain = tree.chains[b"\x00" * horizon]
+    chains = chains_by_symbols(tree)
+    chain = chains[b"\x00" * horizon]
     assert [tree.depth[i] for i in chain] == list(range(horizon))
     # Every trace's chain holds the root; the node at depth d is held by
     # the chains of the traces at least d long.
     held = chain_counts(tree)
     assert [held[i] for i in chain] == [horizon] + list(range(horizon, 1, -1))
     # Every shorter trace is a node, the last on its own chain.
-    assert all(tree.chains[b"\x00" * h] == chain[:h + 1] for h in range(1, horizon))
+    assert all(chains[b"\x00" * h] == chain[:h + 1] for h in range(1, horizon))
+
+
+def test_the_tree_carries_its_order():
+    # The traces stay in the order given; chains[j] is traces[j]'s chain.
+    order = ts("b", "aab", "ab", "aac")
+    tree = build_tree(order)
+    assert tree.traces == tuple(order)
+    assert tree.chains == [(0,), (0, 2, 1), (0, 2), (0, 2, 1)]

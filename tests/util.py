@@ -60,16 +60,16 @@ def node_prefixes(tree) -> dict[int, bytes]:
     """Every node's prefix, by node id: a node at index i of a trace's
     chain holds the trace's first ``tree.depth[node]`` symbols."""
     prefixes = {}
-    for symbols, chain in tree.chains.items():
+    for trace, chain in zip(tree.traces, tree.chains):
         for node_id in chain:
-            prefix = symbols[:tree.depth[node_id]]
+            prefix = trace.symbols[:tree.depth[node_id]]
             assert prefixes.setdefault(node_id, prefix) == prefix
     return prefixes
 
 
 def chain_counts(tree) -> Counter:
     """{node id: the number of traces whose chain holds the node}."""
-    return Counter(node_id for chain in tree.chains.values() for node_id in chain)
+    return Counter(node_id for chain in tree.chains for node_id in chain)
 
 
 def shared_prefix_map(tree) -> dict[bytes, int]:
