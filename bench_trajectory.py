@@ -24,6 +24,10 @@ the file also records, once at the start, ``git_sha`` (``HEAD``) and
 was empty, that is, whether the runs measured ``HEAD`` itself.  Both are
 null outside a git checkout.
 
+The file records the code's size beside its speed as well: ``src_lines``
+holds the non-blank line count of each ``src/simcamp/*.py`` module, by
+file name, and their ``total``, counted once at the start.
+
 Only the standard library is used.  The exit status is 1 if any run is
 not correct or perfbench fails, else 0.
 """
@@ -51,6 +55,19 @@ def _git(*args: str) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return done.stdout
+
+
+def source_lines() -> dict[str, int]:
+    """The non-blank lines of each ``src/simcamp/*.py`` module, by file
+    name, and ``total``."""
+    package = os.path.join(ROOT, "src", "simcamp")
+    counts = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                counts[name] = sum(1 for line in fh if line.strip())
+    counts["total"] = sum(counts.values())
+    return counts
 
 
 def _spread(values: list[float]) -> dict:
@@ -116,6 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         "git_sha": None if head is None else head.strip(),
         "tree_clean": None if status is None else status == "",
     }
+    src_lines = source_lines()
     runs, ok = [], True
     for workload in (w["name"] for w in benchmark["workloads"]):
         for seed in SEEDS:
@@ -141,7 +159,8 @@ def main(argv: list[str] | None = None) -> int:
 
     out = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(out, "w", encoding="utf-8") as fh:
-        json.dump({"pr": args.pr, "seconds": args.seconds, **checkout, "runs": runs},
+        json.dump({"pr": args.pr, "seconds": args.seconds, **checkout,
+                   "src_lines": src_lines, "runs": runs},
                   fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"bench_trajectory: wrote {out}; every run correct: {ok}", file=sys.stderr)

@@ -6,14 +6,15 @@ end to end:
 
     python -m simcamp.echo_driver --seed 7 --alphabet a,b
 
-Header/comment lines receive no reply; every command line receives one of
-``OK``, ``OUT <token>``, or ``ERR <message>``.  A canonical line, as a
-campaign file holds it, is stepped as it is; any other line is first
-canonicalised by ``parse_command``, or answered with its error.  Replies
-are buffered and flushed before each read of input that may block, so a
-client that streams commands gets its replies in batches, and a client
-that waits for each reply before sending the next command still gets it.
-Observations are dropped once their batch is answered.
+It is the simulator answering stdin: every command line gets the
+simulator's own reply to it, ``OK``, ``OUT <token>`` or ``ERR <message>``.
+A canonical line, as a campaign file holds it, is answered as it is; any
+other line goes through ``parse_command`` first, which gives header and
+comment lines no reply, and a line it refuses gets ``ERR <error>``.
+Replies are buffered and flushed before each read of input that may
+block, so a client that streams commands gets its replies in batches, and
+a client that waits for each reply before sending the next command still
+gets it.
 """
 
 from __future__ import annotations
@@ -67,31 +68,23 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     # Replies to a batch go out before the next read, which may block
     # until the client has seen them.
-    one_line, misfit = canonical_patterns(alphabet)
-    replies: list[str] = []
+    misfit = canonical_patterns(alphabet)[1]
     for text in _input_batches(sys.stdin):
-        lines = text[:-1].split("\n")
         canonical = misfit.search("\n" + text) is None
-        for line in lines:
-            if not canonical and not one_line.fullmatch(line):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
+        replies: list[str] = []
+        for line in text[:-1].split("\n"):
+            if not canonical:
                 try:
                     line = parse_command(line, alphabet)
                 except TraceFormatError as exc:
-                    replies.append(f"ERR {exc}\n")
+                    replies.append(f"ERR {exc}")
                     continue
-            if not sim.step(line):
-                replies.append(f"ERR {sim.error}\n")
-            elif line == "OUT":
-                replies.append(f"OUT {sim.observations[-1].token}\n")
-            else:
-                replies.append("OK\n")
-        sys.stdout.write("".join(replies))
-        sys.stdout.flush()
-        replies.clear()
-        sim.observations.clear()
+                if line is None:
+                    continue
+            replies.append(sim.reply(line))
+        if replies:
+            sys.stdout.write("\n".join(replies) + "\n")
+            sys.stdout.flush()
     return 0
 
 

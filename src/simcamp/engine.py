@@ -3,13 +3,14 @@ driver protocol.
 
 A simulator holds a model state, the input history that produced it, and
 a bounded map of checkpointed (state, history) pairs keyed by node id.
-Executing a campaign folds its canonical lines over that machine, one
-line per step; Load of an absent id, Store of a present id, or Free of an
-absent id puts the machine into an absorbing error state.  There is one
-fold, ``_fold``, for both backends: ``execute`` folds over a simulator
-wrapping an in-process model, and ``run_external`` folds over a shadow
-simulator that checks each reply of an external driver, which reads the
-campaign file itself, against its own step.
+It answers each canonical line with the line's protocol reply: ``OK``,
+``OUT <token>`` or ``ERR <message>``.  Load of an absent id, Store of a
+present id, or Free of an absent id puts the machine into an absorbing
+error state.  There is one fold, ``_fold``, for both backends, and it
+alone makes observations: ``execute`` folds over a simulator wrapping an
+in-process model, and ``run_external`` folds over a shadow simulator
+whose replies are those of an external driver, which reads the campaign
+file itself, each checked against the shadow's own.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ class Observation(NamedTuple):
 
 
 class Simulator:
-    """The command-level state machine; errors are absorbing."""
+    """The command-level state machine, which answers each canonical line
+    with its protocol reply; errors are absorbing."""
 
     def __init__(self, model: SystemModel) -> None:
         self.model = model
@@ -101,18 +103,18 @@ class Simulator:
         self.error: str | None = None
         self.peak_memory = 0
         self.length_quanta = 0
-        self.observations: list[Observation] = []
         # Each distinct RUN line's symbol, length and history increment.
         self._runs: dict[str, tuple[int, int, bytes]] = {}
 
-    def _fail(self, message: str) -> bool:
+    def _fail(self, message: str) -> str:
         self.error = message
-        return False
+        return "ERR " + message
 
-    def step(self, line: str) -> bool:
-        """Apply one canonical line; False if the machine is (now) in error."""
+    def reply(self, line: str) -> str:
+        """Apply one canonical line; its reply is ``OK``, ``OUT <token>``
+        or, once the machine is in error, always the same ``ERR <message>``."""
         if self.error is not None:
-            return False
+            return "ERR " + self.error
         op = line[0]
         if op == "R":
             run = self._runs.get(line)
@@ -124,9 +126,7 @@ class Simulator:
             self.history += run[2]
             self.length_quanta += run[1]
         elif op == "O":
-            self.observations.append(
-                Observation(self.model.observe(self.state), self.history)
-            )
+            return "OUT " + self.model.observe(self.state)
         elif op not in "LSF":
             return self._fail(f"unknown command {line!r}")
         elif op == "S":
@@ -143,7 +143,7 @@ class Simulator:
             self.state, self.history = entry
         elif self.memory.pop(int(line[5:]), None) is None:
             return self._fail(f"free of absent id {line[5:]}")
-        return True
+        return "OK"
 
 
 @dataclass(slots=True)
@@ -164,17 +164,21 @@ def _fold(
     sim: Simulator,
     progress: Callable[[Observation], None] | None = None,
 ) -> ExecutionResult:
-    """Step ``sim`` over the campaign, stopping at the first erroring command."""
-    failing_index: int | None = None
+    """Answer the campaign's lines with ``sim`` up to the first ``ERR``;
+    each ``OUT`` reply and the history it saw make an observation."""
+    observations: list[Observation] = []
+    failing_index = error = None
     for i, line in enumerate(campaign.lines):
-        if not sim.step(line):
-            failing_index = i
-            break
-        if progress is not None and line == "OUT":
-            progress(sim.observations[-1])
+        reply = sim.reply(line)
+        if reply != "OK":
+            if reply.startswith("ERR "):
+                failing_index, error = i, reply[4:]
+                break
+            observations.append(Observation(reply[4:], sim.history))
+            if progress is not None:
+                progress(observations[-1])
     return ExecutionResult(
-        sim.observations, failing_index, sim.error, sim.length_quanta,
-        sim.peak_memory,
+        observations, failing_index, error, sim.length_quanta, sim.peak_memory
     )
 
 
@@ -228,20 +232,20 @@ class _DriverModel(SystemModel):
 
 
 class _DriverShadow(Simulator):
-    """A simulator that checks each driver reply against its own step.
+    """A simulator that checks each driver reply against its own.
 
-    Each step reads the next reply.  ``ERR``, alone or followed by a space
-    and a message, puts the shadow into its error state with the driver's
-    message.  Otherwise the reply must have the shape the command calls
-    for, and the shadow must accept the command too; on Out, the driver's
-    token replaces the shadow's.
+    Each reply reads the driver's next one.  ``ERR``, alone or followed by
+    a space and a message, puts the shadow into its error state with the
+    driver's message.  Otherwise the reply must have the shape the command
+    calls for, and the shadow must accept the command too; the driver's
+    reply is the shadow's, so an ``OUT`` carries the driver's token.
     """
 
     def __init__(self, replies: IO[str], alphabet: Alphabet) -> None:
         super().__init__(_DriverModel(alphabet))
         self._replies = replies
 
-    def step(self, line: str) -> bool:
+    def reply(self, line: str) -> str:
         reply = self._replies.readline()
         out = line == "OUT"
         # The common reply, a terminated OK to a command that is no Out,
@@ -257,11 +261,9 @@ class _DriverShadow(Simulator):
                     raise DriverProtocolError(f"expected OUT reply, got {reply!r}")
             elif reply != "OK":
                 raise DriverProtocolError(f"expected OK reply, got {reply!r}")
-        if not super().step(line):
+        if super().reply(line).startswith("ERR "):
             raise DriverProtocolError(f"driver accepted a {self.error}")
-        if out:
-            self.observations[-1] = Observation(reply[4:], self.history)
-        return True
+        return reply if out else "OK"
 
 
 def start_driver(argv: Sequence[str], campaign_path: str) -> subprocess.Popen:

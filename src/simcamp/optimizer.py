@@ -24,10 +24,10 @@ per run, not per symbol.  Storage is decided once for each tree node on
 the trace's chain below its load point, and the trace's constant runs
 (from ``itertools.groupby``) are cut only where a node is stored.
 
-A campaign is its canonical protocol lines, which the scan emits once;
-its summary is counted from those lines by ``Campaign.from_lines``, as
-for a campaign read from a file.  The file, the driver and the engine's
-fold use that text as it is.
+A campaign is its canonical protocol lines, which the scan emits once; a
+``Campaign`` counts its summary from them when it is made, as one read
+from a file does.  The file, the driver and the engine's fold use that
+text as it is; ``parse_command`` is the one rule for any other line.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import heapq
 import re
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, compress, groupby
 from typing import Iterator, Sequence
@@ -54,31 +54,27 @@ from .tree import ROOT_ID, BranchTree
 @dataclass(slots=True)
 class Campaign:
     """A campaign's canonical lines (``LOAD <id>``, ``STORE <id>``, ``FREE
-    <id>``, ``RUN <token> <k>``, ``OUT``; no newlines) and their summary:
-    the sum of the RUN lengths, the lines of each op that occurs and the
-    most ids stored at once."""
+    <id>``, ``RUN <token> <k>``, ``OUT``; no newlines) and their summary,
+    counted when it is made: the sum of the RUN lengths, the lines of each
+    op that occurs and the most ids stored at once."""
 
     lines: list[str]
     quantum: float
     alphabet: Alphabet
-    slice_id: int
-    length_quanta: int
-    counts: dict[str, int]
-    peak_stored: int
+    slice_id: int = 0
+    length_quanta: int = field(init=False)
+    counts: dict[str, int] = field(init=False)
+    peak_stored: int = field(init=False)
 
-    @classmethod
-    def from_lines(
-        cls, lines: list[str], quantum: float, alphabet: Alphabet, slice_id: int = 0
-    ) -> "Campaign":
-        """The campaign of canonical ``lines``, its summary counted anew."""
-        ops = "".join([line[0] for line in lines])  # each op's first letter
-        runs = Counter(compress(lines, ops.encode("ascii").translate(_IS_RUN)))
-        length = sum(int(line.rpartition(" ")[2]) * n for line, n in runs.items())
-        counts = {op: k for op in _OPS if (k := ops.count(op[0].upper()))}
+    def __post_init__(self) -> None:
+        ops = "".join([line[0] for line in self.lines])  # each op's first letter
+        runs = Counter(compress(self.lines, ops.encode("ascii").translate(_IS_RUN)))
+        self.length_quanta = sum(int(x.rpartition(" ")[2]) * n for x, n in runs.items())
+        self.counts = {op: k for op in _OPS if (k := ops.count(op[0].upper()))}
         # The peak is the largest running sum of +1 per STORE, -1 per FREE.
         steps = ops.replace("R", "").replace("O", "").replace("L", "")
-        peak = max(accumulate(map({"S": 1, "F": -1}.__getitem__, steps), initial=0))
-        return cls(lines, quantum, alphabet, slice_id, length, counts, peak)
+        steps = map({"S": 1, "F": -1}.__getitem__, steps)
+        self.peak_stored = max(accumulate(steps, initial=0))
 
 
 _OPS = ("store", "load", "free", "run", "out")
@@ -295,7 +291,7 @@ def optimize_slice(
         emit_runs(s[pos:])
         emit("OUT")
 
-    return Campaign.from_lines(lines, quantum, alphabet, slice_id)
+    return Campaign(lines, quantum, alphabet, slice_id)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +350,15 @@ def parse_campaign_header(line: str) -> tuple[float, int]:
     return quantum, slice_id
 
 
-def parse_command(line: str, alphabet: Alphabet) -> str:
-    """The canonical form of one command line, or ``TraceFormatError``."""
+def parse_command(line: str, alphabet: Alphabet) -> str | None:
+    """The canonical form of one campaign body line: None for a line that
+    is blank or ``#`` once stripped (no command, no reply), the stripped
+    line if canonical, else its canonical form or ``TraceFormatError``."""
+    line = line.strip()
+    if not line or line[0] == "#":
+        return None
+    if canonical_patterns(alphabet)[0].fullmatch(line):
+        return line
     parts = line.split()
     try:
         if len(parts) == 2:
@@ -383,7 +386,7 @@ def write_campaign_file(campaign: Campaign, path: str) -> None:
 
 def read_campaign_file(path: str, alphabet: Alphabet) -> Campaign:
     """Read a campaign file: canonical lines as they are, any other body
-    canonicalised line by line, blank and ``#`` lines skipped."""
+    line by line through ``parse_command``."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if not text:
@@ -395,10 +398,6 @@ def read_campaign_file(path: str, alphabet: Alphabet) -> Campaign:
     if canonical_patterns(alphabet)[1].search(text, len(header)) is None:
         del lines[-1:]  # the empty text after the last newline, if any
     else:
-        lines = [
-            parse_command(line, alphabet)
-            for line in map(str.strip, lines)
-            if line and not line.startswith("#")
-        ]
+        lines = [*filter(None, [parse_command(line, alphabet) for line in lines])]
     del text  # the lines hold it now
-    return Campaign.from_lines(lines, quantum, alphabet, slice_id)
+    return Campaign(lines, quantum, alphabet, slice_id)

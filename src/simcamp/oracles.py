@@ -115,7 +115,7 @@ def naive_campaign(ordered: list[InputTrace], quantum: float) -> Campaign:
             lines.append(f"RUN {alphabet.tokens[symbols[start]]} {end - start + 1}")
             start = end + 1
         lines.append("OUT")
-    return Campaign.from_lines(lines, quantum, alphabet)
+    return Campaign(lines, quantum, alphabet)
 
 
 def optimal_campaign_length(

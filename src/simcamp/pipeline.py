@@ -54,7 +54,7 @@ import shutil
 from dataclasses import asdict, dataclass
 from itertools import groupby
 from time import monotonic
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .engine import Observation, execute, reference_model
 from .generator import (
@@ -151,12 +151,40 @@ def write_json_atomic(obj: object, path: str) -> None:
         fh.write("\n")
 
 
+def _is_int(value: object) -> bool:
+    return type(value) is int  # JSON true and false are no counts
+
+
+def _is_summary(value: object) -> bool:
+    """Whether ``value`` is a ``_campaign_summary`` as the report reads it."""
+    return (
+        isinstance(value, dict)
+        and _is_int(value.get("length_q"))
+        and _is_int(value.get("peak_stored"))
+        and isinstance(value.get("counts"), dict)
+        and all(map(_is_int, value["counts"].values()))
+    )
+
+
+# What a run-directory record's key must hold, as its reader needs it: a
+# description for the error, and the test.
+_Kind = tuple[str, Callable[[object], bool]]
+_INT: _Kind = ("an integer", _is_int)
+_OBJECT: _Kind = ("an object", lambda value: isinstance(value, dict))
+_STRING: _Kind = ("a string", lambda value: isinstance(value, str))
+_SIZE: _Kind = ("an integer >= 1", lambda value: _is_int(value) and value >= 1)
+_SUMMARY: _Kind = ("a campaign summary", _is_summary)
+_RESULT_KEYS = {"n": _INT, "requested": _SUMMARY, "baseline": _SUMMARY,
+                "unlimited": _SUMMARY}
+
+
 def _read_json_object(
-    path: str, stage: str, keys: Sequence[str], text: str | None = None
+    path: str, stage: str, keys: dict[str, _Kind], text: str | None = None
 ) -> dict:
     """The JSON object in run-directory file ``path`` (or in ``text``, one
-    of its lines), holding each of ``keys``.  Anything else, such as a file
-    simcamp did not write, is a PipelineStageError naming stage and path."""
+    of its lines), holding each of ``keys`` with a value of its kind.
+    Anything else, such as a file simcamp did not write, is a
+    PipelineStageError naming stage and path, and the key if it is there."""
     try:
         if text is None:
             with open(path, "r", encoding="utf-8") as fh:
@@ -164,10 +192,13 @@ def _read_json_object(
         obj = json.loads(text)
     except ValueError as exc:
         raise PipelineStageError(f"{stage} stage: {path}: not JSON: {exc}") from None
-    if not isinstance(obj, dict) or not obj.keys() >= set(keys):
+    if not isinstance(obj, dict) or not obj.keys() >= keys.keys():
         raise PipelineStageError(
             f"{stage} stage: {path}: not a JSON object with keys {', '.join(keys)}"
         )
+    for key, (kind, test) in keys.items():
+        if not test(obj[key]):
+            raise PipelineStageError(f"{stage} stage: {path}: {key} is not {kind}")
     return obj
 
 
@@ -201,7 +232,8 @@ def _claim_out_dir(config: RunConfig, fingerprint: dict) -> None:
     if not os.path.exists(path):
         write_json_atomic({"fingerprint": fingerprint, **asdict(config)}, path)
         return
-    previous = _read_json_object(path, "resume", ("fingerprint",))["fingerprint"]
+    claimed = _read_json_object(path, "resume", {"fingerprint": _OBJECT})
+    previous = claimed["fingerprint"]
     for key, value in fingerprint.items():
         if previous.get(key) != value:
             raise PipelineStageError(
@@ -507,9 +539,10 @@ def prepare_slices(config: RunConfig) -> list[_SliceTask]:
 
 
 def _has_result(task: _SliceTask) -> bool:
-    """Whether the slice has a readable result covering its manifest size."""
+    """Whether the slice has a result that analyze can read, covering its
+    manifest size."""
     try:
-        result = _read_json_object(task.paths.result, "resume", ("n",))
+        result = _read_json_object(task.paths.result, "resume", _RESULT_KEYS)
     except (OSError, PipelineStageError):
         return False
     return result["n"] == task.size
@@ -559,16 +592,14 @@ def run_pipeline(
 def _load_run(run_dir: str) -> tuple[dict, list[dict]]:
     config = _read_json_object(
         os.path.join(run_dir, "config.json"), "analyze",
-        ("n_total", "seed", "sigma", "slices"),
+        {"n_total": _INT, "seed": _INT, "sigma": _STRING, "slices": _INT},
     )
     results = []
     for i in range(config["slices"]):
         path = _slice_paths(run_dir, i).result
         if not os.path.exists(path):
             raise PipelineStageError(f"analyze stage: missing result for slice {i}")
-        results.append(
-            _read_json_object(path, "analyze", ("baseline", "requested", "unlimited"))
-        )
+        results.append(_read_json_object(path, "analyze", _RESULT_KEYS))
     return config, results
 
 
@@ -585,7 +616,7 @@ def read_progress(run_dir: str) -> list[tuple[int, int, int]]:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         for line in fh:
             entry = _read_json_object(
-                manifest_path, "progress", ("slice", "size"), line
+                manifest_path, "progress", {"slice": _INT, "size": _SIZE}, line
             )
             sizes[entry["slice"]] = entry["size"]
     if not sizes:
@@ -595,7 +626,11 @@ def read_progress(run_dir: str) -> list[tuple[int, int, int]]:
         path = _slice_paths(run_dir, slice_id).progress
         done = 0
         if os.path.exists(path):
-            data = _read_json_object(path, "progress", ("j", "n"))
+            data = _read_json_object(path, "progress", {"j": _INT, "n": _INT})
+            if not 0 <= data["j"] <= data["n"]:
+                raise PipelineStageError(
+                    f"progress stage: {path}: j is not from 0 to n"
+                )
             if data["n"] == size:
                 done = data["j"]
         entries.append((slice_id, done, size))

@@ -143,6 +143,24 @@ FOREIGN_RUN_FILES = {
     "progress_without_counts": (
         "results/progress_0.json", '{"slice": 0}\n', "progress", "progress"
     ),
+    # Every key there, with a value of the wrong type or range.
+    "config_fingerprint_not_an_object": (
+        "config.json", '{"fingerprint": []}\n', "pipeline", "resume"
+    ),
+    "result_summaries_not_objects": (
+        "results/result_0.json",
+        '{"requested": 1, "baseline": 1, "unlimited": 1, "n": 3}\n',
+        "analyze", "analyze",
+    ),
+    "progress_count_not_an_int": (
+        "results/progress_0.json", '{"j": "x", "n": 3}\n', "progress", "progress"
+    ),
+    "progress_past_its_size": (
+        "results/progress_0.json", '{"j": 7, "n": 3}\n', "progress", "progress"
+    ),
+    "manifest_size_zero": (
+        "manifest.jsonl", '{"slice": 0, "size": 0}\n', "progress", "progress"
+    ),
 }
 
 

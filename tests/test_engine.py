@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import os
 import signal
 import subprocess
@@ -10,7 +9,7 @@ import threading
 
 import pytest
 
-from simcamp import echo_driver, engine
+from simcamp import engine
 from simcamp.engine import (
     DriverProtocolError,
     Simulator,
@@ -106,17 +105,17 @@ def test_transition_is_a_semigroup_action():
 
 def test_history_follows_runs_and_loads():
     sim = Simulator(reference_model(AB, 1))
-    assert sim.step("STORE 0")
-    assert sim.step("RUN a 2")
-    assert sim.step("STORE 1")
-    assert sim.step("RUN b 1")
+    assert sim.reply("STORE 0") == "OK"
+    assert sim.reply("RUN a 2") == "OK"
+    assert sim.reply("STORE 1") == "OK"
+    assert sim.reply("RUN b 1") == "OK"
     assert sim.history == b"\x00\x00\x01"
-    assert sim.step("LOAD 1")
+    assert sim.reply("LOAD 1") == "OK"
     assert sim.history == b"\x00\x00"
     assert sim.length_quanta == 3
     assert sim.peak_memory == 2
     # A line of no known op is an error, not another op's step.
-    assert not sim.step("JUMP 1")
+    assert sim.reply("JUMP 1") == "ERR unknown command 'JUMP 1'"
     assert sim.error == "unknown command 'JUMP 1'"
 
 
@@ -129,7 +128,7 @@ def test_history_follows_runs_and_loads():
     ],
 )
 def test_errors_are_absorbing(commands, message):
-    campaign = Campaign.from_lines(commands + ["OUT"], 1.0, AB)
+    campaign = Campaign(commands + ["OUT"], 1.0, AB)
     result = execute(campaign, reference_model(AB, 0))
     assert not result.executable
     assert result.failing_index == len(commands) - 1
@@ -213,7 +212,7 @@ def test_inflation_scales_only_load_and_store():
 def test_external_driver_matches_in_process():
     campaign, _ = campaign_for(["aab", "aac", "ab", "b"], sigma=3, quantum=0.5)
     cut = len(campaign.lines) // 2
-    erroring = Campaign.from_lines(
+    erroring = Campaign(
         campaign.lines[:cut] + ["FREE 99"] + campaign.lines[cut:], 0.5, ABCD
     )
     for case in (campaign, erroring):
@@ -232,7 +231,7 @@ def test_external_driver_matches_in_process():
 
 
 def test_external_driver_reports_errors():
-    campaign = Campaign.from_lines(["STORE 0", "LOAD 7", "OUT"], 1.0, AB)
+    campaign = Campaign(["STORE 0", "LOAD 7", "OUT"], 1.0, AB)
     result = external(campaign, ECHO_DRIVER + ["--seed", "0", "--alphabet", "a,b"])
     assert not result.executable
     assert result.failing_index == 1
@@ -337,7 +336,7 @@ def test_a_campaign_that_stops_short_kills_its_driver_at_once(reply):
 
 # A campaign far longer than a driver's first read, so that a driver which
 # stops early leaves most of its file unanswered.
-LONG = Campaign.from_lines(["RUN a 1", "OUT"] * 20_000, 1.0, AB)
+LONG = Campaign(["RUN a 1", "OUT"] * 20_000, 1.0, AB)
 
 FIRST_COMMAND_THEN = (
     "import sys\n"
@@ -402,7 +401,7 @@ def test_echo_driver_answers_a_malformed_line_each_time():
     with pytest.raises(TraceFormatError) as malformed:
         parse_command("RUN a 0", AB)
     good = [parse_command(x, AB) for x in lines if x != "RUN a 0"]
-    outs = execute(Campaign.from_lines(good, 1.0, AB), reference_model(AB, 3))
+    outs = execute(Campaign(good, 1.0, AB), reference_model(AB, 3))
     tokens = [f"OUT {o.token}" for o in outs.observations]
     error = f"ERR {malformed.value}"
     assert done.stdout.splitlines() == [
@@ -440,35 +439,3 @@ def test_echo_driver_answers_a_lock_step_client():
     outs = [r[4:] for r in replies if r.startswith("OUT ")]
     assert outs == [o.token for o in expected.observations]
     assert all(r == "OK" for r in replies if not r.startswith("OUT "))
-
-
-def test_echo_driver_keeps_no_observation_past_its_batch(tmp_path, monkeypatch):
-    sims = []
-
-    class Recording(Simulator):
-        """Records the most observations it ever held."""
-
-        def __init__(self, model):
-            super().__init__(model)
-            self.most = 0
-            sims.append(self)
-
-        def step(self, line):
-            ok = super().step(line)
-            self.most = max(self.most, len(self.observations))
-            return ok
-
-    monkeypatch.setattr(echo_driver, "Simulator", Recording)
-    trace = "LOAD 0\nRUN a 1\nOUT\n"
-    path = tmp_path / "campaign.txt"
-    path.write_text("#q=1;slice=0\nSTORE 0\n" + trace * 30_000)
-    replies = io.StringIO()
-    with open(path) as stdin:
-        monkeypatch.setattr(sys, "stdin", stdin)
-        monkeypatch.setattr(sys, "stdout", replies)
-        assert echo_driver.main(["--alphabet", "a,b"]) == 0
-    (sim,) = sims
-    assert replies.getvalue().count("OUT ") == 30_000
-    # One read holds at most this many traces' OUTs.
-    assert 0 < sim.most <= echo_driver._READ_SIZE // len(trace) + 1
-    assert sim.observations == []

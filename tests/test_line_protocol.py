@@ -4,15 +4,20 @@ texts, pinned as recorded: the echo driver's reply bytes, and what
 
 from __future__ import annotations
 
+import io
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from simcamp.engine import execute, reference_model
-from simcamp.optimizer import read_campaign_file, write_campaign_file
+from simcamp import echo_driver
+from simcamp.engine import Simulator, execute, reference_model
+from simcamp.optimizer import optimize_slice, read_campaign_file, write_campaign_file
 from simcamp.traces import TraceFormatError
-from util import AB, call_with_timeout
+from simcamp.tree import build_tree
+from util import AB, call_with_timeout, random_traces
 
 ECHO_DRIVER = [sys.executable, "-m", "simcamp.echo_driver"]
 
@@ -99,3 +104,49 @@ def test_read_campaign_file_error_texts_are_pinned(tmp_path, line, message):
     with pytest.raises(TraceFormatError) as error:
         read_campaign_file(str(path), AB)
     assert str(error.value) == message
+
+
+# Lines that are no command: blank once stripped, or a comment once stripped.
+NO_COMMAND = ["", "   ", "\t", "#", "# a note", "  # indented", "\t#tab"]
+
+
+def accepted_form(rng, line: str) -> str:
+    """Canonical ``line`` as a hand-written campaign may hold it: other
+    spacing, signed or zero-padded numbers, a CRLF ending."""
+    if rng.random() < 0.3:
+        return line + "\n"
+    op, *args = line.split(" ")
+    if args:
+        args[-1] = rng.choice(["", "+"]) + "0" * rng.randrange(3) + args[-1]
+    text = op
+    for arg in args:
+        text += rng.choice([" ", "  ", "\t", " \t"]) + arg
+    pad = [" ", "\t", ""]
+    return rng.choice(pad) + text + rng.choice(pad) + rng.choice(["\n", "\r\n"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 1 << 32))
+def test_the_driver_and_the_reader_agree_on_every_accepted_form(tmp_path_factory, seed):
+    rng = random.Random(seed)
+    alphabet, traces = random_traces(rng, rng.randint(1, 12))
+    planned = optimize_slice(build_tree(traces), rng.choice([1, 2, None]), 1.0)
+    text = "#q=1;slice=0" + rng.choice(["\n", "\r\n"])
+    for line in planned.lines:
+        while rng.random() < 0.2:
+            text += rng.choice(NO_COMMAND) + rng.choice(["\n", "\r\n"])
+        text += accepted_form(rng, line)
+    path = tmp_path_factory.mktemp("protocol") / "campaign.txt"
+    path.write_bytes(text.encode())
+
+    assert read_campaign_file(str(path), alphabet).lines == planned.lines
+
+    sim = Simulator(reference_model(alphabet, seed))
+    expected = [sim.reply(line) for line in planned.lines]
+    replies = io.StringIO()
+    with open(path, encoding="utf-8") as stdin, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "stdin", stdin)
+        mp.setattr(sys, "stdout", replies)
+        argv = ["--seed", str(seed), "--alphabet", ",".join(alphabet.tokens)]
+        assert echo_driver.main(argv) == 0
+    assert replies.getvalue() == "".join(reply + "\n" for reply in expected)

@@ -158,7 +158,7 @@ def reference_optimize_slice(tree, capacity, quantum, slice_id=0):
             elif action == "store":
                 do_store(boundary)
         lines.append("OUT")
-    campaign = Campaign.from_lines(lines, quantum, ordered[0].alphabet, slice_id)
+    campaign = Campaign(lines, quantum, ordered[0].alphabet, slice_id)
     assert campaign.peak_stored == peak
     return campaign
 
