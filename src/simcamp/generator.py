@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .traces import Alphabet, InputTrace, TraceFormatError
+from .traces import Alphabet, InputTrace, TraceFormatError, body_lines
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,8 +183,9 @@ def check_fraction(fraction: float) -> None:
         raise ValueError(f"fraction must lie in (0, 1], not {fraction:g}")
 
 
-def sample_indices(n: int, fraction: float, seed: int) -> list[int]:
-    """A sorted, duplicate-free sample of round(fraction*n) indices in [0, n).
+def sample_indices(n: int, fraction: float, seed: int) -> Sequence[int]:
+    """A sorted, duplicate-free sample of round(fraction*n) indices in [0, n):
+    ``range(n)`` when it keeps them all, else a list.
 
     Deterministic for a given seed; fraction must lie in (0, 1].
     """
@@ -193,7 +194,7 @@ def sample_indices(n: int, fraction: float, seed: int) -> list[int]:
     check_fraction(fraction)
     size = math.floor(fraction * n + 0.5)
     if size == n:
-        return list(range(n))
+        return range(n)
     return sorted(random.Random(seed).sample(range(n), size))
 
 
@@ -207,17 +208,13 @@ def sample_indices(n: int, fraction: float, seed: int) -> list[int]:
 #     start=<s>
 #     accept=<s>,<s>,...        (possibly empty after '=')
 #     <from> <token> -> <to>    (one line per transition; must be complete)
+#   (body lines, as in ``traces``: blank and '#' lines carry nothing)
 # ---------------------------------------------------------------------------
 
 
 def read_constraint_file(path: str) -> ConstraintSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [
-            line.strip()
-            for line in fh
-            if line.strip() and not line.strip().startswith("#")
-        ]
-    return parse_constraint_spec(lines)
+        return parse_constraint_spec(list(body_lines(fh)))
 
 
 def parse_constraint_spec(lines: Sequence[str]) -> ConstraintSpec:

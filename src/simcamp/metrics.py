@@ -43,8 +43,9 @@ _COSTS = ("load", "store", "free", "out", "run_per_q")
 @dataclass(frozen=True, slots=True)
 class CostModel:
     """Per-command wall-clock costs in seconds, each finite and >= 0 (NaN
-    is neither).  The report inflates Load and Store by each factor of its
-    f grid."""
+    is neither), and ``run_per_q`` > 0, so that every campaign, which runs
+    at least one quantum, takes time.  The report inflates Load and Store
+    by each factor of its f grid."""
 
     load: float
     store: float
@@ -57,6 +58,8 @@ class CostModel:
             value = getattr(self, key)
             if not 0 <= value < math.inf:
                 raise ValueError(f"cost {key} must be finite and >= 0, not {value:g}")
+        if self.run_per_q == 0:
+            raise ValueError("cost run_per_q must be > 0, not 0")
 
 
 def parse_cost_model(text: str) -> CostModel:

@@ -45,8 +45,11 @@ from .traces import (
     Alphabet,
     TraceFormatError,
     atomic_text_file,
-    check_quantum,
+    body_line,
+    file_chunks,
     format_number,
+    header_quantum,
+    parse_header,
 )
 from .tree import ROOT_ID, BranchTree
 
@@ -298,13 +301,9 @@ def optimize_slice(
 # Campaign file format
 #
 #   line 1:  #q=<decimal>;slice=<i>
-#   then one command per line:
+#   then one command per body line (the grammar of ``traces``):
 #     LOAD <id> | STORE <id> | FREE <id> | RUN <token> <k> | OUT
 # ---------------------------------------------------------------------------
-
-
-# Lines per write when a campaign goes to a file or to `oracle naive`'s stdout.
-_LINES_PER_WRITE = 4096
 
 
 @lru_cache(maxsize=8)
@@ -325,37 +324,25 @@ def canonical_patterns(alphabet: Alphabet) -> tuple[re.Pattern, re.Pattern]:
 def campaign_chunks(campaign: Campaign) -> Iterator[str]:
     """The campaign's file text: the header line, then chunks of a few
     thousand newline-ended lines."""
-    yield f"#q={format_number(campaign.quantum)};slice={campaign.slice_id}\n"
-    lines = campaign.lines
-    for start in range(0, len(lines), _LINES_PER_WRITE):
-        yield "\n".join(lines[start:start + _LINES_PER_WRITE]) + "\n"
+    header = f"#q={format_number(campaign.quantum)};slice={campaign.slice_id}"
+    return file_chunks(header, campaign.lines)
 
 
 def parse_campaign_header(line: str) -> tuple[float, int]:
-    line = line.strip()
-    if not line.startswith("#q="):
-        raise TraceFormatError("missing #q= header on line 1 of campaign file")
+    q, slice_id = parse_header(line, ("q", "slice"), "campaign")
+    quantum = header_quantum(q, line, "campaign")
     try:
-        q_part, slice_part = line[1:].split(";", 1)
-        quantum = float(q_part[len("q="):])
-        if not slice_part.startswith("slice="):
-            raise ValueError
-        slice_id = int(slice_part[len("slice="):])
-    except ValueError as exc:
-        raise TraceFormatError(f"malformed campaign header: {line!r}") from exc
-    try:
-        check_quantum(quantum)
-    except ValueError as exc:
-        raise TraceFormatError(f"campaign header: {exc}") from None
-    return quantum, slice_id
+        return quantum, int(slice_id)
+    except ValueError:
+        raise TraceFormatError(f"malformed campaign header: {line.strip()!r}") from None
 
 
 def parse_command(line: str, alphabet: Alphabet) -> str | None:
     """The canonical form of one campaign body line: None for a line that
     is blank or ``#`` once stripped (no command, no reply), the stripped
     line if canonical, else its canonical form or ``TraceFormatError``."""
-    line = line.strip()
-    if not line or line[0] == "#":
+    line = body_line(line)
+    if line is None:
         return None
     if canonical_patterns(alphabet)[0].fullmatch(line):
         return line
@@ -389,13 +376,10 @@ def read_campaign_file(path: str, alphabet: Alphabet) -> Campaign:
     line by line through ``parse_command``."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if not text:
-        raise TraceFormatError("empty campaign file")
     lines = text.split("\n")
-    header = lines.pop(0)
-    quantum, slice_id = parse_campaign_header(header)
-    # The search starts at the newline that ends the header.
-    if canonical_patterns(alphabet)[1].search(text, len(header)) is None:
+    end = len(lines.pop(0))  # where the newline that ends the header is
+    quantum, slice_id = parse_campaign_header(text[:end + 1])
+    if canonical_patterns(alphabet)[1].search(text, end) is None:
         del lines[-1:]  # the empty text after the last newline, if any
     else:
         lines = [*filter(None, [parse_command(line, alphabet) for line in lines])]

@@ -49,6 +49,7 @@ import functools
 import glob
 import hashlib
 import json
+import math
 import os
 import shutil
 from dataclasses import asdict, dataclass
@@ -81,10 +82,11 @@ from .traces import (
     Alphabet,
     TraceCorpus,
     atomic_text_file,
+    body_lines,
     check_quantum,
     read_trace_file,
     read_trace_lines,
-    write_trace_lines,
+    write_trace_file,
 )
 from .tree import BranchTree, build_tree
 
@@ -151,18 +153,20 @@ def write_json_atomic(obj: object, path: str) -> None:
         fh.write("\n")
 
 
-def _is_int(value: object) -> bool:
-    return type(value) is int  # JSON true and false are no counts
+def _is_int(value: object, least: float = -math.inf) -> bool:
+    # JSON true and false are no counts.
+    return type(value) is int and value >= least
 
 
 def _is_summary(value: object) -> bool:
-    """Whether ``value`` is a ``_campaign_summary`` as the report reads it."""
+    """Whether ``value`` is a ``_campaign_summary`` as the report reads it:
+    every campaign runs a quantum and stores the initial state."""
     return (
         isinstance(value, dict)
-        and _is_int(value.get("length_q"))
-        and _is_int(value.get("peak_stored"))
+        and _is_int(value.get("length_q"), 1)
+        and _is_int(value.get("peak_stored"), 1)
         and isinstance(value.get("counts"), dict)
-        and all(map(_is_int, value["counts"].values()))
+        and all(_is_int(count, 0) for count in value["counts"].values())
     )
 
 
@@ -172,9 +176,9 @@ _Kind = tuple[str, Callable[[object], bool]]
 _INT: _Kind = ("an integer", _is_int)
 _OBJECT: _Kind = ("an object", lambda value: isinstance(value, dict))
 _STRING: _Kind = ("a string", lambda value: isinstance(value, str))
-_SIZE: _Kind = ("an integer >= 1", lambda value: _is_int(value) and value >= 1)
+_SIZE: _Kind = ("an integer >= 1", lambda value: _is_int(value, 1))
 _SUMMARY: _Kind = ("a campaign summary", _is_summary)
-_RESULT_KEYS = {"n": _INT, "requested": _SUMMARY, "baseline": _SUMMARY,
+_RESULT_KEYS = {"n": _SIZE, "requested": _SUMMARY, "baseline": _SUMMARY,
                 "unlimited": _SUMMARY}
 
 
@@ -245,16 +249,13 @@ def _claim_out_dir(config: RunConfig, fingerprint: dict) -> None:
 
 def _is_constraint_file(path: str) -> bool:
     """Classify the source as its readers would: a trace file has its
-    ``#alphabet=`` header on line 1, and a spec's first line that is
-    neither blank nor a ``#`` comment starts with ``alphabet=``."""
+    ``#alphabet=`` header on line 1, and a spec's first body line starts
+    with ``alphabet=``."""
     with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh):
-            line = line.strip()
-            if number == 0 and line.startswith("#alphabet="):
-                return False
-            if line and not line.startswith("#"):
-                return line.startswith("alphabet=")
-    return False
+        if fh.readline().strip().startswith("#alphabet="):
+            return False
+        fh.seek(0)
+        return next(body_lines(fh), "").startswith("alphabet=")
 
 
 def _materialize_source(
@@ -336,7 +337,7 @@ def slice_corpus(task: _SliceTask) -> TraceCorpus:
     spec, quantum, indices = task.spec_slice
     traces = list(GeneratorTable(spec).extract(indices))
     alphabet = spec.alphabet
-    write_trace_lines(
+    write_trace_file(
         path, alphabet, quantum, (alphabet.format_line(t.symbols) for t in traces)
     )
     return TraceCorpus(alphabet, quantum, traces)
@@ -517,7 +518,7 @@ def prepare_slices(config: RunConfig) -> list[_SliceTask]:
                 spec_slice=None if spec is None else _SpecSlice(spec, quantum, body),
             )
             if spec is None and not os.path.exists(task.paths.slice):
-                write_trace_lines(task.paths.slice, alphabet, quantum, body)
+                write_trace_file(task.paths.slice, alphabet, quantum, body)
             entry = {"slice": i, "size": task.size, "order": task.order_mode,
                      "seed": task.order_seed}
             manifest.write(json.dumps(entry, sort_keys=True) + "\n")
@@ -592,7 +593,7 @@ def run_pipeline(
 def _load_run(run_dir: str) -> tuple[dict, list[dict]]:
     config = _read_json_object(
         os.path.join(run_dir, "config.json"), "analyze",
-        {"n_total": _INT, "seed": _INT, "sigma": _STRING, "slices": _INT},
+        {"n_total": _SIZE, "seed": _INT, "sigma": _STRING, "slices": _SIZE},
     )
     results = []
     for i in range(config["slices"]):

@@ -27,10 +27,9 @@ from .traces import (
     Alphabet,
     DuplicateTraceError,
     InputTrace,
-    _body_lines,
-    atomic_text_file,
-    format_trace_header,
+    body_lines,
     parse_trace_header,
+    write_trace_file,
 )
 
 ORDER_MODES = ("lex", "random", "given")
@@ -154,33 +153,31 @@ def external_sort(
     """
     if budget_symbols < 1:
         raise ValueError("memory budget must be >= 1 symbol")
-    traces_in = traces_out = duplicates = 0
+    traces_in = duplicates = 0
+
+    def kept(records: Iterable[tuple[bytes, bytes]]) -> Iterator[str]:
+        nonlocal traces_in, duplicates
+        previous: bytes | None = None
+        for key, line in records:
+            traces_in += 1
+            if key != previous:
+                previous = key
+                yield line.decode("utf-8")
+            elif dedupe:
+                duplicates += 1
+            else:
+                raise DuplicateTraceError("duplicate trace " + line.decode("utf-8"))
+
     out_dir = os.path.dirname(os.path.abspath(out_path))
     with tempfile.TemporaryDirectory(prefix=TEMP_PREFIX, dir=out_dir) as tmp_dir:
         with open(in_path, "r", encoding="utf-8") as fh:
             alphabet, quantum = parse_trace_header(fh.readline())
-            runs = _run_files(_body_lines(fh), tmp_dir, alphabet, budget_symbols)
+            runs = _run_files(body_lines(fh), tmp_dir, alphabet, budget_symbols)
         merged = heapq.merge(*map(_iter_run, runs))
-        with atomic_text_file(out_path) as fh:
-            fh.write(format_trace_header(alphabet, quantum) + "\n")
-            fh.flush()
-            out = fh.buffer  # run lines are already UTF-8
-            previous: bytes | None = None
-            for key, line in merged:
-                traces_in += 1
-                if key == previous:
-                    if not dedupe:
-                        raise DuplicateTraceError(
-                            "duplicate trace " + line.decode("utf-8")
-                        )
-                    duplicates += 1
-                    continue
-                out.write(line + b"\n")
-                traces_out += 1
-                previous = key
+        write_trace_file(out_path, alphabet, quantum, kept(merged))
     return {
         "traces_in": traces_in,
-        "traces_out": traces_out,
+        "traces_out": traces_in - duplicates,
         "duplicates": duplicates,
         "runs": len(runs),
     }

@@ -1,4 +1,5 @@
-"""Input alphabets, traces, and the on-disk trace format.
+"""Input alphabets, traces, the on-disk trace format, and the text grammar
+every simcamp text file shares.
 
 A scenario is a finite sequence of symbols drawn from a finite ordered
 alphabet.  Interpreted against a time quantum q, the sequence is a
@@ -14,7 +15,8 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, TextIO
+from itertools import islice
+from typing import Iterable, Iterator, Sequence, TextIO
 
 _TOKEN_FORBIDDEN = set(",;#")
 
@@ -201,76 +203,96 @@ class TraceCorpus:
 
 
 # ---------------------------------------------------------------------------
-# Trace file format
+# Text files
 #
-#   line 1:  #alphabet=<tok>,<tok>,...;q=<decimal>
-#   then one trace per non-empty line, comma-separated tokens.
-#   Lines starting with '#' after line 1 are comments.
+# Trace files, constraint specs and campaign files share one grammar: a
+# trace or campaign file's line 1 is a header, #<key>=<value>;<key>=<value>;
+# every other line is stripped, and a blank or '#' line carries nothing.
+#
+#   trace file:  #alphabet=<tok>,<tok>,...;q=<decimal>
+#   then one trace per body line, comma-separated tokens.
 # ---------------------------------------------------------------------------
 
+_LINES_PER_WRITE = 4096  # per write of a trace or campaign file
 
-def parse_trace_header(line: str) -> tuple[Alphabet, float]:
+
+def body_line(raw: str) -> str | None:
+    """``raw`` stripped, or None for a line that carries nothing: blank or
+    a ``#`` line once stripped."""
+    line = raw.strip()
+    return line if line and line[0] != "#" else None
+
+
+def body_lines(lines: Iterable[str]) -> Iterator[str]:
+    """The stripped body lines of ``lines``, without blanks or comments."""
+    return filter(None, map(body_line, lines))
+
+
+def parse_header(line: str, keys: Sequence[str], kind: str) -> list[str]:
+    """The values of a ``kind`` file's first line, as ``readline`` gives
+    it ("" for an empty file): ``#k1=v1;k2=v2`` with ``keys`` in order."""
+    if not line:
+        raise TraceFormatError(f"empty {kind} file")
     line = line.strip()
-    if not line.startswith("#alphabet="):
-        raise TraceFormatError("missing #alphabet= header on line 1")
-    body = line[1:]
+    if not line.startswith(f"#{keys[0]}="):
+        raise TraceFormatError(f"missing #{keys[0]}= header on line 1 of {kind} file")
+    fields = line[1:].split(";", len(keys) - 1)
+    if len(fields) != len(keys) or not all(
+        field.startswith(key + "=") for key, field in zip(keys, fields)
+    ):
+        raise TraceFormatError(f"malformed {kind} header: {line!r}")
+    return [field[len(key) + 1:] for key, field in zip(keys, fields)]
+
+
+def header_quantum(value: str, line: str, kind: str) -> float:
+    """The time quantum a ``kind`` header ``line`` gives as ``value``."""
     try:
-        alpha_part, q_part = body.split(";", 1)
-        tokens = alpha_part[len("alphabet="):].split(",")
-        if not q_part.startswith("q="):
-            raise ValueError
-        quantum = float(q_part[len("q="):])
-    except ValueError as exc:
-        raise TraceFormatError(f"malformed trace header: {line!r}") from exc
+        quantum = float(value)
+    except ValueError:
+        raise TraceFormatError(f"malformed {kind} header: {line.strip()!r}") from None
     try:
         check_quantum(quantum)
     except ValueError as exc:
-        raise TraceFormatError(f"trace header: {exc}") from None
+        raise TraceFormatError(f"{kind} header: {exc}") from None
+    return quantum
+
+
+def parse_trace_header(line: str) -> tuple[Alphabet, float]:
+    tokens, q = parse_header(line, ("alphabet", "q"), "trace")
+    quantum = header_quantum(q, line, "trace")
     try:
-        alphabet = Alphabet(tuple(tokens))
+        return Alphabet(tuple(tokens.split(","))), quantum
     except ValueError as exc:
         raise TraceFormatError(f"malformed trace header: {exc}") from None
-    return alphabet, quantum
 
 
 def format_trace_header(alphabet: Alphabet, quantum: float) -> str:
     return f"#alphabet={','.join(alphabet.tokens)};q={format_number(quantum)}"
 
 
-def _read_header(stream: TextIO) -> tuple[Alphabet, float]:
-    header = stream.readline()
-    if not header:
-        raise TraceFormatError("empty trace file")
-    return parse_trace_header(header)
-
-
-def _body_lines(stream: TextIO) -> Iterator[str]:
-    """The stripped trace lines after the header, without blanks or comments."""
-    for raw in stream:
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield line
-
-
 def read_trace_lines(path: str) -> tuple[Alphabet, float, list[str]]:
-    """A trace file's header fields and its trace lines, left unparsed.
-
-    For files this program wrote, such as a sorted corpus, whose lines
-    need no check before they are copied into other trace files.
-    """
+    """A trace file's header fields and its trace lines, left unparsed:
+    alone, for files this program wrote, such as a sorted corpus, whose
+    lines need no check before they are copied into other trace files."""
     with open(path, "r", encoding="utf-8") as fh:
-        alphabet, quantum = _read_header(fh)
-        return alphabet, quantum, list(_body_lines(fh))
+        alphabet, quantum = parse_trace_header(fh.readline())
+        return alphabet, quantum, list(body_lines(fh))
 
 
 def read_trace_file(path: str) -> TraceCorpus:
-    with open(path, "r", encoding="utf-8") as fh:
-        alphabet, quantum = _read_header(fh)
-        traces = [
-            InputTrace._unchecked(alphabet, alphabet.parse_line(line))
-            for line in _body_lines(fh)
-        ]
+    alphabet, quantum, lines = read_trace_lines(path)
+    parse_line = alphabet.parse_line
+    traces = [InputTrace._unchecked(alphabet, parse_line(line)) for line in lines]
     return TraceCorpus(alphabet, quantum, traces)
+
+
+def file_chunks(header: str, lines: Iterable[str]) -> Iterator[str]:
+    """A text file's text: the ``header`` line, then chunks of up to
+    ``_LINES_PER_WRITE`` newline-ended ``lines``."""
+    yield header + "\n"
+    lines = iter(lines)
+    while chunk := list(islice(lines, _LINES_PER_WRITE)):
+        yield "\n".join(chunk) + "\n"
 
 
 @contextmanager
@@ -295,11 +317,9 @@ def atomic_text_file(path: str) -> Iterator[TextIO]:
         raise
 
 
-def write_trace_lines(
+def write_trace_file(
     path: str, alphabet: Alphabet, quantum: float, lines: Iterable[str]
 ) -> None:
     """Write a trace file from its header fields and its trace lines."""
     with atomic_text_file(path) as fh:
-        fh.write(format_trace_header(alphabet, quantum) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+        fh.writelines(file_chunks(format_trace_header(alphabet, quantum), lines))

@@ -161,6 +161,21 @@ FOREIGN_RUN_FILES = {
     "manifest_size_zero": (
         "manifest.jsonl", '{"slice": 0, "size": 0}\n', "progress", "progress"
     ),
+    # Every key there, with a count no run makes.
+    "config_without_slices": (
+        "config.json",
+        '{"n_total": 3, "seed": 0, "sigma": "capacity", "slices": 0}\n',
+        "analyze", "analyze",
+    ),
+    "result_baseline_of_no_quanta": (
+        "results/result_0.json",
+        json.dumps({"n": 3, **{
+            kind: {"length_q": 0 if kind == "baseline" else 4, "peak_stored": 1,
+                   "counts": {"out": 3}}
+            for kind in ("requested", "baseline", "unlimited")
+        }}),
+        "analyze", "analyze",
+    ),
 }
 
 
@@ -225,6 +240,23 @@ def test_a_cost_file_that_names_f_fails_loudly(tmp_path, capsys):
     code, out = run_cli(capsys, "analyze", out_dir, "--costs", str(costs))
     assert code == 2
     assert "unknown cost key 'f'" in out.err
+
+
+def test_a_cost_file_with_free_quanta_fails_before_the_pipeline_runs(
+    tmp_path, capsys
+):
+    # A quantum that costs nothing would make every estimate 0 and the
+    # report divide by it, after every slice had run.
+    costs = tmp_path / "costs.txt"
+    costs.write_text("load=0 store=0 free=0 out=0 run_per_q=0\n")
+    out_dir = tmp_path / "run"
+    code, out = run_cli(
+        capsys, "pipeline", "--in", corpus_file(tmp_path), "--out-dir", str(out_dir),
+        "--costs", str(costs),
+    )
+    assert code == 2
+    assert out.err == "error: cost model: cost run_per_q must be > 0, not 0\n"
+    assert not out_dir.exists()
 
 
 def test_slice_command(tmp_path, capsys):

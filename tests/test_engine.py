@@ -190,7 +190,7 @@ def test_cost_model_rejects_unusable_costs():
         parse_cost_model("load=-1 store=nan free=0 out=0 run_per_q=inf")
     entries = {"load": "1", "store": "1", "free": "0", "out": "0", "run_per_q": "1"}
     for key, bad in [("load", "-1"), ("store", "nan"), ("free", "inf"),
-                     ("out", "-inf"), ("run_per_q", "inf")]:
+                     ("out", "-inf"), ("run_per_q", "inf"), ("run_per_q", "0")]:
         text = " ".join(f"{k}={v}" for k, v in {**entries, key: bad}.items())
         with pytest.raises(TraceFormatError, match=rf"\b{key} must be"):
             parse_cost_model(text)

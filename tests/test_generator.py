@@ -154,11 +154,17 @@ def test_sample_indices():
 def test_sample_indices_full_population_is_the_sorted_sample():
     for n in (1, 2, 7, 100, 1001):
         for seed in (0, 1, 42):
-            assert sample_indices(n, 1.0, seed) == sorted(
+            assert list(sample_indices(n, 1.0, seed)) == sorted(
                 random.Random(seed).sample(range(n), n)
             )
     # a fraction that rounds up to the whole population
-    assert sample_indices(3, 0.9, seed=5) == [0, 1, 2]
+    assert sample_indices(3, 0.9, seed=5) == range(3)
+
+
+def test_a_full_sample_is_a_range():
+    # A list of every index would hold 8 bytes or more per scenario.
+    assert isinstance(sample_indices(1000, 1.0, 0), range)
+    assert type(sample_indices(1000, 0.5, 0)) is list
 
 
 def test_constraint_file_round_trip(tmp_path):

@@ -59,8 +59,7 @@ def test_readme_library_use_example_runs(capsys):
 
 def test_benchmark_traced_names_are_bound():
     # perfbench/child.py skips a traced name neither module binds, which
-    # would silently zero that layer's metrics.  write_trace_file has no
-    # caller in either module.
+    # would silently zero that layer's metrics.
     path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
     spec = importlib.util.spec_from_file_location("perfbench_child", path)
     child = importlib.util.module_from_spec(spec)
@@ -70,7 +69,7 @@ def test_benchmark_traced_names_are_bound():
         for name in child.TRACED_NAMES
         if not hasattr(simcamp.pipeline, name) and not hasattr(simcamp.cli, name)
     ]
-    assert unbound == ["write_trace_file"]
+    assert unbound == []
 
 
 def test_the_benchmark_passes_its_gate_in_traced_mode():

@@ -51,7 +51,6 @@ from simcamp.traces import (
     InputTrace,
     TraceCorpus,
     read_trace_file,
-    write_trace_lines,
 )
 from simcamp.tree import build_tree
 from util import ABCD, ts, write_trace_file
@@ -676,8 +675,8 @@ def test_progress_is_written_at_start_end_and_once_per_interval(
 
 def crash_slice_writes_at_line(monkeypatch, nth):
     """Make the slice writer fail with ``disk full`` as it reaches the
-    ``nth`` trace line it writes, after the lines before it are written."""
-    write_trace_lines = pipeline.write_trace_lines
+    ``nth`` trace line it writes, after it has taken the lines before it."""
+    write_trace_file = pipeline.write_trace_file
     written = []
 
     def crashing(path, alphabet, quantum, lines):
@@ -688,9 +687,9 @@ def crash_slice_writes_at_line(monkeypatch, nth):
                     raise OSError("disk full")
                 yield line
 
-        write_trace_lines(path, alphabet, quantum, until_crash())
+        write_trace_file(path, alphabet, quantum, until_crash())
 
-    monkeypatch.setattr(pipeline, "write_trace_lines", crashing)
+    monkeypatch.setattr(pipeline, "write_trace_file", crashing)
 
 
 def test_a_crash_mid_slice_write_leaves_no_slice_file(tmp_path, monkeypatch):
@@ -841,6 +840,14 @@ def test_spec_slices_are_extracted_by_their_own_tasks(tmp_path, monkeypatch):
     for task in tasks:
         _run_slice_task(task)
     assert extracted == sizes == [22, 21]
+
+
+def test_full_spec_slices_carry_their_indices_as_ranges(tmp_path):
+    # A range pickles to a few bytes however many scenarios it names.
+    config = RunConfig(source=spec_file(tmp_path), out_dir=str(tmp_path), slices=2)
+    indices = [task.spec_slice.indices for task in prepare_slices(config)]
+    assert indices == [range(0, 22), range(22, 43)]
+    assert all(isinstance(x, range) for x in indices)
 
 
 @pytest.mark.parametrize("fraction", sorted(SPEC_DIGESTS))
@@ -1096,7 +1103,8 @@ def test_a_256_token_alphabet_runs_like_an_in_memory_sort(tmp_path):
         )
         traces.update({trace, trace[:rng.randint(1, len(trace))]})
     source = str(tmp_path / "wide.txt")
-    write_trace_lines(source, alphabet, 0.5, map(alphabet.format_line, traces))
+    corpus = TraceCorpus(alphabet, 0.5, [InputTrace(alphabet, x) for x in traces])
+    write_trace_file(corpus, source)
     out = tmp_path / "run"
     run_pipeline(RunConfig(source=source, out_dir=str(out), slices=3, seed=2,
                            sigma="4", sort_budget=25))

@@ -9,7 +9,8 @@ from collections import Counter
 
 import pytest
 
-from simcamp.traces import Alphabet, InputTrace, TraceCorpus, write_trace_lines
+from simcamp import traces
+from simcamp.traces import Alphabet, InputTrace, TraceCorpus
 from simcamp.tree import ROOT_ID
 
 ABCD = Alphabet.of("a", "b", "c", "d")
@@ -26,8 +27,9 @@ def ts(*texts: str, alphabet: Alphabet = ABCD) -> list[InputTrace]:
 
 
 def write_trace_file(corpus: TraceCorpus, path: str) -> None:
+    """``traces.write_trace_file`` of a corpus."""
     alphabet = corpus.alphabet
-    write_trace_lines(
+    traces.write_trace_file(
         path,
         alphabet,
         corpus.quantum,
