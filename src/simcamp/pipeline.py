@@ -4,13 +4,16 @@ execute -> analyze, with deterministic seeding and file-based resume.
 Stages communicate only through files in the output directory:
 
     sorted.txt            sorted corpus (file sources only)
-    config.json           the resolved run configuration
-    manifest.jsonl        one line per slice: id, size, order mode, seed
+    config.json           the resolved run configuration (_CONFIG_KEYS)
+    manifest.jsonl        one line per slice (_MANIFEST_KEYS)
     slices/slice_<i>.txt  the slice's traces (lexicographic)
     campaigns/campaign_<i>.txt
-    results/result_<i>.json
-    results/progress_<i>.json   (atomically replaced while executing)
+    results/result_<i>.json     (_RESULT_KEYS)
+    results/progress_<i>.json   (_PROGRESS_KEYS; replaced while executing)
     report.csv, progress.csv
+
+Each JSON record has one writer, declared beside the table of the keys
+simcamp reads back from it; its other keys are informational.
 
 The stages, in order:
 
@@ -178,8 +181,6 @@ _OBJECT: _Kind = ("an object", lambda value: isinstance(value, dict))
 _STRING: _Kind = ("a string", lambda value: isinstance(value, str))
 _SIZE: _Kind = ("an integer >= 1", lambda value: _is_int(value, 1))
 _SUMMARY: _Kind = ("a campaign summary", _is_summary)
-_RESULT_KEYS = {"n": _SIZE, "requested": _SUMMARY, "baseline": _SUMMARY,
-                "unlimited": _SUMMARY}
 
 
 def _read_json_object(
@@ -188,7 +189,7 @@ def _read_json_object(
     """The JSON object in run-directory file ``path`` (or in ``text``, one
     of its lines), holding each of ``keys`` with a value of its kind.
     Anything else, such as a file simcamp did not write, is a
-    PipelineStageError naming stage and path, and the key if it is there."""
+    PipelineStageError naming stage and path, and the key if one fails."""
     try:
         if text is None:
             with open(path, "r", encoding="utf-8") as fh:
@@ -196,14 +197,28 @@ def _read_json_object(
         obj = json.loads(text)
     except ValueError as exc:
         raise PipelineStageError(f"{stage} stage: {path}: not JSON: {exc}") from None
-    if not isinstance(obj, dict) or not obj.keys() >= keys.keys():
-        raise PipelineStageError(
-            f"{stage} stage: {path}: not a JSON object with keys {', '.join(keys)}"
-        )
+    if not isinstance(obj, dict):
+        raise PipelineStageError(f"{stage} stage: {path}: not a JSON object")
     for key, (kind, test) in keys.items():
-        if not test(obj[key]):
+        if not test(obj.get(key)):
             raise PipelineStageError(f"{stage} stage: {path}: {key} is not {kind}")
     return obj
+
+
+# config.json is written at the claim, then again with the fields the
+# source resolves, so the claim reads back only _CLAIM_KEYS.
+_CLAIM_KEYS = {"fingerprint": _OBJECT}
+_CONFIG_KEYS = {"n_total": _SIZE, "seed": _INT, "sigma": _STRING, "slices": _SIZE,
+                **_CLAIM_KEYS}
+
+
+def _write_config(config: RunConfig, fingerprint: dict, **resolved) -> None:
+    # The resolved fields win over RunConfig's: its quantum is only the
+    # default for a spec source, and a trace file's header sets its own.
+    write_json_atomic(
+        {**asdict(config), **resolved, "fingerprint": fingerprint},
+        os.path.join(config.out_dir, "config.json"),
+    )
 
 
 # RunConfig fields that change no output: where the source and outputs
@@ -234,10 +249,9 @@ def _claim_out_dir(config: RunConfig, fingerprint: dict) -> None:
     """
     path = os.path.join(config.out_dir, "config.json")
     if not os.path.exists(path):
-        write_json_atomic({"fingerprint": fingerprint, **asdict(config)}, path)
+        _write_config(config, fingerprint)
         return
-    claimed = _read_json_object(path, "resume", {"fingerprint": _OBJECT})
-    previous = claimed["fingerprint"]
+    previous = _read_json_object(path, "resume", _CLAIM_KEYS)["fingerprint"]
     for key, value in fingerprint.items():
         if previous.get(key) != value:
             raise PipelineStageError(
@@ -327,6 +341,28 @@ class _SliceTask:
     spec_slice: _SpecSlice | None = None
 
 
+# manifest.jsonl, the one record of the slice set: slice i on line i.
+_MANIFEST_KEYS = {"slice": _INT, "size": _SIZE}
+
+
+def _write_manifest(run_dir: str, tasks: Sequence[_SliceTask]) -> None:
+    with atomic_text_file(os.path.join(run_dir, "manifest.jsonl")) as fh:
+        for task in tasks:
+            entry = {"slice": task.slice_id, "size": task.size,
+                     "order": task.order_mode, "seed": task.order_seed}
+            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+
+
+def _read_manifest(run_dir: str, stage: str) -> list[int]:
+    """The manifest size of every slice of the run, by slice id."""
+    path = os.path.join(run_dir, "manifest.jsonl")
+    with open(path, "r", encoding="utf-8") as fh:
+        entries = [_read_json_object(path, stage, _MANIFEST_KEYS, line) for line in fh]
+    if not entries or [e["slice"] for e in entries] != list(range(len(entries))):
+        raise PipelineStageError(f"{stage} stage: {path}: slices not 0, 1, ... in order")
+    return [entry["size"] for entry in entries]
+
+
 def slice_corpus(task: _SliceTask) -> TraceCorpus:
     """The slice's traces.  A slice file that exists (every file source,
     and a spec slice extracted by an earlier run) is read; otherwise the
@@ -383,26 +419,45 @@ def _baseline_summary(tree: BranchTree) -> dict:
     }
 
 
-def _run_slice_task(task: _SliceTask) -> dict:
-    paths = task.paths
+# results/progress_<i>.json: j of the slice's n traces verified.
+_PROGRESS_KEYS = {"j": _INT, "n": _INT}
+
+
+def _write_progress(task: _SliceTask, j: int, n: int) -> None:
+    write_json_atomic({"slice": task.slice_id, "j": j, "n": n}, task.paths.progress)
+
+
+# results/result_<i>.json counts only if its n is the slice's manifest size.
+_RESULT_KEYS = {"n": _SIZE, "requested": _SUMMARY, "baseline": _SUMMARY,
+                "unlimited": _SUMMARY}
+
+
+def _read_result(path: str, size: int, stage: str) -> dict:
+    result = _read_json_object(path, stage, _RESULT_KEYS)
+    if result["n"] != size:
+        raise PipelineStageError(f"{stage} stage: {path}: n is not the manifest's {size}")
+    return result
+
+
+def _run_slice_task(task: _SliceTask) -> None:
     corpus = slice_corpus(task)
     tree, resolved = plan_slice(corpus, task.order_mode, task.order_seed, task.sigma)
     ordered = tree.traces
 
     # Optimizing at any budget of at least the unlimited peak never meets
     # a full checkpoint index, so it reproduces the unlimited campaign.
-    unlimited = optimize_slice(tree, None, corpus.quantum, task.slice_id)
-    unlimited_summary = _campaign_summary(unlimited)
-    if resolved is None or resolved >= unlimited.peak_stored:
-        requested, requested_summary = unlimited, unlimited_summary
-    else:
-        requested = optimize_slice(tree, resolved, corpus.quantum, task.slice_id)
-        requested_summary = _campaign_summary(requested)
-    write_campaign_file(requested, paths.campaign)
+    campaign = optimize_slice(tree, None, corpus.quantum, task.slice_id)
+    unlimited_summary = _campaign_summary(campaign)
+    if resolved is not None and resolved < campaign.peak_stored:
+        # Only the unlimited campaign's summary is kept, so that a slice
+        # task holds one campaign at a time.
+        del campaign
+        campaign = optimize_slice(tree, resolved, corpus.quantum, task.slice_id)
+    write_campaign_file(campaign, task.paths.campaign)
 
     n = len(ordered)
     last_write = monotonic()
-    write_json_atomic({"slice": task.slice_id, "j": 0, "n": n}, paths.progress)
+    _write_progress(task, 0, n)
 
     done = 0
 
@@ -419,13 +474,11 @@ def _run_slice_task(task: _SliceTask) -> dict:
         done += 1
         now = monotonic()
         if now - last_write >= PROGRESS_INTERVAL_S:
-            write_json_atomic(
-                {"slice": task.slice_id, "j": done, "n": n}, paths.progress
-            )
+            _write_progress(task, done, n)
             last_write = now
 
     model = reference_model(corpus.alphabet, task.model_seed)
-    result = execute(requested, model, progress=on_out)
+    result = execute(campaign, model, progress=on_out)
     if not result.executable:
         raise PipelineStageError(
             f"execute stage: slice {task.slice_id}: command "
@@ -436,10 +489,7 @@ def _run_slice_task(task: _SliceTask) -> dict:
             f"execute stage: slice {task.slice_id}: "
             f"{len(result.observations)} OUTs for {n} traces"
         )
-    write_json_atomic(
-        {"slice": task.slice_id, "j": len(result.observations), "n": n},
-        paths.progress,
-    )
+    _write_progress(task, done, n)
 
     payload = {
         "slice": task.slice_id,
@@ -450,7 +500,7 @@ def _run_slice_task(task: _SliceTask) -> dict:
         "shared_prefixes": tree.shared_prefix_count,
         "sigma_requested": task.sigma,
         "sigma_resolved": resolved,
-        "requested": requested_summary,
+        "requested": _campaign_summary(campaign),
         "baseline": _baseline_summary(tree),
         "unlimited": unlimited_summary,
         "execution": {
@@ -462,8 +512,7 @@ def _run_slice_task(task: _SliceTask) -> dict:
             "first_tokens": [obs.token for obs in result.observations[:4]],
         },
     }
-    write_json_atomic(payload, paths.result)
-    return payload
+    write_json_atomic(payload, task.paths.result)
 
 
 def prepare_slices(config: RunConfig) -> list[_SliceTask]:
@@ -500,53 +549,36 @@ def prepare_slices(config: RunConfig) -> list[_SliceTask]:
         raise PipelineStageError(
             f"slice stage: {config.slices} slices for {len(items)} traces"
         )
-    ranges = slice_ranges(len(items), config.slices)
 
     model_seed = config.seed if config.model_seed is None else config.model_seed
     tasks: list[_SliceTask] = []
-    with atomic_text_file(os.path.join(out, "manifest.jsonl")) as manifest:
-        for i, (start, stop) in enumerate(ranges):
-            body = items[start:stop]
-            task = _SliceTask(
-                slice_id=i,
-                size=stop - start,
-                paths=_slice_paths(out, i),
-                sigma=config.sigma,
-                order_mode=config.order_mode,
-                order_seed=slice_seed(config.seed, i),
-                model_seed=model_seed,
-                spec_slice=None if spec is None else _SpecSlice(spec, quantum, body),
-            )
-            if spec is None and not os.path.exists(task.paths.slice):
-                write_trace_file(task.paths.slice, alphabet, quantum, body)
-            entry = {"slice": i, "size": task.size, "order": task.order_mode,
-                     "seed": task.order_seed}
-            manifest.write(json.dumps(entry, sort_keys=True) + "\n")
-            tasks.append(task)
-
-    # The resolved fields win over RunConfig's: its quantum is only the
-    # default for a spec source, and a trace file's header sets its own.
-    write_json_atomic(
-        {
-            **asdict(config),
-            "n_total": len(items),
-            "alphabet": list(alphabet.tokens),
-            "quantum": quantum,
-            "fingerprint": fingerprint,
-        },
-        os.path.join(out, "config.json"),
-    )
+    for i, (start, stop) in enumerate(slice_ranges(len(items), config.slices)):
+        body = items[start:stop]
+        task = _SliceTask(
+            slice_id=i,
+            size=stop - start,
+            paths=_slice_paths(out, i),
+            sigma=config.sigma,
+            order_mode=config.order_mode,
+            order_seed=slice_seed(config.seed, i),
+            model_seed=model_seed,
+            spec_slice=None if spec is None else _SpecSlice(spec, quantum, body),
+        )
+        if spec is None and not os.path.exists(task.paths.slice):
+            write_trace_file(task.paths.slice, alphabet, quantum, body)
+        tasks.append(task)
+    _write_manifest(out, tasks)
+    _write_config(config, fingerprint, n_total=len(items),
+                  alphabet=list(alphabet.tokens), quantum=quantum)
     return tasks
 
 
 def _has_result(task: _SliceTask) -> bool:
-    """Whether the slice has a result that analyze can read, covering its
-    manifest size."""
-    try:
-        result = _read_json_object(task.paths.result, "resume", _RESULT_KEYS)
-    except (OSError, PipelineStageError):
-        return False
-    return result["n"] == task.size
+    """Whether the slice has a result that analyze can read."""
+    with contextlib.suppress(OSError, PipelineStageError):
+        _read_result(task.paths.result, task.size, "resume")
+        return True
+    return False
 
 
 def run_pipeline(
@@ -592,15 +624,14 @@ def run_pipeline(
 
 def _load_run(run_dir: str) -> tuple[dict, list[dict]]:
     config = _read_json_object(
-        os.path.join(run_dir, "config.json"), "analyze",
-        {"n_total": _SIZE, "seed": _INT, "sigma": _STRING, "slices": _SIZE},
+        os.path.join(run_dir, "config.json"), "analyze", _CONFIG_KEYS
     )
     results = []
-    for i in range(config["slices"]):
+    for i, size in enumerate(_read_manifest(run_dir, "analyze")):
         path = _slice_paths(run_dir, i).result
         if not os.path.exists(path):
             raise PipelineStageError(f"analyze stage: missing result for slice {i}")
-        results.append(_read_json_object(path, "analyze", _RESULT_KEYS))
+        results.append(_read_result(path, size, "analyze"))
     return config, results
 
 
@@ -610,24 +641,12 @@ def read_progress(run_dir: str) -> list[tuple[int, int, int]]:
     A slice without a progress file, or whose progress file counts a
     different size, has verified nothing yet.
     """
-    manifest_path = os.path.join(run_dir, "manifest.jsonl")
-    if not os.path.exists(manifest_path):
-        raise PipelineStageError(f"no manifest under {run_dir}")
-    sizes = {}
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            entry = _read_json_object(
-                manifest_path, "progress", {"slice": _INT, "size": _SIZE}, line
-            )
-            sizes[entry["slice"]] = entry["size"]
-    if not sizes:
-        raise PipelineStageError(f"empty manifest under {run_dir}")
     entries = []
-    for slice_id, size in sorted(sizes.items()):
+    for slice_id, size in enumerate(_read_manifest(run_dir, "progress")):
         path = _slice_paths(run_dir, slice_id).progress
         done = 0
         if os.path.exists(path):
-            data = _read_json_object(path, "progress", {"j": _INT, "n": _INT})
+            data = _read_json_object(path, "progress", _PROGRESS_KEYS)
             if not 0 <= data["j"] <= data["n"]:
                 raise PipelineStageError(
                     f"progress stage: {path}: j is not from 0 to n"
@@ -638,14 +657,6 @@ def read_progress(run_dir: str) -> list[tuple[int, int, int]]:
     return entries
 
 
-def _progress_rows(run_dir: str) -> list[dict]:
-    return [
-        {"slice": slice_id, "j": done, "n": size,
-         "op_bound": omission_probability([(done, size)])}
-        for slice_id, done, size in read_progress(run_dir)
-    ]
-
-
 def analyze_runs(
     run_dirs: Sequence[str],
     cost: CostModel = DEFAULT_COSTS,
@@ -654,7 +665,11 @@ def analyze_runs(
     """Report and progress rows for one or more pipeline output directories;
     ``metrics.report_rows`` computes the report rows."""
     report = report_rows([_load_run(d) for d in run_dirs], cost, f_grid)
-    return report, [row for d in run_dirs for row in _progress_rows(d)]
+    return report, [
+        {"slice": slice_id, "j": done, "n": size,
+         "op_bound": omission_probability([(done, size)])}
+        for d in run_dirs for slice_id, done, size in read_progress(d)
+    ]
 
 
 def write_reports(

@@ -11,6 +11,13 @@ import pytest
 import simcamp.cli as cli
 from simcamp.cli import main
 from simcamp.metrics import parse_cost_model
+from simcamp.pipeline import (
+    _CLAIM_KEYS,
+    _CONFIG_KEYS,
+    _MANIFEST_KEYS,
+    _PROGRESS_KEYS,
+    _RESULT_KEYS,
+)
 from simcamp.traces import TraceCorpus, TraceFormatError
 from test_line_protocol import ACCEPTED_LINES
 from util import ABCD, call_with_timeout, ts, write_trace_file
@@ -176,6 +183,13 @@ FOREIGN_RUN_FILES = {
         }}),
         "analyze", "analyze",
     ),
+    # A slice set that is not 0, 1, ... in order.
+    "manifest_slice_repeated": (
+        "manifest.jsonl", '{"slice": 0, "size": 3}\n' * 2, "progress", "progress"
+    ),
+    "manifest_slice_stray": (
+        "manifest.jsonl", '{"slice": 1, "size": 3}\n', "progress", "progress"
+    ),
 }
 
 
@@ -206,6 +220,53 @@ def test_a_foreign_run_file_fails_its_stage_by_name(tmp_path, capsys, case):
     else:
         assert code == 2
         assert out.err.startswith(f"error: {stage} stage: {path}: ")
+
+
+# Each reader of a run-directory record: the table of keys it checks, the
+# file, and the command and stage that read it.
+RECORD_READERS = {
+    "claim": (_CLAIM_KEYS, "config.json", "pipeline", "resume"),
+    "config": (_CONFIG_KEYS, "config.json", "analyze", "analyze"),
+    "manifest": (_MANIFEST_KEYS, "manifest.jsonl", "progress", "progress"),
+    "manifest_analyzed": (_MANIFEST_KEYS, "manifest.jsonl", "analyze", "analyze"),
+    "progress": (_PROGRESS_KEYS, "results/progress_0.json", "progress", "progress"),
+    "result": (_RESULT_KEYS, "results/result_0.json", "analyze", "analyze"),
+}
+
+
+@pytest.mark.parametrize("wrong", ["removed", "a list"])
+@pytest.mark.parametrize(
+    "reader, key",
+    [(reader, key) for reader, (keys, *_) in RECORD_READERS.items() for key in keys],
+)
+def test_every_key_a_reader_checks_fails_its_stage_by_name(
+    tmp_path, capsys, reader, key, wrong
+):
+    # A list is of no kind a reader accepts.  The one-slice run's manifest
+    # is one line, so every record file here holds one JSON object.
+    _keys, name, command, stage = RECORD_READERS[reader]
+    src = tmp_path / "corpus.txt"
+    write_trace_file(TraceCorpus(ABCD, 1.0, ts("aa", "ab", "b")), str(src))
+    out_dir = str(tmp_path / "run")
+    pipeline = ("pipeline", "--in", str(src), "--out-dir", out_dir)
+    assert run_cli(capsys, *pipeline)[0] == 0
+    path = os.path.join(out_dir, name)
+    with open(path) as fh:
+        record = json.load(fh)
+    if wrong == "removed":
+        del record[key]
+    else:
+        record[key] = []
+    with open(path, "w") as fh:
+        fh.write(json.dumps(record) + "\n")
+    argv = {
+        "pipeline": pipeline,
+        "analyze": ("analyze", out_dir),
+        "progress": ("progress", "--dir", out_dir),
+    }[command]
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out.err.startswith(f"error: {stage} stage: {path}: {key} is ")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import itertools
 import json
@@ -974,6 +975,54 @@ def test_a_slice_task_plans_only_the_campaigns_it_writes(
     run_pipeline(RunConfig(source=corpus_file(tmp_path), out_dir=str(out),
                            slices=2, seed=3, sigma=sigma))
     assert calls == budgets * 2
+
+
+def test_a_slice_task_holds_one_campaign_at_a_time(tmp_path, monkeypatch):
+    # At sigma=1 the requested campaign is planned after the unlimited one,
+    # whose summary alone the result keeps.
+    live = []
+    plan = pipeline.optimize_slice
+
+    def spy(tree, capacity, *args):
+        gc.collect()
+        live.append(sum(isinstance(o, optimizer.Campaign) for o in gc.get_objects()))
+        return plan(tree, capacity, *args)
+
+    monkeypatch.setattr(pipeline, "optimize_slice", spy)
+    run_pipeline(RunConfig(source=corpus_file(tmp_path), out_dir=str(tmp_path / "run"),
+                           seed=3, sigma="1"))
+    assert len(live) == 2
+    assert live[1] == live[0]
+
+
+@pytest.mark.parametrize("source", ["file", "spec"])
+def test_every_written_record_holds_the_keys_its_readers_check(
+    tmp_path, monkeypatch, source
+):
+    # A directory is claimed before its source is read, and a crash there
+    # leaves the claim's config.json for the next run's claim to read.
+    src = corpus_file(tmp_path) if source == "file" else spec_file(tmp_path)
+    out = tmp_path / "run"
+    config = RunConfig(source=src, out_dir=str(out), slices=2, seed=3)
+    monkeypatch.setattr(pipeline, "_materialize_source", lambda config: 1 / 0)
+    with pytest.raises(PipelineStageError, match="source stage failed"):
+        prepare_slices(config)
+    monkeypatch.undo()
+    pipeline._read_json_object(str(out / "config.json"), "test", pipeline._CLAIM_KEYS)
+
+    run_pipeline(config)
+    manifest = out / "manifest.jsonl"
+    records = [(out / "config.json", pipeline._CONFIG_KEYS, None)]
+    records += [(manifest, pipeline._MANIFEST_KEYS, line)
+                for line in manifest.read_text().splitlines()]
+    for i in range(2):
+        records += [
+            (out / "results" / f"progress_{i}.json", pipeline._PROGRESS_KEYS, None),
+            (out / "results" / f"result_{i}.json", pipeline._RESULT_KEYS, None),
+        ]
+    assert len(records) == 7
+    for path, keys, text in records:
+        pipeline._read_json_object(str(path), "test", keys, text)
 
 
 def test_an_out_that_replays_another_trace_fails_its_slice(tmp_path, monkeypatch):
