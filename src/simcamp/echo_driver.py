@@ -63,7 +63,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    alphabet = Alphabet(tuple(args.alphabet.split(",")))
+    try:
+        alphabet = Alphabet(tuple(args.alphabet.split(",")))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     sim = Simulator(reference_model(alphabet, args.seed))
 
     # Replies to a batch go out before the next read, which may block

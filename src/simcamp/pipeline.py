@@ -353,14 +353,25 @@ def _write_manifest(run_dir: str, tasks: Sequence[_SliceTask]) -> None:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
-def _read_manifest(run_dir: str, stage: str) -> list[int]:
-    """The manifest size of every slice of the run, by slice id."""
+# config.json as progress reads it: the claim already holds the slice count.
+_SLICES_KEYS = {"slices": _SIZE}
+
+
+def _read_slice_set(
+    run_dir: str, stage: str, keys: dict[str, _Kind]
+) -> tuple[dict, list[int]]:
+    """The run's config.json, read through ``keys``, and the manifest
+    size of each slice, by slice id: exactly config.json's ``slices``."""
+    config = _read_json_object(os.path.join(run_dir, "config.json"), stage, keys)
     path = os.path.join(run_dir, "manifest.jsonl")
     with open(path, "r", encoding="utf-8") as fh:
         entries = [_read_json_object(path, stage, _MANIFEST_KEYS, line) for line in fh]
     if not entries or [e["slice"] for e in entries] != list(range(len(entries))):
         raise PipelineStageError(f"{stage} stage: {path}: slices not 0, 1, ... in order")
-    return [entry["size"] for entry in entries]
+    if len(entries) != config["slices"]:
+        raise PipelineStageError(f"{stage} stage: {path}: {len(entries)} slices, "
+                                 f"not config.json's {config['slices']}")
+    return config, [entry["size"] for entry in entries]
 
 
 def slice_corpus(task: _SliceTask) -> TraceCorpus:
@@ -586,7 +597,7 @@ def run_pipeline(
     cost: CostModel = DEFAULT_COSTS,
     f_grid: Sequence[float] = DEFAULT_F_GRID,
 ) -> dict:
-    """Run every stage; returns a summary dict (also persisted on disk)."""
+    """Run every stage; returns out_dir and the slice, trace and report row counts."""
     out = config.out_dir
     tasks = prepare_slices(config)
     todo = [t for t in tasks if not _has_result(t)]
@@ -622,27 +633,11 @@ def run_pipeline(
     }
 
 
-def _load_run(run_dir: str) -> tuple[dict, list[dict]]:
-    config = _read_json_object(
-        os.path.join(run_dir, "config.json"), "analyze", _CONFIG_KEYS
-    )
-    results = []
-    for i, size in enumerate(_read_manifest(run_dir, "analyze")):
-        path = _slice_paths(run_dir, i).result
-        if not os.path.exists(path):
-            raise PipelineStageError(f"analyze stage: missing result for slice {i}")
-        results.append(_read_result(path, size, "analyze"))
-    return config, results
-
-
-def read_progress(run_dir: str) -> list[tuple[int, int, int]]:
-    """Per-slice (slice, verified, size) for every slice in the manifest.
-
-    A slice without a progress file, or whose progress file counts a
-    different size, has verified nothing yet.
-    """
+def _slice_progress(run_dir: str, sizes: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Per-slice (slice, verified, size) for slices of these sizes.  A slice
+    whose progress file is absent or counts another size has verified nothing."""
     entries = []
-    for slice_id, size in enumerate(_read_manifest(run_dir, "progress")):
+    for slice_id, size in enumerate(sizes):
         path = _slice_paths(run_dir, slice_id).progress
         done = 0
         if os.path.exists(path):
@@ -657,6 +652,12 @@ def read_progress(run_dir: str) -> list[tuple[int, int, int]]:
     return entries
 
 
+def read_progress(run_dir: str) -> list[tuple[int, int, int]]:
+    """Per-slice (slice, verified, size) for every slice of the run."""
+    _config, sizes = _read_slice_set(run_dir, "progress", _SLICES_KEYS)
+    return _slice_progress(run_dir, sizes)
+
+
 def analyze_runs(
     run_dirs: Sequence[str],
     cost: CostModel = DEFAULT_COSTS,
@@ -664,12 +665,20 @@ def analyze_runs(
 ) -> tuple[list[dict], list[dict]]:
     """Report and progress rows for one or more pipeline output directories;
     ``metrics.report_rows`` computes the report rows."""
-    report = report_rows([_load_run(d) for d in run_dirs], cost, f_grid)
-    return report, [
-        {"slice": slice_id, "j": done, "n": size,
-         "op_bound": omission_probability([(done, size)])}
-        for d in run_dirs for slice_id, done, size in read_progress(d)
-    ]
+    runs, progress = [], []
+    for run_dir in run_dirs:
+        config, sizes = _read_slice_set(run_dir, "analyze", _CONFIG_KEYS)
+        results = []
+        for i, size in enumerate(sizes):
+            path = _slice_paths(run_dir, i).result
+            if not os.path.exists(path):
+                raise PipelineStageError(f"analyze stage: missing result for slice {i}")
+            results.append(_read_result(path, size, "analyze"))
+        runs.append((config, results))
+        progress += [{"slice": slice_id, "j": done, "n": size,
+                      "op_bound": omission_probability([(done, size)])}
+                     for slice_id, done, size in _slice_progress(run_dir, sizes)]
+    return report_rows(runs, cost, f_grid), progress
 
 
 def write_reports(

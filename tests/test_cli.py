@@ -17,6 +17,7 @@ from simcamp.pipeline import (
     _MANIFEST_KEYS,
     _PROGRESS_KEYS,
     _RESULT_KEYS,
+    _SLICES_KEYS,
 )
 from simcamp.traces import TraceCorpus, TraceFormatError
 from test_line_protocol import ACCEPTED_LINES
@@ -222,11 +223,37 @@ def test_a_foreign_run_file_fails_its_stage_by_name(tmp_path, capsys, case):
         assert out.err.startswith(f"error: {stage} stage: {path}: ")
 
 
+@pytest.mark.parametrize("command", ["analyze", "progress"])
+def test_a_manifest_that_drops_a_slice_fails_by_name(tmp_path, capsys, command):
+    # With slice 1 unverified, progress is 1; a manifest cut to slice 0
+    # alone would make it 0 and price the report from one slice.
+    path = tmp_path / "corpus.txt"
+    write_trace_file(TraceCorpus(ABCD, 1.0, ts("aa", "ab", "ba", "bb")), str(path))
+    out_dir = tmp_path / "run"
+    code, _ = run_cli(
+        capsys, "pipeline", "--in", str(path), "--out-dir", str(out_dir),
+        "--slices", "2",
+    )
+    assert code == 0
+    os.unlink(out_dir / "results" / "progress_1.json")
+    assert run_cli(capsys, "progress", "--dir", str(out_dir))[1].out == "1.000000\n"
+    manifest = out_dir / "manifest.jsonl"
+    manifest.write_text(manifest.read_text().splitlines(keepends=True)[0])
+    argv = {"analyze": ("analyze", str(out_dir)),
+            "progress": ("progress", "--dir", str(out_dir))}[command]
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out.err == (
+        f"error: {command} stage: {manifest}: 1 slices, not config.json's 2\n"
+    )
+
+
 # Each reader of a run-directory record: the table of keys it checks, the
 # file, and the command and stage that read it.
 RECORD_READERS = {
     "claim": (_CLAIM_KEYS, "config.json", "pipeline", "resume"),
     "config": (_CONFIG_KEYS, "config.json", "analyze", "analyze"),
+    "config_slices": (_SLICES_KEYS, "config.json", "progress", "progress"),
     "manifest": (_MANIFEST_KEYS, "manifest.jsonl", "progress", "progress"),
     "manifest_analyzed": (_MANIFEST_KEYS, "manifest.jsonl", "analyze", "analyze"),
     "progress": (_PROGRESS_KEYS, "results/progress_0.json", "progress", "progress"),

@@ -53,6 +53,19 @@ def test_echo_driver_replies_are_pinned():
     assert done.stdout == DRIVER_REPLIES
 
 
+@pytest.mark.parametrize(
+    "alphabet, error",
+    [("a,a", "alphabet tokens must be distinct"), ("a,", "bad alphabet token: ''")],
+)
+def test_echo_driver_names_a_bad_alphabet(alphabet, error):
+    done = call_with_timeout(
+        subprocess.run, ECHO_DRIVER + ["--alphabet", alphabet],
+        input=b"", capture_output=True,
+    )
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.decode() == f"error: {error}\n"
+
+
 ACCEPTED_LINES = [
     "STORE 0", "", "   ", "# c", "RUN a 03", "STORE  +7", "RUN\tb\t2",
     "STORE 10", "  OUT  ", "LOAD 1_0", "RUN a ٣", "FREE 10", "OUT",

@@ -8,6 +8,8 @@ import tokenize
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import simcamp
 import simcamp.cli
 import simcamp.pipeline
@@ -72,12 +74,15 @@ def test_benchmark_traced_names_are_bound():
     assert unbound == []
 
 
-def test_the_benchmark_passes_its_gate_in_traced_mode():
+@pytest.mark.parametrize("workload", ["spec_pipeline", "sorted_tight", "driver_replay"])
+def test_the_benchmark_passes_its_gate_in_traced_mode(workload):
     # The gate reads each trace's symbols, each observation's symbols and
-    # the reference model, so a change to those fails here first.
+    # the reference model, so a change to those fails here first.  Only
+    # the pipeline workloads call the traced analyze_runs, _run_slice_task
+    # and prepare_slices.
     run = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
     done = subprocess.run(
-        [sys.executable, str(run), "--workload", "driver_replay", "--seed", "1",
+        [sys.executable, str(run), "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "1"],
         capture_output=True, text=True, timeout=120,
     )

@@ -480,6 +480,32 @@ def test_a_failed_slice_is_named_and_the_pool_finishes_the_rest(
     assert [int(p.stem.split("_")[1]) for p in results] == finished
 
 
+def test_analyze_and_progress_read_the_slice_set_once(tmp_path, monkeypatch):
+    # config.json and the manifest are read together, once per run, so the
+    # report and progress.csv price the same slices.
+    src = corpus_file(tmp_path)
+    dirs = []
+    for seed in (1, 2):
+        out = tmp_path / f"run{seed}"
+        run_pipeline(RunConfig(source=src, out_dir=str(out), slices=2, seed=seed))
+        dirs.append(str(out))
+    opened = []
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(os.path.relpath(path, tmp_path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "open", recording_open, raising=False)
+    analyze_runs(dirs)
+    for run in ("run1", "run2"):
+        for name in ("config.json", "manifest.jsonl"):
+            assert opened.count(os.path.join(run, name)) == 1
+    opened.clear()
+    read_progress(dirs[0])
+    assert opened[:2] == [os.path.join("run1", "config.json"),
+                          os.path.join("run1", "manifest.jsonl")]
+
+
 def test_analyze_requires_all_results(tmp_path):
     src = corpus_file(tmp_path)
     out = tmp_path / "run"
