@@ -8,9 +8,10 @@ end to end:
 
 It is the simulator answering stdin: every command line gets the
 simulator's own reply to it, ``OK``, ``OUT <token>`` or ``ERR <message>``.
-A canonical line, as a campaign file holds it, is answered as it is; any
-other line goes through ``parse_command`` first, which gives header and
-comment lines no reply, and a line it refuses gets ``ERR <error>``.
+A canonical line, as a campaign file holds it, is answered as it is, even
+in a batch with other lines; only those other lines go through
+``parse_command`` first, which gives header and comment lines no reply,
+and a line it refuses gets ``ERR <error>``.
 Replies are buffered and flushed before each read of input that may
 block, so a client that streams commands gets its replies in batches, and
 a client that waits for each reply before sending the next command still
@@ -74,18 +75,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     # until the client has seen them.
     misfit = canonical_patterns(alphabet)[1]
     for text in _input_batches(sys.stdin):
-        canonical = misfit.search("\n" + text) is None
         replies: list[str] = []
-        for line in text[:-1].split("\n"):
-            if not canonical:
-                try:
-                    line = parse_command(line, alphabet)
-                except TraceFormatError as exc:
-                    replies.append(f"ERR {exc}")
-                    continue
-                if line is None:
-                    continue
-            replies.append(sim.reply(line))
+        # Each line follows a newline; ``at`` is the one before the first
+        # line not yet answered.  The canonical lines up to each misfit
+        # are answered as they are, and the misfit through parse_command.
+        text = "\n" + text
+        at = 0
+        for match in misfit.finditer(text):
+            if match.start() > at:
+                replies += map(sim.reply, text[at + 1:match.start()].split("\n"))
+            at = text.index("\n", match.end())
+            try:
+                line = parse_command(text[match.end():at], alphabet)
+            except TraceFormatError as exc:
+                replies.append(f"ERR {exc}")
+                continue
+            if line is not None:
+                replies.append(sim.reply(line))
+        if at < len(text) - 1:
+            replies += map(sim.reply, text[at + 1:-1].split("\n"))
         if replies:
             sys.stdout.write("\n".join(replies) + "\n")
             sys.stdout.flush()

@@ -31,11 +31,21 @@ _MASK64 = (1 << 64) - 1
 DRIVER_EXIT_GRACE_S = 60.0
 
 
+def _mix_steps(state: int, key: int, quanta: int) -> int:
+    """``quanta`` rounds of adding ``key`` to a 64-bit state and scrambling
+    the sum with the splitmix64 finalizer, a cheap, well-scrambled 64-bit
+    permutation."""
+    for _ in range(quanta):
+        state = (state + key) & _MASK64
+        state = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+        state = (state ^ (state >> 27)) * 0x94D049BB133111EB & _MASK64
+        state ^= state >> 31
+    return state
+
+
 def _mix64(value: int) -> int:
-    """splitmix64 finalizer: a cheap, well-scrambled 64-bit permutation."""
-    value = (value ^ (value >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    value = (value ^ (value >> 27)) * 0x94D049BB133111EB & _MASK64
-    return value ^ (value >> 31)
+    """The splitmix64 finalizer of a 64-bit value: one round at key 0."""
+    return _mix_steps(value, 0, 1)
 
 
 class SystemModel:
@@ -73,10 +83,7 @@ class ReferenceModel(SystemModel):
         ]
 
     def transition(self, state: int, symbol: int, quanta: int) -> int:
-        key = self._symbol_keys[symbol]
-        for _ in range(quanta):
-            state = _mix64((state + key) & _MASK64)
-        return state
+        return _mix_steps(state, self._symbol_keys[symbol], quanta)
 
     def observe(self, state: int) -> str:
         return f"{state:016x}"

@@ -7,13 +7,14 @@ that replays every trace in that order while holding at most
 deepest stored prefix; runs break at prefixes worth checkpointing; a
 checkpoint is freed after its last use, the last trace in the
 verification order whose chain holds it, or, when memory is full, the
-one whose effective next use lies furthest ahead in the verification
-order is evicted.  A checkpoint's effective next use is the next trace
-that would load it: a trace whose chain holds it and no stored
-checkpoint below it.  This is Belady's rule with a use counted only
-where the checkpoint would be the load point.  Belady's optimality
-argument does not carry over as stated, because a miss here costs more
-or less depending on which ancestors are stored.
+one whose loss costs least is evicted.  A checkpoint's next load is the
+next trace that would load it: a trace whose chain holds it and no
+stored checkpoint below it.  Its value is its gap, the quanta that load
+would re-simulate without it, over the square of the distance to that
+load.  Furthest next use, Belady's rule, ignores what a loss costs, which
+here depends on which ancestors are stored; the least value gave shorter
+campaigns on every family of slices measured, from complete trees in
+random order to long piecewise-constant histories.
 
 ``CheckpointIndex`` is the one record of which nodes hold a checkpoint,
 the reserved root included; the tree only knows the order, prefix
@@ -39,6 +40,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, compress, groupby
+from operator import truediv
 from typing import Iterator, Sequence
 
 from .traces import (
@@ -84,72 +86,166 @@ _OPS = ("store", "load", "free", "run", "out")
 _IS_RUN = bytes(op == ord("R") for op in range(256))
 
 
+# While the largest gap times the largest squared distance stays below
+# this, two distinct values never round to equal or swapped floats.
+_FLOAT_BOUND = 1 << 52
+
+
+@dataclass(slots=True, eq=False)
+class _Checkpoint:
+    """A stored node's record at a budget that can evict."""
+
+    next_load: int  # the next trace that would load it, or the slice size
+    seq: int  # its place in store order
+    level: int  # its index in every chain that holds it
+    chain: tuple[int, ...]  # one chain that holds it
+    up: int = ROOT_ID  # its nearest stored ancestor
+    gap: int = 0  # its depth less its nearest stored ancestor's
+    kids: list[int] = field(default_factory=list)  # the nodes it is ``up`` of
+    live: tuple | None = None  # its heap entry that is not superseded
+
+
 class CheckpointIndex:
-    """The stored states and the furthest-next-use eviction policy.
+    """The stored states and the least-value eviction policy.
 
     ``entries`` maps every stored node id, the reserved root included, to
-    its (next use, store-sequence) key; membership in it is what "stored"
-    means.  ``optimize_slice`` keys a node by its effective next use: the
-    position, in the verification order, of the next trace that would load
-    it, whose chain holds it and no stored node below it.  The victim
-    candidate is the stored node used furthest in the future, ties broken
-    toward the least recently stored.  With uniform recompute costs this
-    would be the optimal offline rule (Belady, 1966); here a reload costs
-    the distance from the deepest stored ancestor, which depends on what
-    else is stored, so it is a heuristic.  The root occupies capacity but
-    is never a victim: its key never enters the lazy heap over (-next use,
-    seq, id).
+    its record; membership in it is what "stored" means.  Only a capacity
+    strictly between 1, the root alone, and ``len(depth)``, the nodes that
+    could ever be stored, can ever evict (``evicts``); any other maps each
+    stored node to None and has no victim.
 
-    ``size`` is the number of nodes that could ever be stored.  Only a
-    capacity strictly between 1, the root alone, and ``size`` can ever
-    evict (``evicts``); any other keeps no heap and has no victim.
+    At a budget that can evict, a record holds the node's next load: the
+    position, in the verification order, of the next trace that would load
+    it, whose chain holds it and no stored node below it, or ``n`` if none
+    would.  It also links the node to its nearest stored ancestor and keeps
+    its gap, the depth between them: the quanta its next load would
+    re-simulate without it.  At trace ``j`` a checkpoint's value is gap ÷
+    (next load − j)², and 0 with no later load.  The victim is the stored
+    node of least value other than the root, ties broken toward the least
+    recently stored, and it is evicted only for a candidate of strictly
+    greater value.  This is a GreedyDual rule (Young, 1994; Cao & Irani,
+    1997): it weighs what a loss costs, which furthest next use (Belady,
+    1966) ignores.  The distance is squared because a checkpoint held
+    longer blocks more stores; with the plain distance, complete trees in
+    random order got longer.
+
+    Keys stay exact: a store re-links the new node's stored descendants to
+    it, and a free hands the freed node's descendants and next load to its
+    nearest stored ancestor.  Values compare exactly: as floats while
+    ``max(depth) * n * n < 2**52``, where two distinct ratios of a gap and
+    a squared distance never round to equal or swapped floats, and as
+    ``Fraction``s beyond.  A value only grows as ``j`` advances and as gaps
+    grow, so the victim pass keeps a lazy heap of lower bounds over (value,
+    store sequence), whose head is refreshed until its bound is its value;
+    a change that lowers a value pushes a fresh entry.
     """
 
-    def __init__(self, capacity: int | None, size: int) -> None:
+    def __init__(self, capacity: int | None, depth: Sequence[int], n: int) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("state capacity must be >= 1")
-        self.evicts = capacity is not None and 1 < capacity < size
-        self.entries: dict[int, tuple[int, int]] = {}
-        self._heap: list[tuple[int, int, int]] = []
+        self.evicts = capacity is not None and 1 < capacity < len(depth)
+        self.entries: dict[int, _Checkpoint | None] = {}
+        self._depth = depth
+        self._n = n
+        if max(depth) * n * n < _FLOAT_BOUND:
+            self._ratio = truediv
+        else:
+            # Imported here: floats hold every value at the bench's scales,
+            # and importing fractions loads decimal too.
+            from fractions import Fraction
+
+            self._ratio = Fraction
+        self._heap: list[tuple] = []
         self._seq = 0
 
-    def note_store(self, node_id: int, next_use: int) -> None:
-        self._seq += 1
-        self.entries[node_id] = (next_use, self._seq)
-        if self.evicts and node_id != ROOT_ID:
-            self._push(node_id, next_use, self._seq)
+    def _value(self, gap: int, next_load: int, j: int):
+        """gap ÷ (next load − j)² at trace ``j``, or 0 with no later load."""
+        if next_load >= self._n:
+            return 0
+        distance = next_load - j
+        return self._ratio(gap, distance * distance)
 
-    def note_free(self, node_id: int) -> None:
-        del self.entries[node_id]
-
-    def rekey(self, node_id: int, next_use: int) -> None:
-        """Give a stored node its new next use; ignores the root, ids that
-        are not stored and unchanged keys."""
-        entry = self.entries.get(node_id)
-        if entry is not None and entry[0] != next_use and node_id != ROOT_ID:
-            self.entries[node_id] = (next_use, entry[1])
-            if self.evicts:
-                self._push(node_id, next_use, entry[1])
-
-    def _push(self, node_id: int, next_use: int, seq: int) -> None:
-        heapq.heappush(self._heap, (-next_use, seq, node_id))
-        # Superseded keys leave the heap only when they reach its head;
-        # once they outnumber the live ones, rebuild it from the live keys.
+    def _push(self, node_id: int, entry: _Checkpoint, j: int) -> None:
+        entry.live = item = (self._value(entry.gap, entry.next_load, j), entry.seq,
+                             node_id)
+        heapq.heappush(self._heap, item)
+        # Superseded entries leave the heap only when they reach its head;
+        # once they outnumber the live ones, rebuild it from the records.
         if len(self._heap) > 2 * len(self.entries) + 8:
-            self._heap = [
-                (-use, order, nid)
-                for nid, (use, order) in self.entries.items()
-                if nid != ROOT_ID
-            ]
+            self._heap = []
+            for nid, e in self.entries.items():
+                if nid != ROOT_ID:
+                    e.live = (self._value(e.gap, e.next_load, j), e.seq, nid)
+                    self._heap.append(e.live)
             heapq.heapify(self._heap)
 
-    def victim(self) -> tuple[int, int] | None:
-        """Current eviction candidate as (node_id, next use), or None."""
-        while self._heap:
-            neg_use, seq, node_id = self._heap[0]
-            if self.entries.get(node_id) == (-neg_use, seq):
-                return node_id, -neg_use
-            heapq.heappop(self._heap)
+    def store(self, node_id: int, next_load: int = 0, chain: tuple[int, ...] = (),
+              level: int = 0, j: int = 0) -> None:
+        """Store ``node_id``, found at ``chain[level]``, at trace ``j``."""
+        if not self.evicts:
+            self.entries[node_id] = None
+            return
+        self._seq += 1
+        entry = self.entries[node_id] = _Checkpoint(next_load, self._seq, level, chain)
+        if node_id == ROOT_ID:
+            return
+        up = level - 1
+        while chain[up] not in self.entries:
+            up -= 1
+        entry.up = chain[up]
+        entry.gap = self._depth[node_id] - self._depth[chain[up]]
+        # The ancestor's stored descendants below the new node are now its.
+        kids = self.entries[chain[up]].kids
+        for kid in [*kids]:
+            below = self.entries[kid]
+            if below.level > level and below.chain[level] == node_id:
+                kids.remove(kid)
+                entry.kids.append(kid)
+                below.up = node_id
+                below.gap -= entry.gap
+                self._push(kid, below, j)
+        kids.append(node_id)
+        self._push(node_id, entry, j)
+
+    def free(self, node_id: int) -> None:
+        """Free ``node_id``: its nearest stored ancestor takes over its
+        stored descendants and, if sooner, its next load."""
+        entry = self.entries.pop(node_id)
+        if entry is None or node_id == ROOT_ID:
+            return
+        up = self.entries[entry.up]
+        up.kids.remove(node_id)
+        up.kids += entry.kids
+        for kid in entry.kids:
+            below = self.entries[kid]
+            below.up = entry.up
+            below.gap += entry.gap
+        up.next_load = min(up.next_load, entry.next_load)
+
+    def rekey(self, node_id: int, next_load: int, j: int) -> None:
+        """Give a stored node other than the root a new next load at trace
+        ``j``."""
+        entry = self.entries[node_id]
+        if entry.next_load != next_load:
+            entry.next_load = next_load
+            self._push(node_id, entry, j)
+
+    def victim(self, j: int, gap: int, next_load: int) -> int | None:
+        """The node to evict at trace ``j`` for a candidate of this gap and
+        next load: the least-valued stored node, if its value is strictly
+        below the candidate's; else None."""
+        heap, entries = self._heap, self.entries
+        while heap:
+            item = heap[0]
+            entry = entries.get(item[2])
+            if entry is None or entry.live is not item:
+                heapq.heappop(heap)
+                continue
+            value = self._value(entry.gap, entry.next_load, j)
+            if value == item[0]:
+                return item[2] if value < self._value(gap, next_load, j) else None
+            entry.live = (value, entry.seq, item[2])
+            heapq.heapreplace(heap, entry.live)
         return None
 
 
@@ -191,15 +287,14 @@ def optimize_slice(
             last_use[node_id] = j
     if not tree.root_shared:
         last_use[ROOT_ID] = n
-    index = CheckpointIndex(capacity, len(depth))
+    index = CheckpointIndex(capacity, depth, n)
     stored = index.entries
     alphabet = ordered[0].alphabet
     tokens = alphabet.tokens
     lines: list[str] = []
     emit = lines.append
 
-    # Only an index that can evict needs keys.  Otherwise every checkpoint
-    # is keyed 0, and equal keys never evict.
+    # Only an index that can evict needs next loads.
     keyed = index.evicts
     if keyed:
         uses = _next_use_table(chains, len(depth))
@@ -217,12 +312,8 @@ def optimize_slice(
                 p = positions[i]
             return p
 
-    def do_store(node_id: int, use: int) -> None:
-        index.note_store(node_id, use)
-        emit(f"STORE {node_id}")
-
     def do_free(node_id: int) -> None:
-        index.note_free(node_id)
+        index.free(node_id)
         emit(f"FREE {node_id}")
 
     def emit_runs(symbols: bytes) -> None:
@@ -230,7 +321,8 @@ def optimize_slice(
             emit(f"RUN {tokens[symbol]} {len(list(group))}")
 
     # The campaign begins by checkpointing the initial state under id 0.
-    do_store(ROOT_ID, 0)
+    index.store(ROOT_ID)
+    emit(f"STORE {ROOT_ID}")
 
     for j, trace in enumerate(ordered):
         s = trace.symbols
@@ -247,7 +339,7 @@ def optimize_slice(
         # This trace was the load node's next load; its key moves to the
         # next one, so every key names a later trace.
         if keyed and k:
-            index.rekey(load_id, next_load(load_id, k, j))
+            index.rekey(load_id, next_load(load_id, k, j), j)
 
         # Availability sweep: a stored prefix on this trace's chain whose
         # last use is this trace can never be reused, so its checkpoint is
@@ -258,39 +350,42 @@ def optimize_slice(
 
         # Run scan over the chain nodes below the load node, none of them
         # stored: each is stored if there is room, or at full capacity by
-        # evicting a victim whose key is strictly later.  A candidate's
-        # key is never earlier than that of an unstored node above it, so
-        # the first node that loses ends the scan.  A node's last use is
+        # evicting a victim of strictly less value.  A node's last use is
         # never after its parent's, so the first node whose last use is
-        # this trace ends it too.  The trace's constant runs are cut where
-        # a node is stored.
+        # this trace ends the scan.  Values do not fall down a chain, so a
+        # node that loses does not end it.  The trace's constant runs are
+        # cut where a node is stored; ``pos`` is the depth of the nearest
+        # stored node above the scan.
         pos = depth[load_id]
         for i in range(k + 1, len(chain)):
             node_id = chain[i]
             if last_use[node_id] == j:
                 break
-            use = next_load(node_id, i, j) if keyed else 0
-            victim = None
-            if capacity is not None and len(stored) >= capacity:
-                found = index.victim()
-                if found is None or found[1] <= use:
-                    break
-                victim = found[0]
+            victim, use = None, 0
+            if keyed:
+                use = next_load(node_id, i, j)
+                if len(stored) >= capacity:
+                    victim = index.victim(j, depth[node_id] - pos, use)
+                    if victim is None:
+                        continue
+            elif capacity is not None and len(stored) >= capacity:
+                break
             emit_runs(s[pos:depth[node_id]])
             pos = depth[node_id]
             if victim is not None:
+                evicted = stored[victim]
                 do_free(victim)
-            do_store(node_id, use)
-            if keyed:
-                # The new checkpoint shadows its nearest stored ancestor
-                # on the one trace its key names, if that trace holds it.
-                up = i - 1
-                while up and chain[up] not in stored:
-                    up -= 1
-                if up:
-                    later = stored[chain[up]][0]
-                    if later < n and chains[later][i:i + 1] == (node_id,):
-                        index.rekey(chain[up], next_load(chain[up], up, later))
+                if evicted.level > i and evicted.chain[i] == node_id:
+                    # The victim's next load may now be the new node's.
+                    use = next_load(node_id, i, j)
+            index.store(node_id, use, chain, i, j)
+            emit(f"STORE {node_id}")
+            if keyed and (up := stored[node_id].up) != ROOT_ID:
+                # The new checkpoint shadows its nearest stored ancestor on
+                # the one trace whose key it holds, if that trace holds it.
+                later = stored[up].next_load
+                if later < n and chains[later][i:i + 1] == (node_id,):
+                    index.rekey(up, next_load(up, stored[up].level, later), j)
         emit_runs(s[pos:])
         emit("OUT")
 

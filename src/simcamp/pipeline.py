@@ -653,7 +653,11 @@ def _slice_progress(run_dir: str, sizes: Sequence[int]) -> list[tuple[int, int, 
 
 
 def read_progress(run_dir: str) -> list[tuple[int, int, int]]:
-    """Per-slice (slice, verified, size) for every slice of the run."""
+    """Per-slice (slice, verified, size) for every slice of the run; none
+    for a claimed run whose source stage has not written the manifest."""
+    if not os.path.exists(os.path.join(run_dir, "manifest.jsonl")):
+        _read_json_object(os.path.join(run_dir, "config.json"), "progress", _SLICES_KEYS)
+        return []
     _config, sizes = _read_slice_set(run_dir, "progress", _SLICES_KEYS)
     return _slice_progress(run_dir, sizes)
 
@@ -694,8 +698,8 @@ def write_reports(
 
 
 def overall_omission_bound(run_dir: str) -> float:
-    """The any-time omission bound from the run's current progress files."""
-    return omission_probability(
-        [(done, size) for _slice, done, size in read_progress(run_dir)]
-    )
+    """The any-time omission bound from the run's current progress files;
+    1 for a run that has no slices yet, which has verified nothing."""
+    progress = [(done, size) for _slice, done, size in read_progress(run_dir)]
+    return omission_probability(progress) if progress else 1.0
 

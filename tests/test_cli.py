@@ -133,6 +133,21 @@ def test_pipeline_analyze_progress(tmp_path, capsys):
     assert json.loads(out.out)["rows"] == 6
 
 
+def test_progress_of_a_run_whose_source_stage_failed_is_one(tmp_path, capsys):
+    # The failed run claimed its directory but wrote no manifest: it has
+    # verified nothing.  A directory that holds no run still fails.
+    src = tmp_path / "bad.txt"
+    src.write_text("#alphabet=a,b;q=1\nab\nzz\n")
+    out_dir = tmp_path / "run"
+    code, out = run_cli(capsys, "pipeline", "--in", str(src), "--out-dir", str(out_dir))
+    assert code == 2 and out.err.startswith("error: source stage failed")
+    assert not (out_dir / "manifest.jsonl").exists()
+    code, out = run_cli(capsys, "progress", "--dir", str(out_dir))
+    assert (code, out.out, out.err) == (0, "1.000000\n", "")
+    code, out = run_cli(capsys, "progress", "--dir", str(tmp_path))
+    assert code == 2 and "config.json" in out.err
+
+
 # A run-directory file simcamp did not write, and the command that then
 # reads it.  Each fails its stage by name with exit 2, never with a
 # traceback, except a result file that is not a result: the rerun

@@ -163,3 +163,36 @@ def test_the_driver_and_the_reader_agree_on_every_accepted_form(tmp_path_factory
         argv = ["--seed", str(seed), "--alphabet", ",".join(alphabet.tokens)]
         assert echo_driver.main(argv) == 0
     assert replies.getvalue() == "".join(reply + "\n" for reply in expected)
+
+
+def test_the_echo_driver_parses_only_the_lines_that_are_not_canonical(
+    tmp_path, monkeypatch
+):
+    # A campaign file's header line, or a comment, takes the slow path
+    # alone: the canonical lines of its batch are answered as they are.
+    alphabet, traces = random_traces(random.Random(3), 40)
+    planned = optimize_slice(build_tree(traces), 2, 1.0)
+    lines = ["#q=1;slice=0", *planned.lines[:30], "# a comment", "RUN  a 1",
+             *planned.lines[30:]]
+    path = tmp_path / "campaign.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    sim = Simulator(reference_model(alphabet, 5))
+    expected = [sim.reply(line) for line in [*planned.lines[:30], "RUN a 1",
+                                             *planned.lines[30:]]]
+
+    calls = []
+    parse = echo_driver.parse_command
+
+    def spy(line, alphabet):
+        calls.append(line)
+        return parse(line, alphabet)
+
+    monkeypatch.setattr(echo_driver, "parse_command", spy)
+    replies = io.StringIO()
+    with open(path, encoding="utf-8") as stdin:
+        monkeypatch.setattr(sys, "stdin", stdin)
+        monkeypatch.setattr(sys, "stdout", replies)
+        argv = ["--seed", "5", "--alphabet", ",".join(alphabet.tokens)]
+        assert echo_driver.main(argv) == 0
+    assert calls == ["#q=1;slice=0", "# a comment", "RUN  a 1"]
+    assert replies.getvalue() == "".join(reply + "\n" for reply in expected)

@@ -5,6 +5,7 @@ import os
 import random
 import tempfile
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,22 +42,35 @@ def reference_next_load(prefixes, ordered, stored, node_id, j):
     return len(ordered)
 
 
-def reference_decision(capacity, stored, node_id, shared, next_use):
+def reference_gap(prefixes, stored, node_id):
+    """The quanta between the node's prefix and its nearest ``stored``
+    ancestor's, found by a search of every stored prefix."""
+    prefix = prefixes[node_id]
+    above = [prefixes[nid] for nid in stored if len(prefixes[nid]) < len(prefix)]
+    return len(prefix) - max(len(a) for a in above if prefix[:len(a)] == a)
+
+
+def reference_value(gap, next_load, j, n):
+    """gap / (next load - j)^2, exactly; 0 if no later trace would load."""
+    return Fraction(0) if next_load >= n else Fraction(gap, (next_load - j) ** 2)
+
+
+def reference_decision(capacity, stored, node_id, shared, value):
     """The storage rule as a standalone function: ("skip" | "store" |
     "store_evicting", victim id).  ``stored`` maps each stored node id to
-    its (next load, store sequence).  Never for non-``shared`` or
+    its (value, store sequence).  Never for non-``shared`` or
     already-stored prefixes.  With free capacity, always.  At full
-    capacity, only by evicting the stored node other than the root whose
-    next load is furthest (ties: the least recently stored), when that
-    load is strictly later than the candidate's ``next_use``."""
+    capacity, only by evicting the stored node other than the root of
+    least value (ties: the least recently stored), when that value is
+    strictly below the candidate's ``value``."""
     if not shared or node_id in stored:
         return "skip", -1
     if capacity is None or len(stored) < capacity:
         return "store", -1
-    keys = [(-use, seq, nid) for nid, (use, seq) in stored.items() if nid != ROOT_ID]
+    keys = [(v, seq, nid) for nid, (v, seq) in stored.items() if nid != ROOT_ID]
     if keys:
-        neg_use, _, victim = min(keys)
-        if -neg_use > next_use:
+        least, _, victim = min(keys)
+        if least < value:
             return "store_evicting", victim
     return "skip", -1
 
@@ -74,10 +88,10 @@ def reference_chain(prefixes, symbols):
 
 def reference_optimize_slice(tree, capacity, quantum, slice_id=0):
     """``optimize_slice`` with an earlier run scan, one step per symbol
-    and one ``reference_decision`` call per boundary, and with every key
-    found by ``reference_next_load`` at each decision and victims by a
-    search of every stored node: the reference whose campaigns the
-    run-by-run scan must reproduce.  Each shared node's pending uses, the
+    and one ``reference_decision`` call per boundary, with every next load
+    found by ``reference_next_load`` and every gap by ``reference_gap`` at
+    each decision, and victims by a search of every stored node: the
+    reference whose campaigns the run-by-run scan must reproduce.  Each shared node's pending uses, the
     traces whose ``reference_chain`` holds it, are counted down in a
     Counter; a node whose count reaches zero joins ``dead``, and chain
     walks stop above a dead node other than the root.  The root is freed
@@ -100,8 +114,12 @@ def reference_optimize_slice(tree, capacity, quantum, slice_id=0):
     tokens = ordered[0].alphabet.tokens
     lines = []
 
-    def next_load(node_id, j):
-        return reference_next_load(prefixes, ordered, stored, node_id, j)
+    def value(node_id, j):
+        return reference_value(
+            reference_gap(prefixes, stored, node_id),
+            reference_next_load(prefixes, ordered, stored, node_id, j),
+            j, len(ordered),
+        )
 
     def do_store(node_id):
         nonlocal peak
@@ -137,9 +155,10 @@ def reference_optimize_slice(tree, capacity, quantum, slice_id=0):
         def decide(boundary):
             if boundary is None or boundary in dead:
                 return "skip", -1
-            keys = {nid: (next_load(nid, j), seq) for nid, seq in stored.items()}
+            values = {nid: (None if nid == ROOT_ID else value(nid, j), seq)
+                      for nid, seq in stored.items()}
             return reference_decision(
-                capacity, keys, boundary, boundary in shared, next_load(boundary, j)
+                capacity, values, boundary, boundary in shared, value(boundary, j)
             )
 
         while start < h:
@@ -248,11 +267,12 @@ def test_trace_equal_to_stored_prefix():
 
 def test_next_use_evicts_the_checkpoint_used_furthest_ahead():
     # When "bb" is reached, "a" and "ab" fill both free slots.  "a" is next
-    # used by "aa" and "ab" by "abb", one trace later, so next use evicts
-    # "ab": 10 quanta.  Always evicting the least recently stored checkpoint
-    # takes 11.  "ab" needs the later use: since the availability sweep
-    # counts a trace as a use of its own prefix, trace "ab" would otherwise
-    # free it, and "bb" would find a free slot.
+    # used by "aa" and "ab" by "abb", two traces later, so next use evicts
+    # "ab": 10 quanta.  So does the least value: "ab"'s is 1/3², "a"'s 1/1²
+    # and the candidate "bb"'s 2/2².  Always evicting the least recently
+    # stored checkpoint takes 11.  "ab" needs the later use: since the
+    # availability sweep counts a trace as a use of its own prefix, trace
+    # "ab" would otherwise free it, and "bb" would find a free slot.
     ordered = ts("aba", "ab", "bb", "aa", "bbba", "abb")
     campaign = optimize_slice(build_tree(ordered), 3, 1.0)
     assert campaign.lines == [
@@ -289,8 +309,8 @@ def test_next_use_evicts_the_checkpoint_used_furthest_ahead():
 
 def test_a_checkpoint_no_later_trace_would_load_is_evicted():
     # "abb" holds "a" on its chain, so "a" has a later use, but "abb" would
-    # load "ab", stored below it: "a"'s effective next use is never.  So
-    # "abbb" evicts "a" to store "abb", which "abb" then loads: 4 quanta,
+    # load "ab", stored below it: "a" has no next load, so its value is 0.
+    # So "abbb" evicts "a" to store "abb", which "abb" then loads: 4 quanta,
     # the optimum.  Keyed by every chain use, "a" stays and "abb" is not
     # stored: 5 quanta.
     ordered = ts("ab", "a", "abbb", "abb")
@@ -321,6 +341,34 @@ def test_a_checkpoint_no_later_trace_would_load_is_evicted():
     ]
     assert campaign.length_quanta == 4 == optimal_campaign_length(ordered, 3)
     assert campaign.peak_stored == 3
+
+
+def test_the_checkpoint_whose_loss_costs_least_is_evicted():
+    # At sigma 2 the root and one checkpoint fit.  Replaying "baab" stores
+    # "b"; at "baa" both would next be loaded by trace "baa", one trace
+    # ahead.  Losing "b" costs 1 quantum and losing "baa" 2, so "b"
+    # (value 1/1²) is evicted for "baa" (value 2/1²): 5 quanta, the
+    # optimum.  Furthest next use sees equal next uses, keeps "b" and
+    # takes 6.
+    ordered = ts("baab", "baa", "b")
+    campaign = optimize_slice(build_tree(ordered), 2, 1.0)
+    assert campaign.lines == [
+        "STORE 0",
+        "RUN b 1",
+        "STORE 1",
+        "RUN a 2",
+        "FREE 1",
+        "STORE 2",
+        "RUN b 1",
+        "OUT",
+        "LOAD 2",
+        "FREE 2",
+        "OUT",
+        "LOAD 0",
+        "RUN b 1",
+        "OUT",
+    ]
+    assert campaign.length_quanta == 5 == optimal_campaign_length(ordered, 2)
 
 
 def test_checkpoint_equal_to_a_trace_is_freed_after_its_last_use():
@@ -359,9 +407,9 @@ def test_budgets_that_cannot_bind_rekey_nothing(monkeypatch):
     calls = []
     rekey = CheckpointIndex.rekey
 
-    def spy(self, node_id, next_use):
+    def spy(self, node_id, next_load, j):
         calls.append(node_id)
-        return rekey(self, node_id, next_use)
+        return rekey(self, node_id, next_load, j)
 
     monkeypatch.setattr(CheckpointIndex, "rekey", spy)
     ordered = ts("aba", "ab", "bb", "aa", "bbba", "abab", "bbb")
@@ -399,58 +447,91 @@ def test_optimize_slice_leaves_its_tree_unchanged():
 
 
 def test_checkpoint_index_eviction_order():
-    index = CheckpointIndex(3, 10)
-    index.note_store(0, 99)  # reserved slot: occupies capacity, never a victim
-    index.note_store(5, 6)
-    index.note_store(7, 6)
-    index.note_store(9, 4)
-    assert len(index.entries) == 4
-    # the furthest next use is the victim; equal next uses tie-break
-    # toward the least recently stored
-    assert index.victim() == (5, 6)
-    index.note_free(5)
-    assert index.victim() == (7, 6)  # stale heap head is skipped lazily
-    index.rekey(9, 8)
-    assert index.victim() == (9, 8)
-    # Re-keying every stored id, the root included, keeps the root out:
-    # on equal keys it would win the tie as the least recently stored.
-    for node_id in list(index.entries):
-        index.rekey(node_id, 1000)
-    assert index.entries[0] == (99, 1)
-    assert index.victim() == (7, 1000)
-    index.note_free(7)
-    assert index.victim() == (9, 1000)
-    index.note_free(9)
-    assert index.victim() is None
+    # Depths: node 1 at 2 with node 2 at 5 below it; nodes 3, 4 and 5 at
+    # 3, 4 and 12 on branches of their own.  The slice has 30 traces.
+    depth = [0, 2, 5, 3, 4, 12]
+    index = CheckpointIndex(4, depth, 30)
+    index.store(0)  # reserved slot: occupies capacity, never a victim
+    index.store(1, 10, (0, 1), 1, 0)  # gap 2, next load 10: value 2/100
+    index.store(2, 4, (0, 1, 2), 2, 0)  # gap 3 below node 1: 3/16
+    index.store(3, 6, (0, 3), 1, 0)  # gap 3: 3/36
+    # The least value is the victim, for a candidate of strictly more.
+    assert index.victim(0, 1, 2) == 1  # the candidate's value: 1/4
+    assert index.victim(0, 2, 10) is None  # 2/100, a tie
+    assert index.victim(0, 5, 30) is None  # no later load: value 0
+    # Freed, node 1 hands node 2 and its next load to the root: gap 5.
+    index.free(1)
+    assert index.entries[2].up == 0 and sorted(index.entries[0].kids) == [2, 3]
+    assert index.victim(0, 1, 1) == 3  # 3/36 < 5/16
+    # Values grow as the next load nears: at trace 4 node 3's is 3/4 and
+    # node 2's, re-keyed to trace 12, is 5/64.
+    index.rekey(2, 12, 4)
+    assert index.victim(4, 1, 5) == 2
+    # Stored again, node 1 takes node 2 back: gap 3, value 3/64 < 2/25.
+    index.store(1, 9, (0, 1), 1, 4)
+    assert index.entries[2].up == 1 and index.entries[1].kids == [2]
+    assert index.victim(4, 1, 5) == 2
+    # A node no later trace would load has value 0.
+    index.store(4, 30, (0, 4), 1, 4)
+    assert index.victim(4, 1, 5) == 4
+    index.free(4)
+    # Node 5's 12/16² equals node 2's 3/64: the least recently stored goes.
+    index.store(5, 20, (0, 5), 1, 4)
+    assert index.victim(4, 1, 5) == 2
+    # Freed, node 2 gives node 1 its next load if sooner: 9 stays.
+    index.free(2)
+    assert index.entries[1].next_load == 9 and index.entries[1].kids == []
+    assert index.victim(4, 1, 5) == 5
+    for node_id in (5, 1, 3):
+        index.free(node_id)
+    assert index.victim(4, 1, 5) is None
     assert list(index.entries) == [0]
     with pytest.raises(ValueError):
-        CheckpointIndex(0, 10)
+        CheckpointIndex(0, depth, 30)
 
 
 def test_checkpoint_index_heap_stays_bounded_under_rekeys():
-    index = CheckpointIndex(5, 10)
-    index.note_store(0, 0)
+    # Nodes 1 to 4 hang from the root at depths 1 to 4, so each gap is its id.
+    index = CheckpointIndex(5, [0, 1, 2, 3, 4, 5], 100_000)
+    index.store(0)
     for node_id in range(1, 5):
-        index.note_store(node_id, node_id)
+        index.store(node_id, node_id, (0, node_id), 1, 0)
     for step in range(1, 1001):
         node_id = step % 4 + 1
-        index.rekey(node_id, 10 * step + node_id)
+        index.rekey(node_id, 10 * step + node_id, step)
         assert len(index._heap) <= 2 * len(index.entries) + 8
-    # The last re-keys gave node 1 the furthest next use, then 4, 3, 2.
-    for node_id in (1, 4, 3, 2):
-        assert index.victim() == (node_id, index.entries[node_id][0])
-        index.note_free(node_id)
-    assert index.victim() is None
+    # At trace 1000 the values are 1/9001², 2/8972², 3/8983² and 4/8994².
+    for node_id in (1, 2, 3, 4):
+        assert index.victim(1000, 1, 1001) == node_id
+        index.free(node_id)
+    assert index.victim(1000, 1, 1001) is None
 
 
 @pytest.mark.parametrize("capacity", [None, 1, 5, 6])
 def test_a_budget_that_cannot_evict_keeps_no_heap(capacity):
-    index = CheckpointIndex(capacity, 5)
+    index = CheckpointIndex(capacity, [0, 1, 2, 3, 4], 10)
     assert not index.evicts
     for node_id in range(5):
-        index.note_store(node_id, 0)
-    assert index._heap == [] and index.victim() is None
-    assert CheckpointIndex(4, 5).evicts
+        index.store(node_id)
+    assert index._heap == [] and index.victim(0, 1, 1) is None
+    assert set(index.entries.values()) == {None}
+    assert CheckpointIndex(4, [0, 1, 2, 3, 4], 10).evicts
+
+
+def test_values_compare_alike_as_floats_and_as_fractions(monkeypatch):
+    # Below the bound floats order the values exactly; beyond it they are
+    # Fractions.  Both must plan the same campaigns.
+    rng = random.Random(7)
+    cases = []
+    for _ in range(40):
+        _, traces = random_traces(rng, rng.randint(4, 40), rng.randint(2, 3), 9)
+        tree = build_tree(order_slice(traces, "random", seed=rng.randrange(1 << 20)))
+        for sigma in range(2, tree.capacity):
+            cases.append((tree, sigma, optimize_slice(tree, sigma, 1.0)))
+    monkeypatch.setattr(optimizer, "_FLOAT_BOUND", 0)
+    assert CheckpointIndex(2, [0, 1, 2], 3)._ratio is Fraction
+    for tree, sigma, campaign in cases:
+        assert optimize_slice(tree, sigma, 1.0) == campaign
 
 
 def test_random_corpora_reach_the_edge_bound():

@@ -214,7 +214,8 @@ SAMPLED_FILE_DIGESTS = {
 # from the depth-gap rule to furthest next use, which makes them longer:
 # 1,985 -> 2,095 quanta over both slices, and again when the key became
 # the effective next use (the next trace that would load the checkpoint):
-# 2,095 -> 1,995 quanta.
+# 2,095 -> 1,995 quanta, and again when eviction moved to the least value,
+# gap / (next load - j)^2: 1,995 -> 1,925 quanta.
 TIGHT_DIGESTS = {
     "1": {
         "campaigns/campaign_0.txt":
@@ -236,19 +237,19 @@ TIGHT_DIGESTS = {
     },
     "4": {
         "campaigns/campaign_0.txt":
-            "3b419331d63403bb1ed36734a27765a457aeda3a0557bbe348a3c05532e82098",
+            "5abf416ef4ef155fe11ba7f6139d6f3faf1cac44f81477a896fe55e8b01b2f76",
         "campaigns/campaign_1.txt":
-            "431e98d59ac766bdcead535c9fd45322fb17cfa1a6d4f7eb4569c20f0ef34c36",
+            "6519d605ff94a2f20a68abad65ded3919137b9461ef6b570908c641d519ad20c",
         "results/result_0.json":
-            "f19f6c29c2f76c7f9ffda6cb1a21c30162b832ea50ee612e7f8c2b2e530c0ea0",
+            "486be868f688df6615febc496371060996e812368505a40f6efd6af3c5716c6a",
         "results/result_1.json":
-            "167c727b1f829168b5eeaa91b3e0b5709f45fc5352e73f41d47003f3e074de27",
+            "62e075530a1f97abab0519e7f2d82e3058d8a6a76b86930da822fccfb5efb93c",
         "slices/slice_0.txt":
             "992e9062053b0347edaae1390b8672e8806b3123b5a84af94386d44366a0fda1",
         "slices/slice_1.txt":
             "c2a579be346549a6cec539d7e00abd7643f8c272895c43be8abc115fa5cb2744",
         "report.csv":
-            "c1c2ee131938b032d1ba897238e94622b6f6f2144a781e3060124c7af3156111",
+            "db82eec0b286a70600ba118e4efdfb70be61009b6a6b8d4de35b966f2c31ecc6",
         "progress.csv":
             "808db6f896a864ba4b0d12d54fa284c87f1da9c3213c65e00a16ef7294ace5f5",
     },
