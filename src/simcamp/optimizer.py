@@ -40,7 +40,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, compress, groupby
-from operator import truediv
 from typing import Iterator, Sequence
 
 from .traces import (
@@ -86,11 +85,6 @@ _OPS = ("store", "load", "free", "run", "out")
 _IS_RUN = bytes(op == ord("R") for op in range(256))
 
 
-# While the largest gap times the largest squared distance stays below
-# this, two distinct values never round to equal or swapped floats.
-_FLOAT_BOUND = 1 << 52
-
-
 @dataclass(slots=True, eq=False)
 class _Checkpoint:
     """A stored node's record at a budget that can evict."""
@@ -131,10 +125,13 @@ class CheckpointIndex:
 
     Keys stay exact: a store re-links the new node's stored descendants to
     it, and a free hands the freed node's descendants and next load to its
-    nearest stored ancestor.  Values compare exactly: as floats while
-    ``max(depth) * n * n < 2**52``, where two distinct ratios of a gap and
-    a squared distance never round to equal or swapped floats, and as
-    ``Fraction``s beyond.  A value only grows as ``j`` advances and as gaps
+    nearest stored ancestor.  Values are floats.  They compare exactly
+    while ``max(depth) * n * n < 2**52`` (2^14 traces below depth 2^24):
+    two distinct ratios of a gap and a squared distance then never round
+    to equal or swapped floats.  Beyond it a near-tie may go either way,
+    which changes which checkpoint goes, never whether the campaign
+    replays its traces.  The root is never a victim: it never enters the
+    heap.  A value only grows as ``j`` advances and as gaps
     grow, so the victim pass keeps a lazy heap of lower bounds over (value,
     store sequence), whose head is refreshed until its bound is its value;
     a change that lowers a value pushes a fresh entry.
@@ -147,25 +144,19 @@ class CheckpointIndex:
         self.entries: dict[int, _Checkpoint | None] = {}
         self._depth = depth
         self._n = n
-        if max(depth) * n * n < _FLOAT_BOUND:
-            self._ratio = truediv
-        else:
-            # Imported here: floats hold every value at the bench's scales,
-            # and importing fractions loads decimal too.
-            from fractions import Fraction
-
-            self._ratio = Fraction
         self._heap: list[tuple] = []
         self._seq = 0
 
-    def _value(self, gap: int, next_load: int, j: int):
+    def _value(self, gap: int, next_load: int, j: int) -> float:
         """gap ÷ (next load − j)² at trace ``j``, or 0 with no later load."""
         if next_load >= self._n:
-            return 0
+            return 0.0
         distance = next_load - j
-        return self._ratio(gap, distance * distance)
+        return gap / (distance * distance)
 
     def _push(self, node_id: int, entry: _Checkpoint, j: int) -> None:
+        if node_id == ROOT_ID:
+            return
         entry.live = item = (self._value(entry.gap, entry.next_load, j), entry.seq,
                              node_id)
         heapq.heappush(self._heap, item)
@@ -223,8 +214,7 @@ class CheckpointIndex:
         up.next_load = min(up.next_load, entry.next_load)
 
     def rekey(self, node_id: int, next_load: int, j: int) -> None:
-        """Give a stored node other than the root a new next load at trace
-        ``j``."""
+        """Give a stored node a new next load at trace ``j``."""
         entry = self.entries[node_id]
         if entry.next_load != next_load:
             entry.next_load = next_load

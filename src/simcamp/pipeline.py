@@ -183,6 +183,19 @@ _SIZE: _Kind = ("an integer >= 1", lambda value: _is_int(value, 1))
 _SUMMARY: _Kind = ("a campaign summary", _is_summary)
 
 
+def _read_text(path: str, stage: str) -> str:
+    """Run-directory file ``path``; one that cannot be read, such as a
+    missing one or one that is not UTF-8, is a PipelineStageError naming
+    stage and path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise PipelineStageError(f"{stage} stage: {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise PipelineStageError(f"{stage} stage: {path}: not UTF-8: {exc}") from None
+
+
 def _read_json_object(
     path: str, stage: str, keys: dict[str, _Kind], text: str | None = None
 ) -> dict:
@@ -190,10 +203,9 @@ def _read_json_object(
     of its lines), holding each of ``keys`` with a value of its kind.
     Anything else, such as a file simcamp did not write, is a
     PipelineStageError naming stage and path, and the key if one fails."""
+    if text is None:
+        text = _read_text(path, stage)
     try:
-        if text is None:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
         obj = json.loads(text)
     except ValueError as exc:
         raise PipelineStageError(f"{stage} stage: {path}: not JSON: {exc}") from None
@@ -361,11 +373,15 @@ def _read_slice_set(
     run_dir: str, stage: str, keys: dict[str, _Kind]
 ) -> tuple[dict, list[int]]:
     """The run's config.json, read through ``keys``, and the manifest
-    size of each slice, by slice id: exactly config.json's ``slices``."""
+    size of each slice, by slice id: exactly config.json's ``slices``.
+    A config.json that is still the claim, without the source stage's
+    ``n_total``, has no slices yet; any other needs its manifest."""
     config = _read_json_object(os.path.join(run_dir, "config.json"), stage, keys)
+    if "n_total" not in config:
+        return config, []
     path = os.path.join(run_dir, "manifest.jsonl")
-    with open(path, "r", encoding="utf-8") as fh:
-        entries = [_read_json_object(path, stage, _MANIFEST_KEYS, line) for line in fh]
+    entries = [_read_json_object(path, stage, _MANIFEST_KEYS, line)
+               for line in _read_text(path, stage).splitlines()]
     if not entries or [e["slice"] for e in entries] != list(range(len(entries))):
         raise PipelineStageError(f"{stage} stage: {path}: slices not 0, 1, ... in order")
     if len(entries) != config["slices"]:
@@ -654,10 +670,7 @@ def _slice_progress(run_dir: str, sizes: Sequence[int]) -> list[tuple[int, int, 
 
 def read_progress(run_dir: str) -> list[tuple[int, int, int]]:
     """Per-slice (slice, verified, size) for every slice of the run; none
-    for a claimed run whose source stage has not written the manifest."""
-    if not os.path.exists(os.path.join(run_dir, "manifest.jsonl")):
-        _read_json_object(os.path.join(run_dir, "config.json"), "progress", _SLICES_KEYS)
-        return []
+    for a claimed run whose source stage has not finished."""
     _config, sizes = _read_slice_set(run_dir, "progress", _SLICES_KEYS)
     return _slice_progress(run_dir, sizes)
 

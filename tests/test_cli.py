@@ -145,7 +145,27 @@ def test_progress_of_a_run_whose_source_stage_failed_is_one(tmp_path, capsys):
     code, out = run_cli(capsys, "progress", "--dir", str(out_dir))
     assert (code, out.out, out.err) == (0, "1.000000\n", "")
     code, out = run_cli(capsys, "progress", "--dir", str(tmp_path))
-    assert code == 2 and "config.json" in out.err
+    config = tmp_path / "config.json"
+    assert (code, out.err) == (
+        2, f"error: progress stage: {config}: No such file or directory\n"
+    )
+
+
+def test_progress_of_a_finished_run_that_lost_its_manifest_fails(tmp_path, capsys):
+    # Its config.json is no longer the claim: the manifest it needs is gone.
+    out_dir = tmp_path / "run"
+    code, _ = run_cli(capsys, "pipeline", "--in", corpus_file(tmp_path),
+                      "--out-dir", str(out_dir), "--slices", "2")
+    assert code == 0
+    manifest = out_dir / "manifest.jsonl"
+    manifest.unlink()
+    report = str(tmp_path / "r.csv")
+    for command, argv in (("progress", ["--dir", str(out_dir)]),
+                          ("analyze", [str(out_dir), "--out", report])):
+        code, out = run_cli(capsys, command, *argv)
+        assert (code, out.out, out.err) == (
+            2, "", f"error: {command} stage: {manifest}: No such file or directory\n"
+        )
 
 
 # A run-directory file simcamp did not write, and the command that then
@@ -163,6 +183,9 @@ FOREIGN_RUN_FILES = {
         "results/result_0.json", '{"n": 3}\n', "analyze", "analyze"
     ),
     "manifest_line_not_json": ("manifest.jsonl", None, "progress", "progress"),
+    # Written with surrogateescape: the byte 0xff, which is not UTF-8.
+    "config_not_utf8": ("config.json", "\udcff\n", "progress", "progress"),
+    "manifest_not_utf8": ("manifest.jsonl", "\udcff\n", "progress", "progress"),
     "progress_without_counts": (
         "results/progress_0.json", '{"slice": 0}\n', "progress", "progress"
     ),
@@ -220,7 +243,7 @@ def test_a_foreign_run_file_fails_its_stage_by_name(tmp_path, capsys, case):
     path = os.path.join(out_dir, name)
     with open(path) as fh:
         written = fh.read()
-    with open(path, "w") as fh:
+    with open(path, "w", errors="surrogateescape") as fh:
         fh.write(written + "garbage\n" if text is None else text)
     argv = {
         "pipeline": pipeline,
