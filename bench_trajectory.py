@@ -24,9 +24,11 @@ the file also records, once at the start, ``git_sha`` (``HEAD``) and
 was empty, that is, whether the runs measured ``HEAD`` itself.  Both are
 null outside a git checkout.
 
-The file records the code's size beside its speed as well: ``src_lines``
-holds the non-blank line count of each ``src/simcamp/*.py`` module, by
-file name, and their ``total``, counted once at the start.
+The file records the code's size beside its speed as well, counted once
+at the start for each ``src/simcamp/*.py`` module, by file name, with
+their ``total``: ``src_lines`` holds its non-blank lines, and
+``src_code_lines`` the lines that hold a token other than a comment or a
+docstring, so that deleted comments do not read as simpler code.
 
 Only the standard library is used.  The exit status is 1 if any run is
 not correct or perfbench fails, else 0.
@@ -35,11 +37,14 @@ not correct or perfbench fails, else 0.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tokenize
 
 ROOT = os.path.dirname(os.path.abspath(__file__))
 SEEDS = (1, 7919)
@@ -57,17 +62,42 @@ def _git(*args: str) -> str | None:
     return done.stdout
 
 
-def source_lines() -> dict[str, int]:
-    """The non-blank lines of each ``src/simcamp/*.py`` module, by file
-    name, and ``total``."""
+def code_lines(text: str) -> int:
+    """The lines of a module's source that hold a token other than a
+    comment or a docstring; a token over several lines holds each."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type in layout or (tok.type == tokenize.STRING
+                                  and tok.start[0] in docstrings):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def source_lines() -> tuple[dict[str, int], dict[str, int]]:
+    """Two counts of each ``src/simcamp/*.py`` module, by file name, with
+    their ``total``: its non-blank lines and its ``code_lines``."""
     package = os.path.join(ROOT, "src", "simcamp")
-    counts = {}
+    nonblank, code = {}, {}
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as fh:
-                counts[name] = sum(1 for line in fh if line.strip())
-    counts["total"] = sum(counts.values())
-    return counts
+                text = fh.read()
+            nonblank[name] = sum(1 for line in text.splitlines() if line.strip())
+            code[name] = code_lines(text)
+    for counts in (nonblank, code):
+        counts["total"] = sum(counts.values())
+    return nonblank, code
 
 
 def _spread(values: list[float]) -> dict:
@@ -133,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
         "git_sha": None if head is None else head.strip(),
         "tree_clean": None if status is None else status == "",
     }
-    src_lines = source_lines()
+    src_lines, src_code_lines = source_lines()
     runs, ok = [], True
     for workload in (w["name"] for w in benchmark["workloads"]):
         for seed in SEEDS:
@@ -160,7 +190,8 @@ def main(argv: list[str] | None = None) -> int:
     out = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump({"pr": args.pr, "seconds": args.seconds, **checkout,
-                   "src_lines": src_lines, "runs": runs},
+                   "src_lines": src_lines, "src_code_lines": src_code_lines,
+                   "runs": runs},
                   fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"bench_trajectory: wrote {out}; every run correct: {ok}", file=sys.stderr)

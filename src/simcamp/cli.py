@@ -49,7 +49,7 @@ from .pipeline import (
     write_reports,
 )
 from .slicing import ORDER_MODES, external_sort
-from .traces import Alphabet, TraceFormatError, read_trace_file
+from .traces import Alphabet, read_trace_file
 
 
 def _parse_f_grid(text: str) -> list[float]:
@@ -287,14 +287,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        TraceFormatError,
-        PipelineStageError,
-        DriverProtocolError,
-        ValueError,
-        IndexError,
-        OSError,
-    ) as exc:
+    except (PipelineStageError, DriverProtocolError, ValueError, IndexError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

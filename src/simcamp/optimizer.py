@@ -7,14 +7,8 @@ that replays every trace in that order while holding at most
 deepest stored prefix; runs break at prefixes worth checkpointing; a
 checkpoint is freed after its last use, the last trace in the
 verification order whose chain holds it, or, when memory is full, the
-one whose loss costs least is evicted.  A checkpoint's next load is the
-next trace that would load it: a trace whose chain holds it and no
-stored checkpoint below it.  Its value is its gap, the quanta that load
-would re-simulate without it, over the square of the distance to that
-load.  Furthest next use, Belady's rule, ignores what a loss costs, which
-here depends on which ancestors are stored; the least value gave shorter
-campaigns on every family of slices measured, from complete trees in
-random order to long piecewise-constant histories.
+one whose loss costs least is evicted, by the rule that
+``CheckpointIndex`` states in full.
 
 ``CheckpointIndex`` is the one record of which nodes hold a checkpoint,
 the reserved root included; the tree only knows the order, prefix
@@ -94,7 +88,6 @@ class _Checkpoint:
     level: int  # its index in every chain that holds it
     chain: tuple[int, ...]  # one chain that holds it
     up: int = ROOT_ID  # its nearest stored ancestor
-    gap: int = 0  # its depth less its nearest stored ancestor's
     kids: list[int] = field(default_factory=list)  # the nodes it is ``up`` of
     live: tuple | None = None  # its heap entry that is not superseded
 
@@ -102,46 +95,49 @@ class _Checkpoint:
 class CheckpointIndex:
     """The stored states and the least-value eviction policy.
 
-    ``entries`` maps every stored node id, the reserved root included, to
-    its record; membership in it is what "stored" means.  Only a capacity
-    strictly between 1, the root alone, and ``len(depth)``, the nodes that
-    could ever be stored, can ever evict (``evicts``); any other maps each
-    stored node to None and has no victim.
+    ``entries`` maps every stored node id to its record; membership in it
+    is what "stored" means.  The index stores the reserved root when it is
+    made, and the root is never a victim.  Only a capacity strictly
+    between 1, the root alone, and ``len(depth)``, the nodes that could
+    ever be stored, can ever evict (``evicts``); any other maps each
+    stored node to None, keeps an empty heap and so has no victim.
 
-    At a budget that can evict, a record holds the node's next load: the
-    position, in the verification order, of the next trace that would load
-    it, whose chain holds it and no stored node below it, or ``n`` if none
-    would.  It also links the node to its nearest stored ancestor and keeps
-    its gap, the depth between them: the quanta its next load would
-    re-simulate without it.  At trace ``j`` a checkpoint's value is gap ÷
-    (next load − j)², and 0 with no later load.  The victim is the stored
-    node of least value other than the root, ties broken toward the least
-    recently stored, and it is evicted only for a candidate of strictly
-    greater value.  This is a GreedyDual rule (Young, 1994; Cao & Irani,
-    1997): it weighs what a loss costs, which furthest next use (Belady,
-    1966) ignores.  The distance is squared because a checkpoint held
-    longer blocks more stores; with the plain distance, complete trees in
-    random order got longer.
+    The eviction rule.  At a budget that can evict, a record holds the
+    node's next load: the position, in the verification order, of the next
+    trace that would load it, whose chain holds it and no stored node below
+    it, or ``n`` if none would.  It also links the node to its nearest
+    stored ancestor; its gap, the depth between the two, is the quanta its
+    next load would re-simulate without it.  At trace ``j`` a checkpoint's
+    value is gap ÷ (next load − j)², and 0 with no later load.  The victim
+    is the stored node of least value other than the root, ties broken
+    toward the least recently stored, and it is evicted only for a
+    candidate of strictly greater value.  This is a GreedyDual rule (Young,
+    1994; Cao & Irani, 1997): it weighs what a loss costs, which furthest
+    next use (Belady, 1966) ignores.  The distance is squared because a
+    checkpoint held longer blocks more stores; with the plain distance,
+    complete trees in random order got longer.
 
-    Keys stay exact: a store re-links the new node's stored descendants to
-    it, and a free hands the freed node's descendants and next load to its
-    nearest stored ancestor.  Values are floats.  They compare exactly
-    while ``max(depth) * n * n < 2**52`` (2^14 traces below depth 2^24):
-    two distinct ratios of a gap and a squared distance then never round
-    to equal or swapped floats.  Beyond it a near-tie may go either way,
-    which changes which checkpoint goes, never whether the campaign
-    replays its traces.  The root is never a victim: it never enters the
-    heap.  A value only grows as ``j`` advances and as gaps
-    grow, so the victim pass keeps a lazy heap of lower bounds over (value,
-    store sequence), whose head is refreshed until its bound is its value;
-    a change that lowers a value pushes a fresh entry.
+    Links stay exact: a store re-links the new node's stored descendants
+    to it, and a free hands the freed node's descendants and next load to
+    its nearest stored ancestor.  A gap is read from the link when a value
+    is needed.  Values are floats.  They compare exactly while
+    ``max(depth) * n * n < 2**52`` (2^14 traces below depth 2^24): two
+    distinct ratios of a gap and a squared distance then never round to
+    equal or swapped floats.  Beyond it a near-tie may go either way, which
+    changes which checkpoint goes, never whether the campaign replays its
+    traces.  A value only grows as ``j`` advances and as gaps grow, so the
+    victim pass keeps a lazy heap of lower bounds over (value, store
+    sequence), whose head is refreshed until its bound is its value; a
+    change that lowers a value pushes a fresh entry.  The root never
+    enters the heap.
     """
 
     def __init__(self, capacity: int | None, depth: Sequence[int], n: int) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("state capacity must be >= 1")
         self.evicts = capacity is not None and 1 < capacity < len(depth)
-        self.entries: dict[int, _Checkpoint | None] = {}
+        root = _Checkpoint(0, 0, 0, (ROOT_ID,)) if self.evicts else None
+        self.entries: dict[int, _Checkpoint | None] = {ROOT_ID: root}
         self._depth = depth
         self._n = n
         self._heap: list[tuple] = []
@@ -154,11 +150,15 @@ class CheckpointIndex:
         distance = next_load - j
         return gap / (distance * distance)
 
+    def _item(self, node_id: int, entry: _Checkpoint, j: int) -> tuple:
+        """A stored node's heap entry at trace ``j``."""
+        gap = self._depth[node_id] - self._depth[entry.up]
+        return self._value(gap, entry.next_load, j), entry.seq, node_id
+
     def _push(self, node_id: int, entry: _Checkpoint, j: int) -> None:
         if node_id == ROOT_ID:
             return
-        entry.live = item = (self._value(entry.gap, entry.next_load, j), entry.seq,
-                             node_id)
+        entry.live = item = self._item(node_id, entry, j)
         heapq.heappush(self._heap, item)
         # Superseded entries leave the heap only when they reach its head;
         # once they outnumber the live ones, rebuild it from the records.
@@ -166,34 +166,31 @@ class CheckpointIndex:
             self._heap = []
             for nid, e in self.entries.items():
                 if nid != ROOT_ID:
-                    e.live = (self._value(e.gap, e.next_load, j), e.seq, nid)
+                    e.live = self._item(nid, e, j)
                     self._heap.append(e.live)
             heapq.heapify(self._heap)
 
-    def store(self, node_id: int, next_load: int = 0, chain: tuple[int, ...] = (),
-              level: int = 0, j: int = 0) -> None:
+    def store(self, node_id: int, next_load: int, chain: tuple[int, ...],
+              level: int, j: int) -> None:
         """Store ``node_id``, found at ``chain[level]``, at trace ``j``."""
         if not self.evicts:
             self.entries[node_id] = None
             return
-        self._seq += 1
-        entry = self.entries[node_id] = _Checkpoint(next_load, self._seq, level, chain)
-        if node_id == ROOT_ID:
-            return
         up = level - 1
         while chain[up] not in self.entries:
             up -= 1
-        entry.up = chain[up]
-        entry.gap = self._depth[node_id] - self._depth[chain[up]]
-        # The ancestor's stored descendants below the new node are now its.
-        kids = self.entries[chain[up]].kids
+        self._seq += 1
+        entry = self.entries[node_id] = _Checkpoint(next_load, self._seq, level,
+                                                     chain, chain[up])
+        # The ancestor's stored descendants below the new node are now its;
+        # their gaps shrank.
+        kids = self.entries[entry.up].kids
         for kid in [*kids]:
             below = self.entries[kid]
             if below.level > level and below.chain[level] == node_id:
                 kids.remove(kid)
                 entry.kids.append(kid)
                 below.up = node_id
-                below.gap -= entry.gap
                 self._push(kid, below, j)
         kids.append(node_id)
         self._push(node_id, entry, j)
@@ -208,9 +205,7 @@ class CheckpointIndex:
         up.kids.remove(node_id)
         up.kids += entry.kids
         for kid in entry.kids:
-            below = self.entries[kid]
-            below.up = entry.up
-            below.gap += entry.gap
+            self.entries[kid].up = entry.up
         up.next_load = min(up.next_load, entry.next_load)
 
     def rekey(self, node_id: int, next_load: int, j: int) -> None:
@@ -231,11 +226,11 @@ class CheckpointIndex:
             if entry is None or entry.live is not item:
                 heapq.heappop(heap)
                 continue
-            value = self._value(entry.gap, entry.next_load, j)
-            if value == item[0]:
-                return item[2] if value < self._value(gap, next_load, j) else None
-            entry.live = (value, entry.seq, item[2])
-            heapq.heapreplace(heap, entry.live)
+            fresh = self._item(item[2], entry, j)
+            if fresh == item:
+                return item[2] if item[0] < self._value(gap, next_load, j) else None
+            entry.live = fresh
+            heapq.heapreplace(heap, fresh)
         return None
 
 
@@ -310,8 +305,8 @@ def optimize_slice(
         for symbol, group in groupby(symbols):
             emit(f"RUN {tokens[symbol]} {len(list(group))}")
 
-    # The campaign begins by checkpointing the initial state under id 0.
-    index.store(ROOT_ID)
+    # The campaign begins by checkpointing the initial state under id 0,
+    # which the index holds from the start.
     emit(f"STORE {ROOT_ID}")
 
     for j, trace in enumerate(ordered):
@@ -343,7 +338,8 @@ def optimize_slice(
         # evicting a victim of strictly less value.  A node's last use is
         # never after its parent's, so the first node whose last use is
         # this trace ends the scan.  Values do not fall down a chain, so a
-        # node that loses does not end it.  The trace's constant runs are
+        # node that loses does not end it; at a budget that cannot evict,
+        # every node at full capacity loses.  The trace's constant runs are
         # cut where a node is stored; ``pos`` is the depth of the nearest
         # stored node above the scan.
         pos = depth[load_id]
@@ -351,15 +347,11 @@ def optimize_slice(
             node_id = chain[i]
             if last_use[node_id] == j:
                 break
-            victim, use = None, 0
-            if keyed:
-                use = next_load(node_id, i, j)
-                if len(stored) >= capacity:
-                    victim = index.victim(j, depth[node_id] - pos, use)
-                    if victim is None:
-                        continue
-            elif capacity is not None and len(stored) >= capacity:
-                break
+            victim, use = None, next_load(node_id, i, j) if keyed else 0
+            if capacity is not None and len(stored) >= capacity:
+                victim = index.victim(j, depth[node_id] - pos, use)
+                if victim is None:
+                    continue
             emit_runs(s[pos:depth[node_id]])
             pos = depth[node_id]
             if victim is not None:
@@ -436,8 +428,6 @@ def parse_command(line: str, alphabet: Alphabet) -> str | None:
         if len(parts) == 2:
             if parts[0] in ("LOAD", "STORE", "FREE"):
                 return f"{parts[0]} {int(parts[1])}"
-        elif parts[0] == "OUT" and len(parts) == 1:
-            return "OUT"
         elif parts[0] == "RUN" and len(parts) == 3:
             quanta = int(parts[2])
             if quanta < 1:

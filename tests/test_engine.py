@@ -134,6 +134,10 @@ def test_errors_are_absorbing(commands, message):
     assert result.failing_index == len(commands) - 1
     assert result.error == message
     assert result.observations == []
+    # In process, the reply after an error is the same ERR.
+    sim = Simulator(reference_model(AB, 0))
+    replies = [sim.reply(line) for line in campaign.lines]
+    assert replies[len(commands) - 1:] == [f"ERR {message}"] * 2
     # A driver that accepts the same command contradicts the engine's state.
     with pytest.raises(DriverProtocolError, match=f"driver accepted a {message}"):
         external(campaign, lying_driver({"OUT": "OUT x"}))
@@ -183,6 +187,11 @@ def test_cost_model_rejects_unknown_and_repeated_keys():
         parse_cost_model(entries + " lod=5")
     with pytest.raises(TraceFormatError, match="repeated cost key 'load'"):
         parse_cost_model(entries + " load=7")
+
+
+def test_a_cost_entry_without_equals_is_malformed():
+    with pytest.raises(TraceFormatError, match="^malformed cost entry 'load0.2'$"):
+        parse_cost_model("load0.2 store=1 free=0 out=0 run_per_q=1")
 
 
 def test_cost_model_rejects_unusable_costs():
@@ -288,20 +297,24 @@ NOT_UTF8 = "sys.stdout.buffer.write(b'\\xff\\n'); sys.stdout.flush()"
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        script_driver(f"import sys\nfor line in sys.stdin:\n    {NOT_UTF8}\n"),
-        lying_driver({"OUT": "OUT x"}, then=NOT_UTF8),
+        (script_driver(f"import sys\nfor line in sys.stdin:\n    {NOT_UTF8}\n"),
+         "not UTF-8"),
+        # The pause lets the fold end before the stray byte, so the drain
+        # after the last command reads it.
+        (lying_driver({"OUT": "OUT x"}, then=f"time.sleep(0.5); {NOT_UTF8}"),
+         "sent 1 reply lines after the last command"),
     ],
     ids=["every-reply", "after-the-last"],
 )
-def test_a_reply_that_is_not_utf8_is_a_protocol_error(argv):
+def test_a_reply_that_is_not_utf8_is_a_protocol_error(argv, message):
     # The call reaps its driver and leaves no thread behind.
     campaign, _ = campaign_for(["ab", "b"])
     threads = threading.active_count()
     proc = start_on(campaign, argv)
     try:
-        with pytest.raises(DriverProtocolError):
+        with pytest.raises(DriverProtocolError, match=message):
             call_with_timeout(run_external, campaign, proc, seconds=10)
         assert proc.returncode is not None
     finally:

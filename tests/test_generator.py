@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,3 +198,43 @@ def test_a_spec_of_more_than_256_tokens_is_refused():
     tokens = ",".join(f"t{i}" for i in range(MAX_SYMBOLS + 1))
     with pytest.raises(ValueError, match="257 tokens; at most 256"):
         parse_constraint_spec([f"alphabet={tokens}", "horizon=1"])
+
+
+def exactly(message):
+    return f"^{re.escape(message)}$"
+
+
+@pytest.mark.parametrize("args,message", [
+    ((0, 0, frozenset(), ()), "monitor needs at least one state"),
+    ((2, 0, frozenset({0}), ((0, 0),)),
+     "monitor transition table must cover every state"),
+    ((2, 0, frozenset({0}), ((0, 0), (1,))),
+     "monitor transition rows must have equal width"),
+])
+def test_a_malformed_dfa_is_refused_by_name(args, message):
+    with pytest.raises(ValueError, match=exactly(message)):
+        Dfa(*args)
+
+
+HEAD = ["alphabet=a,b", "horizon=2"]
+ONE_STATE = ["states=1", "start=0", "accept=0", "0 a -> 0", "0 b -> 0"]
+
+
+@pytest.mark.parametrize("lines,message", [
+    (["alphabet=a,b", "horizon=two"], "malformed horizon"),
+    (HEAD + ["start=0"], "expected states= to open a monitor: 'start=0'"),
+    (HEAD + ["states=x", "start=0", "accept=0"], "malformed monitor block header"),
+    (HEAD + ["states=1", "begin=0", "accept=0"], "malformed monitor block header"),
+    (HEAD + ["states=1", "start=x", "accept=0"], "malformed monitor block header"),
+    (HEAD + ["states=1", "start=0", "reject=0"], "malformed monitor block header"),
+    (HEAD + ["states=1", "start=0", "accept=0,y"], "malformed monitor block header"),
+    (HEAD + ["states=1", "start=0"], "malformed monitor block header"),
+    (HEAD + ONE_STATE[:3] + ["0 a 0"], "malformed transition line: '0 a 0'"),
+    (HEAD + ONE_STATE[:3] + ["x a -> 0"], "malformed transition line: 'x a -> 0'"),
+    (HEAD + ONE_STATE + ["1 a -> 0"],
+     "monitor has transitions from out-of-range states"),
+])
+def test_a_malformed_spec_is_refused_by_name(lines, message):
+    with pytest.raises(TraceFormatError, match=exactly(message)):
+        parse_constraint_spec(lines)
+

@@ -450,8 +450,7 @@ def test_checkpoint_index_eviction_order():
     # Depths: node 1 at 2 with node 2 at 5 below it; nodes 3, 4 and 5 at
     # 3, 4 and 12 on branches of their own.  The slice has 30 traces.
     depth = [0, 2, 5, 3, 4, 12]
-    index = CheckpointIndex(4, depth, 30)
-    index.store(0)  # reserved slot: occupies capacity, never a victim
+    index = CheckpointIndex(4, depth, 30)  # holds the root: never a victim
     index.store(1, 10, (0, 1), 1, 0)  # gap 2, next load 10: value 2/100
     index.store(2, 4, (0, 1, 2), 2, 0)  # gap 3 below node 1: 3/16
     index.store(3, 6, (0, 3), 1, 0)  # gap 3: 3/36
@@ -498,7 +497,6 @@ def test_checkpoint_index_eviction_order():
 def test_checkpoint_index_heap_stays_bounded_under_rekeys():
     # Nodes 1 to 4 hang from the root at depths 1 to 4, so each gap is its id.
     index = CheckpointIndex(5, [0, 1, 2, 3, 4, 5], 100_000)
-    index.store(0)
     for node_id in range(1, 5):
         index.store(node_id, node_id, (0, node_id), 1, 0)
     for step in range(1, 1001):
@@ -516,8 +514,8 @@ def test_checkpoint_index_heap_stays_bounded_under_rekeys():
 def test_a_budget_that_cannot_evict_keeps_no_heap(capacity):
     index = CheckpointIndex(capacity, [0, 1, 2, 3, 4], 10)
     assert not index.evicts
-    for node_id in range(5):
-        index.store(node_id)
+    for node_id in range(1, 5):
+        index.store(node_id, 0, (0, node_id), 1, 0)
     assert index._heap == [] and index.victim(0, 1, 1) is None
     assert set(index.entries.values()) == {None}
     assert CheckpointIndex(4, [0, 1, 2, 3, 4], 10).evicts

@@ -1164,6 +1164,45 @@ def test_a_sample_of_zero_traces_fails_the_source_stage(
         run_pipeline(config)
 
 
+@pytest.mark.parametrize("field,message", [
+    ("slices", "slice count must be >= 1"),
+    ("workers", "worker count must be >= 1"),
+])
+def test_a_config_of_zero_slices_or_workers_is_refused(field, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RunConfig(source="corpus.txt", out_dir="run", **{field: 0})
+
+
+def empty_spec_file(tmp_path):
+    """A spec whose one monitor accepts no word."""
+    path = tmp_path / "spec.txt"
+    path.write_text("alphabet=a,b\nhorizon=3\nstates=1\nstart=0\naccept=\n"
+                    "0 a -> 0\n0 b -> 0\n")
+    return str(path)
+
+
+def header_only_file(tmp_path):
+    path = tmp_path / "corpus.txt"
+    write_trace_file(TraceCorpus(ABCD, 0.5, []), str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("source", [header_only_file, empty_spec_file],
+                         ids=["trace_file", "constraint_spec"])
+def test_an_empty_corpus_fails_the_source_stage(tmp_path, source):
+    config = RunConfig(source=source(tmp_path), out_dir=str(tmp_path / "run"))
+    with pytest.raises(PipelineStageError, match="^source stage: empty corpus$"):
+        run_pipeline(config)
+
+
+def test_a_missing_source_fails_the_source_stage(tmp_path):
+    missing = tmp_path / "missing.txt"
+    config = RunConfig(source=str(missing), out_dir=str(tmp_path / "run"))
+    message = f"source stage failed: [Errno 2] No such file or directory: '{missing}'"
+    with pytest.raises(PipelineStageError, match=f"^{re.escape(message)}$"):
+        run_pipeline(config)
+
+
 def test_a_256_token_alphabet_runs_like_an_in_memory_sort(tmp_path):
     # Multi-character tokens in an order unlike string order, and traces
     # that use the lowest and highest symbols and prefixes of each other.

@@ -245,3 +245,12 @@ def test_no_run_file_outlives_the_sort(tmp_path, monkeypatch, case):
     assert len(run_files) == {"sorted": 8, "duplicate": 9, "bad token": 6}[case]
     assert not os.path.exists(tmp_dir)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "out.txt"]
+
+
+def test_external_sort_needs_a_budget_of_one_symbol(tmp_path):
+    src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+    write_corpus(src, ["a,b"])
+    with pytest.raises(ValueError, match="^memory budget must be >= 1 symbol$"):
+        external_sort(str(src), str(dst), budget_symbols=0)
+    assert not dst.exists()
+
