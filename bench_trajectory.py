@@ -16,7 +16,17 @@ per run:
 * traced: the median and IQR of each per-layer metric over the traced
   samples' layers, and perfbench's ``trace.overhead_s``;
 * the run's ``correct`` and ``failed`` gate results, ``git_sha``,
-  ``python``, ``cpu_count`` and ``loadavg_at_start``.
+  ``python``, ``cpu_count`` and ``loadavg_at_start``;
+* ``calibration_s``: the median wall time of a fixed, stdlib-only loop
+  (``calibration_loop``) timed right before the run, so that a change of
+  machine speed can be told apart from a change of code.
+
+``planner`` records the planning layer in process, before the perfbench
+runs: ``optimize_slice`` on ``sorted_tight``'s slices at both seeds, built
+as the pipeline builds them from perfbench's own corpus generator, at the
+workload's own sigma.  Per slice it keeps the resolved sigma, the
+campaign's ``length_q`` and the median and IQR of ``PLANNER_REPEATS``
+timings; ``total_s`` sums the slices' medians.
 
 perfbench's ``git_sha`` is ``HEAD`` whatever the working tree holds, so
 the file also records, once at the start, ``git_sha`` (``HEAD``) and
@@ -38,18 +48,24 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib.util
 import io
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 import tokenize
 
 ROOT = os.path.dirname(os.path.abspath(__file__))
 SEEDS = (1, 7919)
 # The order in which perfbench's sample ``quality`` holds these metrics.
 QUALITY = ("length_q", "speedup", "mem_eff")
+PLANNER_REPEATS = 5
+CALIBRATION_REPEATS = 5
 
 
 def _git(*args: str) -> str | None:
@@ -98,6 +114,93 @@ def source_lines() -> tuple[dict[str, int], dict[str, int]]:
     for counts in (nonblank, code):
         counts["total"] = sum(counts.values())
     return nonblank, code
+
+
+def calibration_loop() -> int:
+    """A fixed piece of interpreter work that touches no simcamp code:
+    make, sort and count 20,000 seeded strings.  Returns the number of
+    distinct four-letter prefixes, the same on every call."""
+    rng = random.Random(36)
+    words = ["".join(rng.choices("abcd", k=12)) for _ in range(20_000)]
+    counts: dict[str, int] = {}
+    for word in sorted(words):
+        counts[word[:4]] = counts.get(word[:4], 0) + 1
+    return len(counts)
+
+
+def calibration_s(repeats: int = CALIBRATION_REPEATS) -> float:
+    """The median wall time of ``repeats`` runs of ``calibration_loop``."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        calibration_loop()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def _module_dir(module) -> str:
+    return os.path.dirname(getattr(module, "__file__", None) or "")
+
+
+def perfbench_workloads():
+    """perfbench's ``workloads`` module, loaded from its file.  perfbench's
+    directory is on ``sys.path`` only while it loads, and the perfbench
+    modules it imports are dropped from ``sys.modules`` after, so that
+    none of them shadows a module of the same name."""
+    perfbench = os.path.join(ROOT, "perfbench")
+    path, loaded = list(sys.path), set(sys.modules)
+    sys.path.insert(0, perfbench)
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", os.path.join(perfbench, "workloads.py"))
+        workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.path[:] = path
+        for name in set(sys.modules) - loaded:
+            if _module_dir(sys.modules[name]) == perfbench:
+                del sys.modules[name]
+    return workloads
+
+
+def time_planner(seeds=SEEDS, repeats=PLANNER_REPEATS, **generator_options) -> dict:
+    """``optimize_slice`` timed in process on each slice of
+    ``sorted_tight`` at each of ``seeds``, at the workload's sigma.  The
+    slices are built as the pipeline builds them: perfbench's generator
+    makes the sorted corpus (``generator_options`` go to it),
+    ``slice_ranges`` cuts it into the workload's slices, and each slice's
+    tree is built from its random order under its slice seed.  Per slice:
+    the resolved sigma, the campaign's ``length_q`` and the median and IQR
+    of ``repeats`` timings; ``total_s`` sums the medians."""
+    workload = perfbench_workloads().WORKLOADS["sorted_tight"]
+    from simcamp.optimizer import optimize_slice
+    from simcamp.pipeline import resolve_sigma, slice_seed
+    from simcamp.slicing import order_slice, slice_ranges
+    from simcamp.traces import Alphabet, InputTrace
+    from simcamp.tree import build_tree
+
+    slices = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in seeds:
+            tokens, symbols = workload._generate(
+                seed, os.path.join(tmp, "input.txt"), **generator_options)
+            alphabet = Alphabet(tuple(tokens))
+            traces = [InputTrace(alphabet, s) for s in symbols]
+            for i, (lo, hi) in enumerate(slice_ranges(len(traces), workload.slices)):
+                ordered = order_slice(traces[lo:hi], "random", slice_seed(seed, i))
+                tree = build_tree(ordered)
+                sigma = resolve_sigma(workload.sigma, tree.capacity)
+                times = []
+                for _ in range(repeats):
+                    start = time.perf_counter()
+                    campaign = optimize_slice(tree, sigma, 1.0, i)
+                    times.append(time.perf_counter() - start)
+                slices.append({"seed": seed, "slice": i, "traces": len(ordered),
+                               "capacity": tree.capacity, "sigma": sigma,
+                               "length_q": campaign.length_quanta,
+                               "seconds": _spread(times)})
+    return {"sigma": workload.sigma, "repeats": repeats, "slices": slices,
+            "total_s": sum(entry["seconds"]["median"] for entry in slices)}
 
 
 def _spread(values: list[float]) -> dict:
@@ -164,12 +267,17 @@ def main(argv: list[str] | None = None) -> int:
         "tree_clean": None if status is None else status == "",
     }
     src_lines, src_code_lines = source_lines()
+    print("bench_trajectory: planner", file=sys.stderr, flush=True)
+    # The planner plans with this checkout's simcamp.
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    planner = {"calibration_s": calibration_s(), **time_planner()}
     runs, ok = [], True
     for workload in (w["name"] for w in benchmark["workloads"]):
         for seed in SEEDS:
             for trace in (0, 1):
                 print(f"bench_trajectory: {workload} seed={seed} trace={trace}",
                       file=sys.stderr, flush=True)
+                calibration = calibration_s()
                 done = subprocess.run(
                     [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
                      "--workload", workload, "--seed", str(seed),
@@ -184,6 +292,7 @@ def main(argv: list[str] | None = None) -> int:
                 path = os.path.join(ROOT, ".perfbench", "results", name)
                 with open(path, encoding="utf-8") as fh:
                     entry = summarize(json.load(fh), benchmark)
+                entry["calibration_s"] = calibration
                 ok = ok and entry["correct"]
                 runs.append(entry)
 
@@ -191,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         json.dump({"pr": args.pr, "seconds": args.seconds, **checkout,
                    "src_lines": src_lines, "src_code_lines": src_code_lines,
-                   "runs": runs},
+                   "planner": planner, "runs": runs},
                   fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"bench_trajectory: wrote {out}; every run correct: {ok}", file=sys.stderr)

@@ -174,9 +174,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    config = _run_config(
-        args, sigma=args.sigma, workers=args.workers, model_seed=args.model_seed
-    )
+    config = _run_config(args, sigma=args.sigma, workers=args.workers)
     cost = DEFAULT_COSTS if args.costs is None else read_cost_file(args.costs)
     summary = run_pipeline(config, cost, args.f_grid)
     _print_json(summary)
@@ -265,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--costs", help="cost model file")
     p.add_argument("--f-grid", type=_parse_f_grid, default=DEFAULT_F_GRID)
-    p.add_argument("--model-seed", type=int, default=None)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("analyze", help="write report.csv/progress.csv for runs")

@@ -339,7 +339,8 @@ def optimize_slice(
         # never after its parent's, so the first node whose last use is
         # this trace ends the scan.  Values do not fall down a chain, so a
         # node that loses does not end it; at a budget that cannot evict,
-        # every node at full capacity loses.  The trace's constant runs are
+        # full capacity ends it, since every later node would lose too and
+        # nothing is asked for a victim.  The trace's constant runs are
         # cut where a node is stored; ``pos`` is the depth of the nearest
         # stored node above the scan.
         pos = depth[load_id]
@@ -349,6 +350,8 @@ def optimize_slice(
                 break
             victim, use = None, next_load(node_id, i, j) if keyed else 0
             if capacity is not None and len(stored) >= capacity:
+                if not keyed:
+                    break
                 victim = index.victim(j, depth[node_id] - pos, use)
                 if victim is None:
                     continue

@@ -21,13 +21,21 @@ The stages, in order:
    claim the directory, then sort and sample a trace file and cut its
    slice files from ``sorted.txt``, or count and sample a constraint
    spec; write the manifest and ``config.json``.
-2. ``_run_slice_task`` (one per slice, inline or in a worker pool): get
-   the slice's traces through ``slice_corpus`` (which extracts a spec
-   slice and writes its slice file, or reads the slice file already
-   there), plan it with ``plan_slice``, write the campaign, execute it on
-   the reference model and write the result.
+2. ``_run_slice_task`` (one per slice, inline, or in a worker pool when
+   more than one task is left): get the slice's traces through
+   ``slice_corpus`` (which extracts a spec slice and writes its slice
+   file, or reads the slice file already there), plan it with
+   ``plan_slice``, write the campaign, execute it on the reference model,
+   seeded by the run's seed, and write the result.
 3. ``write_reports``: ``report.csv`` and ``progress.csv`` from
    ``analyze_runs``, priced by ``metrics`` under a cost model and f grid.
+
+A slice task (``_SliceTask``) carries only its run's ``RunConfig``, its
+slice id and size, and for a spec source the spec and the sampled indices
+of the slice's traces.  Everything else it needs follows from these: its
+files from the output directory and slice id, its verification-order
+seed from the run's seed and slice id, and sigma, order mode and a spec
+slice's quantum from the config.
 
 ``plan_slice`` turns a slice's traces into their tree, built from the
 slice's verification order, and a state budget, for the pipeline's slice
@@ -117,7 +125,6 @@ class RunConfig:
     workers: int = 1
     dedupe: bool = False
     sort_budget: int = 10**6
-    model_seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.slices < 1:
@@ -257,18 +264,21 @@ def _run_fingerprint(config: RunConfig) -> dict:
 def _claim_out_dir(config: RunConfig, fingerprint: dict) -> None:
     """Refuse an output directory holding a run with another fingerprint.
 
-    A directory without ``config.json`` is claimed by writing one.
+    A directory without ``config.json`` is claimed by writing one.  A key
+    only one of the fingerprints holds reads as null in the other, so a
+    run claimed before a field was dropped resumes only if it left that
+    field null.
     """
     path = os.path.join(config.out_dir, "config.json")
     if not os.path.exists(path):
         _write_config(config, fingerprint)
         return
     previous = _read_json_object(path, "resume", _CLAIM_KEYS)["fingerprint"]
-    for key, value in fingerprint.items():
-        if previous.get(key) != value:
+    for key in {**fingerprint, **previous}:
+        if previous.get(key) != fingerprint.get(key):
             raise PipelineStageError(
                 f"resume stage: {config.out_dir} holds a run with "
-                f"{key}={previous.get(key)!r}, not {value!r}; "
+                f"{key}={previous.get(key)!r}, not {fingerprint.get(key)!r}; "
                 "use another output directory"
             )
 
@@ -336,21 +346,25 @@ class _SpecSlice(NamedTuple):
     """What a slice task needs to extract its traces from a constraint spec."""
 
     spec: ConstraintSpec
-    quantum: float
     indices: Sequence[int]
 
 
-@dataclass(slots=True)
-class _SliceTask:
+class _SliceTask(NamedTuple):
+    """One slice's unit of work: its run's config and its slice."""
+
+    config: RunConfig
     slice_id: int
     size: int
-    paths: _SlicePaths
-    sigma: str
-    order_mode: str
-    order_seed: int
-    model_seed: int
     # None for a file source, whose slice file prepare_slices writes.
-    spec_slice: _SpecSlice | None = None
+    spec_slice: _SpecSlice | None
+
+    @property
+    def paths(self) -> _SlicePaths:
+        return _slice_paths(self.config.out_dir, self.slice_id)
+
+    @property
+    def order_seed(self) -> int:
+        return slice_seed(self.config.seed, self.slice_id)
 
 
 # manifest.jsonl, the one record of the slice set: slice i on line i.
@@ -361,7 +375,7 @@ def _write_manifest(run_dir: str, tasks: Sequence[_SliceTask]) -> None:
     with atomic_text_file(os.path.join(run_dir, "manifest.jsonl")) as fh:
         for task in tasks:
             entry = {"slice": task.slice_id, "size": task.size,
-                     "order": task.order_mode, "seed": task.order_seed}
+                     "order": task.config.order_mode, "seed": task.order_seed}
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
@@ -397,9 +411,9 @@ def slice_corpus(task: _SliceTask) -> TraceCorpus:
     path = task.paths.slice
     if task.spec_slice is None or os.path.exists(path):
         return read_trace_file(path)
-    spec, quantum, indices = task.spec_slice
+    spec, indices = task.spec_slice
     traces = list(GeneratorTable(spec).extract(indices))
-    alphabet = spec.alphabet
+    alphabet, quantum = spec.alphabet, task.config.quantum
     write_trace_file(
         path, alphabet, quantum, (alphabet.format_line(t.symbols) for t in traces)
     )
@@ -467,19 +481,20 @@ def _read_result(path: str, size: int, stage: str) -> dict:
 
 
 def _run_slice_task(task: _SliceTask) -> None:
+    config = task.config
     corpus = slice_corpus(task)
-    tree, resolved = plan_slice(corpus, task.order_mode, task.order_seed, task.sigma)
+    tree, sigma = plan_slice(corpus, config.order_mode, task.order_seed, config.sigma)
     ordered = tree.traces
 
     # Optimizing at any budget of at least the unlimited peak never meets
     # a full checkpoint index, so it reproduces the unlimited campaign.
     campaign = optimize_slice(tree, None, corpus.quantum, task.slice_id)
     unlimited_summary = _campaign_summary(campaign)
-    if resolved is not None and resolved < campaign.peak_stored:
+    if sigma is not None and sigma < campaign.peak_stored:
         # Only the unlimited campaign's summary is kept, so that a slice
         # task holds one campaign at a time.
         del campaign
-        campaign = optimize_slice(tree, resolved, corpus.quantum, task.slice_id)
+        campaign = optimize_slice(tree, sigma, corpus.quantum, task.slice_id)
     write_campaign_file(campaign, task.paths.campaign)
 
     n = len(ordered)
@@ -504,7 +519,7 @@ def _run_slice_task(task: _SliceTask) -> None:
             _write_progress(task, done, n)
             last_write = now
 
-    model = reference_model(corpus.alphabet, task.model_seed)
+    model = reference_model(corpus.alphabet, config.seed)
     result = execute(campaign, model, progress=on_out)
     if not result.executable:
         raise PipelineStageError(
@@ -521,12 +536,12 @@ def _run_slice_task(task: _SliceTask) -> None:
     payload = {
         "slice": task.slice_id,
         "n": n,
-        "order": task.order_mode,
+        "order": config.order_mode,
         "order_seed": task.order_seed,
         "capacity": tree.capacity,
         "shared_prefixes": tree.shared_prefix_count,
-        "sigma_requested": task.sigma,
-        "sigma_resolved": resolved,
+        "sigma_requested": config.sigma,
+        "sigma_resolved": sigma,
         "requested": _campaign_summary(campaign),
         "baseline": _baseline_summary(tree),
         "unlimited": unlimited_summary,
@@ -577,20 +592,11 @@ def prepare_slices(config: RunConfig) -> list[_SliceTask]:
             f"slice stage: {config.slices} slices for {len(items)} traces"
         )
 
-    model_seed = config.seed if config.model_seed is None else config.model_seed
     tasks: list[_SliceTask] = []
     for i, (start, stop) in enumerate(slice_ranges(len(items), config.slices)):
         body = items[start:stop]
-        task = _SliceTask(
-            slice_id=i,
-            size=stop - start,
-            paths=_slice_paths(out, i),
-            sigma=config.sigma,
-            order_mode=config.order_mode,
-            order_seed=slice_seed(config.seed, i),
-            model_seed=model_seed,
-            spec_slice=None if spec is None else _SpecSlice(spec, quantum, body),
-        )
+        task = _SliceTask(config, i, stop - start,
+                          None if spec is None else _SpecSlice(spec, body))
         if spec is None and not os.path.exists(task.paths.slice):
             write_trace_file(task.paths.slice, alphabet, quantum, body)
         tasks.append(task)
@@ -617,15 +623,17 @@ def run_pipeline(
     out = config.out_dir
     tasks = prepare_slices(config)
     todo = [t for t in tasks if not _has_result(t)]
+    workers = min(config.workers, len(todo))
     with contextlib.ExitStack() as stack:
-        # The pool runs every submitted task to its end, even after a
-        # failure; inline, the first failure stops the stage.
-        if config.workers > 1 and todo:
+        # Tasks that can run at once share a pool, which runs every
+        # submitted task to its end, even after a failure.  Inline (one
+        # worker, or one task left) the first failure stops the stage.
+        if workers > 1:
             # Imported here, so that a process that never pools loads none
             # of concurrent.futures.
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(ProcessPoolExecutor(config.workers))
+            pool = stack.enter_context(ProcessPoolExecutor(workers))
             runs = [pool.submit(_run_slice_task, t).result for t in todo]
         else:
             runs = [functools.partial(_run_slice_task, t) for t in todo]

@@ -334,6 +334,16 @@ def test_every_key_a_reader_checks_fails_its_stage_by_name(
     assert out.err.startswith(f"error: {stage} stage: {path}: {key} is ")
 
 
+def test_pipeline_has_no_model_seed_option(tmp_path, capsys):
+    # The pipeline's model is seeded by --seed; only execute takes one.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["pipeline", "--in", corpus_file(tmp_path),
+              "--out-dir", str(tmp_path / "run"), "--model-seed", "1"])
+    assert exit_info.value.code == 2
+    assert "--model-seed" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize(
     "grid, named",
     [("", "''"), ("0.5,-1", "0.5"), ("1,-1", "-1"), ("1,inf", "'1,inf'")],

@@ -403,22 +403,29 @@ def test_budgets_that_cannot_bind_build_no_next_use_table(monkeypatch):
 
 
 def test_budgets_that_cannot_bind_rekey_nothing(monkeypatch):
-    # Unkeyed, every checkpoint's key is 0, so a re-key could change none.
-    calls = []
-    rekey = CheckpointIndex.rekey
+    # Unkeyed, every checkpoint's key is 0, so a re-key could change none;
+    # and full memory ends the scan, where asking the index for a victim
+    # would answer None once for every chain node left.
+    calls, victims = [], []
+    rekey, victim = CheckpointIndex.rekey, CheckpointIndex.victim
 
     def spy(self, node_id, next_load, j):
         calls.append(node_id)
         return rekey(self, node_id, next_load, j)
 
+    def victim_spy(self, j, gap, next_load):
+        victims.append(j)
+        return victim(self, j, gap, next_load)
+
     monkeypatch.setattr(CheckpointIndex, "rekey", spy)
+    monkeypatch.setattr(CheckpointIndex, "victim", victim_spy)
     ordered = ts("aba", "ab", "bb", "aa", "bbba", "abab", "bbb")
     tree = build_tree(ordered)
-    for sigma in (None, tree.capacity):
+    for sigma in (None, 1, tree.capacity):
         optimize_slice(tree, sigma, 1.0)
-    assert calls == []
+    assert calls == [] and victims == []
     optimize_slice(tree, tree.capacity - 1, 1.0)
-    assert calls
+    assert calls and victims
 
 
 def test_rejects_empty_slice():

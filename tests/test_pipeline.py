@@ -395,6 +395,41 @@ def test_pipeline_with_worker_pool_matches_inline(tmp_path):
     assert (serial / "report.csv").read_text() == (pooled / "report.csv").read_text()
 
 
+def test_one_slice_task_left_runs_without_a_pool(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    src = corpus_file(tmp_path)
+    out = tmp_path / "run"
+    config = RunConfig(source=src, out_dir=str(out), slices=2, seed=3, workers=3)
+    run_pipeline(RunConfig(source=src, out_dir=str(out), slices=2, seed=3))
+    os.unlink(out / "results" / "result_1.json")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for one task")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    run_pipeline(config)
+    assert output_digests(out) == GOLDEN_DIGESTS["capacity"]
+
+
+def test_a_pool_has_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    started = []
+    pool = concurrent.futures.ProcessPoolExecutor
+
+    def counting_pool(workers):
+        started.append(workers)
+        return pool(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
+    out = tmp_path / "run"
+    run_pipeline(RunConfig(source=corpus_file(tmp_path), out_dir=str(out), slices=2,
+                           seed=3, workers=3))
+    assert started == [2]
+    assert output_digests(out) == GOLDEN_DIGESTS["capacity"]
+
+
 def test_pipeline_from_constraint_spec(tmp_path):
     spec = tmp_path / "spec.txt"
     spec.write_text(
@@ -786,6 +821,42 @@ def test_a_rerun_with_another_config_is_refused(tmp_path, change, message):
     with pytest.raises(PipelineStageError, match=re.escape(message)):
         run_pipeline(RunConfig(**{**config, **change}))
     assert output_digests(out) == GOLDEN_DIGESTS["capacity"]
+
+
+@pytest.mark.parametrize("model_seed, refused", [(5, True), (None, False)])
+def test_a_run_claimed_with_a_model_seed_resumes_only_if_it_was_null(
+    tmp_path, model_seed, refused
+):
+    # An older simcamp fingerprinted a model seed.  Only a null one ran the
+    # model the pipeline runs, seeded by the run's seed.
+    src = corpus_file(tmp_path)
+    out = tmp_path / "run"
+    config = RunConfig(source=src, out_dir=str(out), slices=2, seed=3)
+    run_pipeline(config)
+    path = out / "config.json"
+    claimed = json.loads(path.read_text())
+    claimed["fingerprint"]["model_seed"] = model_seed
+    write_json_atomic(claimed, str(path))
+    os.unlink(out / "results" / "result_1.json")
+    if refused:
+        with pytest.raises(PipelineStageError, match="model_seed=5, not None"):
+            run_pipeline(config)
+    else:
+        run_pipeline(config)
+    assert (out / "results" / "result_1.json").exists() != refused
+    if not refused:
+        assert output_digests(out) == GOLDEN_DIGESTS["capacity"]
+
+
+def test_a_slice_task_is_its_runs_config_and_its_slice(tmp_path):
+    config = RunConfig(source=corpus_file(tmp_path), out_dir=str(tmp_path), slices=2,
+                       seed=3)
+    assert pipeline._SliceTask._fields == ("config", "slice_id", "size", "spec_slice")
+    assert pipeline._SpecSlice._fields == ("spec", "indices")
+    for i, task in enumerate(prepare_slices(config)):
+        assert task.config is config and task.slice_id == i
+        assert task.paths == pipeline._slice_paths(str(tmp_path), i)
+        assert task.order_seed == slice_seed(3, i)
 
 
 def test_a_rerun_on_another_source_is_refused(tmp_path):
